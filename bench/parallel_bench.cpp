@@ -43,6 +43,12 @@
  *    O(cells^2) total bytes — while the binary store appends one
  *    record. Gated: the binary store must land >= 10x fewer total
  *    bytes on disk, or the O(row) appends claim is broken.
+ *  - dm_noise_stream: the noisy density-matrix prepare of fig13/fig15
+ *    — the 8-qubit FCHE ansatz through the DensityMatrix backend under
+ *    nisq and pqec — with the DmPass stream's pass count next to the
+ *    source gate count. Gated on the pass count, which is
+ *    deterministic and machine-independent: at most 3 per two-qubit
+ *    gate plus one per qubit.
  *
  * Thread-sensitive gates (trajectory-farm / sharded-batch speedups)
  * apply only when OpenMP has a real thread team: on the 1-core CI
@@ -74,6 +80,7 @@
 #include "ham/heisenberg.hpp"
 #include "ham/ising.hpp"
 #include "noise/noise_model.hpp"
+#include "sim/backend.hpp"
 #include "sim/lane_sweep.hpp"
 #include "sim/simd.hpp"
 #include "sim/statevector.hpp"
@@ -558,6 +565,47 @@ main(int argc, char **argv)
     std::remove(store_json_path.c_str());
     std::remove(store_bin_path.c_str());
 
+    // ---- 10. Noisy density-matrix stream (FCHE-8 prepare) ---------
+    // Every one-qubit map folds into a pending superoperator per qubit
+    // that only a two-qubit gate (or the end) flushes, so a pair pass
+    // plus at most two flushes per two-qubit gate and one final flush
+    // per qubit bound the stream.
+    const int dm_qubits = 8;
+    const auto dm_ansatz = fcheAnsatz(dm_qubits, 1);
+    const Circuit dm_circuit = dm_ansatz.bind(
+        std::vector<double>(dm_ansatz.nParameters(), 0.3));
+    size_t dm_two_qubit = 0;
+    for (const Gate &g : dm_circuit.gates())
+        dm_two_qubit += g.isTwoQubit() ? 1 : 0;
+    const size_t dm_pass_bound = 3 * dm_two_qubit + dm_qubits;
+    struct DmStreamRun
+    {
+        const char *regime;
+        DmNoiseSpec spec;
+        double prepare_ms = 0.0;
+        size_t passes = 0;
+    };
+    DmStreamRun dm_runs[] = {{"nisq", nisqDmSpec(NisqParams{})},
+                             {"pqec", pqecDmSpec(PqecParams{})}};
+    bool dm_ok = true;
+    for (DmStreamRun &run : dm_runs) {
+        sim::NoiseModel model;
+        model.dm = run.spec;
+        const auto backend = sim::makeBackend(
+            sim::BackendKind::DensityMatrix, dm_qubits, &model);
+        run.prepare_ms =
+            bestOf(smoke ? 5 : 20, [&] { backend->prepare(dm_circuit); }) /
+            1e6;
+        run.passes = compileNoisyDmStream(dm_circuit, run.spec).size();
+        dm_ok = dm_ok && run.passes <= dm_pass_bound;
+        std::cout << "dm_noise_stream   " << dm_qubits << "q " << run.regime
+                  << ": " << dm_circuit.nGates() << " gates -> "
+                  << run.passes << " passes (bound " << dm_pass_bound
+                  << "), prepare " << run.prepare_ms << " ms"
+                  << (run.passes <= dm_pass_bound ? "" : " (OVER BOUND!)")
+                  << "\n";
+    }
+
     // ---- JSON ------------------------------------------------------
     auto os = bench::openJsonOut(args.out);
     bench::JsonWriter json(os);
@@ -672,6 +720,18 @@ main(int argc, char **argv)
     json.field("binary_ms", store_bin_ns / 1e6);
     json.field("ok", store_ok);
     json.endObject();
+    json.beginObject("dm_noise_stream");
+    json.field("threads", threads);
+    json.field("qubits", dm_qubits);
+    json.field("source_gates", dm_circuit.nGates());
+    json.field("two_qubit_gates", dm_two_qubit);
+    json.field("pass_bound", dm_pass_bound);
+    for (const DmStreamRun &run : dm_runs) {
+        json.field(std::string(run.regime) + "_passes", run.passes);
+        json.field(std::string(run.regime) + "_prepare_ms", run.prepare_ms);
+    }
+    json.field("ok", dm_ok);
+    json.endObject();
     json.endObject();
     std::cout << "wrote " << args.out << "\n";
     if (!farm_ok)
@@ -690,5 +750,7 @@ main(int argc, char **argv)
         return 8; // disarmed fault probes cost >= 2% of the energy path
     if (!store_ok)
         return 9; // binary store wrote >= 1/10th of the JSON rewrite bytes
+    if (!dm_ok)
+        return 10; // noisy DM stream over 3 passes per 2q gate + n
     return 0;
 }

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "qec/magic/injection.hpp"
 #include "qec/surface_code.hpp"
+#include "sim/backend.hpp"
 
 namespace eftvqa {
 
@@ -88,28 +92,59 @@ pqecDmSpec(const PqecParams &params)
 
 namespace {
 
-void
-applyPauliChannelIfAny(DensityMatrix &rho, const PauliChannel &ch, size_t q)
+[[noreturn]] void
+specError(const std::string &field, const std::string &rule, double got)
 {
-    if (ch.px + ch.py + ch.pz > 0.0)
-        rho.applyPauliChannel1q(ch, q);
+    throw std::invalid_argument("DmNoiseSpec." + field + ": must be " +
+                                rule + " (got " + std::to_string(got) +
+                                ")");
 }
 
 } // namespace
 
 void
-runNoisyDensityMatrix(const Circuit &circuit, const DmNoiseSpec &spec,
-                      DensityMatrix &rho)
+DmNoiseSpec::validate() const
 {
-    if (circuit.nQubits() != rho.nQubits())
-        throw std::invalid_argument("runNoisyDensityMatrix: width mismatch");
+    const std::pair<const char *, double> probabilities[] = {
+        {"one_qubit_depol", one_qubit_depol},
+        {"two_qubit_depol", two_qubit_depol},
+        {"rotation.px", rotation.px},
+        {"rotation.py", rotation.py},
+        {"rotation.pz", rotation.pz},
+        {"meas_flip", meas_flip},
+        {"idle_depol", idle_depol}};
+    for (const auto &[field, p] : probabilities)
+        if (!(p >= 0.0 && p <= 1.0))
+            specError(field, "in [0, 1]", p);
+    const double rotation_total = rotation.px + rotation.py + rotation.pz;
+    if (rotation_total > 1.0)
+        specError("rotation", "px + py + pz <= 1", rotation_total);
+    if (!(time_1q_ns >= 0.0))
+        specError("time_1q_ns", ">= 0", time_1q_ns);
+    if (!(time_2q_ns >= 0.0))
+        specError("time_2q_ns", ">= 0", time_2q_ns);
+    if (!use_relaxation)
+        return;
+    if (!(t1_ns > 0.0))
+        specError("t1_ns", "> 0 with use_relaxation", t1_ns);
+    if (!(t2_ns > 0.0))
+        specError("t2_ns", "> 0 with use_relaxation", t2_ns);
+    // Same bound (and slack) as thermalRelaxationChannel().
+    if (t2_ns > 2.0 * t1_ns + 1e-12)
+        specError("t2_ns", "<= 2 * t1_ns = " + std::to_string(2.0 * t1_ns),
+                  t2_ns);
+}
+
+std::vector<DmPass>
+compileNoisyDmStream(const Circuit &circuit, const DmNoiseSpec &spec)
+{
+    spec.validate();
 
     // ASAP layering for idle-noise insertion (mirrors the Clifford
-    // path). Gates are bucketed per level: program order is not
-    // level-sorted, and same-level gates touch disjoint qubits so the
-    // per-level reordering is semantics-preserving.
+    // path): a gate's level is one past the latest level on its qubits.
     const auto &gates = circuit.gates();
-    std::vector<size_t> qubit_level(circuit.nQubits(), 0);
+    const size_t n = circuit.nQubits();
+    std::vector<size_t> qubit_level(n, 0);
     std::vector<std::vector<size_t>> by_level;
     for (size_t i = 0; i < gates.size(); ++i) {
         const Gate &g = gates[i];
@@ -124,58 +159,75 @@ runNoisyDensityMatrix(const Circuit &circuit, const DmNoiseSpec &spec,
         by_level[lvl].push_back(i);
     }
 
-    const bool idle_noise = spec.use_relaxation || spec.idle_depol > 0.0;
+    // The handful of distinct channels, built once. A zero channel is
+    // never folded.
+    const auto pauli = [](const PauliChannel &ch) -> std::optional<Mat4> {
+        if (ch.px + ch.py + ch.pz > 0.0)
+            return pauliChannelSuperop(ch);
+        return std::nullopt;
+    };
+    const auto relax = [&spec](double t) -> std::optional<Mat4> {
+        if (spec.use_relaxation && t > 0.0)
+            return thermalRelaxationSuperop(spec.t1_ns, spec.t2_ns, t);
+        return std::nullopt;
+    };
+    const std::optional<Mat4> rotation = pauli(spec.rotation);
+    const std::optional<Mat4> depol_1q =
+        pauli(depolarizingPauliChannel(spec.one_qubit_depol));
+    const std::optional<Mat4> idle_depol =
+        pauli(depolarizingPauliChannel(spec.idle_depol));
+    const std::optional<Mat4> relax_1q = relax(spec.time_1q_ns);
+    const std::optional<Mat4> relax_2q = relax(spec.time_2q_ns);
 
-    std::vector<bool> busy(circuit.nQubits());
+    DmPassBuilder stream(n);
+    const auto fold = [&stream](size_t q, const std::optional<Mat4> &ch) {
+        if (ch)
+            stream.channel(q, *ch);
+    };
+    // Same-level gates touch disjoint qubits, so walking a level's
+    // gates in program order and its idle qubits after them preserves
+    // every qubit's own order.
+    std::vector<bool> busy(n);
     for (const auto &layer : by_level) {
         std::fill(busy.begin(), busy.end(), false);
         for (size_t i : layer) {
             const Gate &g = gates[i];
-            rho.applyGate(g);
             busy[g.q0] = true;
-            if (g.isTwoQubit())
+            if (g.isTwoQubit()) {
                 busy[g.q1] = true;
-
+                stream.gate2q(g, spec.two_qubit_depol);
+                fold(g.q0, relax_2q);
+                fold(g.q1, relax_2q);
+                continue;
+            }
+            stream.gate1q(g);
             if (isRotationType(g.type)) {
-                applyPauliChannelIfAny(rho, spec.rotation, g.q0);
-                if (spec.use_relaxation)
-                    rho.applyThermalRelaxation(spec.t1_ns, spec.t2_ns,
-                                               spec.time_1q_ns, g.q0);
-            } else if (g.isTwoQubit()) {
-                if (spec.two_qubit_depol > 0.0)
-                    rho.applyDepolarizing2q(spec.two_qubit_depol, g.q0,
-                                            g.q1);
-                if (spec.use_relaxation) {
-                    rho.applyThermalRelaxation(spec.t1_ns, spec.t2_ns,
-                                               spec.time_2q_ns, g.q0);
-                    rho.applyThermalRelaxation(spec.t1_ns, spec.t2_ns,
-                                               spec.time_2q_ns, g.q1);
-                }
+                fold(g.q0, rotation);
+                fold(g.q0, relax_1q);
             } else if (g.type != GateType::I &&
                        g.type != GateType::Measure &&
                        g.type != GateType::Reset) {
-                if (spec.one_qubit_depol > 0.0)
-                    rho.applyPauliChannel1q(
-                        depolarizingPauliChannel(spec.one_qubit_depol),
-                        g.q0);
-                if (spec.use_relaxation)
-                    rho.applyThermalRelaxation(spec.t1_ns, spec.t2_ns,
-                                               spec.time_1q_ns, g.q0);
+                fold(g.q0, depol_1q);
+                fold(g.q0, relax_1q);
             }
         }
-        if (idle_noise) {
-            for (size_t q = 0; q < circuit.nQubits(); ++q) {
-                if (busy[q])
-                    continue;
-                if (spec.use_relaxation)
-                    rho.applyThermalRelaxation(spec.t1_ns, spec.t2_ns,
-                                               spec.time_2q_ns, q);
-                if (spec.idle_depol > 0.0)
-                    rho.applyPauliChannel1q(
-                        depolarizingPauliChannel(spec.idle_depol), q);
-            }
+        for (size_t q = 0; q < n; ++q) {
+            if (busy[q])
+                continue;
+            fold(q, relax_2q);
+            fold(q, idle_depol);
         }
     }
+    return stream.finish();
+}
+
+void
+runNoisyDensityMatrix(const Circuit &circuit, const DmNoiseSpec &spec,
+                      DensityMatrix &rho)
+{
+    if (circuit.nQubits() != rho.nQubits())
+        throw std::invalid_argument("runNoisyDensityMatrix: width mismatch");
+    rho.runPasses(compileNoisyDmStream(circuit, spec));
 }
 
 double
@@ -191,13 +243,12 @@ double
 noisyDensityMatrixEnergy(const Circuit &circuit, const Hamiltonian &ham,
                          const DmNoiseSpec &spec)
 {
-    DensityMatrix rho(circuit.nQubits());
-    runNoisyDensityMatrix(circuit, spec, rho);
-    double energy = 0.0;
-    for (const auto &t : ham.terms())
-        energy += t.coefficient * readoutDampingFactor(spec.meas_flip, t.op) *
-                  rho.expectation(t.op);
-    return energy;
+    sim::NoiseModel model;
+    model.dm = spec;
+    const auto backend = sim::makeBackend(sim::BackendKind::DensityMatrix,
+                                          circuit.nQubits(), &model);
+    backend->prepare(circuit);
+    return backend->energy(ham);
 }
 
 } // namespace eftvqa

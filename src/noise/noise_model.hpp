@@ -80,6 +80,13 @@ struct DmNoiseSpec
     double time_1q_ns = 0.0, time_2q_ns = 0.0;
 
     double idle_depol = 0.0;      ///< per-layer idle depolarizing (pQEC)
+
+    /**
+     * Throws std::invalid_argument naming the offending field: every
+     * probability in [0, 1] and rotation px+py+pz <= 1; gate times >= 0;
+     * with use_relaxation, T1 > 0, T2 > 0 and T2 <= 2 T1.
+     */
+    void validate() const;
 };
 
 /** Density-matrix noise spec for the NISQ regime. */
@@ -89,9 +96,18 @@ DmNoiseSpec nisqDmSpec(const NisqParams &params);
 DmNoiseSpec pqecDmSpec(const PqecParams &params);
 
 /**
- * Runs a bound circuit through the density-matrix simulator, inserting
- * the spec's channels after each gate and idle-window noise per ASAP
- * layer. The state is left in @p rho.
+ * Compiles a bound circuit and the spec's channels into a DmPass
+ * stream (validating the spec first). The channels follow the gates
+ * they belong to — rotation or 1q depolarizing plus relaxation after a
+ * 1q gate, 2q depolarizing plus relaxation after a 2q gate — and every
+ * ASAP layer adds idle-window noise on the qubits it leaves idle.
+ */
+std::vector<DmPass> compileNoisyDmStream(const Circuit &circuit,
+                                         const DmNoiseSpec &spec);
+
+/**
+ * Runs a bound circuit with the spec's noise on @p rho: one
+ * compileNoisyDmStream() plus DensityMatrix::runPasses().
  */
 void runNoisyDensityMatrix(const Circuit &circuit, const DmNoiseSpec &spec,
                            DensityMatrix &rho);
@@ -105,7 +121,8 @@ double readoutDampingFactor(double meas_flip, const PauliString &op);
 
 /**
  * Energy Tr(H rho) after noisy execution, with readout error folded in
- * analytically as a (1 - 2 p_meas)^weight damping per Pauli term.
+ * analytically as a (1 - 2 p_meas)^weight damping per Pauli term: the
+ * density-matrix backend's prepare() + energy() under @p spec.
  */
 double noisyDensityMatrixEnergy(const Circuit &circuit,
                                 const Hamiltonian &ham,

@@ -227,9 +227,9 @@ class DensityMatrixBackend final : public Backend
     prepareCompiled(const CompiledCircuit &compiled) override
     {
         rho_.setZeroState();
-        // Gate noise interleaves channels between gates, which the
-        // fused stream cannot express — only the noiseless path
-        // executes compiled ops.
+        // Gate noise compiles the source circuit into its own DmPass
+        // stream (channels fold into per-qubit superoperators); only
+        // the noiseless path executes the compiled unitary ops.
         if (noisy_)
             runNoisyDensityMatrix(compiled.source(), spec_, rho_);
         else

@@ -111,9 +111,10 @@ class Backend
     /**
      * prepare() from a pre-compiled circuit (sim/compiled_circuit.hpp).
      * The dense noiseless substrates execute the fused op stream
-     * directly; every other substrate falls back to gate-by-gate
-     * execution of compiled.source(). Callers that re-prepare the same
-     * circuit (optimizer loops, shot loops) should compile once —
+     * directly; a noisy density matrix compiles compiled.source() into
+     * its DmPass stream, and the tableau executes compiled.source()
+     * gate by gate. Callers that re-prepare the same circuit
+     * (optimizer loops, shot loops) should compile once —
      * EstimationEngine memoizes CompiledCircuits by content hash and
      * routes through this entry point.
      */

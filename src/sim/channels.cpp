@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace eftvqa {
 
@@ -116,8 +118,12 @@ phaseFlipChannel(double p)
     return ch;
 }
 
-KrausChannel
-thermalRelaxationChannel(double t1, double t2, double t)
+namespace {
+
+/** (gamma, lambda) of thermal relaxation: amplitude damping, then the
+ *  phase damping that makes the off-diagonal decay exactly exp(-t/T2). */
+std::pair<double, double>
+thermalRelaxationRates(double t1, double t2, double t)
 {
     if (t1 <= 0.0 || t2 <= 0.0 || t < 0.0)
         throw std::invalid_argument("thermalRelaxation: bad times");
@@ -125,8 +131,7 @@ thermalRelaxationChannel(double t1, double t2, double t)
         throw std::invalid_argument("thermalRelaxation: requires T2 <= 2 T1");
 
     const double gamma = 1.0 - std::exp(-t / t1);
-    // Choose phase damping lambda so the combined off-diagonal decay is
-    // exp(-t/T2): sqrt(1-gamma) * sqrt(1-lambda) = exp(-t/T2).
+    // sqrt(1-gamma) * sqrt(1-lambda) = exp(-t/T2).
     const double target = std::exp(-t / t2);
     const double sq1mg = std::sqrt(1.0 - gamma);
     double lambda = 0.0;
@@ -134,6 +139,15 @@ thermalRelaxationChannel(double t1, double t2, double t)
         const double ratio = target / sq1mg;
         lambda = std::max(0.0, 1.0 - ratio * ratio);
     }
+    return {gamma, lambda};
+}
+
+} // namespace
+
+KrausChannel
+thermalRelaxationChannel(double t1, double t2, double t)
+{
+    const auto [gamma, lambda] = thermalRelaxationRates(t1, t2, t);
 
     // Amplitude damping.
     KrausChannel amp;
@@ -173,6 +187,84 @@ depolarizingPauliChannel(double p)
     PauliChannel ch;
     ch.px = ch.py = ch.pz = p / 3.0;
     return ch;
+}
+
+Mat4
+unitarySuperop(const Mat2 &u)
+{
+    // Row/column index (ket << 1) | bra: U acts on the ket bit, U* on
+    // the bra bit.
+    Mat4 out{};
+    for (int r = 0; r < 4; ++r)
+        for (int c = 0; c < 4; ++c)
+            out[r * 4 + c] = u[(r >> 1) * 2 + (c >> 1)] *
+                             std::conj(u[(r & 1) * 2 + (c & 1)]);
+    return out;
+}
+
+namespace {
+
+/** Real block-sparse superoperator: (aa ad; da dd) on the populations
+ *  {00, 11}, (bb bc; cb cc) on the coherences {01, 10}. */
+Mat4
+blockSuperop(double aa, double ad, double da, double dd, double bb,
+             double bc, double cb, double cc)
+{
+    Mat4 out{};
+    out[0] = aa;
+    out[3] = ad;
+    out[12] = da;
+    out[15] = dd;
+    out[5] = bb;
+    out[6] = bc;
+    out[9] = cb;
+    out[10] = cc;
+    return out;
+}
+
+void
+checkUnitInterval(double v, const char *what)
+{
+    if (!(v >= 0.0 && v <= 1.0))
+        throw std::invalid_argument(std::string(what) +
+                                    ": must be in [0, 1]");
+}
+
+} // namespace
+
+Mat4
+pauliChannelSuperop(const PauliChannel &channel)
+{
+    const double pi_ = channel.pIdentity();
+    const double pop = pi_ + channel.pz;
+    const double flip = channel.px + channel.py;
+    const double coh = pi_ - channel.pz;
+    const double swap = channel.px - channel.py;
+    return blockSuperop(pop, flip, flip, pop, coh, swap, swap, coh);
+}
+
+Mat4
+amplitudeDampingSuperop(double gamma)
+{
+    checkUnitInterval(gamma, "amplitudeDamping");
+    const double keep = std::sqrt(1.0 - gamma);
+    return blockSuperop(1.0, gamma, 0.0, 1.0 - gamma, keep, 0.0, 0.0, keep);
+}
+
+Mat4
+phaseDampingSuperop(double lambda)
+{
+    checkUnitInterval(lambda, "phaseDamping");
+    const double keep = std::sqrt(1.0 - lambda);
+    return blockSuperop(1.0, 0.0, 0.0, 1.0, keep, 0.0, 0.0, keep);
+}
+
+Mat4
+thermalRelaxationSuperop(double t1, double t2, double t)
+{
+    const auto [gamma, lambda] = thermalRelaxationRates(t1, t2, t);
+    const double keep = std::sqrt(1.0 - gamma) * std::sqrt(1.0 - lambda);
+    return blockSuperop(1.0, gamma, 0.0, 1.0 - gamma, keep, 0.0, 0.0, keep);
 }
 
 } // namespace eftvqa

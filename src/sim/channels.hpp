@@ -79,6 +79,34 @@ PauliChannel pauliTwirledRelaxation(double t1, double t2, double t);
 /** Pauli channel of a symmetric depolarizing error (p/3 each). */
 PauliChannel depolarizingPauliChannel(double p);
 
+// ------------------------------------------------------------------ //
+// Superoperator form. A one-qubit map acts on the density-matrix     //
+// elements rho[ket, bra] of its qubit as a 4x4 matrix on the basis   //
+// index (ket << 1) | bra, so composing maps is a 4x4 product (later  //
+// map on the left). Channels without a gate are real and block-      //
+// sparse: they mix only {00, 11} (populations) and {01, 10}          //
+// (coherences).                                                      //
+// ------------------------------------------------------------------ //
+
+/** U (x) U*: rho -> U rho U^dag. */
+Mat4 unitarySuperop(const Mat2 &u);
+
+/** Pauli channel: (pI +- pz, px +- py) on the two blocks. */
+Mat4 pauliChannelSuperop(const PauliChannel &channel);
+
+/** Amplitude damping with decay probability gamma in [0, 1]. */
+Mat4 amplitudeDampingSuperop(double gamma);
+
+/** Phase damping with parameter lambda in [0, 1] (1 = full dephase). */
+Mat4 phaseDampingSuperop(double lambda);
+
+/**
+ * Thermal relaxation for duration @p t: the same amplitude-then-phase
+ * damping thermalRelaxationChannel() builds, with the same argument
+ * checks (T1, T2 > 0, t >= 0, T2 <= 2 T1).
+ */
+Mat4 thermalRelaxationSuperop(double t1, double t2, double t);
+
 } // namespace eftvqa
 
 #endif // EFTVQA_SIM_CHANNELS_HPP

@@ -170,9 +170,9 @@ int compiledBlockMode();
 
 /**
  * A Circuit compiled to the fused op stream. Immutable after
- * construction; keeps the source circuit so non-dense backends (and
- * the noisy density-matrix path, which interleaves channels between
- * gates) can still execute gate by gate.
+ * construction; keeps the source circuit for the backends that do not
+ * execute unitary ops: the tableau runs it gate by gate, and the noisy
+ * density matrix compiles it, channels included, into a DmPass stream.
  */
 class CompiledCircuit
 {

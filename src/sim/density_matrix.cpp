@@ -7,6 +7,7 @@
 #include <string>
 
 #include "pauli/term_groups.hpp"
+#include "sim/compiled_circuit.hpp"
 #include "sim/lane_sweep.hpp"
 #include "vqa/fault.hpp"
 
@@ -30,6 +31,83 @@ checkedDensityMatrixSize(size_t n_qubits)
 }
 
 } // namespace
+
+DmPassBuilder::DmPassBuilder(size_t n_qubits) : pending_(n_qubits) {}
+
+void
+DmPassBuilder::fold(size_t q, const Mat4 &superop, bool carries_gate)
+{
+    Pending &p = pending_.at(q);
+    p.superop = p.active ? matmul4(superop, p.superop) : superop;
+    p.active = true;
+    p.carries_gate = p.carries_gate || carries_gate;
+}
+
+void
+DmPassBuilder::flush(size_t q)
+{
+    Pending &p = pending_.at(q);
+    if (!p.active)
+        return;
+    DmPass pass;
+    pass.kind = p.carries_gate ? DmPass::Kind::Superop : DmPass::Kind::Channel;
+    pass.q0 = static_cast<uint32_t>(q);
+    pass.superop = p.superop;
+    passes_.push_back(pass);
+    p = Pending{};
+}
+
+void
+DmPassBuilder::gate1q(const Gate &g)
+{
+    if (g.isParameterized())
+        throw std::invalid_argument("DmPassBuilder: unbound parameter");
+    switch (g.type) {
+      case GateType::I:
+        return;
+      case GateType::Measure:
+        fold(g.q0, phaseDampingSuperop(1.0), false);
+        return;
+      case GateType::Reset:
+        fold(g.q0, amplitudeDampingSuperop(1.0), false);
+        return;
+      default:
+        fold(g.q0, unitarySuperop(gateMatrix1q(g.type, g.angle)), true);
+        return;
+    }
+}
+
+void
+DmPassBuilder::channel(size_t q, const Mat4 &superop)
+{
+    fold(q, superop, false);
+}
+
+void
+DmPassBuilder::gate2q(const Gate &g, double p)
+{
+    if (!g.isTwoQubit())
+        throw std::invalid_argument("DmPassBuilder: not a two-qubit gate");
+    if (!(p >= 0.0 && p <= 1.0))
+        throw std::invalid_argument("DmPassBuilder: bad depolarizing p");
+    flush(g.q0);
+    flush(g.q1);
+    DmPass pass;
+    pass.kind = DmPass::Kind::Pair;
+    pass.gate = g.type;
+    pass.q0 = g.q0;
+    pass.q1 = g.q1;
+    pass.lambda = 16.0 * p / 15.0;
+    passes_.push_back(pass);
+}
+
+std::vector<DmPass>
+DmPassBuilder::finish()
+{
+    for (size_t q = 0; q < pending_.size(); ++q)
+        flush(q);
+    return std::move(passes_);
+}
 
 DensityMatrix::DensityMatrix(size_t n_qubits) : n_(n_qubits)
 {
@@ -194,24 +272,21 @@ DensityMatrix::applyGf2Perm(const Gf2PermOp &p)
     switch (p.cls) {
       case Gf2PermClass::XorMask: {
         // rho -> P rho P with P the xor-mask involution: element
-        // (i, j) exchanges with (i^f, j^f), once per pair of rows.
-        const uint64_t f = p.flips;
-        for (uint64_t i = 0; i < d; ++i) {
-            const uint64_t i2 = i ^ f;
-            if (i >= i2)
-                continue;
-            if (simd::tryXorRowsSwap(&data_[i * d], &data_[i2 * d], d, f))
-                continue;
-            for (uint64_t j = 0; j < d; ++j)
-                std::swap(data_[i * d + j], data_[i2 * d + (j ^ f)]);
-        }
+        // (i, j) exchanges with (i^f, j^f), a xor-mask on the 2n-bit
+        // index.
+        const uint64_t f = (p.flips << n_) | p.flips;
+        if (simd::tryXorMask(data_.data(), data_.size(), f, false))
+            return;
+        for (uint64_t i = 0; i < data_.size(); ++i)
+            if (i < (i ^ f))
+                std::swap(data_[i], data_[i ^ f]);
         return;
       }
       case Gf2PermClass::SingleCX:
-        applyCXConjugation(p.q0, p.q1);
+        applyPairPass(GateType::CX, p.q0, p.q1, 0.0);
         return;
       case Gf2PermClass::SingleSwap:
-        applySwapConjugation(p.q0, p.q1);
+        applyPairPass(GateType::Swap, p.q0, p.q1, 0.0);
         return;
       case Gf2PermClass::General:
         break;
@@ -267,72 +342,6 @@ DensityMatrix::applyGf2Perm(const Gf2PermOp &p)
 }
 
 void
-DensityMatrix::applyCXConjugation(size_t control, size_t target)
-{
-    const size_t d = dim();
-    const uint64_t cmask = uint64_t{1} << control;
-    const uint64_t tmask = uint64_t{1} << target;
-    // Row permutation (ket side), then column permutation (bra side);
-    // the CX permutation is an involution so pairwise swaps suffice.
-    for (uint64_t i = 0; i < d; ++i) {
-        if ((i & cmask) && !(i & tmask)) {
-            const uint64_t i2 = i | tmask;
-            for (uint64_t j = 0; j < d; ++j)
-                std::swap(data_[i * d + j], data_[i2 * d + j]);
-        }
-    }
-    for (uint64_t j = 0; j < d; ++j) {
-        if ((j & cmask) && !(j & tmask)) {
-            const uint64_t j2 = j | tmask;
-            for (uint64_t i = 0; i < d; ++i)
-                std::swap(data_[i * d + j], data_[i * d + j2]);
-        }
-    }
-}
-
-void
-DensityMatrix::applyCZConjugation(size_t a, size_t b)
-{
-    const size_t d = dim();
-    const uint64_t mask = (uint64_t{1} << a) | (uint64_t{1} << b);
-    for (uint64_t i = 0; i < d; ++i) {
-        const bool si = (i & mask) == mask;
-        for (uint64_t j = 0; j < d; ++j) {
-            const bool sj = (j & mask) == mask;
-            if (si != sj)
-                data_[i * d + j] = -data_[i * d + j];
-        }
-    }
-}
-
-void
-DensityMatrix::applySwapConjugation(size_t a, size_t b)
-{
-    const size_t d = dim();
-    const uint64_t am = uint64_t{1} << a;
-    const uint64_t bm = uint64_t{1} << b;
-    auto perm = [&](uint64_t i) -> uint64_t {
-        const bool ba = i & am;
-        const bool bb = i & bm;
-        if (ba == bb)
-            return i;
-        return i ^ am ^ bm;
-    };
-    for (uint64_t i = 0; i < d; ++i) {
-        const uint64_t pi = perm(i);
-        if (pi > i)
-            for (uint64_t j = 0; j < d; ++j)
-                std::swap(data_[i * d + j], data_[pi * d + j]);
-    }
-    for (uint64_t j = 0; j < d; ++j) {
-        const uint64_t pj = perm(j);
-        if (pj > j)
-            for (uint64_t i = 0; i < d; ++i)
-                std::swap(data_[i * d + j], data_[i * d + pj]);
-    }
-}
-
-void
 DensityMatrix::applyGate(const Gate &g)
 {
     if (g.isParameterized())
@@ -342,13 +351,9 @@ DensityMatrix::applyGate(const Gate &g)
       case GateType::I:
         return;
       case GateType::CX:
-        applyCXConjugation(g.q0, g.q1);
-        return;
       case GateType::CZ:
-        applyCZConjugation(g.q0, g.q1);
-        return;
       case GateType::Swap:
-        applySwapConjugation(g.q0, g.q1);
+        applyPairPass(g.type, g.q0, g.q1, 0.0);
         return;
       case GateType::Measure:
         applyMeasurementDephase(g.q0);
@@ -400,6 +405,24 @@ DensityMatrix::runCompiled(const CompiledCircuit &compiled)
 }
 
 void
+DensityMatrix::runPasses(const std::vector<DmPass> &passes)
+{
+    for (const DmPass &p : passes) {
+        switch (p.kind) {
+          case DmPass::Kind::Superop:
+            applySuperop1q(p.superop, p.q0);
+            break;
+          case DmPass::Kind::Channel:
+            applyChannel1q(p.superop, p.q0);
+            break;
+          case DmPass::Kind::Pair:
+            applyPairPass(p.gate, p.q0, p.q1, p.lambda);
+            break;
+        }
+    }
+}
+
+void
 DensityMatrix::applyKraus1q(const KrausChannel &channel, size_t q)
 {
     simd::AmpVector acc(data_.size(), {0.0, 0.0});
@@ -415,190 +438,201 @@ DensityMatrix::applyKraus1q(const KrausChannel &channel, size_t q)
 }
 
 void
-DensityMatrix::applyPauliChannel1q(const PauliChannel &channel, size_t q)
+DensityMatrix::applySuperop1q(const Mat4 &superop, size_t q)
 {
-    // Closed form over the 2x2 block structure of qubit q:
-    //   A' = (pI+pz) A + (px+py) D      (q_ket = q_bra = 0 / 1 blocks)
-    //   B' = (pI-pz) B + (px-py) C      (off-diagonal blocks)
-    const double pi_ = channel.pIdentity();
-    const double adiag = pi_ + channel.pz;
-    const double bdiag = channel.px + channel.py;
-    const double aoff = pi_ - channel.pz;
-    const double boff = channel.px - channel.py;
+    if (q >= n_)
+        throw std::out_of_range("DensityMatrix::applySuperop1q: qubit");
+    applyMat4AtBits(data_, superop, n_ + q, q);
+}
 
+void
+DensityMatrix::applyChannel1q(const Mat4 &superop, size_t q)
+{
+    if (q >= n_)
+        throw std::out_of_range("DensityMatrix::applyChannel1q: qubit");
+    // Populations (A = rho[0,0], D = rho[1,1] of qubit q) and coherences
+    // (B = rho[0,1], C = rho[1,0]) mix only within their own block.
+    const double aa = superop[0].real(), ad = superop[3].real();
+    const double da = superop[12].real(), dd = superop[15].real();
+    const double bb = superop[5].real(), bc = superop[6].real();
+    const double cb = superop[9].real(), cc = superop[10].real();
     const size_t d = dim();
     const size_t stride = size_t{1} << q;
-    for (size_t ihi = 0; ihi < d; ihi += 2 * stride) {
-        for (size_t ilo = 0; ilo < stride; ++ilo) {
-            const size_t i0 = ihi + ilo;
-            const size_t i1 = i0 + stride;
-            for (size_t jhi = 0; jhi < d; jhi += 2 * stride) {
-                for (size_t jlo = 0; jlo < stride; ++jlo) {
-                    const size_t j0 = jhi + jlo;
-                    const size_t j1 = j0 + stride;
-                    auto &a = data_[i0 * d + j0];
-                    auto &b = data_[i0 * d + j1];
-                    auto &c = data_[i1 * d + j0];
-                    auto &dd = data_[i1 * d + j1];
-                    const auto a0 = a, b0 = b, c0 = c, d0 = dd;
-                    a = adiag * a0 + bdiag * d0;
-                    dd = bdiag * a0 + adiag * d0;
-                    b = aoff * b0 + boff * c0;
-                    c = boff * b0 + aoff * c0;
-                }
+    const double k[8] = {aa, ad, da, dd, bb, bc, cb, cc};
+    if (simd::tryChannel1q(data_.data(), d, stride, k))
+        return;
+    for (size_t i = 0; i < d; ++i) {
+        if (i & stride)
+            continue;
+        std::complex<double> *r0 = &data_[i * d];
+        std::complex<double> *r1 = r0 + stride * d;
+        for (size_t jhi = 0; jhi < d; jhi += 2 * stride) {
+            for (size_t j = jhi; j < jhi + stride; ++j) {
+                const std::complex<double> a = r0[j];
+                const std::complex<double> b = r0[j + stride];
+                const std::complex<double> c = r1[j];
+                const std::complex<double> e = r1[j + stride];
+                r0[j] = aa * a + ad * e;
+                r1[j + stride] = da * a + dd * e;
+                r0[j + stride] = bb * b + bc * c;
+                r1[j] = cb * b + cc * c;
             }
         }
     }
+}
+
+void
+DensityMatrix::applyPauliChannel1q(const PauliChannel &channel, size_t q)
+{
+    applyChannel1q(pauliChannelSuperop(channel), q);
 }
 
 void
 DensityMatrix::applyDepolarizing2q(double p, size_t q0, size_t q1)
 {
-    if (p < 0.0 || p > 1.0)
+    if (!(p >= 0.0 && p <= 1.0))
         throw std::invalid_argument("applyDepolarizing2q: bad p");
-    // rho -> (1 - 16p/15) rho + (16p/15) * (I/4 (x) I/4 on the pair),
-    // equivalently (1-p) rho + p/15 sum_{P != II} P rho P. Use the
-    // twirl form: full depolarization of the pair mixes toward the
-    // maximally mixed state on those two qubits.
-    const double lam = 16.0 * p / 15.0;
+    applyPairPass(GateType::I, q0, q1, 16.0 * p / 15.0);
+}
 
-    // Partial trace over the pair, re-tensored with I/4.
-    const size_t d = dim();
-    const uint64_t m0 = uint64_t{1} << q0;
-    const uint64_t m1 = uint64_t{1} << q1;
-    const uint64_t pair = m0 | m1;
+namespace {
 
-    std::vector<std::complex<double>> mixed(data_.size(), {0.0, 0.0});
-    for (uint64_t i = 0; i < d; ++i) {
-        for (uint64_t j = 0; j < d; ++j) {
-            if ((i & pair) != (j & pair))
-                continue; // off-diagonal in the pair traces away
-            // Accumulate the reduced element into all four diagonal
-            // pair-states with weight 1/4.
-            const std::complex<double> v = data_[i * d + j] * 0.25;
-            const uint64_t ibase = i & ~pair;
-            const uint64_t jbase = j & ~pair;
-            for (uint64_t s = 0; s < 4; ++s) {
-                const uint64_t bits =
-                    ((s & 1) ? m0 : 0) | ((s & 2) ? m1 : 0);
-                mixed[(ibase | bits) * d + (jbase | bits)] += v;
-            }
+/** Pair state s = (bit qa << 1) | bit qb under CX(qa, qb) / Swap; CZ
+ *  and I keep it. Every pair gate is an involution. */
+constexpr int
+pairPerm(GateType g, int s)
+{
+    if (g == GateType::CX)
+        return s >= 2 ? s ^ 1 : s;
+    if (g == GateType::Swap)
+        return s == 1 || s == 2 ? s ^ 3 : s;
+    return s;
+}
+
+/**
+ * One in-place pass over the pair's 16-element groups, rows (ket pair
+ * states) outer and columns (bra pair states) inner: out[s][s2] =
+ * +-in[perm s][perm s2] (CZ signs the elements where exactly one of s,
+ * s2 is 11), then, with Mix, keep * out + mix * Tr_pair on the
+ * diagonal s == s2. The relabel preserves that diagonal, so the trace
+ * reads the pre-gate group.
+ */
+template <GateType G, bool Mix>
+void
+pairPass(std::complex<double> *data, size_t d, uint64_t lo, uint64_t hi,
+         const uint64_t (&sb)[4], double keep, double mix)
+{
+    const size_t quarter = d / 4;
+    for (size_t ti = 0; ti < quarter; ++ti) {
+        const uint64_t ib = insertZeroBit(insertZeroBit(ti, lo), hi);
+        std::complex<double> *r[4];
+        for (int s = 0; s < 4; ++s)
+            r[s] = data + (ib | sb[s]) * d;
+        for (size_t tj = 0; tj < quarter; ++tj) {
+            const uint64_t jb = insertZeroBit(insertZeroBit(tj, lo), hi);
+            std::complex<double> v[4][4];
+#pragma GCC unroll 4
+            for (int s = 0; s < 4; ++s)
+#pragma GCC unroll 4
+                for (int s2 = 0; s2 < 4; ++s2)
+                    v[s][s2] = r[s][jb | sb[s2]];
+            std::complex<double> m;
+            if constexpr (Mix)
+                m = mix * (v[0][0] + v[1][1] + v[2][2] + v[3][3]);
+#pragma GCC unroll 4
+            for (int s = 0; s < 4; ++s)
+#pragma GCC unroll 4
+                for (int s2 = 0; s2 < 4; ++s2) {
+                    std::complex<double> w =
+                        v[pairPerm(G, s)][pairPerm(G, s2)];
+                    if (G == GateType::CZ && (s == 3) != (s2 == 3))
+                        w = -w;
+                    if constexpr (Mix) {
+                        w = keep * w;
+                        if (s == s2)
+                            w += m;
+                    }
+                    r[s][jb | sb[s2]] = w;
+                }
         }
     }
-    for (size_t idx = 0; idx < data_.size(); ++idx)
-        data_[idx] = (1.0 - lam) * data_[idx] + lam * mixed[idx];
+}
+
+template <GateType G>
+void
+pairPass(std::complex<double> *data, size_t d, uint64_t lo, uint64_t hi,
+         const uint64_t (&sb)[4], double lambda)
+{
+    if (lambda == 0.0)
+        pairPass<G, false>(data, d, lo, hi, sb, 1.0, 0.0);
+    else
+        pairPass<G, true>(data, d, lo, hi, sb, 1.0 - lambda, 0.25 * lambda);
+}
+
+} // namespace
+
+void
+DensityMatrix::applyPairPass(GateType gate, size_t qa, size_t qb,
+                             double lambda)
+{
+    if (qa >= n_ || qb >= n_ || qa == qb)
+        throw std::invalid_argument(
+            "DensityMatrix: two-qubit pass needs two distinct qubits");
+    const uint64_t bit_a = uint64_t{1} << qa;
+    const uint64_t bit_b = uint64_t{1} << qb;
+    const uint64_t sb[4] = {0, bit_b, bit_a, bit_a | bit_b};
+    const uint64_t lo = std::min(qa, qb), hi = std::max(qa, qb);
+    std::complex<double> *data = data_.data();
+    const size_t d = dim();
+    switch (gate) {
+      case GateType::I:
+        if (lambda != 0.0)
+            pairPass<GateType::I, true>(data, d, lo, hi, sb, 1.0 - lambda,
+                                        0.25 * lambda);
+        return;
+      case GateType::CX:
+        return pairPass<GateType::CX>(data, d, lo, hi, sb, lambda);
+      case GateType::Swap:
+        return pairPass<GateType::Swap>(data, d, lo, hi, sb, lambda);
+      case GateType::CZ:
+        return pairPass<GateType::CZ>(data, d, lo, hi, sb, lambda);
+      default:
+        throw std::invalid_argument(
+            "DensityMatrix: pair pass takes CX, CZ, Swap or I");
+    }
 }
 
 void
 DensityMatrix::applyAmplitudeDamping(double gamma, size_t q)
 {
-    if (gamma < 0.0 || gamma > 1.0)
-        throw std::invalid_argument("applyAmplitudeDamping: bad gamma");
-    const double keep = std::sqrt(1.0 - gamma);
-    const size_t d = dim();
-    const size_t stride = size_t{1} << q;
-    for (size_t ihi = 0; ihi < d; ihi += 2 * stride) {
-        for (size_t ilo = 0; ilo < stride; ++ilo) {
-            const size_t i0 = ihi + ilo;
-            const size_t i1 = i0 + stride;
-            for (size_t jhi = 0; jhi < d; jhi += 2 * stride) {
-                for (size_t jlo = 0; jlo < stride; ++jlo) {
-                    const size_t j0 = jhi + jlo;
-                    const size_t j1 = j0 + stride;
-                    auto &a = data_[i0 * d + j0];
-                    auto &b = data_[i0 * d + j1];
-                    auto &c = data_[i1 * d + j0];
-                    auto &dd = data_[i1 * d + j1];
-                    a += gamma * dd;
-                    dd *= 1.0 - gamma;
-                    b *= keep;
-                    c *= keep;
-                }
-            }
-        }
-    }
+    applyChannel1q(amplitudeDampingSuperop(gamma), q);
 }
 
 void
 DensityMatrix::applyPhaseDamping(double lambda, size_t q)
 {
-    if (lambda < 0.0 || lambda > 1.0)
-        throw std::invalid_argument("applyPhaseDamping: bad lambda");
-    const double keep = std::sqrt(1.0 - lambda);
-    const size_t d = dim();
-    const size_t stride = size_t{1} << q;
-    // The off-diagonal (ket bit != bra bit) elements of qubit q form
-    // stride-long contiguous runs in each row: scale them run-wise.
-    for (size_t ihi = 0; ihi < d; ihi += 2 * stride) {
-        for (size_t ilo = 0; ilo < stride; ++ilo) {
-            const size_t i0 = ihi + ilo;
-            const size_t i1 = i0 + stride;
-            for (size_t jhi = 0; jhi < d; jhi += 2 * stride) {
-                simd::scaleRun(&data_[i0 * d + jhi + stride], stride,
-                               keep);
-                simd::scaleRun(&data_[i1 * d + jhi], stride, keep);
-            }
-        }
-    }
+    applyChannel1q(phaseDampingSuperop(lambda), q);
 }
 
 void
 DensityMatrix::applyThermalRelaxation(double t1, double t2, double t,
                                       size_t q)
 {
-    if (t <= 0.0)
-        return;
-    const double gamma = 1.0 - std::exp(-t / t1);
-    const double target = std::exp(-t / t2);
-    const double sq1mg = std::sqrt(1.0 - gamma);
-    double lambda = 0.0;
-    if (sq1mg > 0.0) {
-        const double ratio = target / sq1mg;
-        lambda = std::max(0.0, 1.0 - ratio * ratio);
-    }
-    applyAmplitudeDamping(gamma, q);
-    applyPhaseDamping(lambda, q);
+    applyChannel1q(thermalRelaxationSuperop(t1, t2, t), q);
 }
 
 void
 DensityMatrix::applyMeasurementDephase(size_t q)
 {
-    applyPhaseDamping(1.0, q);
+    applyChannel1q(phaseDampingSuperop(1.0), q);
 }
 
 void
 DensityMatrix::applyResetChannel(size_t q)
 {
-    applyMeasurementDephase(q);
-    // Move the ket=bra=1 block to the 0 block. For a fixed row pair
-    // the bra-side bit-clear indices form stride-long contiguous runs.
-    const size_t d = dim();
-    const uint64_t qmask = uint64_t{1} << q;
-    const size_t stride = size_t{1} << q;
-    for (uint64_t i = 0; i < d; ++i) {
-        if (i & qmask)
-            continue;
-        const uint64_t i1 = i | qmask;
-        for (uint64_t jhi = 0; jhi < d; jhi += 2 * stride)
-            simd::addAndZeroRun(&data_[i * d + jhi],
-                                &data_[i1 * d + jhi + stride], stride);
-    }
-}
-
-void
-DensityMatrix::applyPauliConjugation(const PauliString &p)
-{
-    const size_t d = dim();
-    simd::AmpVector out(data_.size());
-    std::complex<double> ai, aj;
-    for (uint64_t i = 0; i < d; ++i) {
-        const uint64_t pi = p.applyToBasis(i, ai);
-        for (uint64_t j = 0; j < d; ++j) {
-            const uint64_t pj = p.applyToBasis(j, aj);
-            out[pi * d + pj] = ai * std::conj(aj) * data_[i * d + j];
-        }
-    }
-    data_ = std::move(out);
+    // Full amplitude damping: rho[1,1] moves onto rho[0,0], coherences
+    // vanish.
+    applyChannel1q(amplitudeDampingSuperop(1.0), q);
 }
 
 double

@@ -6,12 +6,19 @@
  * backend the paper uses for 8- and 12-qubit studies (section 5.2.1).
  * The density operator is stored as a 2^n x 2^n row-major matrix; gates
  * act as rho -> U rho U^dag and noise as rho -> sum_k K_k rho K_k^dag.
+ *
+ * Noisy circuits execute as a DmPass stream: rho is viewed as a vector
+ * over 2n index bits (ket bit q at position n + q, bra bit q at q), so
+ * every one-qubit map is a 4x4 superoperator on bits (n + q, q) and a
+ * qubit's gates and channels between two-qubit gates fold into one
+ * pass (DmPassBuilder).
  */
 
 #ifndef EFTVQA_SIM_DENSITY_MATRIX_HPP
 #define EFTVQA_SIM_DENSITY_MATRIX_HPP
 
 #include <complex>
+#include <cstdint>
 #include <vector>
 
 #include "circuit/circuit.hpp"
@@ -20,6 +27,77 @@
 #include "sim/statevector.hpp"
 
 namespace eftvqa {
+
+/**
+ * Version of the noisy density-matrix kernels' floating-point order.
+ * RegimeSpec::key() folds it into every non-tableau regime with
+ * density-matrix noise, so stores written by different kernel
+ * generations never mix. Bump it whenever noisy density-matrix results
+ * move, even by an ulp.
+ */
+inline constexpr uint64_t kNoisyDmKernelVersion = 2;
+
+/** One pass of a noisy density-matrix stream (see DmPassBuilder). */
+struct DmPass
+{
+    enum class Kind : uint8_t
+    {
+        Superop, ///< complex 4x4 superoperator carrying a gate
+        Channel, ///< gate-free channel: real, block-sparse superoperator
+        Pair,    ///< CX/CZ/Swap (I: none) fused with 2q depolarizing
+    };
+
+    Kind kind = Kind::Superop;
+    GateType gate = GateType::I; ///< Pair: the two-qubit gate
+    uint32_t q0 = 0;
+    uint32_t q1 = 0;             ///< Pair: second qubit (CX target)
+    double lambda = 0.0;         ///< Pair: depolarizing weight 16p/15
+    Mat4 superop{};              ///< Superop/Channel, (ket << 1) | bra
+};
+
+/**
+ * Compiles gates and channels into a DmPass stream. Every one-qubit map
+ * (1q gate, Measure, Reset, channel) folds into a pending superoperator
+ * of its qubit — later maps multiply on the left — and the pending map
+ * is flushed as one pass only when a two-qubit gate touches the qubit
+ * or the stream finishes. Maps on different qubits commute, so the
+ * fold is exact; a noisy stream makes at most 3 passes per two-qubit
+ * gate plus one per qubit.
+ */
+class DmPassBuilder
+{
+  public:
+    explicit DmPassBuilder(size_t n_qubits);
+
+    /** Fold a bound one-qubit gate, Measure or Reset. */
+    void gate1q(const Gate &g);
+
+    /** Fold a gate-free channel superoperator onto qubit q. */
+    void channel(size_t q, const Mat4 &superop);
+
+    /**
+     * Flush the pair's pending maps, then append CX/CZ/Swap @p g fused
+     * with a two-qubit depolarizing channel of probability @p p.
+     */
+    void gate2q(const Gate &g, double p);
+
+    /** Flush every pending map and hand over the stream. */
+    std::vector<DmPass> finish();
+
+  private:
+    struct Pending
+    {
+        Mat4 superop{};
+        bool active = false;
+        bool carries_gate = false;
+    };
+
+    void fold(size_t q, const Mat4 &superop, bool carries_gate);
+    void flush(size_t q);
+
+    std::vector<Pending> pending_;
+    std::vector<DmPass> passes_;
+};
 
 /**
  * Density operator on n qubits (n <= 13 supported; memory is 16 * 4^n
@@ -37,6 +115,7 @@ class DensityMatrix
 
     /** 64-byte-aligned row-major storage (see simd::AmpVector). */
     const simd::AmpVector &data() const { return data_; }
+    simd::AmpVector &data() { return data_; }
 
     /** Reset to |0..0><0..0|. */
     void setZeroState();
@@ -72,10 +151,14 @@ class DensityMatrix
     /** Execute a pre-compiled op stream (the hot path). */
     void runCompiled(const CompiledCircuit &compiled);
 
-    /** Apply a single-qubit Kraus channel to qubit q. */
+    /** Execute a noisy DmPass stream (see DmPassBuilder). */
+    void runPasses(const std::vector<DmPass> &passes);
+
+    /** Apply a single-qubit Kraus channel to qubit q (sum over the
+     *  Kraus operators through scratch copies; the reference path). */
     void applyKraus1q(const KrausChannel &channel, size_t q);
 
-    /** Apply a single-qubit Pauli channel to qubit q (fast path). */
+    /** Apply a single-qubit Pauli channel to qubit q. */
     void applyPauliChannel1q(const PauliChannel &channel, size_t q);
 
     /**
@@ -84,19 +167,16 @@ class DensityMatrix
      */
     void applyDepolarizing2q(double p, size_t q0, size_t q1);
 
-    /**
-     * Amplitude damping with decay probability gamma (in place; O(4^n)
-     * with no scratch buffers, unlike the generic Kraus path).
-     */
+    /** Amplitude damping with decay probability gamma. */
     void applyAmplitudeDamping(double gamma, size_t q);
 
-    /** Phase damping with parameter lambda (in place). */
+    /** Phase damping with parameter lambda. */
     void applyPhaseDamping(double lambda, size_t q);
 
     /**
-     * Thermal relaxation for duration t with times T1, T2 — the in-place
-     * composition of amplitude and phase damping matching
-     * thermalRelaxationChannel().
+     * Thermal relaxation for duration t with times T1, T2 — one pass of
+     * thermalRelaxationSuperop(), matching thermalRelaxationChannel()
+     * (and throwing on the same invalid times).
      */
     void applyThermalRelaxation(double t1, double t2, double t, size_t q);
 
@@ -148,10 +228,25 @@ class DensityMatrix
     void applyMatrixKet(const Mat2 &m, size_t q);
     void applyMatrixBra(const Mat2 &m, size_t q);
 
-    void applyPauliConjugation(const PauliString &p);
-    void applyCXConjugation(size_t control, size_t target);
-    void applyCZConjugation(size_t a, size_t b);
-    void applySwapConjugation(size_t a, size_t b);
+    /** Apply a 4x4 superoperator (sim/channels.hpp basis) to qubit q. */
+    void applySuperop1q(const Mat4 &superop, size_t q);
+
+    /**
+     * Apply a gate-free channel superoperator — real and block-sparse on
+     * the populations / coherences, so only its 8 block entries are
+     * read — to qubit q in one in-place pass. Backs every named
+     * one-qubit channel.
+     */
+    void applyChannel1q(const Mat4 &superop, size_t q);
+
+    /**
+     * One in-place pass over the 16-element groups of the pair (qa, qb):
+     * relabel/sign each group by CX(qa, qb), CZ or Swap (I: neither),
+     * then mix it toward its pair-maximally-mixed part with weight
+     * @p lambda (the 2q depolarizing channel, which commutes with any
+     * unitary on the pair).
+     */
+    void applyPairPass(GateType gate, size_t qa, size_t qb, double lambda);
 };
 
 } // namespace eftvqa

@@ -14,7 +14,7 @@
  * Determinism contract
  * --------------------
  * Every elementwise kernel here (1q/2q unitaries, diagonal phase
- * sweeps, xor-mask permutations, channel scale/accumulate runs)
+ * sweeps, xor-mask permutations, density-matrix channels)
  * performs per-amplitude arithmetic in exactly the scalar operation
  * order — complex multiplies are expanded to the same
  * (ar*br - ai*bi, ar*bi + ai*br) form std::complex uses, sums keep the
@@ -445,6 +445,11 @@ vscale(CVec v, double s)
 {
     return _mm256_mul_pd(v, _mm256_set1_pd(s));
 }
+/** No FMA in the avx2 target: products never contract. */
+EFTVQA_SIMD_TARGET inline void
+vopaque(CVec &)
+{
+}
 EFTVQA_SIMD_TARGET inline CVec
 vnormPairs(CVec v)
 {
@@ -567,6 +572,10 @@ inline CVec
 vscale(CVec v, double s)
 {
     return {v.re * s, v.im * s};
+}
+inline void
+vopaque(CVec &)
+{
 }
 inline CVec
 vnormPairs(CVec v)
@@ -722,6 +731,46 @@ kernApply2q(cd *data, size_t c0, size_t c1, uint64_t plow,
     }
 }
 
+/** Fused 4x4 unitary with one qubit on bit 0 and the other at stride
+ *  >= kLanes: each vector holds kLanes/2 whole bit-0 pairs, resolved by
+ *  in-register pair duplication as in kernApply1qStride1. @p low_is_qb
+ *  says bit 0 is the low bit of the 4x4 basis; the sums keep the
+ *  scalar basis order. */
+EFTVQA_SIMD_TARGET inline void
+kernApply2qLowBit(cd *data, size_t c0, size_t c1, uint64_t phigh,
+                  bool low_is_qb, const Mat4 &u)
+{
+    // Basis indices held by the even / odd lanes of the vector with
+    // the high bit clear (e0, o0) and set (e1, o1).
+    const int o0 = low_is_qb ? 1 : 2;
+    const int e1 = low_is_qb ? 2 : 1;
+    const int lane_basis[4] = {0, o0, e1, 3};
+    CVec p[2][4];
+    for (int c = 0; c < 4; ++c) {
+        p[0][c] = vsetPattern2(u[lane_basis[0] * 4 + c],
+                               u[lane_basis[1] * 4 + c]);
+        p[1][c] = vsetPattern2(u[lane_basis[2] * 4 + c],
+                               u[lane_basis[3] * 4 + c]);
+    }
+    const uint64_t mh = uint64_t{1} << phigh;
+    for (size_t c = c0; c < c1; ++c) {
+        const uint64_t i0 = insertZeroBit(c * kLanes, phigh);
+        const CVec v0 = vload(data + i0);
+        const CVec v1 = vload(data + (i0 | mh));
+        CVec b[4];
+        b[0] = vdupPairsEven(v0);
+        b[o0] = vdupPairsOdd(v0);
+        b[e1] = vdupPairsEven(v1);
+        b[3] = vdupPairsOdd(v1);
+        for (int k = 0; k < 2; ++k)
+            vstore(data + (k ? (i0 | mh) : i0),
+                   vadd(vadd(vadd(vcmul(p[k][0], b[0]),
+                                  vcmul(p[k][1], b[1])),
+                             vcmul(p[k][2], b[2])),
+                        vcmul(p[k][3], b[3])));
+    }
+}
+
 /** Contiguous-mask diagonal table multiply; @p base is the absolute
  *  index of data[0] (block offset under blocked execution). */
 EFTVQA_SIMD_TARGET inline void
@@ -793,14 +842,40 @@ kernScaleRun(cd *p, size_t n_chunks, double s)
         vstore(p + c * kLanes, vscale(vload(p + c * kLanes), s));
 }
 
-/** dst += src; src = 0 over a run of whole chunks (reset channel). */
-EFTVQA_SIMD_TARGET inline void
-kernAddZeroRun(cd *dst, cd *src, size_t n_chunks)
+/** s * x + t * y with both products kept out of FMA contraction. */
+EFTVQA_SIMD_TARGET inline CVec
+vlinear(CVec x, double s, CVec y, double t)
 {
-    for (size_t c = 0; c < n_chunks; ++c) {
-        const size_t i = c * kLanes;
-        vstore(dst + i, vadd(vload(dst + i), vload(src + i)));
-        vstore(src + i, vzero());
+    CVec sx = vscale(x, s);
+    CVec ty = vscale(y, t);
+    vopaque(sx);
+    vopaque(ty);
+    return vadd(sx, ty);
+}
+
+/** Gate-free one-qubit density-matrix channel (see
+ *  DensityMatrix::applyChannel1q) on a d x d matrix, qubit stride >=
+ *  kLanes: k = {aa, ad, da, dd, bb, bc, cb, cc}. */
+EFTVQA_SIMD_TARGET inline void
+kernChannel1q(cd *data, size_t d, size_t stride, const double *k)
+{
+    for (size_t i = 0; i < d; ++i) {
+        if (i & stride)
+            continue;
+        cd *row0 = data + i * d;
+        cd *row1 = row0 + stride * d;
+        for (size_t jhi = 0; jhi < d; jhi += 2 * stride) {
+            for (size_t j = jhi; j < jhi + stride; j += kLanes) {
+                const CVec a = vload(row0 + j);
+                const CVec b = vload(row0 + j + stride);
+                const CVec c = vload(row1 + j);
+                const CVec e = vload(row1 + j + stride);
+                vstore(row0 + j, vlinear(a, k[0], e, k[1]));
+                vstore(row1 + j + stride, vlinear(a, k[2], e, k[3]));
+                vstore(row0 + j + stride, vlinear(b, k[4], c, k[5]));
+                vstore(row1 + j, vlinear(b, k[6], c, k[7]));
+            }
+        }
     }
 }
 
@@ -814,21 +889,6 @@ kernRowScalePhase(cd *row, size_t n_chunks, cd pi, const cd *ph)
         const size_t j = c * kLanes;
         const CVec w = vcmul(pv, vconj(vload(ph + j)));
         vstore(row + j, vcmul(vload(row + j), w));
-    }
-}
-
-/** Density-matrix xor-mask row pair: swap row_i[c] with
- *  row_i2[c ^ f], all columns. */
-EFTVQA_SIMD_TARGET inline void
-kernXorRowsSwap(cd *row_i, cd *row_i2, size_t c0, size_t c1,
-                uint64_t f_hi, unsigned f_lo)
-{
-    for (size_t c = c0; c < c1; ++c) {
-        const size_t j = c * kLanes;
-        const CVec a = vload(row_i + j);
-        const CVec b = vload(row_i2 + (j ^ f_hi));
-        vstore(row_i + j, vlanePermuteXor(b, f_lo));
-        vstore(row_i2 + (j ^ f_hi), vlanePermuteXor(a, f_lo));
     }
 }
 
@@ -1000,9 +1060,22 @@ tryApply2q(cd *data, size_t span, size_t qa, size_t qb, const Mat4 &u,
 {
 #if defined(EFTVQA_SIMD_VECTOR)
     const size_t plow = qa < qb ? qa : qb;
-    if (!enabled() || (size_t{1} << plow) < kLanes || span < 4 * kLanes)
-        return false;
     const size_t phigh = qa < qb ? qb : qa;
+    if (!enabled() || span < 4 * kLanes)
+        return false;
+    if ((size_t{1} << plow) < kLanes) {
+        // Bit 0 pairs sit inside one vector; the other qubit must
+        // still stride whole vectors.
+        if (plow != 0 || (size_t{1} << phigh) < kLanes)
+            return false;
+        detail::forSlices((span / 2) / kLanes, parallel,
+                          [&](size_t c0, size_t c1) {
+                              detail::kernApply2qLowBit(data, c0, c1,
+                                                        phigh, qb == 0,
+                                                        u);
+                          });
+        return true;
+    }
     const uint64_t ma = uint64_t{1} << qa;
     const uint64_t mb = uint64_t{1} << qb;
     detail::forSlices((span / 4) / kLanes, parallel,
@@ -1129,21 +1202,24 @@ zeroRun(cd *p, size_t n)
         p[i] = cd{0.0, 0.0};
 }
 
-/** dst[i] += src[i]; src[i] = 0 over a run. */
-inline void
-addAndZeroRun(cd *dst, cd *src, size_t n)
+/** Gate-free one-qubit channel over a d x d density matrix, qubit
+ *  stride 1 << q; k = {aa, ad, da, dd, bb, bc, cb, cc} (populations,
+ *  then coherences). */
+inline bool
+tryChannel1q(cd *data, size_t d, size_t stride, const double *k)
 {
-    size_t i = 0;
 #if defined(EFTVQA_SIMD_VECTOR)
-    if (enabled() && n >= kLanes) {
-        detail::kernAddZeroRun(dst, src, n / kLanes);
-        i = (n / kLanes) * kLanes;
-    }
+    if (!enabled() || stride < kLanes)
+        return false;
+    detail::kernChannel1q(data, d, stride, k);
+    return true;
+#else
+    (void)data;
+    (void)d;
+    (void)stride;
+    (void)k;
+    return false;
 #endif
-    for (; i < n; ++i) {
-        dst[i] += src[i];
-        src[i] = cd{0.0, 0.0};
-    }
 }
 
 /** row[j] *= pi * conj(ph[j]) over n columns. */
@@ -1159,26 +1235,6 @@ rowScalePhase(cd *row, size_t n, cd pi, const cd *ph)
 #endif
     for (; j < n; ++j)
         row[j] *= pi * std::conj(ph[j]);
-}
-
-/** Density-matrix xor-mask row pair swap with column xor f < d. */
-inline bool
-tryXorRowsSwap(cd *row_i, cd *row_i2, size_t d, uint64_t f)
-{
-#if defined(EFTVQA_SIMD_VECTOR)
-    if (!enabled() || d < kLanes)
-        return false;
-    detail::kernXorRowsSwap(row_i, row_i2, 0, d / kLanes,
-                            f & ~uint64_t{kLanes - 1},
-                            static_cast<unsigned>(f & (kLanes - 1)));
-    return true;
-#else
-    (void)row_i;
-    (void)row_i2;
-    (void)d;
-    (void)f;
-    return false;
-#endif
 }
 
 #if defined(EFTVQA_SIMD_VECTOR)

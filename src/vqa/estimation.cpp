@@ -254,10 +254,10 @@ EstimationEngine::EstimationEngine(Hamiltonian ham, EstimationConfig config)
     // The compiled pipeline serves the dense noiseless substrates: the
     // tableau substrate executes the source gate list either way, the
     // compiler caps at 64 qubits (the 100+-qubit Clifford sweeps stay
-    // on the gate-by-gate path), and density-matrix gate noise
-    // interleaves channels between gates, which forces the
-    // gate-by-gate path too — compiling for those engines would just
-    // fill the memo with streams nothing executes.
+    // on the gate-by-gate path), and a noisy density matrix compiles
+    // the source circuit into its own DmPass stream at prepare() —
+    // compiling for those engines would just fill the memo with
+    // streams nothing executes.
     use_compiled_pipeline_ =
         config_.compile_cache_capacity > 0 &&
         config_.backend != sim::BackendKind::Tableau &&

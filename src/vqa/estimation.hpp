@@ -436,6 +436,8 @@ class EstimationEngine
     // energy cache it is consulted from the energies() worker threads
     // (shot-path measurement circuits are compiled per group), so it
     // carries its own mutex; compilation itself runs outside the lock.
+    // Off for tableau engines, registers over 64 qubits and noisy
+    // density matrices, whose backend compiles its own DmPass stream.
     bool use_compiled_pipeline_ = false;
     mutable std::mutex compile_mutex_;
     std::list<CompiledEntry> compile_lru_;
@@ -467,7 +469,7 @@ class EstimationEngine
     /**
      * Memoized compilation of a bound circuit (thread-safe). Returns
      * null when the compiled pipeline is off for this engine (tableau
-     * substrate, > 64 qubits, or capacity 0).
+     * substrate, noisy density matrix, > 64 qubits, or capacity 0).
      */
     std::shared_ptr<const CompiledCircuit>
     compiledFor(const Circuit &bound_circuit);

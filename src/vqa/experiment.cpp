@@ -129,6 +129,11 @@ RegimeSpec::key() const
         mix(trajectories > 0 ? static_cast<uint64_t>(trajectories)
                              : nm.trajectories);
         mix(nm.seed);
+        // Noisy density-matrix results depend on the kernels' float
+        // order: stores never resume across a kernel generation. Tableau
+        // and noiseless keys stay put.
+        if (backend != sim::BackendKind::Tableau && nm.hasDmNoise())
+            mix(kNoisyDmKernelVersion);
         // nm.parallel is deliberately NOT hashed: the trajectory farm
         // is bit-identical to its serial reference, so the toggle can
         // never change results and must not split engines or cache
@@ -166,6 +171,8 @@ RegimeSpec::validate() const
             "RegimeSpec.trajectories: must be >= 0 (got " +
             std::to_string(trajectories) +
             "); 0 keeps the noise model's trajectory count");
+    if (noise)
+        noise->dm.validate();
 }
 
 // --------------------------------------------------------------------

@@ -135,6 +135,19 @@ TEST(RegimeSpec, KeyHashesKnobsButNotName)
     EXPECT_NE(RegimeSpec::ideal().key(), RegimeSpec::idealTableau().key());
 }
 
+TEST(RegimeSpec, OnlyNoisyDensityMatrixKeysCarryTheKernelTag)
+{
+    // Captured before the DmPass stream: tableau and noiseless keys (the
+    // fig12/fig14, daemon and store keys) never move with the noisy
+    // density-matrix kernels.
+    EXPECT_EQ(RegimeSpec::nisqTableau(64, 7).key(), 0x49900b8c68417818ull);
+    EXPECT_EQ(RegimeSpec::ideal().key(), 0x329019bde1392148ull);
+    // Noisy density-matrix keys fold kNoisyDmKernelVersion, so stores
+    // of the gate-by-gate generation never resume into the stream's.
+    EXPECT_NE(RegimeSpec::nisqDensityMatrix().key(), 0x414bc8cb35774291ull);
+    EXPECT_NE(RegimeSpec::pqecDensityMatrix().key(), 0xeead6603c3707a88ull);
+}
+
 TEST(Validation, ErrorsNameTheOffendingField)
 {
     EstimationConfig bad_shots;
