@@ -10,13 +10,12 @@
  *   --smoke        CI-sized workload (overrides --full)
  *   --out <path>   emit a machine-readable JSON result file, the way
  *                  parallel_bench does
- *   --cells <path> resumable sweep cell store: cells whose key is
- *                  already in the file are skipped on rerun. The
- *                  format is auto-detected (store/sink.hpp): an
- *                  existing file keeps its format, a fresh ".json"
- *                  path gets the human-readable JsonSweepSink,
- *                  anything else the append-only binary SweepStore
- *   --store <path> alias for --cells (the binary-store-era name)
+ *   --cells <path> resumable sweep cell store (the append-only
+ *                  binary SweepStore, store/sink.hpp): cells whose
+ *                  key is already in the store are skipped on rerun.
+ *                  A JSON store converts with `vqastore import`, and
+ *                  `vqastore export` writes a store back out as JSON
+ *   --store <path> alias for --cells
  *   --retry-failed re-execute cells the store holds quarantine
  *                  markers for (implies FaultPolicy::isolate)
  *   --cell-timeout <ms>  per-cell soft deadline in milliseconds

@@ -139,9 +139,6 @@ main(int argc, char **argv)
     SweepRunner runner(std::move(sweep));
     std::unique_ptr<SweepSink> cells;
     if (!args.cells.empty())
-        // Format auto-detected: fresh non-".json" paths get the
-        // append-only binary SweepStore, ".json" keeps the
-        // human-readable sink (see store/sink.hpp).
         cells = store::makeSweepSink(args.cells, "fig13_density_matrix_gamma");
     const SweepReport report =
         runner.run(cell_fn, cells.get());

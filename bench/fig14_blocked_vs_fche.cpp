@@ -49,9 +49,6 @@ main(int argc, char **argv)
 
     std::unique_ptr<SweepSink> cells;
     if (!args.cells.empty())
-        // Format auto-detected: fresh non-".json" paths get the
-        // append-only binary SweepStore, ".json" keeps the
-        // human-readable sink (see store/sink.hpp).
         cells = store::makeSweepSink(args.cells, "fig14_blocked_vs_fche");
 
     SweepReport report;

@@ -110,9 +110,6 @@ main(int argc, char **argv)
     SweepRunner runner(std::move(sweep));
     std::unique_ptr<SweepSink> cells;
     if (!args.cells.empty())
-        // Format auto-detected: fresh non-".json" paths get the
-        // append-only binary SweepStore, ".json" keeps the
-        // human-readable sink (see store/sink.hpp).
         cells = store::makeSweepSink(args.cells, "fig15_varsaw");
     const SweepReport report =
         runner.run(cell_fn, cells.get());

@@ -37,12 +37,13 @@
  *    16-qubit FCHE energy evaluation, measures the disarmed
  *    per-probe cost in a tight loop, and gates the projected
  *    disarmed overhead fraction at < 2% of the energy path.
- *  - store_io: the append-only binary SweepStore vs the JsonSweepSink
- *    whole-file rewrite on a synthetic 512-cell sweep (128 in smoke).
- *    Per completed cell the JSON sink rewrites every stored line —
- *    O(cells^2) total bytes — while the binary store appends one
- *    record. Gated: the binary store must land >= 10x fewer total
- *    bytes on disk, or the O(row) appends claim is broken.
+ *  - store_io: the append-only binary SweepStore vs rewriting a whole
+ *    JSON store file (storefmt::writeJsonStore) per completed cell on
+ *    a synthetic 512-cell sweep (128 in smoke). The rewrite lands
+ *    every stored line again each time — O(cells^2) total bytes —
+ *    while the binary store appends one record. Gated: the binary
+ *    store must land >= 10x fewer total bytes on disk, or the O(row)
+ *    appends claim is broken.
  *  - dm_noise_stream: the noisy density-matrix prepare of fig13/fig15
  *    — the 8-qubit FCHE ansatz through the DensityMatrix backend under
  *    nisq and pqec — with the DmPass stream's pass count next to the
@@ -488,9 +489,9 @@ main(int argc, char **argv)
               << (fault_ok ? "" : " (PROBES TOO HOT!)") << "\n";
 
     // ---- 9. Store I/O: binary append vs JSON whole-file rewrite ----
-    // The same synthetic sweep lands in both sinks the way a run
-    // writes it: one store write per completed cell. The JSON sink
-    // rewrites all previously stored lines each time, the binary
+    // The same synthetic sweep lands in both formats the way a run
+    // writes it: one store write per completed cell. The JSON file is
+    // rewritten with all previously stored lines each time, the binary
     // store appends one record; the gate pins the O(row)-per-cell
     // claim by total bytes written, which is filesystem-noise-free.
     const size_t store_n = smoke ? 128 : 512;
@@ -527,7 +528,7 @@ main(int argc, char **argv)
         for (const std::string &line : store_lines) {
             written.push_back(line);
             storefmt::writeJsonStore(store_json_path, "store_io",
-                                     written, nullptr, nullptr);
+                                     written);
             store_json_bytes += file_size(store_json_path);
         }
     }

@@ -114,10 +114,10 @@ main()
     //    cells and drives each through its own session — all cells
     //    sharing one energy cache — and rows stream back in serial
     //    cell order (a sweep sink would additionally make the run
-    //    resumable: the fig drivers' --cells/--store flag, JSON for
-    //    .json paths and the append-only binary SweepStore of
-    //    src/store/ otherwise, convertible either way via the
-    //    vqastore tool). This is how
+    //    resumable: the fig drivers' --cells/--store flag, backed by
+    //    the append-only binary SweepStore of src/store/, with
+    //    `vqastore export`/`import` converting to and from JSON).
+    //    This is how
     //    fig12–15 are written; here the cell function just re-runs the
     //    ideal VQE per coupling. For hostile cells, FaultPolicy::
     //    isolate quarantines failures instead of aborting, and

@@ -234,21 +234,21 @@ runSweepViaDaemon(DaemonClient &client,
     // Pipeline: keep up to max_inflight requests outstanding; request
     // id i+1 tags cell i. The daemon may answer out of order (another
     // client can finish a coalesced cell first), so completions are
-    // buffered in rows[] and flushed to the sink in serial cell order.
+    // buffered in rows[] and fresh ones flushed to the sink in serial
+    // cell order (carried cells are already stored).
     std::map<long long, size_t> outstanding;
     size_t next_send = 0;
     size_t flushed = 0;
 
     auto flush_prefix = [&] {
         for (; flushed < n && done[flushed] != 0; ++flushed) {
-            if (!sink)
+            if (!sink || fresh[flushed] == 0)
                 continue;
             if (failed[flushed] != 0)
                 sink->writeQuarantined(cells[flushed],
                                        outcomes[flushed]);
             else
-                sink->write(cells[flushed], rows[flushed],
-                            fresh[flushed] != 0);
+                sink->write(cells[flushed], rows[flushed]);
         }
     };
     flush_prefix();
@@ -319,7 +319,7 @@ runSweepViaDaemon(DaemonClient &client,
     report.outcomes = std::move(outcomes);
     report.rows = std::move(rows);
     if (sink)
-        sink->finish(report);
+        sink->finish();
     return report;
 }
 

@@ -142,8 +142,8 @@ Daemon::Daemon(ServeConfig config, WorkloadCatalog catalog)
     if (!config_.store_path.empty())
         // One shared server-resident store: every client's completed
         // cells funnel through its single group-commit writer, and
-        // resident cells answer without evaluation (StoreVersionError
-        // here fails startup with the upgrade instruction).
+        // resident cells answer without evaluation (a store of another
+        // on-disk version fails startup with StoreVersionError).
         store_ = std::make_unique<store::SweepStore>(
             config_.store_path, store::SweepStore::Mode::append,
             "vqad");

@@ -66,7 +66,7 @@
  *
  * where <line> is the checksummed store line
  * (storefmt::checksummedCellLine) — exactly the bytes a local
- * JsonSweepSink would hold for the cell.
+ * sweep store would hold for the cell.
  */
 
 #ifndef EFTVQA_SERVE_DAEMON_HPP

@@ -1,7 +1,5 @@
 #include "store/sink.hpp"
 
-#include <sys/stat.h>
-
 #include "vqa/fault.hpp"
 #include "vqa/storefmt.hpp"
 
@@ -16,8 +14,7 @@ BinarySweepSink::BinarySweepSink(std::string path,
     const StoreStats stats = store_.stats();
     loaded_cells_ = stats.cells;
     loaded_markers_ = stats.markers;
-    corrupt_records_ = static_cast<size_t>(stats.corrupt_records) +
-                       (stats.torn_bytes > 0 ? 1 : 0);
+    corrupt_records_ = static_cast<size_t>(stats.corruptLines());
 }
 
 bool
@@ -59,52 +56,42 @@ BinarySweepSink::storedOutcome(const SweepCell &cell) const
 }
 
 void
-BinarySweepSink::write(const SweepCell &cell, const SweepRow &row,
-                       bool)
+BinarySweepSink::write(const SweepCell &cell, const SweepRow &row)
 {
     storefmt::validateRowFields("BinarySweepSink", row);
-    const std::string line =
-        storefmt::checksummedCellLine(storefmt::serializeCellPayload(
-            cell.keyString(), cell.label, row));
-    // Same probe point and window as JsonSweepSink: a fault here
-    // means the row was never persisted and the cell re-executes.
-    faultProbe("sink.write");
-    store_.appendLine(line);
+    append(cell, row);
 }
 
 void
 BinarySweepSink::writeQuarantined(const SweepCell &cell,
                                   const CellOutcome &outcome)
 {
+    append(cell, quarantineRowFor(outcome));
+}
+
+void
+BinarySweepSink::append(const SweepCell &cell, const SweepRow &row)
+{
     const std::string line =
         storefmt::checksummedCellLine(storefmt::serializeCellPayload(
-            cell.keyString(), cell.label, quarantineRowFor(outcome)));
+            cell.keyString(), cell.label, row));
+    // The crash window the store fault matrix targets: a fault here
+    // means the row was never persisted and the cell re-executes.
     faultProbe("sink.write");
     store_.appendLine(line);
 }
 
 void
-BinarySweepSink::finish(const SweepReport &)
+BinarySweepSink::finish()
 {
     // Persist the index segment so the next open (resume) takes the
-    // O(index) fast path. Report summaries live in JSON exports only
-    // — the binary log stays a pure function of the rows.
+    // fast path.
     store_.sync();
 }
 
 std::unique_ptr<SweepSink>
 makeSweepSink(const std::string &path, const std::string &sweep_name)
 {
-    struct stat st;
-    const bool exists = ::stat(path.c_str(), &st) == 0;
-    bool json = false;
-    if (exists)
-        json = !isBinaryStorePath(path);
-    else
-        json = path.size() >= 5 &&
-               path.compare(path.size() - 5, 5, ".json") == 0;
-    if (json)
-        return std::make_unique<JsonSweepSink>(path, sweep_name);
     return std::make_unique<BinarySweepSink>(path, sweep_name);
 }
 

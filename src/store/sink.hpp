@@ -1,22 +1,15 @@
 /**
  * @file
- * The binary store behind the SweepSink contract, and the format
- * auto-detecting sink factory every sweep driver uses.
+ * The sweep sink: SweepSink over the append-only binary SweepStore,
+ * and the factory every sweep driver opens it through.
  *
- * BinarySweepSink is the drop-in replacement for JsonSweepSink on the
- * hot path: contains()/storedRow() resolve against the SweepStore
- * index, write() appends one O(row) group-committed record instead of
- * rewriting the whole file, and the resume / quarantine /
- * retry_failed contracts carry over unchanged (same reserved-field
- * rejection, same "sink.write" fault probe per write, same
- * healthy-supersedes-marker rule). `store export` on the resulting
- * file reproduces a JsonSweepSink run's cell lines byte-identically.
- *
- * makeSweepSink() picks the format: an existing file keeps whatever
- * it is (binary magic vs JSON), a fresh path ending in ".json" gets
- * the human-readable JsonSweepSink, anything else gets the binary
- * store — so existing CI flows that diff `.json` stores keep their
- * bytes, and everything else gets O(row) appends by default.
+ * contains()/storedRow() resolve against the SweepStore index,
+ * write() appends one O(row) group-committed record per freshly
+ * executed cell, and the resume / quarantine / retry_failed contracts
+ * hold: reserved row fields are rejected, every write crosses the
+ * "sink.write" fault probe, and a healthy row supersedes a quarantine
+ * marker. `vqastore export` on the resulting file writes the stored
+ * cell lines into a JSON store verbatim.
  */
 
 #ifndef EFTVQA_STORE_SINK_HPP
@@ -41,14 +34,13 @@ class BinarySweepSink : public SweepSink
     SweepRow storedRow(const SweepCell &cell) const override;
     bool quarantined(const SweepCell &cell) const override;
     CellOutcome storedOutcome(const SweepCell &cell) const override;
-    void write(const SweepCell &cell, const SweepRow &row,
-               bool executed) override;
+    void write(const SweepCell &cell, const SweepRow &row) override;
     void writeQuarantined(const SweepCell &cell,
                           const CellOutcome &outcome) override;
-    void finish(const SweepReport &report) override;
+    void finish() override;
 
     /** Cells the store already held at open (resume candidates,
-     *  markers included) — the JsonSweepSink accessor mirror. */
+     *  markers included). */
     size_t loadedCells() const { return loaded_cells_; }
     /** Quarantine markers among the loaded cells. */
     size_t quarantinedCells() const { return loaded_markers_; }
@@ -58,6 +50,8 @@ class BinarySweepSink : public SweepSink
     SweepStore &underlyingStore() { return store_; }
 
   private:
+    void append(const SweepCell &cell, const SweepRow &row);
+
     SweepStore store_;
     size_t loaded_cells_ = 0;
     size_t loaded_markers_ = 0;
@@ -65,9 +59,9 @@ class BinarySweepSink : public SweepSink
 };
 
 /**
- * Open the right sink for @p path: an existing binary store or a
- * fresh non-".json" path gets BinarySweepSink, an existing JSON store
- * or a fresh ".json" path gets JsonSweepSink.
+ * Open the sweep sink for @p path: a BinarySweepSink over the store
+ * there, created if missing. A file that is not a binary store, such
+ * as a JSON store, is rejected with an error naming `vqastore import`.
  */
 std::unique_ptr<SweepSink> makeSweepSink(const std::string &path,
                                          const std::string &sweep_name);

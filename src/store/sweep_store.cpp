@@ -3,7 +3,7 @@
  * SweepStore implementation. On-disk layout (all integers
  * little-endian, encoded explicitly so stores are machine-portable):
  *
- *   header v2 (64 bytes):
+ *   header (64 bytes):
  *     [ 0: 8) magic "EFTVQAST"
  *     [ 8:12) u32 version (2)
  *     [12:16) u32 header_bytes (64)
@@ -13,19 +13,13 @@
  *     [40:48) u64 header crc     (FNV-1a over bytes [0:40))
  *     [48:64) reserved zeros
  *
- *   record v2: [u32 record magic][u32 payload_len][u32 type]
+ *   record:    [u32 record magic][u32 payload_len][u32 type]
  *              [payload][u64 crc]  — crc is FNV-1a over the 4
  *              little-endian type bytes followed by the payload.
  *              Types: 1 = sweep name, 2 = cell line, 3 = index.
  *
  *   index payload: [u64 data_end][u64 count] then per entry
  *              [u64 key][u64 payload_offset][u32 payload_len][u8 marker].
- *
- *   v1 (the upgradeStore() source format): 32-byte header (magic,
- *   version 1, header_bytes, u64 record count, u64 crc over [0:24)),
- *   records [u32 magic][u32 len][payload][u64 crc over payload] with
- *   no type field — the first record is the sweep name, the rest are
- *   cell lines, and there is no index segment.
  *
  * Cell payloads are exact storefmt checksummed lines, so every line
  * is protected twice (its own JSON crc field and the record crc) and
@@ -56,10 +50,8 @@ namespace {
 
 constexpr char kFileMagic[8] = {'E', 'F', 'T', 'V', 'Q', 'A', 'S', 'T'};
 constexpr uint32_t kRecordMagic = 0x45525453u; // "STRE" on disk (LE)
-constexpr size_t kHeaderBytesV2 = 64;
-constexpr size_t kHeaderBytesV1 = 32;
-constexpr size_t kRecordOverheadV2 = 12 + 8; // magic+len+type ... crc
-constexpr size_t kRecordOverheadV1 = 8 + 8;  // magic+len ... crc
+constexpr size_t kHeaderBytes = 64;
+constexpr size_t kRecordOverhead = 12 + 8; // magic+len+type ... crc
 constexpr size_t kIndexEntryBytes = 8 + 8 + 4 + 1;
 
 // ------------------------------------------------------------------
@@ -121,33 +113,47 @@ recordCrc(uint32_t type, std::string_view payload)
     return h;
 }
 
+/** True when a whole @p type record with a @p len-byte payload and a
+ *  matching crc starts at @p at and ends by @p end. */
+bool
+recordIntactAt(const std::string &file, uint64_t at, uint32_t type,
+               uint64_t len, uint64_t end)
+{
+    if (at > end || end - at < kRecordOverhead ||
+        len > end - at - kRecordOverhead ||
+        getU32(file, at) != kRecordMagic || getU32(file, at + 4) != len ||
+        getU32(file, at + 8) != type)
+        return false;
+    return getU64(file, at + 12 + len) ==
+           recordCrc(type, std::string_view(file.data() + at + 12, len));
+}
+
 // ------------------------------------------------------------------
 // Header encode/decode
 // ------------------------------------------------------------------
 
 struct Header
 {
+    bool magic = false; ///< the file starts with the store magic
     uint32_t version = 0;
-    uint32_t header_bytes = 0;
     uint64_t index_offset = 0;
-    uint64_t index_cells = 0;
     uint64_t data_end = 0;
-    bool valid = false;
+    bool valid = false; ///< a current-version header with a good crc
 };
 
 std::string
-encodeHeaderV2(uint64_t index_offset, uint64_t index_cells,
-               uint64_t data_end)
+encodeHeader(uint64_t index_offset, uint64_t index_cells,
+             uint64_t data_end)
 {
     std::string h;
     h.append(kFileMagic, sizeof(kFileMagic));
     putU32(h, SweepStore::kVersion);
-    putU32(h, static_cast<uint32_t>(kHeaderBytesV2));
+    putU32(h, static_cast<uint32_t>(kHeaderBytes));
     putU64(h, index_offset);
     putU64(h, index_cells);
     putU64(h, data_end);
     putU64(h, storefmt::fnv1a64(std::string_view(h.data(), h.size())));
-    h.resize(kHeaderBytesV2, '\0');
+    h.resize(kHeaderBytes, '\0');
     return h;
 }
 
@@ -155,24 +161,15 @@ Header
 decodeHeader(const std::string &buf)
 {
     Header h;
-    if (buf.size() < kHeaderBytesV1 ||
+    if (buf.size() < 12 ||
         std::memcmp(buf.data(), kFileMagic, sizeof(kFileMagic)) != 0)
         return h;
+    h.magic = true;
     h.version = getU32(buf, 8);
-    h.header_bytes = getU32(buf, 12);
-    if (h.version == 1) {
-        if (h.header_bytes != kHeaderBytesV1 ||
-            buf.size() < kHeaderBytesV1)
-            return h;
-        const uint64_t crc = getU64(buf, 24);
-        h.valid =
-            crc == storefmt::fnv1a64(std::string_view(buf.data(), 24));
-        return h;
-    }
-    if (h.header_bytes != kHeaderBytesV2 || buf.size() < kHeaderBytesV2)
+    if (h.version != SweepStore::kVersion || buf.size() < kHeaderBytes ||
+        getU32(buf, 12) != kHeaderBytes)
         return h;
     h.index_offset = getU64(buf, 16);
-    h.index_cells = getU64(buf, 24);
     h.data_end = getU64(buf, 32);
     const uint64_t crc = getU64(buf, 40);
     h.valid = crc == storefmt::fnv1a64(std::string_view(buf.data(), 40));
@@ -320,41 +317,13 @@ std::string
 encodeRecord(uint32_t type, std::string_view payload)
 {
     std::string rec;
-    rec.reserve(kRecordOverheadV2 + payload.size());
+    rec.reserve(kRecordOverhead + payload.size());
     putU32(rec, kRecordMagic);
     putU32(rec, static_cast<uint32_t>(payload.size()));
     putU32(rec, type);
     rec.append(payload.data(), payload.size());
     putU64(rec, recordCrc(type, payload));
     return rec;
-}
-
-void
-writeV1Store(const std::string &path, const std::string &name,
-             const std::vector<std::string> &lines)
-{
-    auto v1Record = [](std::string_view payload) {
-        std::string rec;
-        putU32(rec, kRecordMagic);
-        putU32(rec, static_cast<uint32_t>(payload.size()));
-        rec.append(payload.data(), payload.size());
-        putU64(rec, storefmt::fnv1a64(payload));
-        return rec;
-    };
-    std::string out;
-    out.append(kFileMagic, sizeof(kFileMagic));
-    putU32(out, 1);
-    putU32(out, static_cast<uint32_t>(kHeaderBytesV1));
-    putU64(out, static_cast<uint64_t>(lines.size()));
-    putU64(out,
-           storefmt::fnv1a64(std::string_view(out.data(), out.size())));
-    out.resize(kHeaderBytesV1, '\0');
-    out += v1Record(name);
-    for (const std::string &line : lines)
-        out += v1Record(line);
-    std::ofstream os(path, std::ios::binary | std::ios::trunc);
-    if (!os || !(os << out).flush())
-        throw std::runtime_error("writeV1Store: cannot write " + path);
 }
 
 } // namespace detail
@@ -370,14 +339,15 @@ SweepStore::SweepStore(std::string path, Mode mode,
 {
     struct stat st;
     const bool exists = ::stat(path_.c_str(), &st) == 0;
-    if (!exists) {
-        if (mode_ == Mode::read_only)
-            throw std::runtime_error("SweepStore: no store at '" +
-                                     path_ + "'");
+    if (!exists && mode_ == Mode::read_only)
+        throw std::runtime_error("SweepStore: no store at '" + path_ +
+                                 "'");
+    // An empty file is what a crash between creation and the first
+    // fsync leaves behind: an append open starts it over.
+    if (!exists || (st.st_size == 0 && mode_ == Mode::append))
         createFresh();
-    } else {
+    else
         loadExisting();
-    }
     if (mode_ == Mode::append)
         globals().writer_opens.fetch_add(1, std::memory_order_relaxed);
     else
@@ -406,10 +376,12 @@ SweepStore::createFresh()
     if (fd_ < 0)
         throw std::runtime_error("SweepStore: cannot create '" + path_ +
                                  "': " + std::strerror(errno));
-    std::string out = encodeHeaderV2(0, 0, 0);
+    std::string out = encodeHeader(0, 0, 0);
     out += detail::encodeRecord(detail::kRecordTypeName, sweep_name_);
     writeAllAt(fd_, out, 0, path_);
     fsyncFd(fd_, path_);
+    // The new directory entry is durable only once its directory is.
+    storefmt::fsyncParentDir(path_);
     append_offset_ = out.size();
     header_index_valid_ = false;
     {
@@ -428,13 +400,13 @@ SweepStore::loadExisting()
         throw std::runtime_error("SweepStore: cannot read '" + path_ +
                                  "'");
     const Header h = decodeHeader(file);
+    if (h.magic && h.version != kVersion)
+        throw StoreVersionError(path_, h.version, kVersion);
     if (!h.valid)
         throw std::runtime_error(
             "SweepStore: '" + path_ +
-            "' is not a binary sweep store (bad magic or header)");
-    version_ = h.version;
-    if (version_ != kVersion && mode_ == Mode::append)
-        throw StoreVersionError(path_, version_, kVersion);
+            "' is not a binary sweep store (bad magic or header); "
+            "convert a JSON store with `vqastore import`");
 
     fd_ = ::open(path_.c_str(),
                  (mode_ == Mode::append ? O_RDWR : O_RDONLY) |
@@ -445,8 +417,7 @@ SweepStore::loadExisting()
 
     sweep_name_.clear();
     const bool indexed =
-        version_ == kVersion && h.index_offset != 0 &&
-        tryLoadIndexSegment(file);
+        h.index_offset != 0 && tryLoadIndexSegment(file);
     if (indexed) {
         append_offset_ = h.data_end;
         header_index_valid_ = true;
@@ -456,9 +427,9 @@ SweepStore::loadExisting()
         }
         globals().index_loads.fetch_add(1, std::memory_order_relaxed);
     } else {
-        scanLog(file, h.header_bytes);
+        scanLog(file, kHeaderBytes);
         header_index_valid_ = false;
-        if (file.size() > h.header_bytes) {
+        if (file.size() > kHeaderBytes) {
             std::lock_guard<std::mutex> sg(stats_mutex_);
             ++stats_.index_rebuilds;
             globals().index_rebuilds.fetch_add(
@@ -479,7 +450,7 @@ SweepStore::loadExisting()
             throw std::runtime_error("SweepStore: cannot truncate '" +
                                      path_ + "': " +
                                      std::strerror(errno));
-        writeAllAt(fd_, encodeHeaderV2(0, 0, 0), 0, path_);
+        writeAllAt(fd_, encodeHeader(0, 0, 0), 0, path_);
         fsyncFd(fd_, path_);
         header_index_valid_ = false;
         {
@@ -499,38 +470,30 @@ SweepStore::tryLoadIndexSegment(const std::string &file)
     // file length all agree — any append after the last sync grows
     // the file past the segment and fails these checks, sending the
     // open down the full-scan path (the log is the source of truth).
-    if (io != h.data_end || io < kHeaderBytesV2 ||
-        io + kRecordOverheadV2 > file.size())
-        return false;
-    if (getU32(file, io) != kRecordMagic)
+    if (io != h.data_end || io < kHeaderBytes ||
+        io + kRecordOverhead > file.size())
         return false;
     const uint64_t len = getU32(file, io + 4);
-    const uint32_t type = getU32(file, io + 8);
-    if (type != detail::kRecordTypeIndex ||
-        io + kRecordOverheadV2 + len != file.size())
-        return false;
-    const std::string_view payload(file.data() + io + 12, len);
-    if (getU64(file, io + 12 + len) !=
-        recordCrc(detail::kRecordTypeIndex, payload))
-        return false;
-    if (len < 16)
+    if (io + kRecordOverhead + len != file.size() ||
+        !recordIntactAt(file, io, detail::kRecordTypeIndex, len,
+                        file.size()) ||
+        len < 16)
         return false;
     const uint64_t payload_data_end = getU64(file, io + 12);
     const uint64_t count = getU64(file, io + 20);
     if (payload_data_end != io ||
-        16 + count * kIndexEntryBytes != len)
+        (len - 16) % kIndexEntryBytes != 0 ||
+        count != (len - 16) / kIndexEntryBytes)
         return false;
 
     // The sweep name still comes from its record (the index segment
     // carries only cell entries).
-    if (file.size() >= kHeaderBytesV2 + kRecordOverheadV2 &&
-        getU32(file, kHeaderBytesV2) == kRecordMagic &&
-        getU32(file, kHeaderBytesV2 + 8) == detail::kRecordTypeName) {
-        const uint64_t nlen = getU32(file, kHeaderBytesV2 + 4);
-        if (kHeaderBytesV2 + kRecordOverheadV2 + nlen <= file.size())
-            sweep_name_.assign(file, kHeaderBytesV2 + 12, nlen);
-    }
-    if (sweep_name_.empty())
+    if (kHeaderBytes + kRecordOverhead > io)
+        return false;
+    const uint64_t name_len = getU32(file, kHeaderBytes + 4);
+    if (name_len == 0 ||
+        !recordIntactAt(file, kHeaderBytes, detail::kRecordTypeName,
+                        name_len, io))
         return false;
 
     std::unordered_map<uint64_t, Entry> index;
@@ -544,11 +507,17 @@ SweepStore::tryLoadIndexSegment(const std::string &file)
         e.offset = getU64(file, pos + 8);
         e.length = getU32(file, pos + 16);
         e.marker = file[pos + 20] != 0;
-        if (e.offset + e.length > io)
-            return false; // entry points past the data log
+        // Every indexed record is whole and still matches its crc; a
+        // rotted one sends the open down the full scan, which counts
+        // it as corrupt instead of serving it.
+        if (e.offset < kHeaderBytes + 12 ||
+            !recordIntactAt(file, e.offset - 12, detail::kRecordTypeCell,
+                            e.length, io))
+            return false;
         if (index.emplace(key, e).second)
             order.push_back(key);
     }
+    sweep_name_.assign(file, kHeaderBytes + 12, name_len);
     index_ = std::move(index);
     order_ = std::move(order);
     return true;
@@ -557,90 +526,54 @@ SweepStore::tryLoadIndexSegment(const std::string &file)
 void
 SweepStore::scanLog(const std::string &file, uint64_t from)
 {
-    const size_t overhead =
-        version_ == 1 ? kRecordOverheadV1 : kRecordOverheadV2;
     size_t pos = from;
-    bool saw_name = false;
     while (pos < file.size()) {
-        bool bad = false;
-        if (pos + overhead > file.size() ||
-            getU32(file, pos) != kRecordMagic) {
-            bad = true;
-        } else {
-            const uint64_t len = getU32(file, pos + 4);
-            if (pos + overhead + len > file.size()) {
-                bad = true;
-            } else {
-                const uint32_t type =
-                    version_ == 1
-                        ? (saw_name ? detail::kRecordTypeCell
-                                    : detail::kRecordTypeName)
-                        : getU32(file, pos + 8);
-                const size_t payload_at =
-                    pos + (version_ == 1 ? 8 : 12);
-                const std::string_view payload(file.data() + payload_at,
-                                               len);
-                const uint64_t want =
-                    version_ == 1 ? storefmt::fnv1a64(payload)
-                                  : recordCrc(type, payload);
-                if (getU64(file, payload_at + len) != want) {
-                    bad = true;
+        const bool head = pos + kRecordOverhead <= file.size() &&
+                          getU32(file, pos) == kRecordMagic;
+        const uint64_t len = head ? getU32(file, pos + 4) : 0;
+        const uint32_t type = head ? getU32(file, pos + 8) : 0;
+        if (head && recordIntactAt(file, pos, type, len, file.size())) {
+            const std::string_view payload(file.data() + pos + 12, len);
+            if (type == detail::kRecordTypeName) {
+                if (sweep_name_.empty())
+                    sweep_name_.assign(payload);
+            } else if (type == detail::kRecordTypeCell) {
+                std::string key_s, label;
+                SweepRow row;
+                uint64_t key = 0;
+                const std::string line(payload);
+                if (storefmt::parseChecksummedLine(line, key_s, label,
+                                                   row) &&
+                    parseCellKey(key_s, key)) {
+                    Entry e;
+                    e.offset = pos + 12;
+                    e.length = static_cast<uint32_t>(len);
+                    e.marker = row.has("quarantined");
+                    indexInsert(key, e);
                 } else {
-                    if (type == detail::kRecordTypeName) {
-                        if (sweep_name_.empty())
-                            sweep_name_.assign(payload);
-                        saw_name = true;
-                    } else if (type == detail::kRecordTypeCell) {
-                        std::string key_s, label;
-                        SweepRow row;
-                        uint64_t key = 0;
-                        const std::string line(payload);
-                        if (storefmt::parseChecksummedLine(line, key_s,
-                                                           label,
-                                                           row) &&
-                            parseCellKey(key_s, key)) {
-                            Entry e;
-                            e.offset = payload_at;
-                            e.length = static_cast<uint32_t>(len);
-                            e.marker = row.has("quarantined");
-                            indexInsert(key, e);
-                        } else {
-                            std::lock_guard<std::mutex> sg(
-                                stats_mutex_);
-                            ++stats_.corrupt_records;
-                        }
-                    }
-                    // kRecordTypeIndex mid-log: a stale segment a
-                    // later append outran — skip it, the live records
-                    // around it are the truth.
-                    pos += overhead + len;
-                    continue;
+                    std::lock_guard<std::mutex> sg(stats_mutex_);
+                    ++stats_.corrupt_records;
                 }
             }
+            // kRecordTypeIndex mid-log: a stale segment a later append
+            // outran — skip it, the live records around it are the
+            // truth.
+            pos += kRecordOverhead + len;
+            continue;
         }
-        if (bad) {
-            // v1 records carry no type tag — type is positional, the
-            // first record being the name. If that record is the one
-            // that rotted, the name is simply lost: flip saw_name so
-            // the resync target is indexed as the cell it is, instead
-            // of being consumed as a JSON-line "sweep name" and
-            // silently dropped from the index.
-            if (version_ == 1 && !saw_name)
-                saw_name = true;
-            // Either a torn tail (no further record boundary) or
-            // mid-file rot (resync on the next record magic).
-            const size_t next = findRecordMagic(file, pos + 1);
-            if (next == std::string::npos) {
-                std::lock_guard<std::mutex> sg(stats_mutex_);
-                stats_.torn_bytes += file.size() - pos;
-                break;
-            }
-            {
-                std::lock_guard<std::mutex> sg(stats_mutex_);
-                ++stats_.corrupt_records;
-            }
-            pos = next;
+        // Either a torn tail (no further record boundary) or mid-file
+        // rot (resync on the next record magic).
+        const size_t next = findRecordMagic(file, pos + 1);
+        if (next == std::string::npos) {
+            std::lock_guard<std::mutex> sg(stats_mutex_);
+            stats_.torn_bytes += file.size() - pos;
+            break;
         }
+        {
+            std::lock_guard<std::mutex> sg(stats_mutex_);
+            ++stats_.corrupt_records;
+        }
+        pos = next;
     }
     append_offset_ = pos;
 }
@@ -783,7 +716,7 @@ SweepStore::invalidateHeaderIndexLocked()
     if (::ftruncate(fd_, static_cast<off_t>(append_offset_)) != 0)
         throw std::runtime_error("SweepStore: cannot truncate '" +
                                  path_ + "': " + std::strerror(errno));
-    writeAllAt(fd_, encodeHeaderV2(0, 0, 0), 0, path_);
+    writeAllAt(fd_, encodeHeader(0, 0, 0), 0, path_);
     fsyncFd(fd_, path_);
     header_index_valid_ = false;
     {
@@ -936,8 +869,8 @@ SweepStore::writeIndexSegmentLocked()
     writeAllAt(fd_, rec, append_offset_, path_);
     fsyncFd(fd_, path_);
     writeAllAt(fd_,
-               encodeHeaderV2(append_offset_, cellCount(),
-                              append_offset_),
+               encodeHeader(append_offset_, cellCount(),
+                            append_offset_),
                0, path_);
     fsyncFd(fd_, path_);
     header_index_valid_ = true;
@@ -998,7 +931,7 @@ SweepStore::compact()
 
     // Build the replacement segment in memory: header + name + one
     // record per key + a fresh index, fully formed before the swap.
-    std::string out = encodeHeaderV2(0, 0, 0);
+    std::string out = encodeHeader(0, 0, 0);
     out += detail::encodeRecord(detail::kRecordTypeName, sweep_name_);
     std::unordered_map<uint64_t, Entry> new_index;
     std::vector<uint64_t> new_order;
@@ -1025,7 +958,7 @@ SweepStore::compact()
         payload.push_back(e.marker ? '\1' : '\0');
     }
     out += detail::encodeRecord(detail::kRecordTypeIndex, payload);
-    const std::string header = encodeHeaderV2(
+    const std::string header = encodeHeader(
         data_end, static_cast<uint64_t>(new_order.size()), data_end);
     out.replace(0, header.size(), header);
 
@@ -1098,84 +1031,8 @@ SweepStore::stats() const
 }
 
 // ------------------------------------------------------------------
-// Migration, detection, conversion
+// JSON conversion
 // ------------------------------------------------------------------
-
-UpgradeReport
-upgradeStore(const std::string &path)
-{
-    UpgradeReport report;
-    report.to_version = SweepStore::kVersion;
-    std::vector<std::string> lines;
-    std::string name;
-    {
-        SweepStore old(path, SweepStore::Mode::read_only);
-        report.from_version = old.version();
-        name = old.sweepName();
-        for (const storefmt::StoreCell &cell : old.cells())
-            lines.push_back(cell.line);
-        report.cells = lines.size();
-        if (old.version() == SweepStore::kVersion)
-            return report; // verified current — nothing to do
-    }
-    const std::string tmp = path + ".upgrade.tmp";
-    std::remove(tmp.c_str());
-    {
-        SweepStore fresh(tmp, SweepStore::Mode::append, name);
-        for (const std::string &line : lines)
-            fresh.appendLine(line);
-        fresh.sync();
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0)
-        throw std::runtime_error("upgradeStore: cannot rename '" + tmp +
-                                 "' over '" + path + "'");
-    storefmt::fsyncParentDir(path);
-    report.upgraded = true;
-    return report;
-}
-
-bool
-isBinaryStorePath(const std::string &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return false;
-    char magic[sizeof(kFileMagic)];
-    if (!is.read(magic, sizeof(magic)))
-        return false;
-    return std::memcmp(magic, kFileMagic, sizeof(kFileMagic)) == 0;
-}
-
-uint32_t
-binaryStoreVersion(const std::string &path)
-{
-    bool found = false;
-    const std::string file = readWholeFile(path, found);
-    if (!found)
-        return 0;
-    const Header h = decodeHeader(file);
-    return h.valid ? h.version : 0;
-}
-
-storefmt::StoreScan
-readAnyStore(const std::string &path)
-{
-    if (!isBinaryStorePath(path))
-        return storefmt::readStoreCells(path);
-    storefmt::StoreScan scan;
-    SweepStore store(path, SweepStore::Mode::read_only);
-    scan.found = true;
-    scan.sweep_name = store.sweepName();
-    scan.cells = store.cells();
-    const StoreStats stats = store.stats();
-    for (uint64_t i = 0; i < stats.corrupt_records; ++i)
-        scan.corrupt.push_back("(unreadable binary store record)");
-    if (stats.torn_bytes > 0)
-        scan.corrupt.push_back("(torn binary store tail: " +
-                               std::to_string(stats.torn_bytes) +
-                               " bytes)");
-    return scan;
-}
 
 ConvertReport
 exportStoreToJson(const std::string &store_path,
@@ -1185,8 +1042,7 @@ exportStoreToJson(const std::string &store_path,
     std::vector<std::string> lines;
     for (const storefmt::StoreCell &cell : store.cells())
         lines.push_back(cell.line);
-    storefmt::writeJsonStore(json_path, store.sweepName(), lines,
-                             nullptr, nullptr);
+    storefmt::writeJsonStore(json_path, store.sweepName(), lines);
     ConvertReport report;
     report.cells = lines.size();
     return report;
@@ -1206,24 +1062,14 @@ importJsonToStore(const std::string &json_path,
                      scan.sweep_name.empty() ? "sweep"
                                              : scan.sweep_name);
     for (const storefmt::StoreCell &cell : scan.cells) {
-        if (store.containsKey(cell.key)) {
-            const std::string have = store.lineFor(cell.key);
-            const bool have_marker = store.markerFor(cell.key);
-            if (have == cell.line) {
-                ++report.skipped;
-                continue;
-            }
-            if (!have_marker && !cell.marker)
-                throw StoreMergeConflict(cell.key, store_path,
-                                         json_path);
-            if (!have_marker && cell.marker) {
-                ++report.skipped; // healthy already supersedes
-                continue;
-            }
-            if (have_marker && cell.marker && !(cell.line < have)) {
-                ++report.skipped; // order-independent marker winner
-                continue;
-            }
+        if (store.containsKey(cell.key) &&
+            !supersedesStoredLine(
+                cell.key,
+                {store.lineFor(cell.key), store.markerFor(cell.key),
+                 store_path},
+                {cell.line, cell.marker, json_path})) {
+            ++report.skipped;
+            continue;
         }
         store.appendLine(cell.line);
         ++report.cells;

@@ -1,12 +1,8 @@
 /**
  * @file
- * The append-only binary sweep store engine.
- *
- * JsonSweepSink (vqa/sweep.hpp) rewrites its whole file per completed
- * cell — atomic and human-readable, but O(cells^2) bytes and a
- * single-writer bottleneck. SweepStore is the structural fix the
- * ROADMAP names (exemplar shape: the Solaris configd transactional
- * object store + its offline schema migrator):
+ * The append-only binary sweep store engine — the one store every
+ * sweep sink, the daemon and the merge tooling write (exemplar shape:
+ * the Solaris configd transactional object store):
  *
  *  - **Append-only data log.** One record per store line, written
  *    once, never rewritten. A completed cell costs O(row) bytes.
@@ -21,25 +17,24 @@
  *    resyncing on the record magic and counted, never trusted.
  *  - **In-file hash index segment.** A clean close appends an index
  *    record (key -> record offset/length) and points the header at
- *    it, so the next open is O(index). The data log stays the source
- *    of truth: a stale index (log grew past it, crash before close)
- *    fails its validity checks and the open falls back to a full
+ *    it, so the next open skips parsing the log. The data log stays
+ *    the source of truth: a stale index (log grew past it, crash
+ *    before close) or any indexed record whose crc no longer matches
+ *    fails the validity checks and the open falls back to a full
  *    scan + rebuild. Readers resolve lines by pread — concurrent
  *    readers never block each other; one writer is serialized.
  *  - **Online compaction.** compact() drops superseded quarantine
  *    markers and duplicate keys, writes a fresh log + index to a
  *    sibling file and atomically renames it over the store. A crash
  *    mid-compaction leaves the old segment intact.
- *  - **Versioned header + upgradeStore().** The header carries an
- *    on-disk format version; opening an old-version store for append
- *    throws StoreVersionError, and upgradeStore() migrates it in
- *    place (atomic rewrite) so old stores stay resumable as the
- *    record format evolves.
+ *  - **Versioned header.** The header carries the on-disk format
+ *    version; a store of any other version is rejected with a typed
+ *    StoreVersionError in both open modes.
  *
  * Cell payloads are the *exact* checksummed JSON store lines of
  * vqa/storefmt — storefmt stays the single parse/serialize authority,
- * and exporting a binary store back to a JsonSweepSink file
- * (store/sink.hpp) reproduces the JSON sink's bytes identically.
+ * and `vqastore export` (exportStoreToJson) writes those lines
+ * verbatim into a JSON file; `vqastore import` is the way back.
  */
 
 #ifndef EFTVQA_STORE_SWEEP_STORE_HPP
@@ -60,9 +55,9 @@
 namespace eftvqa {
 namespace store {
 
-/** The store at @p path has an on-disk version this build cannot
- *  append to — run upgradeStore() first. what() names the path and
- *  both versions. */
+/** The store at @p path has an on-disk version other than the one
+ *  this build reads and writes. what() names the path and both
+ *  versions. */
 class StoreVersionError : public std::runtime_error
 {
   public:
@@ -70,9 +65,8 @@ class StoreVersionError : public std::runtime_error
                       uint32_t expected)
         : std::runtime_error(
               "SweepStore: '" + path + "' has on-disk version " +
-              std::to_string(found) + " (this build writes version " +
-              std::to_string(expected) +
-              ") — run upgradeStore() / `vqastore upgrade` first"),
+              std::to_string(found) + "; this build reads and writes "
+              "only version " + std::to_string(expected)),
           found_(found)
     {
     }
@@ -98,6 +92,13 @@ struct StoreStats
     uint64_t index_loads = 0;    ///< opens served by the index segment
     uint64_t corrupt_records = 0;
     uint64_t torn_bytes = 0; ///< torn-tail bytes truncated/ignored
+
+    /** Damage the open skipped: corrupt records plus one for a torn
+     *  tail. */
+    uint64_t corruptLines() const
+    {
+        return corrupt_records + (torn_bytes > 0 ? 1 : 0);
+    }
 };
 
 /** Process-wide counters across every SweepStore (kstat-style: cheap
@@ -135,14 +136,17 @@ class SweepStore
         append     ///< creates the file if missing; truncates torn tails
     };
 
-    /** The version this build writes (see upgradeStore for v1). */
+    /** The one on-disk version this build reads and writes. */
     static constexpr uint32_t kVersion = 2;
 
     /** Open (append mode: or create) the store at @p path.
      *  @p sweep_name seeds a fresh store's name record; an existing
-     *  store keeps its stored name. Throws StoreVersionError when an
-     *  old-version store is opened for append, std::runtime_error on
-     *  a missing read-only store or a non-store file. */
+     *  store keeps its stored name. An empty file — a crash between
+     *  creation and the first fsync — opens for append as a fresh
+     *  store. Throws StoreVersionError on a store of any other
+     *  version, std::runtime_error on a missing or empty read-only
+     *  store or a non-store file (the message names `vqastore
+     *  import` for JSON stores). */
     SweepStore(std::string path, Mode mode,
                std::string sweep_name = "sweep");
     ~SweepStore();
@@ -153,7 +157,6 @@ class SweepStore
     const std::string &path() const { return path_; }
     const std::string &sweepName() const { return sweep_name_; }
     Mode mode() const { return mode_; }
-    uint32_t version() const { return version_; }
 
     /** Distinct cell keys currently indexed. */
     size_t cellCount() const;
@@ -231,7 +234,6 @@ class SweepStore
 
     std::string path_;
     Mode mode_ = Mode::read_only;
-    uint32_t version_ = kVersion;
     std::string sweep_name_;
     int fd_ = -1;
 
@@ -257,37 +259,6 @@ class SweepStore
     StoreStats stats_;
 };
 
-/** What upgradeStore() did. */
-struct UpgradeReport
-{
-    uint32_t from_version = 0;
-    uint32_t to_version = 0;
-    size_t cells = 0;      ///< records migrated
-    bool upgraded = false; ///< false: store was already current
-};
-
-/** Migrate the store at @p path to the current on-disk version via an
- *  atomic rewrite (tmp + rename; a crash leaves the original). A
- *  current-version store is a verified no-op. */
-UpgradeReport upgradeStore(const std::string &path);
-
-/** True when the file at @p path exists and starts with the binary
- *  store magic (a JSON store starts with '{'). */
-bool isBinaryStorePath(const std::string &path);
-
-/** On-disk version of the binary store at @p path, 0 when the file is
- *  missing or not a binary store. */
-uint32_t binaryStoreVersion(const std::string &path);
-
-/** Read any store — binary (any openable version, read-only scan) or
- *  JsonSweepSink JSON — into the storefmt scan shape. Binary stores
- *  report one latest entry per key in first-seen order, with the
- *  healthy-supersedes-marker rule already applied by the store index
- *  (log-order duplicates are not surfaced — re-applying the JSON
- *  supersede rules is a harmless no-op); unreadable records are
- *  counted in scan.corrupt. */
-storefmt::StoreScan readAnyStore(const std::string &path);
-
 /** What a format conversion did. */
 struct ConvertReport
 {
@@ -295,30 +266,25 @@ struct ConvertReport
     size_t skipped = 0; ///< duplicate lines already present
 };
 
-/** Export a binary store to a JsonSweepSink-format JSON file: the
- *  cell lines are byte-identical to what a JsonSweepSink run storing
- *  the same rows would have written (no summary block, latest entry
- *  per key in first-seen order). */
+/** Export a binary store to a JSON store file (storefmt::
+ *  writeJsonStore): the stored cell lines verbatim, latest entry per
+ *  key in first-seen order. */
 ConvertReport exportStoreToJson(const std::string &store_path,
                                 const std::string &json_path);
 
 /** Import a JSON store's verified lines into the binary store at
- *  @p store_path (created if missing, merged-by-key if present:
- *  byte-identical repeats skip, healthy supersedes marker, healthy
- *  byte conflicts throw StoreMergeConflict). */
+ *  @p store_path (created if missing, merged by key if present under
+ *  the merge rule, supersedesStoredLine: byte-identical repeats skip,
+ *  healthy supersedes marker, healthy byte conflicts throw
+ *  StoreMergeConflict). */
 ConvertReport importJsonToStore(const std::string &json_path,
                                 const std::string &store_path);
 
 namespace detail {
 
-/** Encode one current-version record (tests craft stale-index and
+/** Encode one record (tests craft stale-index and
  *  mid-file-rot shapes with this). Type 2 is a cell line. */
 std::string encodeRecord(uint32_t type, std::string_view payload);
-
-/** Write a version-1 store (the pre-index record format) — the
- *  upgradeStore() test fixture generator. */
-void writeV1Store(const std::string &path, const std::string &name,
-                  const std::vector<std::string> &lines);
 
 constexpr uint32_t kRecordTypeName = 1;
 constexpr uint32_t kRecordTypeCell = 2;

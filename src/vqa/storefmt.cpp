@@ -12,7 +12,6 @@
 #include <sstream>
 
 #include "common/json.hpp"
-#include "vqa/fault.hpp"
 
 namespace eftvqa {
 namespace storefmt {
@@ -327,8 +326,7 @@ validateRowFields(const std::string &who, const SweepRow &row)
 
 void
 writeJsonStore(const std::string &path, const std::string &sweep_name,
-               const std::vector<std::string> &lines,
-               const SweepReport *summary, const char *crash_probe)
+               const std::vector<std::string> &lines)
 {
     // Full rewrite into a sibling file, then an atomic rename: a
     // crash at any point leaves either the previous snapshot or the
@@ -349,28 +347,12 @@ writeJsonStore(const std::string &path, const std::string &sweep_name,
             // covers the exact payload bytes on disk.
             json.rawValue(line);
         json.endArray();
-        if (summary) {
-            json.beginObject("summary");
-            json.field("cells", summary->cells);
-            json.field("executed", summary->executed);
-            json.field("skipped", summary->skipped);
-            json.field("failed", summary->failed);
-            json.field("retries", summary->retries);
-            json.field("cache_hits", summary->cache_hits);
-            json.field("cache_misses", summary->cache_misses);
-            json.endObject();
-        }
         json.endObject();
         os.flush();
         if (!os)
             throw std::runtime_error("writeJsonStore: write to " + tmp +
                                      " failed");
     }
-    if (crash_probe)
-        // The crash window the recovery tests target: the tmp
-        // snapshot is complete on disk but the store has not been
-        // renamed over yet.
-        faultProbe(crash_probe);
     if (std::rename(tmp.c_str(), path.c_str()) != 0)
         throw std::runtime_error("writeJsonStore: cannot rename " +
                                  tmp + " to " + path);

@@ -1,13 +1,15 @@
 /**
  * @file
- * The sweep-store serialization format, factored out of JsonSweepSink.
+ * The sweep-store cell-line format.
  *
  * One cell, one line: a flat JSON object carrying "key"/"label" plus
  * the row fields (doubles in round-trip form) and a trailing "crc" —
  * the FNV-1a hash of the exact serialized payload before it. Three
  * consumers share these helpers:
  *
- *  - JsonSweepSink (vqa/sweep.cpp) writes and resumes store files;
+ *  - the binary SweepStore (store/sweep_store.hpp) stores these exact
+ *    bytes as its cell records, and `vqastore export`/`import` convert
+ *    a store to and from the JSON file form written and read here;
  *  - ProcessPool (vqa/procpool.cpp) ships the same checksummed line
  *    as the "payload" of its ok-frames, so a result crosses the
  *    process boundary with its integrity check attached;
@@ -87,33 +89,27 @@ struct StoreScan
 };
 
 /**
- * Scan a JsonSweepSink store file: every line that verifies lands in
- * cells (in file order), every integrity failure in corrupt. The
- * summary block is ignored. Never throws on content — a missing file
- * just reports found == false.
+ * Scan a JSON store file (a `vqastore export`, or a store written
+ * before the binary engine): every line that verifies lands in cells
+ * (in file order), every integrity failure in corrupt. A summary
+ * block is ignored. Never throws on content — a missing file just
+ * reports found == false.
  */
 StoreScan readStoreCells(const std::string &path);
 
 /** Reject rows that use a reserved cell-metadata field name ("key" /
- *  "label" / "crc" / "quarantined"); @p who prefixes the error. Every
- *  sink shares this check so the reserved set cannot drift. */
+ *  "label" / "crc" / "quarantined"); @p who prefixes the error. */
 void validateRowFields(const std::string &who, const SweepRow &row);
 
 /**
- * Write a JSON store file: `{"sweep": name, "cells": [lines...],
- * summary?}` atomically (tmp + rename). @p lines are emitted
- * verbatim — they must be checksummedCellLine() bytes, which is what
- * keeps JsonSweepSink, mergeSweepStores and the binary store's
- * `store export` byte-identical. @p summary is optional (merge and
- * export omit it for idempotence). @p crash_probe, when non-null, is
- * a fault-probe point fired between the complete tmp write and the
- * rename (JsonSweepSink's "sink.write" crash window).
+ * Write a JSON store file: `{"sweep": name, "cells": [lines...]}`
+ * atomically (tmp + rename). @p lines are emitted verbatim — they
+ * must be checksummedCellLine() bytes, which is what keeps
+ * `vqastore export` byte-identical to the stored lines.
  */
 void writeJsonStore(const std::string &path,
                     const std::string &sweep_name,
-                    const std::vector<std::string> &lines,
-                    const SweepReport *summary,
-                    const char *crash_probe);
+                    const std::vector<std::string> &lines);
 
 /** fsync the directory containing @p path, so a rename just made into
  *  it is durable across power loss (the rename itself lives in the

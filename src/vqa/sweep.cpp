@@ -1,6 +1,7 @@
 #include "vqa/sweep.hpp"
 
-#include <algorithm>
+#include <unistd.h>
+
 #include <bit>
 #include <cerrno>
 #include <chrono>
@@ -9,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <ostream>
@@ -241,11 +241,6 @@ SweepRow::operator==(const SweepRow &other) const
         }
     }
     return true;
-}
-
-void
-SweepSink::finish(const SweepReport &)
-{
 }
 
 // --------------------------------------------------------------------
@@ -528,192 +523,6 @@ SweepSpec::cells() const
 }
 
 // --------------------------------------------------------------------
-// JsonSweepSink
-// --------------------------------------------------------------------
-
-namespace {
-
-/**
- * Append one heal block to the `.corrupt` sidecar and re-bound it:
- * a `#heal` header line naming the store, the rejected line count and
- * the FNV-1a of the rejected bytes, followed by the raw lines. The
- * sidecar is then truncated oldest-block-first (splitting on `#heal`
- * headers; any legacy headerless lines at the top form a synthetic
- * oldest block) until it fits @p max_bytes — the newest block always
- * survives, so the evidence for the heal that just happened is never
- * the evidence that gets dropped. Rewritten atomically (tmp+rename).
- */
-void
-appendCorruptSidecar(const std::string &sidecar_path,
-                     const std::string &store_path,
-                     const std::vector<std::string> &rejected,
-                     size_t max_bytes)
-{
-    std::string raw;
-    for (const std::string &line : rejected) {
-        raw += line;
-        raw += '\n';
-    }
-    std::string block = "#heal store=" + store_path +
-                        " lines=" + std::to_string(rejected.size()) +
-                        " crc=" +
-                        storefmt::hex64(storefmt::fnv1a64(raw)) + '\n';
-    block += raw;
-
-    std::vector<std::string> blocks;
-    {
-        std::ifstream is(sidecar_path);
-        std::string line;
-        std::string current;
-        while (is && std::getline(is, line)) {
-            if (line.rfind("#heal ", 0) == 0) {
-                if (!current.empty())
-                    blocks.push_back(std::move(current));
-                current = line + '\n';
-            } else {
-                current += line + '\n';
-            }
-        }
-        if (!current.empty())
-            blocks.push_back(std::move(current));
-    }
-    blocks.push_back(std::move(block));
-
-    size_t total = 0;
-    for (const std::string &b : blocks)
-        total += b.size();
-    size_t first = 0;
-    while (first + 1 < blocks.size() && total > max_bytes)
-        total -= blocks[first++].size();
-
-    const std::string tmp = sidecar_path + ".tmp";
-    {
-        std::ofstream os(tmp, std::ios::trunc);
-        if (!os)
-            throw std::runtime_error(
-                "JsonSweepSink: cannot write corrupt sidecar " + tmp);
-        for (size_t i = first; i < blocks.size(); ++i)
-            os << blocks[i];
-        os.flush();
-    }
-    if (std::rename(tmp.c_str(), sidecar_path.c_str()) != 0)
-        throw std::runtime_error(
-            "JsonSweepSink: cannot rename corrupt sidecar " + tmp);
-}
-
-} // namespace
-
-JsonSweepSink::JsonSweepSink(std::string path, std::string sweep_name,
-                             size_t corrupt_sidecar_max_bytes)
-    : path_(std::move(path)), sweep_name_(std::move(sweep_name)),
-      corrupt_max_bytes_(corrupt_sidecar_max_bytes)
-{
-    if (path_.empty())
-        throw std::invalid_argument(
-            "JsonSweepSink: path must be non-empty");
-    if (corrupt_max_bytes_ == 0)
-        throw std::invalid_argument(
-            "JsonSweepSink: corrupt_sidecar_max_bytes must be > 0");
-    load();
-}
-
-void
-JsonSweepSink::load()
-{
-    const storefmt::StoreScan scan = storefmt::readStoreCells(path_);
-    if (!scan.found)
-        return; // no previous run
-    for (const storefmt::StoreCell &cell : scan.cells) {
-        // Integrity failures never land here: readStoreCells rejects
-        // them into scan.corrupt — never trusted, never fatal; the
-        // cell re-executes.
-        if (cell.marker)
-            quarantined_[cell.key] = cell.row;
-        else
-            loaded_[cell.key] = cell.row;
-    }
-    if (!scan.corrupt.empty()) {
-        corrupt_lines_ = scan.corrupt.size();
-        appendCorruptSidecar(corruptPath(), path_, scan.corrupt,
-                             corrupt_max_bytes_);
-    }
-}
-
-bool
-JsonSweepSink::contains(const SweepCell &cell) const
-{
-    const std::string key = cell.keyString();
-    return loaded_.count(key) > 0 || quarantined_.count(key) > 0;
-}
-
-bool
-JsonSweepSink::quarantined(const SweepCell &cell) const
-{
-    const std::string key = cell.keyString();
-    return loaded_.count(key) == 0 && quarantined_.count(key) > 0;
-}
-
-CellOutcome
-JsonSweepSink::storedOutcome(const SweepCell &cell) const
-{
-    const auto it = quarantined_.find(cell.keyString());
-    if (it == quarantined_.end())
-        return {};
-    return outcomeFromQuarantineRow(it->second);
-}
-
-SweepRow
-JsonSweepSink::storedRow(const SweepCell &cell) const
-{
-    const std::string key = cell.keyString();
-    const auto it = loaded_.find(key);
-    if (it != loaded_.end())
-        return it->second;
-    const auto qit = quarantined_.find(key);
-    if (qit != quarantined_.end())
-        return qit->second;
-    throw std::invalid_argument(
-        "JsonSweepSink: no stored row for cell '" + cell.label + "'");
-}
-
-void
-JsonSweepSink::write(const SweepCell &cell, const SweepRow &row, bool)
-{
-    storefmt::validateRowFields("JsonSweepSink", row);
-    written_.push_back({cell.keyString(), cell.label, row});
-    dump(nullptr);
-}
-
-void
-JsonSweepSink::writeQuarantined(const SweepCell &cell,
-                                const CellOutcome &outcome)
-{
-    written_.push_back(
-        {cell.keyString(), cell.label, quarantineRowFor(outcome)});
-    dump(nullptr);
-}
-
-void
-JsonSweepSink::finish(const SweepReport &report)
-{
-    dump(&report);
-}
-
-void
-JsonSweepSink::dump(const SweepReport *report) const
-{
-    std::vector<std::string> lines;
-    lines.reserve(written_.size());
-    for (const Written &w : written_)
-        lines.push_back(storefmt::checksummedCellLine(
-            storefmt::serializeCellPayload(w.key, w.label, w.row)));
-    // storefmt owns the store bytes: atomic tmp+rename rewrite, with
-    // the "sink.write" crash window fired between them.
-    storefmt::writeJsonStore(path_, sweep_name_, lines, report,
-                             "sink.write");
-}
-
-// --------------------------------------------------------------------
 // SweepRunner
 // --------------------------------------------------------------------
 
@@ -758,8 +567,7 @@ SweepRunner::run(const SweepCellFn &fn, SweepSink *sink)
                 continue;
             }
             // Quarantined and retry_failed: re-execute the cell; its
-            // fresh row (or fresh quarantine record) replaces the
-            // stored marker when the sink rewrites.
+            // fresh row supersedes the stored marker.
         }
         fresh[i] = 1;
         pending.push_back(i);
@@ -954,22 +762,22 @@ SweepRunner::run(const SweepCellFn &fn, SweepSink *sink)
         }
     }
 
-    // Stream rows to the sink in serial cell order as the prefix
-    // completes (async cells further ahead wait their turn). Failed
-    // cells stream their quarantine record in the same order, so a
-    // resumed store replaces markers in place.
+    // Stream fresh rows to the sink in serial cell order as the
+    // prefix completes (async cells further ahead wait their turn).
+    // Failed cells stream their quarantine record in the same order;
+    // carried cells are already stored and are not written again.
     {
         std::unique_lock<std::mutex> lock(mutex);
         for (size_t i = 0; i < n; ++i) {
             cv.wait(lock, [&] { return done[i] != 0 || error; });
             if (error)
                 break;
-            if (sink) {
+            if (sink && fresh[i] != 0) {
                 lock.unlock();
                 if (failed[i] != 0)
                     sink->writeQuarantined(cells_[i], outcomes[i]);
                 else
-                    sink->write(cells_[i], rows[i], fresh[i] != 0);
+                    sink->write(cells_[i], rows[i]);
                 lock.lock();
             }
         }
@@ -997,13 +805,32 @@ SweepRunner::run(const SweepCellFn &fn, SweepSink *sink)
         report.watchdog_kills = procs->watchdogKills();
     }
     if (sink)
-        sink->finish(report);
+        sink->finish();
     return report;
 }
 
 // --------------------------------------------------------------------
 // Store merging
 // --------------------------------------------------------------------
+
+bool
+supersedesStoredLine(const std::string &key, const StoredLine &held,
+                     const StoredLine &incoming)
+{
+    if (held.line == incoming.line)
+        return false;
+    if (held.marker != incoming.marker)
+        // A healthy row heals the quarantine marker — the merge-level
+        // mirror of retry_failed.
+        return held.marker;
+    if (held.marker)
+        // Two different markers (say, crash on one machine, timeout on
+        // another): the smaller line wins, whatever the input order.
+        return incoming.line < held.line;
+    // Same key, different healthy row bytes: machines disagree about
+    // a result. Fail loudly, never pick.
+    throw StoreMergeConflict(key, held.source, incoming.source);
+}
 
 StoreMergeReport
 mergeSweepStores(const std::vector<std::string> &inputs,
@@ -1016,107 +843,64 @@ mergeSweepStores(const std::vector<std::string> &inputs,
         throw std::invalid_argument(
             "mergeSweepStores: output path must be non-empty");
 
-    struct Entry
-    {
-        std::string line; ///< exact stored bytes, carried verbatim
-        bool marker = false;
-        std::string source; ///< input path, for conflict messages
-    };
     // Keyed by cell key and iterated in key order: the output is a
     // function of the input *set*, independent of input order.
-    std::map<std::string, Entry> merged;
+    std::map<std::string, StoredLine> merged;
     StoreMergeReport report;
     std::string sweep_name;
 
     for (const std::string &input : inputs) {
-        // Format auto-detection: binary SweepStore files and JSON
-        // sink files merge interchangeably (both yield storefmt
-        // scans with exact line bytes).
-        const storefmt::StoreScan scan = store::readAnyStore(input);
-        if (!scan.found)
+        if (::access(input.c_str(), R_OK) != 0)
             throw std::invalid_argument(
                 "mergeSweepStores: cannot read store '" + input + "'");
+        const store::SweepStore in(input,
+                                   store::SweepStore::Mode::read_only);
+        const store::StoreStats stats = in.stats();
         ++report.inputs;
-        report.corrupt_lines += scan.corrupt.size();
         StoreMergeReport::InputStats &in_stats =
             report.per_input.emplace_back();
         in_stats.path = input;
-        in_stats.cells = scan.cells.size();
-        in_stats.corrupt_lines = scan.corrupt.size();
-        for (const storefmt::StoreCell &cell : scan.cells)
-            in_stats.quarantined += cell.marker ? 1 : 0;
-        // Smallest non-empty name wins, again for order independence
-        // (partials of one sweep all carry the same name anyway).
-        if (!scan.sweep_name.empty() &&
-            (sweep_name.empty() || scan.sweep_name < sweep_name))
-            sweep_name = scan.sweep_name;
-        for (const storefmt::StoreCell &cell : scan.cells) {
+        in_stats.cells = stats.cells;
+        in_stats.quarantined = stats.markers;
+        in_stats.corrupt_lines = stats.corruptLines();
+        report.corrupt_lines += in_stats.corrupt_lines;
+        // Smallest name wins, again for order independence (partials
+        // of one sweep all carry the same name anyway).
+        if (sweep_name.empty() || in.sweepName() < sweep_name)
+            sweep_name = in.sweepName();
+        for (storefmt::StoreCell &cell : in.cells()) {
+            StoredLine next{std::move(cell.line), cell.marker, input};
             const auto it = merged.find(cell.key);
             if (it == merged.end()) {
-                merged.emplace(cell.key,
-                               Entry{cell.line, cell.marker, input});
+                merged.emplace(cell.key, std::move(next));
                 continue;
             }
-            Entry &have = it->second;
-            if (have.line == cell.line) {
+            StoredLine &have = it->second;
+            if (have.line == next.line)
                 ++report.duplicates;
-            } else if (have.marker && !cell.marker) {
-                // A healthy row heals the quarantine marker — the
-                // merge-level mirror of retry_failed.
-                have = Entry{cell.line, cell.marker, input};
+            else if (have.marker != next.marker)
                 ++report.markers_superseded;
-            } else if (!have.marker && cell.marker) {
-                ++report.markers_superseded;
-            } else if (have.marker && cell.marker) {
-                // Two different markers (say, crash on one machine,
-                // timeout on another): keep the lexicographically
-                // smaller line so the winner is order-independent.
-                if (cell.line < have.line)
-                    have = Entry{cell.line, cell.marker, input};
-            } else {
-                // Same key, different healthy row bytes: machines
-                // disagree about a result. Fail loudly, never pick.
-                throw StoreMergeConflict(cell.key, have.source, input);
-            }
+            if (supersedesStoredLine(cell.key, have, next))
+                have = std::move(next);
         }
     }
 
-    // The output format follows the inputs: any binary input means a
-    // binary output (a farm that moved to SweepStore merges back to
-    // SweepStore); all-JSON inputs keep today's JSON bytes. Either
-    // way there is no summary block — a summary would encode this
-    // merge's history and break idempotence (re-merging the output
-    // must be a no-op), and either way the write is atomic
-    // (tmp + rename) and the lines land in key order.
-    const bool binary_output =
-        std::any_of(inputs.begin(), inputs.end(),
-                    [](const std::string &p) {
-                        return store::isBinaryStorePath(p);
-                    });
-    if (binary_output) {
-        const std::string tmp = output_path + ".tmp";
-        std::remove(tmp.c_str());
-        {
-            store::SweepStore out_store(
-                tmp, store::SweepStore::Mode::append,
-                sweep_name.empty() ? "sweep" : sweep_name);
-            for (const auto &[key, entry] : merged)
-                out_store.appendLine(entry.line);
-            out_store.sync();
-        }
-        if (std::rename(tmp.c_str(), output_path.c_str()) != 0)
-            throw std::runtime_error(
-                "mergeSweepStores: cannot rename " + tmp + " to " +
-                output_path);
-        storefmt::fsyncParentDir(output_path);
-    } else {
-        std::vector<std::string> lines;
-        lines.reserve(merged.size());
+    // The output records no merge history, so re-merging it is a
+    // no-op. The write is atomic (tmp + rename) and the lines land in
+    // key order.
+    const std::string tmp = output_path + ".tmp";
+    std::remove(tmp.c_str());
+    {
+        store::SweepStore out_store(tmp, store::SweepStore::Mode::append,
+                                    sweep_name);
         for (const auto &[key, entry] : merged)
-            lines.push_back(entry.line);
-        storefmt::writeJsonStore(output_path, sweep_name, lines,
-                                 nullptr, nullptr);
+            out_store.appendLine(entry.line);
+        out_store.sync();
     }
+    if (std::rename(tmp.c_str(), output_path.c_str()) != 0)
+        throw std::runtime_error("mergeSweepStores: cannot rename " +
+                                 tmp + " to " + output_path);
+    storefmt::fsyncParentDir(output_path);
 
     report.cells = merged.size();
     for (const auto &[key, entry] : merged)

@@ -30,15 +30,15 @@
  *    that equal what re-evaluation would produce (the session purity
  *    contract), so identical (Hamiltonian, regime, circuit) work is
  *    paid once per sweep regardless of which cell runs first.
- *  - SweepSink — streaming result consumer, called once per cell in
- *    serial cell order. JsonSweepSink is the JSON-file sink (built on
- *    common/json.hpp's writer, one cell per line, atomic rewrite via
- *    rename): rerunning against an existing file skips every cell
- *    whose key it already holds and carries the stored row through
- *    bit-identically, so an interrupted sweep resumes where it died.
- *    Every stored line carries an FNV-1a checksum of its payload;
- *    corrupt or torn lines are quarantined to a `.corrupt` sidecar on
- *    load and their cells re-executed instead of trusted or fatal.
+ *  - SweepSink — streaming result consumer; store::BinarySweepSink
+ *    (store/sink.hpp) over the append-only SweepStore is the one
+ *    implementation. Rerunning against an existing store skips every
+ *    cell whose key it already holds and carries the stored row
+ *    through bit-identically, so an interrupted sweep resumes where
+ *    it died; only freshly executed cells are written. Every stored
+ *    line carries an FNV-1a checksum of its payload; corrupt or torn
+ *    records are counted and skipped on load and their cells
+ *    re-executed instead of trusted or fatal.
  *  - FaultPolicy / CellOutcome — per-cell failure containment
  *    (vqa/fault.hpp is the substrate). Under FaultPolicy::isolate a
  *    failing cell is retried on a deterministic content-key-derived
@@ -55,10 +55,10 @@
  *    so crashes, OOM kills and wedged cells are contained and fed
  *    through the same retry/quarantine machinery; surviving rows stay
  *    byte-identical to an in-process run.
- *  - mergeSweepStores — merges N partial stores (cells farmed across
- *    machines) into one: union by key, quarantine markers propagate
- *    until healed, byte conflicts fail loudly, order-independent and
- *    idempotent.
+ *  - mergeSweepStores — merges N partial binary stores (cells farmed
+ *    across machines) into one: union by key, quarantine markers
+ *    propagate until healed, byte conflicts fail loudly,
+ *    order-independent and idempotent.
  *
  * A figure driver shrinks to spec construction + a cell function +
  * sink choice; the ROADMAP's process-level farming item distributes
@@ -74,7 +74,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -183,8 +182,6 @@ class SweepRow
     std::vector<std::pair<std::string, Value>> fields_;
 };
 
-struct SweepReport;
-
 /** Where SweepRunner::run executes cells. */
 enum class IsolationMode
 {
@@ -244,10 +241,12 @@ SweepRow quarantineRowFor(const CellOutcome &outcome);
 CellOutcome outcomeFromQuarantineRow(const SweepRow &row);
 
 /**
- * Streaming result consumer. contains()/storedRow() implement the
- * resume contract; write() is called exactly once per cell, in serial
- * cell order, whether the row was executed or carried; finish() sees
- * the final report.
+ * Streaming result consumer — the type drivers hold; its one
+ * implementation is store::BinarySweepSink (store/sink.hpp).
+ * contains()/storedRow() implement the resume contract; write() /
+ * writeQuarantined() are called once per freshly executed cell, in
+ * serial cell order (carried cells are already stored); finish() runs
+ * after the last cell.
  */
 class SweepSink
 {
@@ -266,99 +265,22 @@ class SweepSink
     virtual SweepRow storedRow(const SweepCell &cell) const = 0;
 
     /** True when the stored entry for this cell is a quarantine
-     *  marker rather than results. Default: sinks without quarantine
-     *  support never report one. */
-    virtual bool quarantined(const SweepCell &) const { return false; }
+     *  marker rather than results. */
+    virtual bool quarantined(const SweepCell &cell) const = 0;
 
     /** Outcome reconstructed from a quarantined cell's marker row
      *  (default-ok when the cell is not quarantined). */
-    virtual CellOutcome storedOutcome(const SweepCell &) const
-    {
-        return {};
-    }
+    virtual CellOutcome storedOutcome(const SweepCell &cell) const = 0;
 
-    /** One cell's row, in serial cell order. @p executed is false for
-     *  carried rows. */
-    virtual void write(const SweepCell &cell, const SweepRow &row,
-                       bool executed) = 0;
+    /** One freshly executed cell's row. */
+    virtual void write(const SweepCell &cell, const SweepRow &row) = 0;
 
-    /** A failed cell's quarantine record, in serial cell order (only
-     *  under FaultPolicy::isolate). Default: dropped. */
-    virtual void writeQuarantined(const SweepCell &, const CellOutcome &)
-    {
-    }
+    /** A freshly failed cell's quarantine record (only under
+     *  FaultPolicy::isolate). */
+    virtual void writeQuarantined(const SweepCell &cell,
+                                  const CellOutcome &outcome) = 0;
 
-    virtual void finish(const SweepReport &report);
-};
-
-/**
- * The JSON-file sink: one cell object per line inside a "cells"
- * array, each carrying its "key"/"label" plus the row fields (doubles
- * in round-trip form) and a trailing "crc" — the FNV-1a hash of the
- * exact serialized payload before it. Construction loads any cells a
- * previous run left at @p path, verifying every checksum: corrupt,
- * torn or checksum-less lines are appended to the `path.corrupt`
- * sidecar and their cells re-execute. Every write() rewrites the file
- * atomically (tmp + rename), so an interrupted sweep keeps every
- * completed cell and the next run resumes from them; a kill between
- * tmp-write and rename leaves the previous snapshot intact.
- */
-class JsonSweepSink : public SweepSink
-{
-  public:
-    /** @p corrupt_sidecar_max_bytes bounds the `.corrupt` sidecar:
-     *  each heal appends a `#heal` header line (store path, rejected
-     *  line count, crc of the rejected bytes) plus the lines, and the
-     *  oldest heal blocks are dropped once the sidecar would exceed
-     *  the cap (the newest block always survives). */
-    JsonSweepSink(std::string path, std::string sweep_name,
-                  size_t corrupt_sidecar_max_bytes = 256 * 1024);
-
-    bool contains(const SweepCell &cell) const override;
-    SweepRow storedRow(const SweepCell &cell) const override;
-    bool quarantined(const SweepCell &cell) const override;
-    CellOutcome storedOutcome(const SweepCell &cell) const override;
-    void write(const SweepCell &cell, const SweepRow &row,
-               bool executed) override;
-    void writeQuarantined(const SweepCell &cell,
-                          const CellOutcome &outcome) override;
-    void finish(const SweepReport &report) override;
-
-    /** Cells loaded from a pre-existing file (resume candidates),
-     *  quarantine markers included. */
-    size_t loadedCells() const
-    {
-        return loaded_.size() + quarantined_.size();
-    }
-
-    /** Quarantine markers among the loaded cells. */
-    size_t quarantinedCells() const { return quarantined_.size(); }
-
-    /** Lines the loader rejected (bad checksum, torn tail, parse
-     *  failure) and moved to the `.corrupt` sidecar. */
-    size_t corruptLines() const { return corrupt_lines_; }
-
-    /** The sidecar path corrupt lines are appended to. */
-    std::string corruptPath() const { return path_ + ".corrupt"; }
-
-  private:
-    struct Written
-    {
-        std::string key;
-        std::string label;
-        SweepRow row;
-    };
-
-    void load();
-    void dump(const SweepReport *report) const;
-
-    std::string path_;
-    std::string sweep_name_;
-    size_t corrupt_max_bytes_ = 256 * 1024;
-    std::unordered_map<std::string, SweepRow> loaded_;
-    std::unordered_map<std::string, SweepRow> quarantined_;
-    std::vector<Written> written_;
-    size_t corrupt_lines_ = 0;
+    virtual void finish() = 0;
 };
 
 /** Cell worker: runs one cell through its session, returns its row.
@@ -514,9 +436,7 @@ struct SweepReport
      *  cache is off). Cross-cell reuse shows up here. */
     size_t cache_hits = 0;
     size_t cache_misses = 0;
-    /** Process-isolation stats (0 under in_process isolation). Not
-     *  serialized into store summaries — store bytes stay identical
-     *  across isolation modes. */
+    /** Process-isolation stats (0 under in_process isolation). */
     size_t workers_spawned = 0;
     size_t worker_crashes = 0;
     size_t watchdog_kills = 0;
@@ -585,6 +505,25 @@ class StoreMergeConflict : public std::runtime_error
     std::string key_;
 };
 
+/** One stored line for a cell key, as a merge or import sees it. */
+struct StoredLine
+{
+    std::string line;    ///< exact checksummed bytes
+    bool marker = false; ///< quarantine marker rather than results
+    std::string source;  ///< store path, for conflict messages
+};
+
+/**
+ * The supersede rule mergeSweepStores and store::importJsonToStore
+ * share: true when @p incoming should replace @p held for cell @p key.
+ * A healthy row supersedes a quarantine marker, never the reverse; of
+ * two different markers the lexicographically smaller line wins, so
+ * the winner is order-independent; byte-identical lines keep @p held.
+ * Two healthy rows with different bytes throw StoreMergeConflict.
+ */
+bool supersedesStoredLine(const std::string &key, const StoredLine &held,
+                          const StoredLine &incoming);
+
 /** What mergeSweepStores did. */
 struct StoreMergeReport
 {
@@ -610,23 +549,24 @@ struct StoreMergeReport
 };
 
 /**
- * Merge N partial JsonSweepSink stores into one at @p output_path —
- * the reassembly half of sweep farming: run disjoint (or overlapping)
- * cell subsets on separate machines, ship the stores back, merge.
+ * Merge N partial binary sweep stores into one binary store at
+ * @p output_path — the reassembly half of sweep farming: run disjoint
+ * (or overlapping) cell subsets on separate machines, ship the stores
+ * back, merge. Each input is read through a read-only SweepStore; a
+ * JSON store is rejected (convert it with `vqastore import` first).
  *
  * Semantics: union by cell key, preserving each stored line's exact
  * bytes (rows are never reserialized, so every cell line in the merged
  * store is byte-identical to the line a single run over the union
- * would have stored; the file orders lines by key). A healthy
- * row supersedes a quarantine marker for the same key — markers
- * propagate until some store heals the cell, matching retry_failed.
- * Byte-identical repeats collapse; two healthy rows with different
- * bytes throw StoreMergeConflict naming the key. Corrupt input lines
- * are skipped and counted, never copied forward. The output is
- * written atomically (tmp + rename), carries no summary block, and is
- * deterministic in the input *set*: merging is order-independent and
- * idempotent (merging a store with itself, or re-merging the output,
- * is a no-op).
+ * would have stored; the output orders lines by key). Conflicts
+ * resolve by supersedesStoredLine: markers propagate until some store
+ * heals the cell, matching retry_failed, and two healthy rows with
+ * different bytes throw StoreMergeConflict naming the key.
+ * Byte-identical repeats collapse. Corrupt input records are skipped
+ * and counted, never copied forward. The output is written atomically
+ * (tmp + rename) and is deterministic in the input *set*: merging is
+ * order-independent and idempotent (merging a store with itself, or
+ * re-merging the output, is a no-op).
  */
 StoreMergeReport mergeSweepStores(const std::vector<std::string> &inputs,
                                   const std::string &output_path);

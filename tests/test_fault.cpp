@@ -6,9 +6,10 @@
  * counters, structured dense-backend allocation failures, the
  * WorkerPool error hook and destruction stress, per-cell quarantine /
  * retry / timeout containment in SweepRunner, the checksummed store's
- * corruption quarantine and crash-window recovery, and the
- * bit-identity contract: under isolate with retries, surviving cells'
- * rows are byte-identical to a fault-free run.
+ * handling of rotted and torn records (counted, never trusted, their
+ * cells re-executed), and the bit-identity contract: under isolate
+ * with retries, surviving cells' rows are byte-identical to a
+ * fault-free run.
  *
  * Every suite name carries "Fault" so the CI fault-matrix job can
  * sweep EFTVQA_FAULTS seeds through `ctest -R Fault`.
@@ -36,6 +37,7 @@
 #include "sim/compiled_circuit.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/statevector.hpp"
+#include "store/sink.hpp"
 #include "vqa/executor.hpp"
 #include "vqa/fault.hpp"
 #include "vqa/sweep.hpp"
@@ -96,24 +98,35 @@ tempPath(const std::string &name)
 {
     const std::string path = ::testing::TempDir() + name;
     std::remove(path.c_str());
-    std::remove((path + ".corrupt").c_str());
     return path;
 }
 
-/** The store's cell lines (the checksummed per-cell objects) — the
- *  byte-identity comparisons exclude the summary, whose executed /
- *  skipped counts legitimately differ between a fresh and a resumed
- *  run. */
+/** The store's cell lines (the checksummed per-cell objects), in
+ *  first-seen order. */
 std::vector<std::string>
 cellLines(const std::string &path)
 {
-    std::ifstream is(path);
     std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(is, line))
-        if (line.find("\"key\"") != std::string::npos)
-            lines.push_back(line);
+    for (const storefmt::StoreCell &cell :
+         store::SweepStore(path, store::SweepStore::Mode::read_only)
+             .cells())
+        lines.push_back(cell.line);
     return lines;
+}
+
+std::string
+fileBytes(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(is)),
+                       std::istreambuf_iterator<char>());
+}
+
+void
+writeBytes(const std::string &path, const std::string &bytes)
+{
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os << bytes;
 }
 
 } // namespace
@@ -562,7 +575,7 @@ TEST(FaultSweep, TimeoutQuarantinesViaTheCancelToken)
 
 TEST(FaultSweep, QuarantinedCellsSkipOnResumeUnlessRetryFailed)
 {
-    const std::string path = tempPath("fault_quarantine_resume.json");
+    const std::string path = tempPath("fault_quarantine_resume.store");
     bool heal = false;
     const auto flaky = [&heal](const SweepCell &cell,
                                ExperimentSession &session) -> SweepRow {
@@ -574,7 +587,7 @@ TEST(FaultSweep, QuarantinedCellsSkipOnResumeUnlessRetryFailed)
     SweepSpec spec = faultSweep({0.25, 1.0});
     spec.fault_policy = FaultPolicy::isolate;
     {
-        JsonSweepSink sink(path, "fault-sweep");
+        store::BinarySweepSink sink(path, "fault-sweep");
         const SweepReport report =
             SweepRunner(std::move(spec)).run(flaky, &sink);
         EXPECT_EQ(report.failed, 1u);
@@ -583,7 +596,7 @@ TEST(FaultSweep, QuarantinedCellsSkipOnResumeUnlessRetryFailed)
 
     // The store now holds one healthy row and one quarantine marker.
     {
-        JsonSweepSink sink(path, "fault-sweep");
+        store::BinarySweepSink sink(path, "fault-sweep");
         EXPECT_EQ(sink.loadedCells(), 2u);
         EXPECT_EQ(sink.quarantinedCells(), 1u);
         EXPECT_EQ(sink.corruptLines(), 0u);
@@ -595,7 +608,7 @@ TEST(FaultSweep, QuarantinedCellsSkipOnResumeUnlessRetryFailed)
     SweepSpec carry = faultSweep({0.25, 1.0});
     carry.fault_policy = FaultPolicy::isolate;
     {
-        JsonSweepSink sink(path, "fault-sweep");
+        store::BinarySweepSink sink(path, "fault-sweep");
         const SweepReport report =
             SweepRunner(std::move(carry)).run(flaky, &sink);
         EXPECT_EQ(report.executed, 0u);
@@ -611,7 +624,7 @@ TEST(FaultSweep, QuarantinedCellsSkipOnResumeUnlessRetryFailed)
     retry.fault_policy = FaultPolicy::isolate;
     retry.retry_failed = true;
     {
-        JsonSweepSink sink(path, "fault-sweep");
+        store::BinarySweepSink sink(path, "fault-sweep");
         const SweepReport report =
             SweepRunner(std::move(retry)).run(flaky, &sink);
         EXPECT_EQ(report.executed, 1u);
@@ -620,7 +633,7 @@ TEST(FaultSweep, QuarantinedCellsSkipOnResumeUnlessRetryFailed)
         EXPECT_FALSE(report.rows[1].has("quarantined"));
     }
     {
-        JsonSweepSink sink(path, "fault-sweep");
+        store::BinarySweepSink sink(path, "fault-sweep");
         EXPECT_EQ(sink.quarantinedCells(), 0u);
         EXPECT_EQ(sink.loadedCells(), 2u);
     }
@@ -628,52 +641,36 @@ TEST(FaultSweep, QuarantinedCellsSkipOnResumeUnlessRetryFailed)
 }
 
 // --------------------------------------------------------------------
-// Checksummed store: corruption quarantine, crash-window recovery
+// Checksummed store: rotted and torn records
 // --------------------------------------------------------------------
 
 TEST(FaultSink, CorruptedLineIsQuarantinedAndReExecuted)
 {
-    const std::string path = tempPath("fault_bitrot.json");
+    const std::string path = tempPath("fault_bitrot.store");
     const SweepReport reference = [&] {
-        JsonSweepSink sink(path, "fault-sweep");
+        store::BinarySweepSink sink(path, "fault-sweep");
         return SweepRunner(faultSweep({0.25, 1.0}))
             .run(pureCellFn, &sink);
     }();
 
-    // Flip one character of the second cell line's checksum: the line
-    // no longer verifies and must be quarantined, not trusted.
+    // Flip one character of the second cell line's checksum inside a
+    // cleanly closed store: its indexed record no longer verifies and
+    // must be counted as corrupt, not served on resume.
     {
-        std::ifstream is(path);
-        std::string text((std::istreambuf_iterator<char>(is)),
-                         std::istreambuf_iterator<char>());
-        is.close();
-        const size_t crc = text.rfind("\"crc\": \"0x");
+        std::string bytes = fileBytes(path);
+        const size_t crc = bytes.rfind("\"crc\": \"0x");
         ASSERT_NE(crc, std::string::npos);
         const size_t digit = crc + 10;
-        text[digit] = text[digit] == '0' ? '1' : '0';
-        std::ofstream os(path);
-        os << text;
+        bytes[digit] = bytes[digit] == '0' ? '1' : '0';
+        writeBytes(path, bytes);
     }
 
     {
-        JsonSweepSink sink(path, "fault-sweep");
+        store::BinarySweepSink sink(path, "fault-sweep");
         EXPECT_EQ(sink.loadedCells(), 1u);
         EXPECT_EQ(sink.corruptLines(), 1u);
-        std::ifstream sidecar(sink.corruptPath());
-        ASSERT_TRUE(sidecar.good());
-        std::string line;
-        std::getline(sidecar, line);
-        // Each heal prepends a header naming the store and the
-        // rejected byte evidence, then the raw lines follow.
-        EXPECT_EQ(line.rfind("#heal ", 0), 0u);
-        EXPECT_NE(line.find("store=" + path), std::string::npos);
-        EXPECT_NE(line.find("lines=1"), std::string::npos);
-        EXPECT_NE(line.find("crc=0x"), std::string::npos);
-        std::getline(sidecar, line);
-        EXPECT_NE(line.find("\"key\""), std::string::npos);
 
-        // The resumed run re-executes exactly the rejected cell and
-        // the merged store is byte-identical to the fault-free one.
+        // The resumed run re-executes exactly the rejected cell.
         const SweepReport report =
             SweepRunner(faultSweep({0.25, 1.0})).run(pureCellFn, &sink);
         EXPECT_EQ(report.executed, 1u);
@@ -681,41 +678,42 @@ TEST(FaultSink, CorruptedLineIsQuarantinedAndReExecuted)
         for (size_t i = 0; i < 2; ++i)
             EXPECT_TRUE(report.rows[i] == reference.rows[i]);
     }
-    const std::string ref_path = tempPath("fault_bitrot_ref.json");
+
+    // The healed store exports byte-identically to a fault-free one.
+    const std::string ref_path = tempPath("fault_bitrot_ref.store");
     {
-        JsonSweepSink ref_sink(ref_path, "fault-sweep");
+        store::BinarySweepSink ref_sink(ref_path, "fault-sweep");
         SweepRunner(faultSweep({0.25, 1.0})).run(pureCellFn, &ref_sink);
     }
-    EXPECT_EQ(cellLines(path), cellLines(ref_path));
-    std::remove(path.c_str());
-    std::remove((path + ".corrupt").c_str());
-    std::remove(ref_path.c_str());
+    const std::string healed_json = tempPath("fault_bitrot.json");
+    const std::string ref_json = tempPath("fault_bitrot_ref.json");
+    store::exportStoreToJson(path, healed_json);
+    store::exportStoreToJson(ref_path, ref_json);
+    EXPECT_EQ(fileBytes(healed_json), fileBytes(ref_json));
+    for (const auto &p : {path, ref_path, healed_json, ref_json})
+        std::remove(p.c_str());
 }
 
 TEST(FaultSink, TornFinalLineIsDroppedNotTrusted)
 {
-    const std::string path = tempPath("fault_torn.json");
+    const std::string path = tempPath("fault_torn.store");
     {
-        JsonSweepSink sink(path, "fault-sweep");
+        store::BinarySweepSink sink(path, "fault-sweep");
         SweepRunner(faultSweep({0.25, 1.0})).run(pureCellFn, &sink);
     }
 
-    // Tear the last cell line mid-object (as a non-atomic writer
-    // dying mid-append would) and drop everything after it.
+    // Tear the last cell record mid-line (as a writer dying mid-append
+    // would) and drop everything after it, index segment included.
     {
-        std::ifstream is(path);
-        std::string text((std::istreambuf_iterator<char>(is)),
-                         std::istreambuf_iterator<char>());
-        is.close();
-        const size_t last = text.rfind("\"key\"");
+        const std::string bytes = fileBytes(path);
+        const size_t last = bytes.rfind("\"key\"");
         ASSERT_NE(last, std::string::npos);
-        const size_t cut = text.find("\"crc\"", last);
+        const size_t cut = bytes.find("\"crc\"", last);
         ASSERT_NE(cut, std::string::npos);
-        std::ofstream os(path);
-        os << text.substr(0, cut);
+        writeBytes(path, bytes.substr(0, cut));
     }
 
-    JsonSweepSink sink(path, "fault-sweep");
+    store::BinarySweepSink sink(path, "fault-sweep");
     EXPECT_EQ(sink.loadedCells(), 1u);
     EXPECT_EQ(sink.corruptLines(), 1u);
     const SweepReport report =
@@ -723,48 +721,6 @@ TEST(FaultSink, TornFinalLineIsDroppedNotTrusted)
     EXPECT_EQ(report.executed, 1u);
     EXPECT_EQ(report.skipped, 1u);
     std::remove(path.c_str());
-    std::remove((path + ".corrupt").c_str());
-}
-
-TEST(FaultSink, CrashBetweenTmpWriteAndRenameRecovers)
-{
-    InjectorGuard guard;
-    const std::string path = tempPath("fault_crash_window.json");
-    const SweepReport reference =
-        SweepRunner(faultSweep({0.25, 0.5, 1.0})).run(pureCellFn);
-
-    // Kill the process-equivalent at the exact window the sink.write
-    // probe marks: the second cell's tmp snapshot is on disk but the
-    // rename has not happened. The store must still hold the first
-    // snapshot, and the resumed run re-executes the missing cells.
-    FaultSpec spec;
-    spec.point = "sink.write";
-    spec.kind = FaultKind::Throw;
-    spec.skip = 1;
-    spec.max_injections = 1;
-    FaultInjector::instance().arm(5, {spec});
-    {
-        JsonSweepSink sink(path, "fault-sweep");
-        EXPECT_THROW(SweepRunner(faultSweep({0.25, 0.5, 1.0}))
-                         .run(pureCellFn, &sink),
-                     InjectedFault);
-    }
-    FaultInjector::instance().disarm();
-
-    {
-        JsonSweepSink sink(path, "fault-sweep");
-        EXPECT_EQ(sink.loadedCells(), 1u); // the pre-crash snapshot
-        EXPECT_EQ(sink.corruptLines(), 0u);
-        const SweepReport report =
-            SweepRunner(faultSweep({0.25, 0.5, 1.0}))
-                .run(pureCellFn, &sink);
-        EXPECT_EQ(report.executed, 2u);
-        EXPECT_EQ(report.skipped, 1u);
-        for (size_t i = 0; i < 3; ++i)
-            EXPECT_TRUE(report.rows[i] == reference.rows[i]);
-    }
-    std::remove(path.c_str());
-    std::remove((path + ".tmp").c_str());
 }
 
 // --------------------------------------------------------------------
@@ -774,8 +730,8 @@ TEST(FaultSink, CrashBetweenTmpWriteAndRenameRecovers)
 TEST(FaultMatrix, InjectedSweepQuarantinesRecoversAndMatchesByteForByte)
 {
     InjectorGuard guard;
-    const std::string path = tempPath("fault_matrix.json");
-    const std::string ref_path = tempPath("fault_matrix_ref.json");
+    const std::string path = tempPath("fault_matrix.store");
+    const std::string ref_path = tempPath("fault_matrix_ref.store");
 
     // A fig12-style cell: an engine entry, a dense allocation, a
     // second engine entry — crossing cell.start, engine.energy and
@@ -789,7 +745,7 @@ TEST(FaultMatrix, InjectedSweepQuarantinesRecoversAndMatchesByteForByte)
     };
 
     const SweepReport reference = [&] {
-        JsonSweepSink sink(ref_path, "fault-sweep");
+        store::BinarySweepSink sink(ref_path, "fault-sweep");
         return SweepRunner(faultSweep({0.25, 0.5, 0.75, 1.0}))
             .run(cell_fn, &sink);
     }();
@@ -828,7 +784,7 @@ TEST(FaultMatrix, InjectedSweepQuarantinesRecoversAndMatchesByteForByte)
     sweep.cell_timeout_ms = 50.0;
     SweepReport report;
     {
-        JsonSweepSink sink(path, "fault-sweep");
+        store::BinarySweepSink sink(path, "fault-sweep");
         report = SweepRunner(std::move(sweep)).run(cell_fn, &sink);
     }
     EXPECT_EQ(FaultInjector::instance().injected("engine.energy"), 1u);
@@ -864,7 +820,7 @@ TEST(FaultMatrix, InjectedSweepQuarantinesRecoversAndMatchesByteForByte)
     resume.fault_policy = FaultPolicy::isolate;
     resume.retry_failed = true;
     {
-        JsonSweepSink sink(path, "fault-sweep");
+        store::BinarySweepSink sink(path, "fault-sweep");
         EXPECT_EQ(sink.quarantinedCells(), 1u);
         const SweepReport healed =
             SweepRunner(std::move(resume)).run(cell_fn, &sink);
@@ -992,86 +948,6 @@ TEST(FaultInjectorAbort, FiresAsRealSigabrtInOptedInChildProcess)
     EXPECT_EQ(WTERMSIG(status), SIGABRT);
     // The parent never opted in: its own probes stay safe.
     EXPECT_NO_THROW(faultProbe("abort.child"));
-}
-
-// --------------------------------------------------------------------
-// Quarantine sidecar bounding
-// --------------------------------------------------------------------
-
-namespace {
-
-/** Flip one hex digit of the last cell line's checksum in @p path. */
-void
-corruptLastCrc(const std::string &path)
-{
-    std::ifstream is(path);
-    std::string text((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-    is.close();
-    const size_t crc = text.rfind("\"crc\": \"0x");
-    ASSERT_NE(crc, std::string::npos);
-    const size_t digit = crc + 10;
-    text[digit] = text[digit] == '0' ? '1' : '0';
-    std::ofstream os(path, std::ios::trunc);
-    os << text;
-}
-
-size_t
-healBlockCount(const std::string &sidecar)
-{
-    std::ifstream is(sidecar);
-    size_t blocks = 0;
-    std::string line;
-    while (std::getline(is, line))
-        if (line.rfind("#heal ", 0) == 0)
-            ++blocks;
-    return blocks;
-}
-
-} // namespace
-
-TEST(FaultSink, SidecarDropsOldestHealBlocksAtTheCap)
-{
-    const std::string path = tempPath("fault_sidecar_cap.json");
-    const std::string sidecar = path + ".corrupt";
-    const SweepSpec spec = faultSweep({0.25, 1.0});
-    {
-        JsonSweepSink sink(path, "fault-sweep");
-        SweepRunner(spec).run(pureCellFn, &sink);
-    }
-
-    // Two heals under a generous cap: both blocks accumulate.
-    for (int i = 0; i < 2; ++i) {
-        corruptLastCrc(path);
-        JsonSweepSink sink(path, "fault-sweep");
-        ASSERT_EQ(sink.corruptLines(), 1u);
-        SweepRunner(spec).run(pureCellFn, &sink);
-    }
-    EXPECT_EQ(healBlockCount(sidecar), 2u);
-
-    // A third heal under a tiny cap truncates oldest-first; the
-    // newest block always survives even when it alone exceeds the
-    // cap.
-    corruptLastCrc(path);
-    {
-        JsonSweepSink sink(path, "fault-sweep", /*sidecar cap*/ 64);
-        ASSERT_EQ(sink.corruptLines(), 1u);
-        SweepRunner(spec).run(pureCellFn, &sink);
-    }
-    EXPECT_EQ(healBlockCount(sidecar), 1u);
-    {
-        std::ifstream is(sidecar);
-        std::string first;
-        std::getline(is, first);
-        EXPECT_EQ(first.rfind("#heal ", 0), 0u);
-        EXPECT_NE(first.find("lines=1"), std::string::npos);
-    }
-
-    EXPECT_THROW(JsonSweepSink(path, "fault-sweep", 0),
-                 std::invalid_argument);
-
-    std::remove(path.c_str());
-    std::remove(sidecar.c_str());
 }
 
 // --------------------------------------------------------------------

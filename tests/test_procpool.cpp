@@ -32,6 +32,7 @@
 
 #include "ansatz/ansatz.hpp"
 #include "common/frame.hpp"
+#include "store/sink.hpp"
 #include "vqa/fault.hpp"
 #include "vqa/procpool.hpp"
 #include "vqa/storefmt.hpp"
@@ -53,21 +54,19 @@ tempPath(const std::string &name)
 {
     const std::string path = ::testing::TempDir() + name;
     std::remove(path.c_str());
-    std::remove((path + ".corrupt").c_str());
     return path;
 }
 
-/** The store's cell lines (the checksummed per-cell objects) — the
- *  byte-identity comparisons exclude the summary block. */
+/** The store's cell lines (the checksummed per-cell objects), in
+ *  first-seen order. */
 std::vector<std::string>
 cellLines(const std::string &path)
 {
-    std::ifstream is(path);
     std::vector<std::string> lines;
-    std::string line;
-    while (std::getline(is, line))
-        if (line.find("\"key\"") != std::string::npos)
-            lines.push_back(line);
+    for (const storefmt::StoreCell &cell :
+         store::SweepStore(path, store::SweepStore::Mode::read_only)
+             .cells())
+        lines.push_back(cell.line);
     return lines;
 }
 
@@ -426,13 +425,13 @@ TEST(ProcPoolSweep, SpecValidationNamesTheField)
 
 TEST(ProcPoolSweep, ProcessRowsAndStoreMatchInProcess)
 {
-    const std::string in_path = tempPath("proc_equiv_in.json");
-    const std::string proc_path = tempPath("proc_equiv_proc.json");
+    const std::string in_path = tempPath("proc_equiv_in.store");
+    const std::string proc_path = tempPath("proc_equiv_proc.store");
 
     SweepSpec in_spec = procSweep({0.25, 1.0});
     in_spec.fault_policy = FaultPolicy::isolate;
     const SweepReport in_report = [&] {
-        JsonSweepSink sink(in_path, "proc-sweep");
+        store::BinarySweepSink sink(in_path, "proc-sweep");
         return SweepRunner(in_spec).run(pureCellFn, &sink);
     }();
     ASSERT_EQ(in_report.failed, 0u);
@@ -443,7 +442,7 @@ TEST(ProcPoolSweep, ProcessRowsAndStoreMatchInProcess)
     proc_spec.isolation = IsolationMode::process;
     proc_spec.process_workers = 1;
     const SweepReport proc_report = [&] {
-        JsonSweepSink sink(proc_path, "proc-sweep");
+        store::BinarySweepSink sink(proc_path, "proc-sweep");
         return SweepRunner(proc_spec).run(pureCellFn, &sink);
     }();
     ASSERT_EQ(proc_report.failed, 0u);
@@ -477,16 +476,16 @@ TEST(ProcPoolFlagship, CrashQuarantineHealCycle)
     const std::vector<double> couplings = {0.25, 0.5, 0.75, 1.0};
 
     // Reference: fault-free, in-process.
-    const std::string ref_path = tempPath("flagship_ref.json");
+    const std::string ref_path = tempPath("flagship_ref.store");
     SweepSpec ref_spec = procSweep(couplings);
     ref_spec.fault_policy = FaultPolicy::isolate;
     const SweepReport reference = [&] {
-        JsonSweepSink sink(ref_path, "proc-sweep");
+        store::BinarySweepSink sink(ref_path, "proc-sweep");
         return SweepRunner(ref_spec).run(pureCellFn, &sink);
     }();
     ASSERT_EQ(reference.failed, 0u);
 
-    const std::string path = tempPath("flagship.json");
+    const std::string path = tempPath("flagship.store");
     const std::string suplog = path + ".suplog";
     auto proc_spec = [&] {
         SweepSpec sweep = procSweep(couplings);
@@ -508,7 +507,7 @@ TEST(ProcPoolFlagship, CrashQuarantineHealCycle)
                      {{"cell.start", FaultKind::Abort, 1.0, 0, 1, 0.0},
                       {"engine.energy", FaultKind::Throw, 1.0, 1, 1,
                        0.0}});
-        JsonSweepSink sink(path, "proc-sweep");
+        store::BinarySweepSink sink(path, "proc-sweep");
         const SweepReport report =
             SweepRunner(proc_spec()).run(pureCellFn, &sink);
         injector.disarm();
@@ -547,7 +546,7 @@ TEST(ProcPoolFlagship, CrashQuarantineHealCycle)
         SweepSpec sweep = proc_spec();
         sweep.retry_failed = true;
         sweep.cell_hard_timeout_ms = 400.0;
-        JsonSweepSink sink(path, "proc-sweep");
+        store::BinarySweepSink sink(path, "proc-sweep");
         const SweepReport report =
             SweepRunner(sweep).run(pureCellFn, &sink);
         injector.disarm();
@@ -575,7 +574,7 @@ TEST(ProcPoolFlagship, CrashQuarantineHealCycle)
     {
         SweepSpec sweep = proc_spec();
         sweep.retry_failed = true;
-        JsonSweepSink sink(path, "proc-sweep");
+        store::BinarySweepSink sink(path, "proc-sweep");
         const SweepReport report =
             SweepRunner(sweep).run(pureCellFn, &sink);
         EXPECT_EQ(report.executed, 2u);
@@ -620,15 +619,28 @@ markerLine(const std::string &key, ErrorCategory category)
         key, "cell/" + key, quarantineRowFor(outcome)));
 }
 
+/** A fresh binary store at @p path holding @p lines. A line that does
+ *  not verify (a torn line) lands as a raw record after the others —
+ *  the damage a merge must skip and count. */
 void
 writeStore(const std::string &path, const std::string &name,
            const std::vector<std::string> &lines)
 {
-    std::ofstream os(path, std::ios::trunc);
-    os << "{\n\"sweep\": \"" << name << "\",\n\"cells\": [\n";
-    for (size_t i = 0; i < lines.size(); ++i)
-        os << lines[i] << (i + 1 < lines.size() ? "," : "") << "\n";
-    os << "]\n}\n";
+    std::remove(path.c_str());
+    std::string damaged;
+    {
+        store::SweepStore st(path, store::SweepStore::Mode::append, name);
+        for (const std::string &line : lines) {
+            std::string key, label;
+            SweepRow row;
+            if (storefmt::parseChecksummedLine(line, key, label, row))
+                st.appendLine(line);
+            else
+                damaged += store::detail::encodeRecord(
+                    store::detail::kRecordTypeCell, line);
+        }
+    }
+    std::ofstream(path, std::ios::binary | std::ios::app) << damaged;
 }
 
 std::string
@@ -643,12 +655,12 @@ fileBytes(const std::string &path)
 
 TEST(StoreMergeProps, OrderIndependentAndIdempotent)
 {
-    const std::string a = tempPath("merge_a.json");
-    const std::string b = tempPath("merge_b.json");
-    const std::string full = tempPath("merge_full.json");
-    const std::string out1 = tempPath("merge_out1.json");
-    const std::string out2 = tempPath("merge_out2.json");
-    const std::string out3 = tempPath("merge_out3.json");
+    const std::string a = tempPath("merge_a.store");
+    const std::string b = tempPath("merge_b.store");
+    const std::string full = tempPath("merge_full.store");
+    const std::string out1 = tempPath("merge_out1.store");
+    const std::string out2 = tempPath("merge_out2.store");
+    const std::string out3 = tempPath("merge_out3.store");
 
     const std::string l1 = healthyLine("0x01", 0.25, -1.5);
     const std::string l2 = healthyLine("0x02", 0.50, -2.5);
@@ -697,10 +709,10 @@ TEST(StoreMergeProps, OrderIndependentAndIdempotent)
 
 TEST(StoreMergeProps, MarkersPropagateUntilHealed)
 {
-    const std::string a = tempPath("merge_qa.json");
-    const std::string b = tempPath("merge_qb.json");
-    const std::string c = tempPath("merge_qc.json");
-    const std::string out = tempPath("merge_qout.json");
+    const std::string a = tempPath("merge_qa.store");
+    const std::string b = tempPath("merge_qb.store");
+    const std::string c = tempPath("merge_qc.store");
+    const std::string out = tempPath("merge_qout.store");
 
     // Machine A quarantined 0x01 and 0x02; machine B healed 0x01 and
     // also quarantined 0x02 (differently); machine C knows nothing.
@@ -730,7 +742,7 @@ TEST(StoreMergeProps, MarkersPropagateUntilHealed)
     }
 
     // A later heal pass merges cleanly over the markers.
-    const std::string heal = tempPath("merge_qheal.json");
+    const std::string heal = tempPath("merge_qheal.store");
     writeStore(heal, "merge-sweep", {healthyLine("0x02", 0.5, -2.5)});
     const StoreMergeReport healed = mergeSweepStores({out, heal}, out);
     EXPECT_EQ(healed.quarantined, 0u);
@@ -744,9 +756,9 @@ TEST(StoreMergeProps, MarkersPropagateUntilHealed)
 
 TEST(StoreMergeProps, ConflictingHealthyRowsFailLoudlyNamingTheKey)
 {
-    const std::string a = tempPath("merge_ca.json");
-    const std::string b = tempPath("merge_cb.json");
-    const std::string out = tempPath("merge_cout.json");
+    const std::string a = tempPath("merge_ca.store");
+    const std::string b = tempPath("merge_cb.store");
+    const std::string out = tempPath("merge_cout.store");
     writeStore(a, "merge-sweep", {healthyLine("0xbad", 0.25, -1.5)});
     writeStore(b, "merge-sweep", {healthyLine("0xbad", 0.25, -9.9)});
     try {
@@ -774,7 +786,7 @@ TEST(StoreMergeProps, ConflictingHealthyRowsFailLoudlyNamingTheKey)
     EXPECT_EQ(fileBytes(out).find("0xcc"), std::string::npos);
 
     EXPECT_THROW(mergeSweepStores({}, out), std::invalid_argument);
-    EXPECT_THROW(mergeSweepStores({tempPath("merge_missing.json")}, out),
+    EXPECT_THROW(mergeSweepStores({tempPath("merge_missing.store")}, out),
                  std::invalid_argument);
 
     for (const auto &p : {a, b, out})
@@ -783,8 +795,8 @@ TEST(StoreMergeProps, ConflictingHealthyRowsFailLoudlyNamingTheKey)
 
 TEST(StoreMergeProps, CliPrintsSummaryAndReturnsExitCode)
 {
-    const std::string a = tempPath("merge_cli_a.json");
-    const std::string out = tempPath("merge_cli_out.json");
+    const std::string a = tempPath("merge_cli_a.store");
+    const std::string out = tempPath("merge_cli_out.store");
     writeStore(a, "merge-sweep",
                {healthyLine("0x01", 0.25, -1.5),
                 markerLine("0x02", ErrorCategory::crash)});
@@ -806,9 +818,9 @@ TEST(StoreMergeProps, ReportsPerInputDamageCounts)
     // A farmed merge must name the machine that shipped damage, not
     // bury it in the aggregate: input a is clean, input b carries a
     // quarantine marker and a torn line.
-    const std::string a = tempPath("merge_pi_a.json");
-    const std::string b = tempPath("merge_pi_b.json");
-    const std::string out = tempPath("merge_pi_out.json");
+    const std::string a = tempPath("merge_pi_a.store");
+    const std::string b = tempPath("merge_pi_b.store");
+    const std::string out = tempPath("merge_pi_out.store");
     writeStore(a, "merge-sweep",
                {healthyLine("0x01", 0.25, -1.5),
                 healthyLine("0x02", 0.50, -2.5)});

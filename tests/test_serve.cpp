@@ -29,6 +29,7 @@
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/workloads.hpp"
+#include "store/sink.hpp"
 #include "vqa/fault.hpp"
 #include "vqa/storefmt.hpp"
 #include "vqa/sweep.hpp"
@@ -626,8 +627,8 @@ TEST(DaemonSweep, RunsAWholeSweepAndResumesFromTheStore)
 
     const serve::Workload wl = synthWorkload("default");
     const std::vector<SweepCell> cells = wl.spec.cells();
-    const std::string store = ::testing::TempDir() + "serve_sweep.json";
-    std::remove(store.c_str());
+    const std::string store_path = ::testing::TempDir() + "serve_sweep.store";
+    std::remove(store_path.c_str());
 
     serve::DaemonRunOptions options;
     options.workload = "synth";
@@ -636,7 +637,7 @@ TEST(DaemonSweep, RunsAWholeSweepAndResumesFromTheStore)
     {
         serve::DaemonClient client =
             serve::DaemonClient::connectUnix(config.socket_path);
-        JsonSweepSink sink(store, "synth");
+        store::BinarySweepSink sink(store_path, "synth");
         const SweepReport report =
             serve::runSweepViaDaemon(client, cells, options, &sink);
         EXPECT_EQ(report.cells, 3u);
@@ -649,7 +650,7 @@ TEST(DaemonSweep, RunsAWholeSweepAndResumesFromTheStore)
     // Stored rows equal local in-process rows (sink-level determinism:
     // the store holds the daemon's verified lines).
     {
-        JsonSweepSink sink(store, "synth");
+        store::BinarySweepSink sink(store_path, "synth");
         EXPECT_EQ(sink.loadedCells(), 3u);
         for (const SweepCell &cell : cells) {
             ASSERT_TRUE(sink.contains(cell));
@@ -664,7 +665,7 @@ TEST(DaemonSweep, RunsAWholeSweepAndResumesFromTheStore)
     {
         serve::DaemonClient client =
             serve::DaemonClient::connectUnix(config.socket_path);
-        JsonSweepSink sink(store, "synth");
+        store::BinarySweepSink sink(store_path, "synth");
         const SweepReport report =
             serve::runSweepViaDaemon(client, cells, options, &sink);
         EXPECT_EQ(report.executed, 0u);
@@ -689,6 +690,5 @@ TEST(DaemonSweep, RunsAWholeSweepAndResumesFromTheStore)
                   ErrorCategory::invalid_argument);
     }
 
-    std::remove(store.c_str());
-    std::remove((store + ".corrupt").c_str());
+    std::remove(store_path.c_str());
 }

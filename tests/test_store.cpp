@@ -3,11 +3,12 @@
  * The binary sweep store engine (store/sweep_store.hpp) and its sink
  * (store/sink.hpp): append/read-back and group commit, the index
  * fast path vs the full-scan fallback (stale index, torn tail,
- * mid-file rot), online compaction and its crash window, the v1 -> v2
- * migration contract, byte-identity of a binary run's exported lines
- * against a JsonSweepSink run, the resume / quarantine / retry_failed
- * contracts through BinarySweepSink, and the JSON <-> binary
- * conversion round trip against the checked-in fixture.
+ * mid-file rot with and without a clean close), online compaction and
+ * its crash window, the typed rejection of other on-disk versions,
+ * empty-file recovery, byte-identity of a sink run's exported lines
+ * against its report rows, the resume / quarantine / retry_failed
+ * contracts through BinarySweepSink, the JSON <-> binary conversion
+ * round trip against the checked-in fixture, and binary-only merge.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -86,6 +88,29 @@ appendBytes(const std::string &path, const std::string &bytes)
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/** The u32 on-disk version field of the store header at @p path. */
+uint32_t
+headerVersion(const std::string &path)
+{
+    const std::string bytes = readFile(path);
+    uint32_t v = 0;
+    for (int i = 0; i < 4; ++i)
+        v |= static_cast<uint32_t>(static_cast<unsigned char>(bytes[8 + i]))
+             << (8 * i);
+    return v;
+}
+
+/** The cell lines of a binary store, in first-seen order. */
+std::vector<std::string>
+storeLines(const std::string &path)
+{
+    std::vector<std::string> lines;
+    for (const storefmt::StoreCell &cell :
+         SweepStore(path, SweepStore::Mode::read_only).cells())
+        lines.push_back(cell.line);
+    return lines;
+}
+
 /** The cell lines of a JSON store file, in order (summary skipped). */
 std::vector<std::string>
 jsonStoreLines(const std::string &path)
@@ -139,7 +164,7 @@ TEST(BinaryStore, FreshStoreAppendsAndReadsBack)
     const std::string path = tempPath("store_fresh.bin");
     SweepStore st(path, SweepStore::Mode::append, "fresh-sweep");
     EXPECT_EQ(st.sweepName(), "fresh-sweep");
-    EXPECT_EQ(st.version(), SweepStore::kVersion);
+    EXPECT_EQ(headerVersion(path), SweepStore::kVersion);
     EXPECT_EQ(st.cellCount(), 0u);
 
     const std::string a = cellLine(0x11, "a", 1.5);
@@ -345,12 +370,50 @@ TEST(BinaryStore, MidFileRotResyncsOnTheRecordMagic)
     bytes[cell1_payload + 5] ^= 0x01;
     writeFile(path, bytes);
 
-    SweepStore ro(path, SweepStore::Mode::read_only);
-    EXPECT_GE(ro.stats().corrupt_records, 1u);
-    EXPECT_FALSE(ro.containsKey(storefmt::hex64(0x11)));
-    EXPECT_TRUE(ro.containsKey(storefmt::hex64(0x22)));
-    EXPECT_TRUE(ro.containsKey(storefmt::hex64(0x33)));
+    {
+        SweepStore ro(path, SweepStore::Mode::read_only);
+        EXPECT_GE(ro.stats().corrupt_records, 1u);
+        EXPECT_FALSE(ro.containsKey(storefmt::hex64(0x11)));
+        EXPECT_TRUE(ro.containsKey(storefmt::hex64(0x22)));
+        EXPECT_TRUE(ro.containsKey(storefmt::hex64(0x33)));
+    }
+
+    // The same rot behind a clean close: the index segment is valid
+    // and points straight at the rotted record. The open must check
+    // the record's crc, fall back to the full scan and count it —
+    // never serve it.
+    const std::string clean = tempPath("store_rot_clean.bin");
+    {
+        SweepStore st(clean, SweepStore::Mode::append, name);
+        st.appendLine(cellLine(0x11, "a", 1.0));
+        st.appendLine(cellLine(0x22, "b", 2.0));
+    }
+    bytes = readFile(clean);
+    bytes[cell1_payload + 5] ^= 0x01;
+    writeFile(clean, bytes);
+    {
+        SweepStore ro(clean, SweepStore::Mode::read_only);
+        EXPECT_EQ(ro.stats().index_loads, 0u);
+        EXPECT_EQ(ro.stats().index_rebuilds, 1u);
+        EXPECT_EQ(ro.stats().corrupt_records, 1u);
+        EXPECT_EQ(ro.sweepName(), name);
+        EXPECT_FALSE(ro.containsKey(storefmt::hex64(0x11)));
+        EXPECT_EQ(ro.lineFor(storefmt::hex64(0x22)),
+                  cellLine(0x22, "b", 2.0));
+    }
+    // An append open re-stores the lost cell and the next open is back
+    // on the fast path.
+    {
+        SweepStore st(clean, SweepStore::Mode::append);
+        st.appendLine(cellLine(0x11, "a", 1.0));
+    }
+    SweepStore again(clean, SweepStore::Mode::read_only);
+    EXPECT_EQ(again.stats().index_loads, 1u);
+    EXPECT_EQ(again.cellCount(), 2u);
+    EXPECT_EQ(again.lineFor(storefmt::hex64(0x11)),
+              cellLine(0x11, "a", 1.0));
     std::remove(path.c_str());
+    std::remove(clean.c_str());
 }
 
 // --------------------------------------------------------------------
@@ -546,88 +609,83 @@ TEST(BinaryStore, CompactionCrashWindowLeavesTheOldSegmentIntact)
 }
 
 // --------------------------------------------------------------------
-// Versioned header and migration
+// Versioned header, empty-file recovery
 // --------------------------------------------------------------------
 
-TEST(BinaryStore, V1StoresRequireAnExplicitUpgrade)
+TEST(BinaryStore, OtherVersionsAreRejectedInBothOpenModes)
 {
-    const std::string path = tempPath("store_v1.bin");
-    const std::vector<std::string> lines = {
-        cellLine(0x11, "a", 1.0), markerLine(0x22, "b")};
-    store::detail::writeV1Store(path, "legacy", lines);
-    EXPECT_EQ(store::binaryStoreVersion(path), 1u);
-
-    // Appending to the old format is refused with a message that
-    // names the path, both versions and the way out.
-    try {
-        SweepStore st(path, SweepStore::Mode::append);
-        FAIL() << "expected StoreVersionError";
-    } catch (const store::StoreVersionError &e) {
-        EXPECT_EQ(e.foundVersion(), 1u);
-        const std::string what = e.what();
-        EXPECT_NE(what.find(path), std::string::npos);
-        EXPECT_NE(what.find("version 1"), std::string::npos);
-        EXPECT_NE(what.find("upgradeStore"), std::string::npos);
-    }
-
-    // Read-only still works across versions (export needs this).
+    const std::string path = tempPath("store_version.bin");
     {
-        SweepStore ro(path, SweepStore::Mode::read_only);
-        EXPECT_EQ(ro.version(), 1u);
-        EXPECT_EQ(ro.sweepName(), "legacy");
-        EXPECT_EQ(ro.cellCount(), 2u);
-        EXPECT_TRUE(ro.markerFor(storefmt::hex64(0x22)));
+        SweepStore st(path, SweepStore::Mode::append, "versioned");
+        st.appendLine(cellLine(0x11, "a", 1.0));
     }
+    ASSERT_EQ(headerVersion(path), SweepStore::kVersion);
+    const std::string current = readFile(path);
 
-    const store::UpgradeReport up = store::upgradeStore(path);
-    EXPECT_TRUE(up.upgraded);
-    EXPECT_EQ(up.from_version, 1u);
-    EXPECT_EQ(up.to_version, SweepStore::kVersion);
-    EXPECT_EQ(up.cells, 2u);
-    EXPECT_EQ(store::binaryStoreVersion(path), SweepStore::kVersion);
-
-    // The upgraded store resumes: same lines, appendable again.
-    {
-        SweepStore st(path, SweepStore::Mode::append);
-        EXPECT_EQ(st.sweepName(), "legacy");
-        EXPECT_EQ(st.cellCount(), 2u);
-        EXPECT_EQ(st.lineFor(storefmt::hex64(0x11)),
-                  cellLine(0x11, "a", 1.0));
-        st.appendLine(cellLine(0x33, "c", 3.0));
-        EXPECT_EQ(st.cellCount(), 3u);
+    // Any other value in the header's version field — an older format,
+    // a newer one, garbage — is a typed rejection naming the path and
+    // both versions, whether the open would write or only read, and
+    // the file is left as it was.
+    for (const uint32_t version :
+         {0u, 1u, SweepStore::kVersion + 1, 0xffffffffu}) {
+        std::string bytes = current;
+        for (int i = 0; i < 4; ++i)
+            bytes[8 + i] = static_cast<char>((version >> (8 * i)) & 0xffu);
+        writeFile(path, bytes);
+        for (const SweepStore::Mode mode :
+             {SweepStore::Mode::read_only, SweepStore::Mode::append}) {
+            try {
+                SweepStore st(path, mode);
+                FAIL() << "expected StoreVersionError for version "
+                       << version;
+            } catch (const store::StoreVersionError &e) {
+                EXPECT_EQ(e.foundVersion(), version);
+                const std::string what = e.what();
+                EXPECT_NE(what.find(path), std::string::npos);
+                EXPECT_NE(what.find("version " + std::to_string(version)),
+                          std::string::npos);
+                EXPECT_NE(what.find("version " +
+                                    std::to_string(SweepStore::kVersion)),
+                          std::string::npos);
+                EXPECT_EQ(what.find("upgrade"), std::string::npos);
+            }
+            EXPECT_EQ(readFile(path), bytes);
+        }
     }
-
-    const store::UpgradeReport again = store::upgradeStore(path);
-    EXPECT_FALSE(again.upgraded);
-    EXPECT_EQ(again.to_version, SweepStore::kVersion);
-    EXPECT_EQ(again.cells, 3u);
     std::remove(path.c_str());
 }
 
-TEST(BinaryStore, V1CorruptNameRecordDoesNotEatTheFirstCell)
+TEST(BinaryStore, ZeroLengthFileOpensFreshForAppendOnly)
 {
-    const std::string path = tempPath("store_v1_rotname.bin");
-    const std::vector<std::string> lines = {cellLine(0x11, "a", 1.0),
-                                            cellLine(0x22, "b", 2.0)};
-    store::detail::writeV1Store(path, "legacyname", lines);
+    // A crash between open(O_CREAT) and the first fsync leaves an
+    // empty file. An append open starts it over as a fresh store
+    // instead of failing on every later run; a read-only open still
+    // refuses it.
+    const std::string path = tempPath("store_empty.bin");
+    writeFile(path, "");
+    EXPECT_THROW(SweepStore(path, SweepStore::Mode::read_only),
+                 std::runtime_error);
+    {
+        SweepStore st(path, SweepStore::Mode::append, "reborn");
+        EXPECT_EQ(st.cellCount(), 0u);
+        st.appendLine(cellLine(0x11, "a", 1.0));
+    }
+    {
+        SweepStore ro(path, SweepStore::Mode::read_only);
+        EXPECT_EQ(ro.sweepName(), "reborn");
+        EXPECT_EQ(ro.cellCount(), 1u);
+    }
 
-    // Rot the name record's payload (v1 header is 32 bytes, the v1
-    // record head is magic+len = 8). v1 infers record type
-    // positionally — first record is the name — so a resync past the
-    // rotted name must NOT consume the first surviving cell as the
-    // sweep name and drop it from the index.
-    std::string bytes = readFile(path);
-    bytes[32 + 8] = static_cast<char>(bytes[32 + 8] ^ 0x40);
-    writeFile(path, bytes);
-
-    SweepStore ro(path, SweepStore::Mode::read_only);
-    EXPECT_EQ(ro.sweepName(), "sweep"); // name lost -> default
-    EXPECT_EQ(ro.cellCount(), 2u);
-    EXPECT_EQ(ro.lineFor(storefmt::hex64(0x11)),
-              cellLine(0x11, "a", 1.0));
-    EXPECT_EQ(ro.lineFor(storefmt::hex64(0x22)),
-              cellLine(0x22, "b", 2.0));
-    EXPECT_EQ(ro.stats().corrupt_records, 1u);
+    // Through the sink factory every driver uses, the sweep runs.
+    writeFile(path, "");
+    {
+        auto sink = store::makeSweepSink(path, "test-sweep");
+        const SweepReport report =
+            SweepRunner(smallSweep()).run(pointCellFn, sink.get());
+        EXPECT_EQ(report.executed, 1u);
+    }
+    EXPECT_EQ(SweepStore(path, SweepStore::Mode::read_only).cellCount(),
+              1u);
     std::remove(path.c_str());
 }
 
@@ -635,51 +693,55 @@ TEST(BinaryStore, V1CorruptNameRecordDoesNotEatTheFirstCell)
 // BinarySweepSink: the sink contract over the engine
 // --------------------------------------------------------------------
 
-TEST(BinaryStoreSink, ExportedRunMatchesTheJsonSinkByteForByte)
+TEST(BinaryStoreSink, ExportedRunEqualsTheReportRowsLines)
 {
-    const std::string json_path = tempPath("sink_parity.json");
-    const std::string bin_path = tempPath("sink_parity.bin");
-    const std::string export_path = tempPath("sink_parity_export.json");
+    // A sink run stores exactly the checksummed line of each report
+    // row, in cell order, and `vqastore export` hands those bytes out
+    // verbatim — doubles in round-trip form included.
+    const std::string bin_path = tempPath("sink_export.store");
+    const std::string export_path = tempPath("sink_export.json");
 
-    SweepRow crafted;
-    crafted.set("family", "ising");
-    crafted.set("qubits", 4);
-    crafted.set("tiny", 1.0e-17);
-    crafted.set("third", 1.0 / 3.0);
-    crafted.set("huge", -3.5e300);
-    crafted.set("whole", 16.0);
-    crafted.set("ok", true);
-    const auto craftedFn = [&crafted](const SweepCell &,
-                                      ExperimentSession &) {
-        return crafted;
+    SweepSpec spec = smallSweep();
+    spec.sizes = {4, 5};
+    spec.couplings = {0.5, 1.0};
+    const auto craftedFn = [](const SweepCell &cell,
+                              ExperimentSession &session) {
+        SweepRow row = pointCellFn(cell, session);
+        row.set("tiny", 1.0e-17);
+        row.set("third", 1.0 / 3.0);
+        row.set("huge", -3.5e300);
+        row.set("whole", 16.0);
+        row.set("ok", true);
+        return row;
     };
 
-    {
-        JsonSweepSink sink(json_path, "test-sweep");
-        SweepRunner(smallSweep()).run(craftedFn, &sink);
-    }
+    SweepRunner runner(spec);
+    SweepReport report;
     {
         store::BinarySweepSink sink(bin_path, "test-sweep");
-        SweepRunner(smallSweep()).run(craftedFn, &sink);
+        report = runner.run(craftedFn, &sink);
     }
     store::exportStoreToJson(bin_path, export_path);
 
-    const auto json_lines = jsonStoreLines(json_path);
-    const auto exported_lines = jsonStoreLines(export_path);
-    ASSERT_EQ(json_lines.size(), 1u);
-    ASSERT_EQ(exported_lines.size(), 1u);
-    EXPECT_EQ(json_lines[0], exported_lines[0]);
+    const std::vector<SweepCell> &cells = runner.cells();
+    ASSERT_EQ(report.rows.size(), 4u);
+    std::vector<std::string> expected;
+    for (size_t i = 0; i < cells.size(); ++i)
+        expected.push_back(
+            storefmt::checksummedCellLine(storefmt::serializeCellPayload(
+                cells[i].keyString(), cells[i].label, report.rows[i])));
+    EXPECT_EQ(jsonStoreLines(export_path), expected);
     EXPECT_EQ(storefmt::readStoreCells(export_path).sweep_name,
               "test-sweep");
 
-    // And the binary sink reloads the row bit-identically.
+    // And the binary sink reloads every row bit-identically.
     store::BinarySweepSink reloaded(bin_path, "test-sweep");
-    EXPECT_EQ(reloaded.loadedCells(), 1u);
-    SweepRunner runner(smallSweep());
-    ASSERT_TRUE(reloaded.contains(runner.cells()[0]));
-    EXPECT_TRUE(reloaded.storedRow(runner.cells()[0]) == crafted);
+    EXPECT_EQ(reloaded.loadedCells(), 4u);
+    for (size_t i = 0; i < cells.size(); ++i) {
+        ASSERT_TRUE(reloaded.contains(cells[i]));
+        EXPECT_TRUE(reloaded.storedRow(cells[i]) == report.rows[i]);
+    }
 
-    std::remove(json_path.c_str());
     std::remove(bin_path.c_str());
     std::remove(export_path.c_str());
 }
@@ -697,7 +759,7 @@ TEST(BinaryStoreSink, ResumeExecutesOnlyMissingCells)
                     .run(pointCellFn, sink.get());
         EXPECT_EQ(first.executed, 1u);
     }
-    EXPECT_TRUE(store::isBinaryStorePath(path));
+    EXPECT_EQ(headerVersion(path), SweepStore::kVersion);
 
     SweepSpec full = smallSweep();
     full.sizes = {4, 5};
@@ -792,42 +854,45 @@ TEST(BinaryStoreSink, ReservedFieldNamesAreRejected)
     std::remove(path.c_str());
 }
 
-TEST(BinaryStoreSink, MakeSweepSinkHonorsMagicThenExtension)
+TEST(BinaryStoreSink, MakeSweepSinkRejectsJsonStoresNamingImport)
 {
-    // Fresh ".json" -> the human-readable sink.
-    const std::string json_path = tempPath("pick_fresh.json");
+    // Every sink is a binary store, whatever the path is called.
+    const std::string fresh = tempPath("pick_fresh.json");
     {
-        auto sink = store::makeSweepSink(json_path, "test-sweep");
+        auto sink = store::makeSweepSink(fresh, "test-sweep");
         SweepRunner(smallSweep()).run(pointCellFn, sink.get());
     }
-    EXPECT_FALSE(store::isBinaryStorePath(json_path));
-    EXPECT_EQ(readFile(json_path)[0], '{');
+    EXPECT_EQ(headerVersion(fresh), SweepStore::kVersion);
+    EXPECT_EQ(SweepStore(fresh, SweepStore::Mode::read_only).cellCount(),
+              1u);
 
-    // Fresh anything-else -> the binary store.
-    const std::string bin_path = tempPath("pick_fresh.store");
-    {
-        auto sink = store::makeSweepSink(bin_path, "test-sweep");
-        SweepRunner(smallSweep()).run(pointCellFn, sink.get());
+    // An existing JSON store is neither resumed from nor overwritten:
+    // the open fails with an error naming the path and the conversion.
+    const std::string json = tempPath("pick_json.json");
+    storefmt::writeJsonStore(json, "test-sweep",
+                             {cellLine(0x11, "a", 1.0)});
+    const std::string before = readFile(json);
+    try {
+        store::makeSweepSink(json, "test-sweep");
+        FAIL() << "expected the JSON store to be rejected";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(json), std::string::npos);
+        EXPECT_NE(what.find("vqastore import"), std::string::npos);
     }
-    EXPECT_TRUE(store::isBinaryStorePath(bin_path));
+    EXPECT_EQ(readFile(json), before);
 
-    // An existing file keeps its format regardless of its name: a
-    // binary store behind a ".json" path stays binary on resume.
-    const std::string disguised = tempPath("pick_disguised.json");
+    // The import is the way in: its result resumes like any store.
+    const std::string imported = tempPath("pick_imported.store");
+    store::importJsonToStore(json, imported);
     {
-        SweepStore st(disguised, SweepStore::Mode::append, "test-sweep");
-        st.appendLine(cellLine(0x11, "a", 1.0));
+        store::BinarySweepSink sink(imported, "test-sweep");
+        EXPECT_EQ(sink.loadedCells(), 1u);
     }
-    {
-        auto sink = store::makeSweepSink(disguised, "test-sweep");
-        EXPECT_NE(dynamic_cast<store::BinarySweepSink *>(sink.get()),
-                  nullptr);
-    }
-    EXPECT_TRUE(store::isBinaryStorePath(disguised));
 
-    std::remove(json_path.c_str());
-    std::remove(bin_path.c_str());
-    std::remove(disguised.c_str());
+    std::remove(fresh.c_str());
+    std::remove(json.c_str());
+    std::remove(imported.c_str());
 }
 
 // --------------------------------------------------------------------
@@ -840,17 +905,17 @@ TEST(StoreFaultMatrix, SinkWriteCrashesStayResumableAtTheEnvSeed)
     // at the binary sink's "sink.write" window lose at most the
     // in-flight row — every committed record survives, each rerun
     // resumes from the survivors, and the healed store's cells equal
-    // the fault-free JSON reference byte for byte.
+    // the fault-free reference store's byte for byte.
     InjectorGuard guard;
     const std::string path = tempPath("store_fault_matrix.bin");
-    const std::string ref_path = tempPath("store_fault_matrix_ref.json");
+    const std::string ref_path = tempPath("store_fault_matrix_ref.bin");
 
     SweepSpec ref_spec = smallSweep();
     ref_spec.couplings = {0.25, 0.5, 0.75, 1.0};
     ref_spec.cell_workers = 1;
     SweepReport reference;
     {
-        JsonSweepSink ref_sink(ref_path, "test-sweep");
+        store::BinarySweepSink ref_sink(ref_path, "test-sweep");
         reference = SweepRunner(ref_spec).run(pointCellFn, &ref_sink);
     }
 
@@ -885,13 +950,10 @@ TEST(StoreFaultMatrix, SinkWriteCrashesStayResumableAtTheEnvSeed)
         EXPECT_TRUE(healed.rows[i] == reference.rows[i]);
 
     // Byte identity against the reference store. Which writes crashed
-    // varies by seed, so the binary store's first-seen order may
+    // varies by seed, so the healed store's first-seen order may
     // differ from the serial order — compare as sorted line sets.
-    std::vector<std::string> ref_lines = jsonStoreLines(ref_path);
-    std::vector<std::string> bin_lines;
-    for (const storefmt::StoreCell &cell :
-         SweepStore(path, SweepStore::Mode::read_only).cells())
-        bin_lines.push_back(cell.line);
+    std::vector<std::string> ref_lines = storeLines(ref_path);
+    std::vector<std::string> bin_lines = storeLines(path);
     std::sort(ref_lines.begin(), ref_lines.end());
     std::sort(bin_lines.begin(), bin_lines.end());
     EXPECT_EQ(bin_lines, ref_lines);
@@ -942,26 +1004,30 @@ TEST(StoreConvert, FixtureRoundTripsByteIdentically)
     std::remove(back_path.c_str());
 }
 
-TEST(StoreConvert, MergeGoesBinaryWhenAnyInputIsBinary)
+TEST(StoreConvert, MergeWritesBinaryAndRejectsJsonInputs)
 {
     const std::string json_in = tempPath("merge_in.json");
-    const std::string bin_in = tempPath("merge_in.bin");
+    const std::string bin_a = tempPath("merge_in_a.store");
+    const std::string bin_b = tempPath("merge_in_b.store");
     const std::string out_a = tempPath("merge_out_a.store");
     const std::string out_b = tempPath("merge_out_b.store");
-    const std::string out_json = tempPath("merge_out.json");
 
     storefmt::writeJsonStore(json_in, "merged",
-                             {cellLine(0x11, "a", 1.0)}, nullptr,
-                             nullptr);
+                             {cellLine(0x11, "a", 1.0)});
     {
-        SweepStore st(bin_in, SweepStore::Mode::append, "merged");
+        SweepStore st(bin_a, SweepStore::Mode::append, "merged");
+        st.appendLine(cellLine(0x11, "a", 1.0));
+    }
+    {
+        SweepStore st(bin_b, SweepStore::Mode::append, "merged");
         st.appendLine(cellLine(0x22, "b", 2.0));
     }
 
-    mergeSweepStores({json_in, bin_in}, out_a);
-    EXPECT_TRUE(store::isBinaryStorePath(out_a));
+    mergeSweepStores({bin_a, bin_b}, out_a);
+    EXPECT_EQ(headerVersion(out_a), SweepStore::kVersion);
     {
         SweepStore ro(out_a, SweepStore::Mode::read_only);
+        EXPECT_EQ(ro.sweepName(), "merged");
         EXPECT_EQ(ro.cellCount(), 2u);
         EXPECT_EQ(ro.lineFor(storefmt::hex64(0x11)),
                   cellLine(0x11, "a", 1.0));
@@ -971,19 +1037,26 @@ TEST(StoreConvert, MergeGoesBinaryWhenAnyInputIsBinary)
 
     // Deterministic: the same merge lands the same bytes, and merging
     // a merge output back in changes nothing.
-    mergeSweepStores({bin_in, json_in}, out_b);
+    mergeSweepStores({bin_b, bin_a}, out_b);
     EXPECT_EQ(readFile(out_a), readFile(out_b));
-    mergeSweepStores({out_a, json_in, bin_in}, out_b);
+    mergeSweepStores({out_a, bin_a, bin_b}, out_b);
     EXPECT_EQ(readFile(out_a), readFile(out_b));
 
-    // JSON-only inputs keep the human-readable format.
-    mergeSweepStores({json_in}, out_json);
-    EXPECT_FALSE(store::isBinaryStorePath(out_json));
-    EXPECT_EQ(jsonStoreLines(out_json).size(), 1u);
-
-    std::remove(json_in.c_str());
-    std::remove(bin_in.c_str());
-    std::remove(out_a.c_str());
+    // A JSON input is rejected naming the conversion, and nothing is
+    // written.
     std::remove(out_b.c_str());
-    std::remove(out_json.c_str());
+    try {
+        mergeSweepStores({bin_a, json_in}, out_b);
+        FAIL() << "expected the JSON input to be rejected";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("vqastore import"),
+                  std::string::npos);
+    }
+    EXPECT_FALSE(std::ifstream(out_b).good());
+    std::ostringstream cli;
+    EXPECT_EQ(runStoreMergeCli({json_in}, out_b, cli), 1);
+    EXPECT_NE(cli.str().find("vqastore import"), std::string::npos);
+
+    for (const auto &p : {json_in, bin_a, bin_b, out_a, out_b})
+        std::remove(p.c_str());
 }

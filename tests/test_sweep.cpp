@@ -4,15 +4,17 @@
  * offending field (including the max_cells guard), grid expansion
  * order and content keys, async-cell determinism against the serial
  * cell order at several OpenMP thread counts, cross-cell cache reuse
- * with pinned hit counters, the JSON cell store's bit-identical
+ * with pinned hit counters, the cell store's bit-identical
  * round-trip, and the resume contract (rerunning against a partial
- * store re-executes only the missing cells).
+ * store re-executes only the missing cells and appends nothing for
+ * the cells it carries).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #ifdef _OPENMP
@@ -23,6 +25,7 @@
 #include "ham/heisenberg.hpp"
 #include "ham/ising.hpp"
 #include "noise/noise_model.hpp"
+#include "store/sink.hpp"
 #include "vqa/sweep.hpp"
 
 using namespace eftvqa;
@@ -399,12 +402,12 @@ TEST(SweepRunner, ExternalCacheRequiresShareCache)
 }
 
 // --------------------------------------------------------------------
-// JsonSweepSink: round trip and resume
+// The cell store sink: round trip and resume
 // --------------------------------------------------------------------
 
 TEST(SweepSink, JsonStoreRoundTripsRowsBitIdentically)
 {
-    const std::string path = tempPath("sweep_roundtrip.json");
+    const std::string path = tempPath("sweep_roundtrip.store");
     SweepRunner runner(smallSweep());
 
     SweepRow crafted;
@@ -417,7 +420,7 @@ TEST(SweepSink, JsonStoreRoundTripsRowsBitIdentically)
     crafted.set("ok", true);
 
     {
-        JsonSweepSink sink(path, "test-sweep");
+        store::BinarySweepSink sink(path, "test-sweep");
         EXPECT_EQ(sink.loadedCells(), 0u);
         const SweepReport report = runner.run(
             [&crafted](const SweepCell &, ExperimentSession &) {
@@ -427,7 +430,7 @@ TEST(SweepSink, JsonStoreRoundTripsRowsBitIdentically)
         EXPECT_EQ(report.executed, 1u);
     }
 
-    JsonSweepSink reloaded(path, "test-sweep");
+    store::BinarySweepSink reloaded(path, "test-sweep");
     EXPECT_EQ(reloaded.loadedCells(), 1u);
     ASSERT_TRUE(reloaded.contains(runner.cells()[0]));
     const SweepRow stored = reloaded.storedRow(runner.cells()[0]);
@@ -437,14 +440,14 @@ TEST(SweepSink, JsonStoreRoundTripsRowsBitIdentically)
 
 TEST(SweepSink, ResumeExecutesOnlyMissingCells)
 {
-    const std::string path = tempPath("sweep_resume.json");
+    const std::string path = tempPath("sweep_resume.store");
 
     // Pass 1: the n=4 subset fills the store with one cell.
     SweepSpec subset = smallSweep();
     subset.cell_workers = 1;
     SweepReport first;
     {
-        JsonSweepSink sink(path, "test-sweep");
+        store::BinarySweepSink sink(path, "test-sweep");
         first = SweepRunner(std::move(subset)).run(energiesCellFn, &sink);
         EXPECT_EQ(first.executed, 1u);
         EXPECT_EQ(first.skipped, 0u);
@@ -458,7 +461,7 @@ TEST(SweepSink, ResumeExecutesOnlyMissingCells)
     full.cell_workers = 1;
     SweepReport second;
     {
-        JsonSweepSink sink(path, "test-sweep");
+        store::BinarySweepSink sink(path, "test-sweep");
         EXPECT_EQ(sink.loadedCells(), 1u);
         second = SweepRunner(std::move(full)).run(energiesCellFn, &sink);
         EXPECT_EQ(second.executed, 1u);
@@ -467,12 +470,14 @@ TEST(SweepSink, ResumeExecutesOnlyMissingCells)
         EXPECT_TRUE(second.rows[0] == first.rows[0]);
     }
 
-    // Pass 3: rerunning the full grid is a no-op — every cell carried.
+    // Pass 3: rerunning the full grid is a no-op — every cell carried,
+    // nothing appended, and the store file does not grow.
     SweepSpec again = smallSweep();
     again.sizes = {4, 5};
     again.cell_workers = 1;
+    const auto size_before = std::filesystem::file_size(path);
     {
-        JsonSweepSink sink(path, "test-sweep");
+        store::BinarySweepSink sink(path, "test-sweep");
         EXPECT_EQ(sink.loadedCells(), 2u);
         const SweepReport third =
             SweepRunner(std::move(again)).run(energiesCellFn, &sink);
@@ -480,15 +485,17 @@ TEST(SweepSink, ResumeExecutesOnlyMissingCells)
         EXPECT_EQ(third.skipped, 2u);
         for (size_t i = 0; i < 2; ++i)
             EXPECT_TRUE(third.rows[i] == second.rows[i]);
+        EXPECT_EQ(sink.underlyingStore().stats().appends, 0u);
     }
+    EXPECT_EQ(std::filesystem::file_size(path), size_before);
     std::remove(path.c_str());
 }
 
 TEST(SweepSink, ReservedFieldNamesAreRejected)
 {
-    const std::string path = tempPath("sweep_reserved.json");
+    const std::string path = tempPath("sweep_reserved.store");
     SweepRunner runner(smallSweep());
-    JsonSweepSink sink(path, "test-sweep");
+    store::BinarySweepSink sink(path, "test-sweep");
     EXPECT_THROW(runner.run(
                      [](const SweepCell &, ExperimentSession &) {
                          SweepRow row;

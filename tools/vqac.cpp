@@ -6,7 +6,7 @@
  *   vqac <socket> stats
  *   vqac <socket> list
  *   vqac <socket> run <workload> [--mode smoke|default|full]
- *                 [--cells <store.json>] [--isolate] [--inflight <n>]
+ *                 [--cells <store>] [--isolate] [--inflight <n>]
  *
  * `run` builds the named workload locally (the same builder the daemon
  * uses) to enumerate its cells, then streams them through the daemon
@@ -37,7 +37,7 @@ usage(const char *argv0)
         << "       " << argv0 << " <socket> list\n"
         << "       " << argv0
         << " <socket> run <workload> [--mode smoke|default|full]\n"
-           "            [--cells <store.json>] [--isolate] "
+           "            [--cells <store>] [--isolate] "
            "[--inflight <n>]\n";
     return 2;
 }
@@ -82,9 +82,6 @@ runCommand(eftvqa::serve::DaemonClient &client, int argc, char **argv)
 
     std::unique_ptr<SweepSink> sink;
     if (!cells_path.empty())
-        // Format auto-detection: existing files keep their format, a
-        // fresh ".json" path gets the JSON sink, anything else the
-        // binary SweepStore.
         sink = store::makeSweepSink(cells_path, wl.spec.name);
 
     const SweepReport report =

@@ -6,17 +6,15 @@
  *                                              identical cell lines)
  *   vqastore import <store.json> <store.bin>   JSON -> binary (merge
  *                                              by key if it exists)
- *   vqastore upgrade <store.bin>               migrate to the current
- *                                              on-disk version
- *   vqastore info <store>                      format, version, cells
+ *   vqastore info <store.bin>                  version, cells, damage
  *   vqastore compact <store.bin>               drop superseded markers
  *                                              and duplicate keys
- *   vqastore merge <out> <in>...               mergeSweepStores (any
- *                                              mix of formats)
+ *   vqastore merge <out> <in>...               mergeSweepStores over
+ *                                              binary stores
  *
- * The drivers' `--store export/import` language in the ISSUE maps
- * here: one tool owns every offline store operation, the drivers own
- * only running sweeps against a store.
+ * JSON lives only here, as the export/import form of a store: one
+ * tool owns every offline store operation, the drivers own only
+ * running sweeps against a store.
  */
 
 #include <iostream>
@@ -34,8 +32,7 @@ usage()
     std::cerr
         << "usage: vqastore export <store.bin> <store.json>\n"
            "       vqastore import <store.json> <store.bin>\n"
-           "       vqastore upgrade <store.bin>\n"
-           "       vqastore info <store>\n"
+           "       vqastore info <store.bin>\n"
            "       vqastore compact <store.bin>\n"
            "       vqastore merge <out> <in>...\n";
     return 2;
@@ -70,45 +67,17 @@ main(int argc, char **argv)
                       << argv[3] << std::endl;
             return 0;
         }
-        if (command == "upgrade" && argc == 3) {
-            const store::UpgradeReport report =
-                store::upgradeStore(argv[2]);
-            if (report.upgraded)
-                std::cout << "vqastore: upgraded " << argv[2]
-                          << " from v" << report.from_version
-                          << " to v" << report.to_version << " ("
-                          << report.cells << " cell(s))" << std::endl;
-            else
-                std::cout << "vqastore: " << argv[2]
-                          << " is already v" << report.to_version
-                          << " (" << report.cells << " cell(s))"
-                          << std::endl;
-            return 0;
-        }
         if (command == "info" && argc == 3) {
-            const std::string path = argv[2];
-            const bool binary = store::isBinaryStorePath(path);
-            const storefmt::StoreScan scan = store::readAnyStore(path);
-            if (!scan.found) {
-                std::cerr << "vqastore: cannot read store '" << path
-                          << "'\n";
-                return 1;
-            }
-            size_t markers = 0;
-            for (const storefmt::StoreCell &cell : scan.cells)
-                markers += cell.marker ? 1 : 0;
-            std::cout << "vqastore: " << path << ": "
-                      << (binary ? "binary v" +
-                                       std::to_string(
-                                           store::binaryStoreVersion(
-                                               path))
-                                 : std::string("json"))
-                      << ", sweep '" << scan.sweep_name << "', "
-                      << scan.cells.size() << " cell(s) ("
-                      << scan.cells.size() - markers << " healthy, "
-                      << markers << " quarantined), "
-                      << scan.corrupt.size() << " corrupt"
-                      << std::endl;
+            const store::SweepStore st(argv[2],
+                                       store::SweepStore::Mode::read_only);
+            const store::StoreStats stats = st.stats();
+            std::cout << "vqastore: " << argv[2] << ": binary v"
+                      << store::SweepStore::kVersion << ", sweep '"
+                      << st.sweepName() << "', " << stats.cells
+                      << " cell(s) (" << stats.cells - stats.markers
+                      << " healthy, " << stats.markers
+                      << " quarantined), " << stats.corruptLines()
+                      << " corrupt" << std::endl;
             return 0;
         }
         if (command == "compact" && argc == 3) {
