@@ -51,6 +51,10 @@
  *    deterministic and machine-independent: at most 3 per two-qubit
  *    gate plus one per qubit.
  *
+ * The `host` block records where the numbers came from: nproc, CPU
+ * model, the compiled and the active SIMD ISA, the compiler and the
+ * OpenMP team size.
+ *
  * Thread-sensitive gates (trajectory-farm / sharded-batch speedups)
  * apply only when OpenMP has a real thread team: on the 1-core CI
  * container those speedups legitimately read ~1.0x, so each block
@@ -70,6 +74,7 @@
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #ifdef _OPENMP
@@ -117,6 +122,33 @@ bestOf(int reps, Fn &&fn)
             best = ns;
     }
     return best;
+}
+
+/** First "model name" line of /proc/cpuinfo, or "unknown". */
+std::string
+cpuModel()
+{
+    std::ifstream in("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(in, line))
+        if (line.rfind("model name", 0) == 0) {
+            const size_t colon = line.find(':');
+            return colon == std::string::npos ? line
+                                              : line.substr(colon + 2);
+        }
+    return "unknown";
+}
+
+const char *
+compilerName()
+{
+#if defined(__clang__)
+    return "clang " __clang_version__;
+#elif defined(__GNUC__)
+    return "gcc " __VERSION__;
+#else
+    return "unknown";
+#endif
 }
 
 Circuit
@@ -615,6 +647,15 @@ main(int argc, char **argv)
     json.field("threads", threads);
     json.field("openmp", openmp);
     json.field("smoke", smoke);
+    json.beginObject("host");
+    json.field("nproc",
+               static_cast<size_t>(std::thread::hardware_concurrency()));
+    json.field("cpu_model", cpuModel());
+    json.field("simd_compiled", simd::kCompiledIsa);
+    json.field("simd_active", simd::activeIsa());
+    json.field("compiler", compilerName());
+    json.field("omp_threads", threads);
+    json.endObject();
     json.beginObject("trajectory_farm");
     json.field("threads", threads);
     json.field("qubits", farm_qubits);

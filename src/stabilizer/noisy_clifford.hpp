@@ -8,6 +8,18 @@
  * sampled per gate/idle slot, and energies are averaged across
  * trajectories.
  *
+ * One schedule walker runs every trajectory, so the noise-draw order
+ * lives in one place: per ASAP layer, each gate and then its channel,
+ * then the layer's idle qubits in index order. The walker drives one of
+ * two targets. A circuit without Measure or Reset runs its noiseless
+ * tableau once per call, and each trajectory then walks only a
+ * PauliFrame (stabilizer/pauli_frame.hpp): <T> = +/-<T>_ideal, negated
+ * when the frame anticommutes with T, so a term that is 0 ideally stays
+ * 0. A circuit with Measure or Reset, whose outcomes draw from the
+ * trajectory's stream, walks a full Tableau per trajectory instead, as
+ * does runTrajectory(). Both targets draw the same values in the same
+ * order, so the choice changes no result bit.
+ *
  * The trajectory loops form a deterministic parallel farm: one RNG
  * stream is forked per trajectory up front (Rng::forkStreams), so
  * trajectory k consumes stream k on whatever thread runs it, and
@@ -78,9 +90,9 @@ class NoisyCliffordSimulator
     /**
      * Mean per-term Pauli expectations over @p trajectories noisy
      * executions, aligned with ham.terms() and including the analytic
-     * readout damping. One batched pass: every trajectory's tableau is
-     * read once for all terms, so the trajectory loop is shared across
-     * the whole Hamiltonian instead of re-run per term.
+     * readout damping. One batched pass: every trajectory is read once
+     * for all terms, so the trajectory loop is shared across the whole
+     * Hamiltonian instead of re-run per term.
      */
     std::vector<double> termExpectations(const Circuit &circuit,
                                          const Hamiltonian &ham,
@@ -104,28 +116,9 @@ class NoisyCliffordSimulator
     bool parallel() const { return parallel_; }
 
   private:
-    /** ASAP layer schedule of a circuit, built once per farm run (the
-     *  gate list is NOT level-sorted; see runScheduled). */
-    struct LayerSchedule
-    {
-        std::vector<std::vector<size_t>> by_level; ///< gate indices
-    };
-
     CliffordNoiseSpec spec_;
     Rng rng_;
     bool parallel_ = true;
-
-    static LayerSchedule buildSchedule(const Circuit &circuit);
-
-    /** One noisy execution into a reusable tableau with an explicit
-     *  per-trajectory stream. */
-    void runScheduled(const Circuit &circuit, const LayerSchedule &sched,
-                      Tableau &t, Rng &rng) const;
-
-    void applyChannel(Tableau &t, const PauliChannel &ch, size_t q,
-                      Rng &rng) const;
-    void applyTwoQubitDepol(Tableau &t, size_t q0, size_t q1,
-                            Rng &rng) const;
 
     /** Per-term (1-2p)^weight readout damping, hoisted out of the
      *  trajectory loop. */

@@ -28,6 +28,18 @@ gPhase(int x1, int z1, int x2, int z2)
 
 } // namespace
 
+int
+cliffordQuarterTurns(const Gate &g)
+{
+    const double ratio = g.angle / (M_PI / 2.0);
+    const double rounded = std::round(ratio);
+    if (std::abs(ratio - rounded) > 1e-9)
+        throw std::invalid_argument(
+            "cliffordQuarterTurns: non-Clifford rotation angle");
+    int k = static_cast<int>(rounded) % 4;
+    return k < 0 ? k + 4 : k;
+}
+
 Tableau::Tableau(size_t n_qubits)
     : n_(n_qubits), words_((n_qubits + kWordBits - 1) / kWordBits)
 {
@@ -196,16 +208,6 @@ Tableau::applyGate(const Gate &g, Rng &rng)
 {
     if (g.isParameterized())
         throw std::invalid_argument("Tableau::applyGate: unbound parameter");
-    auto quarter_turns = [&]() -> int {
-        const double ratio = g.angle / (M_PI / 2.0);
-        const double rounded = std::round(ratio);
-        if (std::abs(ratio - rounded) > 1e-9)
-            throw std::invalid_argument(
-                "Tableau::applyGate: non-Clifford rotation angle");
-        int k = static_cast<int>(rounded) % 4;
-        return k < 0 ? k + 4 : k;
-    };
-
     switch (g.type) {
       case GateType::I: return;
       case GateType::X: x(g.q0); return;
@@ -223,7 +225,7 @@ Tableau::applyGate(const Gate &g, Rng &rng)
             x(g.q0);
         return;
       case GateType::Rz: {
-        switch (quarter_turns()) {
+        switch (cliffordQuarterTurns(g)) {
           case 1: s(g.q0); break;
           case 2: z(g.q0); break;
           case 3: sdg(g.q0); break;
@@ -232,7 +234,7 @@ Tableau::applyGate(const Gate &g, Rng &rng)
         return;
       }
       case GateType::Rx: {
-        const int k = quarter_turns();
+        const int k = cliffordQuarterTurns(g);
         if (k == 0)
             return;
         if (k == 2) {
@@ -248,7 +250,7 @@ Tableau::applyGate(const Gate &g, Rng &rng)
         return;
       }
       case GateType::Ry: {
-        const int k = quarter_turns();
+        const int k = cliffordQuarterTurns(g);
         if (k == 0)
             return;
         if (k == 2) {

@@ -23,6 +23,14 @@
 namespace eftvqa {
 
 /**
+ * Quarter turns k in [0, 4) of a bound rotation gate, whose angle must
+ * be k * pi/2 modulo 2 pi. The one rounding rule every stabilizer-side
+ * consumer of Rz/Rx/Ry shares; throws std::invalid_argument on any
+ * other angle.
+ */
+int cliffordQuarterTurns(const Gate &g);
+
+/**
  * Stabilizer state of n qubits: 2n rows (destabilizers then stabilizers),
  * each a signed Pauli, tracked per Aaronson & Gottesman (2004).
  */

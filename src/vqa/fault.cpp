@@ -9,7 +9,6 @@ namespace eftvqa {
 
 namespace detail {
 std::atomic<bool> g_faults_armed{false};
-thread_local const CancelToken *t_active_cancel = nullptr;
 } // namespace detail
 
 namespace {

@@ -274,8 +274,17 @@ class CancelToken
 };
 
 namespace detail {
-/** The calling thread's active cancel token (see CancelScope). */
-extern thread_local const CancelToken *t_active_cancel;
+/**
+ * The calling thread's active cancel token slot (see CancelScope).
+ * Function-local, not an extern thread_local defined in fault.cpp:
+ * GCC 12's UBSan reports stores to that as stores to a null pointer.
+ */
+inline const CancelToken *&
+activeCancelSlot()
+{
+    thread_local const CancelToken *slot = nullptr;
+    return slot;
+}
 } // namespace detail
 
 /**
@@ -290,12 +299,12 @@ class CancelScope
 {
   public:
     explicit CancelScope(const CancelToken *token)
-        : prev_(detail::t_active_cancel)
+        : prev_(detail::activeCancelSlot())
     {
-        detail::t_active_cancel = token;
+        detail::activeCancelSlot() = token;
     }
 
-    ~CancelScope() { detail::t_active_cancel = prev_; }
+    ~CancelScope() { detail::activeCancelSlot() = prev_; }
 
     CancelScope(const CancelScope &) = delete;
     CancelScope &operator=(const CancelScope &) = delete;
@@ -313,7 +322,7 @@ class CancelScope
 inline void
 cancelCheckpoint()
 {
-    if (const CancelToken *token = detail::t_active_cancel)
+    if (const CancelToken *token = detail::activeCancelSlot())
         token->checkpoint();
 }
 
@@ -329,7 +338,7 @@ cancelCheckpoint()
 inline const CancelToken *
 activeCancelToken()
 {
-    return detail::t_active_cancel;
+    return detail::activeCancelSlot();
 }
 
 // ---------------------------------------------------------------------------

@@ -404,7 +404,7 @@ TEST(Daemon, CoalescesConcurrentIdenticalCellsIntoOneEvaluation)
     serve::Daemon daemon(config, synthCatalog());
 
     const serve::Workload wl = synthWorkload("default");
-    const SweepCell &blocked = wl.spec.cells()[0]; // qubits==4 blocks
+    const SweepCell blocked = wl.spec.cells()[0]; // qubits==4 blocks
 
     serve::DaemonClient a =
         serve::DaemonClient::connectUnix(config.socket_path);
