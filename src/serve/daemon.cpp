@@ -644,7 +644,7 @@ Daemon::runJobInProcess(const Job &job)
     // exactly the SweepRunner in-process recipe, so the row (and the
     // store line built from it) is byte-identical to a local run.
     ExperimentSession session(job.cell->experiment,
-                              job.cell->experiment.share_cache
+                              job.cell->experiment.cache_capacity > 0
                                   ? energy_cache_
                                   : nullptr);
     session.attachCompileCache(compile_cache_);

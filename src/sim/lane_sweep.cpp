@@ -8,10 +8,7 @@
 
 #include "sim/lane_sweep.hpp"
 
-#include <list>
-#include <mutex>
-#include <unordered_map>
-#include <utility>
+#include "common/lru.hpp"
 
 namespace eftvqa {
 namespace detail {
@@ -22,14 +19,12 @@ using PlanPtr = std::shared_ptr<const std::vector<SweepChunk>>;
 
 constexpr size_t kPlanCacheCap = 64;
 
-std::mutex g_plan_mutex;
-// LRU: list front = most recent; map values point into the list.
-std::list<std::pair<uint64_t, PlanPtr>> g_plan_lru;
-std::unordered_map<uint64_t,
-                   std::list<std::pair<uint64_t, PlanPtr>>::iterator>
-    g_plan_map;
-uint64_t g_plan_hits = 0;
-uint64_t g_plan_misses = 0;
+LruCache<PlanPtr> &
+planMemo()
+{
+    static LruCache<PlanPtr> memo(kPlanCacheCap);
+    return memo;
+}
 
 PlanPtr
 buildPlan(const Hamiltonian &h)
@@ -62,45 +57,23 @@ std::shared_ptr<const std::vector<SweepChunk>>
 sweepChunkPlan(const Hamiltonian &h)
 {
     const uint64_t key = h.contentHash();
-    {
-        std::lock_guard<std::mutex> lock(g_plan_mutex);
-        auto it = g_plan_map.find(key);
-        if (it != g_plan_map.end()) {
-            ++g_plan_hits;
-            g_plan_lru.splice(g_plan_lru.begin(), g_plan_lru,
-                              it->second);
-            return it->second->second;
-        }
-        ++g_plan_misses;
-    }
+    if (auto plan = planMemo().find(key))
+        return *plan;
     // Build outside the lock: plans are deterministic, so two threads
     // racing on the same key produce interchangeable results.
-    PlanPtr plan = buildPlan(h);
-    std::lock_guard<std::mutex> lock(g_plan_mutex);
-    auto it = g_plan_map.find(key);
-    if (it != g_plan_map.end())
-        return it->second->second;
-    g_plan_lru.emplace_front(key, plan);
-    g_plan_map[key] = g_plan_lru.begin();
-    if (g_plan_lru.size() > kPlanCacheCap) {
-        g_plan_map.erase(g_plan_lru.back().first);
-        g_plan_lru.pop_back();
-    }
-    return plan;
+    return planMemo().insert(key, buildPlan(h));
 }
 
 uint64_t
 sweepPlanCacheHits()
 {
-    std::lock_guard<std::mutex> lock(g_plan_mutex);
-    return g_plan_hits;
+    return planMemo().hits();
 }
 
 uint64_t
 sweepPlanCacheMisses()
 {
-    std::lock_guard<std::mutex> lock(g_plan_mutex);
-    return g_plan_misses;
+    return planMemo().misses();
 }
 
 } // namespace detail

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <exception>
 #include <stdexcept>
+#include <unordered_map>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -77,143 +78,6 @@ allocateShotBudget(const std::vector<double> &weights, size_t total_budget)
 
 } // namespace detail
 
-SharedEnergyCache::SharedEnergyCache(size_t capacity) : capacity_(capacity)
-{
-    if (capacity == 0)
-        throw std::invalid_argument(
-            "SharedEnergyCache.capacity: must be > 0 (a shared cache "
-            "with no storage would miss on every lookup; drop the cache "
-            "instead of zeroing it)");
-}
-
-bool
-SharedEnergyCache::find(uint64_t key, std::vector<double> &out)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = index_.find(key);
-    if (it == index_.end()) {
-        ++misses_;
-        return false;
-    }
-    lru_.splice(lru_.begin(), lru_, it->second);
-    ++hits_;
-    out = it->second->vals;
-    return true;
-}
-
-void
-SharedEnergyCache::insert(uint64_t key, std::vector<double> vals)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (index_.count(key) > 0)
-        return; // raced in by another engine/worker; first writer wins
-    lru_.push_front(Entry{key, std::move(vals)});
-    index_[key] = lru_.begin();
-    if (lru_.size() > capacity_) {
-        index_.erase(lru_.back().key);
-        lru_.pop_back();
-    }
-}
-
-size_t
-SharedEnergyCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-size_t
-SharedEnergyCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-}
-
-size_t
-SharedEnergyCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return lru_.size();
-}
-
-void
-SharedEnergyCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    lru_.clear();
-    index_.clear();
-}
-
-SharedCompileCache::SharedCompileCache(size_t capacity)
-    : capacity_(capacity)
-{
-    if (capacity == 0)
-        throw std::invalid_argument(
-            "SharedCompileCache.capacity: must be > 0 (a shared memo "
-            "with no storage would recompile on every lookup; drop the "
-            "cache instead of zeroing it)");
-}
-
-std::shared_ptr<const CompiledCircuit>
-SharedCompileCache::find(uint64_t key)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = index_.find(key);
-    if (it == index_.end()) {
-        ++misses_;
-        return nullptr;
-    }
-    lru_.splice(lru_.begin(), lru_, it->second);
-    ++hits_;
-    return it->second->compiled;
-}
-
-std::shared_ptr<const CompiledCircuit>
-SharedCompileCache::insert(uint64_t key,
-                           std::shared_ptr<const CompiledCircuit> compiled)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = index_.find(key);
-    if (it != index_.end())
-        return it->second->compiled; // first writer wins
-    lru_.push_front(Entry{key, std::move(compiled)});
-    index_[key] = lru_.begin();
-    if (lru_.size() > capacity_) {
-        index_.erase(lru_.back().key);
-        lru_.pop_back();
-    }
-    return lru_.front().compiled;
-}
-
-size_t
-SharedCompileCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-size_t
-SharedCompileCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-}
-
-size_t
-SharedCompileCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return lru_.size();
-}
-
-void
-SharedCompileCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    lru_.clear();
-    index_.clear();
-}
-
 void
 EstimationConfig::validate() const
 {
@@ -263,6 +127,11 @@ EstimationEngine::EstimationEngine(Hamiltonian ham, EstimationConfig config)
         config_.backend != sim::BackendKind::Tableau &&
         ham_.nQubits() <= 64 &&
         !(config_.noise && config_.noise->hasDmNoise());
+    if (config_.cache_capacity > 0)
+        cache_ = std::make_shared<SharedEnergyCache>(config_.cache_capacity);
+    if (use_compiled_pipeline_)
+        compile_cache_ = std::make_shared<SharedCompileCache>(
+            config_.compile_cache_capacity);
 }
 
 const std::vector<std::vector<size_t>> &
@@ -315,7 +184,7 @@ void
 EstimationEngine::attachSharedCache(std::shared_ptr<SharedEnergyCache> cache,
                                     uint64_t scope_key)
 {
-    shared_cache_ = std::move(cache);
+    cache_ = std::move(cache);
     cache_scope_ = scope_key;
 }
 
@@ -330,46 +199,22 @@ EstimationEngine::monteCarloBackend() const
             config_.backend == sim::BackendKind::Auto);
 }
 
-bool
-EstimationEngine::cacheLookup(uint64_t key, std::vector<double> &out)
+std::optional<std::vector<double>>
+EstimationEngine::cacheLookup(uint64_t key)
 {
-    if (shared_cache_) {
-        const bool hit =
-            shared_cache_->find(detail::hashCombine(cache_scope_, key), out);
-        hit ? ++cache_hits_ : ++cache_misses_;
-        return hit;
-    }
-    if (config_.cache_capacity == 0)
-        return false;
-    const auto it = cache_index_.find(key);
-    if (it == cache_index_.end()) {
-        ++cache_misses_;
-        return false;
-    }
-    cache_lru_.splice(cache_lru_.begin(), cache_lru_, it->second);
-    ++cache_hits_;
-    out = it->second->vals;
-    return true;
+    if (!cache_)
+        return std::nullopt;
+    auto hit = cache_->find(detail::hashCombine(cache_scope_, key));
+    ++(hit ? cache_hits_ : cache_misses_);
+    return hit;
 }
 
 void
 EstimationEngine::cacheStore(uint64_t key, std::vector<double> vals)
 {
-    if (shared_cache_) {
-        shared_cache_->insert(detail::hashCombine(cache_scope_, key),
-                              std::move(vals));
-        return;
-    }
-    if (config_.cache_capacity == 0)
-        return;
-    if (cache_index_.count(key) > 0)
-        return; // already present (e.g. raced in by a duplicate)
-    cache_lru_.push_front(CacheEntry{key, std::move(vals)});
-    cache_index_[key] = cache_lru_.begin();
-    if (cache_lru_.size() > config_.cache_capacity) {
-        cache_index_.erase(cache_lru_.back().key);
-        cache_lru_.pop_back();
-    }
+    if (cache_)
+        cache_->insert(detail::hashCombine(cache_scope_, key),
+                       std::move(vals));
 }
 
 void
@@ -377,7 +222,7 @@ EstimationEngine::attachSharedCompileCache(
     std::shared_ptr<SharedCompileCache> cache)
 {
     std::lock_guard<std::mutex> lock(compile_mutex_);
-    shared_compile_cache_ = std::move(cache);
+    compile_cache_ = std::move(cache);
 }
 
 std::shared_ptr<const CompiledCircuit>
@@ -390,57 +235,24 @@ EstimationEngine::compiledFor(const Circuit &bound_circuit)
     // whose blocked schedule was tuned for another execution target.
     const uint64_t key = detail::hashCombine(bound_circuit.contentHash(),
                                              simd::kernelIsaTag());
-    std::shared_ptr<SharedCompileCache> shared;
+    std::shared_ptr<SharedCompileCache> cache;
     {
         std::lock_guard<std::mutex> lock(compile_mutex_);
-        shared = shared_compile_cache_;
+        cache = compile_cache_;
     }
-    if (shared) {
-        // Shared-memo route: storage (and eviction) live in the shared
-        // cache; this engine only keeps its own hit/miss counters. The
-        // key is globally unique, so no scope folding is needed.
-        if (auto compiled = shared->find(key)) {
-            std::lock_guard<std::mutex> lock(compile_mutex_);
-            ++compile_hits_;
-            return compiled;
-        }
-        {
-            std::lock_guard<std::mutex> lock(compile_mutex_);
-            ++compile_misses_;
-        }
-        // Compile outside any lock; a concurrent engine compiling the
-        // same circuit just loses the insert race (first writer wins).
-        auto compiled =
-            std::make_shared<const CompiledCircuit>(bound_circuit);
-        return shared->insert(key, std::move(compiled));
-    }
+    if (!cache)
+        return nullptr;
+    auto compiled = cache->find(key);
     {
         std::lock_guard<std::mutex> lock(compile_mutex_);
-        const auto it = compile_index_.find(key);
-        if (it != compile_index_.end()) {
-            compile_lru_.splice(compile_lru_.begin(), compile_lru_,
-                                it->second);
-            ++compile_hits_;
-            return it->second->compiled;
-        }
-        ++compile_misses_;
+        ++(compiled ? compile_hits_ : compile_misses_);
     }
-    // Compile outside the lock; a concurrent worker compiling the same
-    // circuit just loses the insert race below.
-    auto compiled = std::make_shared<const CompiledCircuit>(bound_circuit);
-    {
-        std::lock_guard<std::mutex> lock(compile_mutex_);
-        const auto it = compile_index_.find(key);
-        if (it != compile_index_.end())
-            return it->second->compiled;
-        compile_lru_.push_front(CompiledEntry{key, compiled});
-        compile_index_[key] = compile_lru_.begin();
-        if (compile_lru_.size() > config_.compile_cache_capacity) {
-            compile_index_.erase(compile_lru_.back().key);
-            compile_lru_.pop_back();
-        }
-    }
-    return compiled;
+    if (compiled)
+        return *compiled;
+    // Compile outside any lock; a concurrent worker or engine compiling
+    // the same circuit just loses the insert race (first writer wins).
+    return cache->insert(
+        key, std::make_shared<const CompiledCircuit>(bound_circuit));
 }
 
 void
@@ -520,9 +332,8 @@ EstimationEngine::termExpectations(const Circuit &bound_circuit)
     uint64_t key = 0;
     if (cachingEnabled()) {
         key = bound_circuit.contentHash();
-        std::vector<double> hit;
-        if (cacheLookup(key, hit))
-            return hit;
+        if (auto hit = cacheLookup(key))
+            return std::move(*hit);
     }
     std::vector<double> vals;
     if (cachingEnabled() && monteCarloBackend() && config_.shots == 0) {
@@ -578,9 +389,8 @@ EstimationEngine::energies(std::span<const Circuit> bound_circuits)
         hashes[i] = bound_circuits[i].contentHash();
         if (energy_by_hash.count(hashes[i]) > 0)
             continue; // duplicate of an earlier circuit in this batch
-        std::vector<double> hit;
-        if (cacheLookup(hashes[i], hit)) {
-            energy_by_hash[hashes[i]] = energyFromTerms(hit);
+        if (const auto hit = cacheLookup(hashes[i])) {
+            energy_by_hash[hashes[i]] = energyFromTerms(*hit);
             continue;
         }
         energy_by_hash[hashes[i]] = 0.0; // placeholder, filled below

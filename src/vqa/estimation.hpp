@@ -19,13 +19,15 @@
  * Three batch-scale features sit on top (the deterministic parallel
  * execution layer):
  *
- *  - an LRU energy cache keyed by bound-circuit content hash
- *    (config.cache_capacity > 0, or a session-level SharedEnergyCache
- *    attached via attachSharedCache() — vqa/experiment.hpp hoists the
- *    storage there so hits carry across engines and regimes). GA
- *    populations re-evaluate duplicate angle vectors; the cache turns
- *    those into lookups, which also makes genome -> energy a pure
- *    function within an engine;
+ *  - an energy cache keyed by bound-circuit content hash: one
+ *    LruCache (common/lru.hpp), the engine's own when
+ *    config.cache_capacity > 0 or a session-level SharedEnergyCache
+ *    attached via attachSharedCache() — vqa/experiment.hpp attaches one
+ *    so hits carry across engines and regimes. GA populations
+ *    re-evaluate duplicate angle vectors; the cache turns those into
+ *    lookups, which also makes genome -> energy a pure function within
+ *    an engine. The compile memo is the same pattern: one
+ *    SharedCompileCache pointer, own or attached;
  *  - energies(span<Circuit>): evaluates the distinct circuits of a
  *    population across Backend::clone()s in parallel. Clones replay
  *    the parent's RNG, and shot streams are seeded from the circuit's
@@ -44,14 +46,13 @@
 #define EFTVQA_VQA_ESTIMATION_HPP
 
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <unordered_map>
 
 #include "circuit/circuit.hpp"
+#include "common/lru.hpp"
 #include "common/rng.hpp"
 #include "pauli/hamiltonian.hpp"
 #include "sim/backend.hpp"
@@ -85,104 +86,27 @@ hashCombine(uint64_t h, uint64_t v)
 } // namespace detail
 
 /**
- * Thread-safe LRU cache of per-term expectation vectors, shared across
- * estimation engines. Keys are composite hashes built by the owner —
+ * LRU cache of per-term expectation vectors, shared across estimation
+ * engines. Keys are composite hashes built by the owner —
  * vqa::ExperimentSession keys entries by (Hamiltonian::contentHash,
  * RegimeSpec::key, Circuit::contentHash), so a hit in one engine
  * carries to every other engine of the same (Hamiltonian, regime),
  * across regimes of one figure driver and across engine rebuilds.
- * Engines attach via EstimationEngine::attachSharedCache(), which
- * hoists their energy-LRU storage into this cache.
+ * Engines attach one via EstimationEngine::attachSharedCache().
  */
-class SharedEnergyCache
-{
-  public:
-    /** @p capacity entries; must be > 0 (a zero-capacity shared cache
-     *  is a configuration error, not a disable switch). */
-    explicit SharedEnergyCache(size_t capacity);
-
-    /** Copy the entry for @p key into @p out; counts a hit or a miss. */
-    bool find(uint64_t key, std::vector<double> &out);
-
-    /** Insert (first writer wins; duplicate keys are ignored). */
-    void insert(uint64_t key, std::vector<double> vals);
-
-    size_t hits() const;
-    size_t misses() const;
-    size_t size() const;
-    size_t capacity() const { return capacity_; }
-
-    /** Drop every entry (counters survive). */
-    void clear();
-
-  private:
-    struct Entry
-    {
-        uint64_t key;
-        std::vector<double> vals;
-    };
-
-    mutable std::mutex mutex_;
-    size_t capacity_;
-    std::list<Entry> lru_;
-    std::unordered_map<uint64_t, std::list<Entry>::iterator> index_;
-    size_t hits_ = 0;
-    size_t misses_ = 0;
-};
+using SharedEnergyCache = LruCache<std::vector<double>>;
 
 /**
- * Thread-safe LRU memo of compiled circuits shared across estimation
- * engines — the server-resident counterpart of the per-engine compile
- * memo. Keys are the same composite used inside the engine
- * (Circuit::contentHash combined with simd::kernelIsaTag()), which is
- * globally unique: compilation is a pure function of the bound circuit
- * and the active kernel ISA, so entries are shareable across engines,
- * regimes, sessions and (in the vqad daemon) across client requests
- * without any scope key. Engines attach via
- * EstimationEngine::attachSharedCompileCache(), which hoists their
- * compile-memo storage into this cache.
+ * LRU memo of compiled circuits shared across estimation engines — the
+ * server-resident counterpart of the per-engine compile memo. Keys are
+ * the engine's composite (Circuit::contentHash combined with
+ * simd::kernelIsaTag()), which is globally unique: compilation is a
+ * pure function of the bound circuit and the active kernel ISA, so
+ * entries are shareable across engines, regimes, sessions and (in the
+ * vqad daemon) across client requests without any scope key. Engines
+ * attach one via EstimationEngine::attachSharedCompileCache().
  */
-class SharedCompileCache
-{
-  public:
-    /** @p capacity entries; must be > 0 (a zero-capacity shared memo
-     *  is a configuration error, not a disable switch). */
-    explicit SharedCompileCache(size_t capacity);
-
-    /** The entry for @p key, or null; counts a hit or a miss. */
-    std::shared_ptr<const CompiledCircuit> find(uint64_t key);
-
-    /**
-     * Insert @p compiled under @p key; first writer wins. Returns the
-     * resident entry — the caller's on a successful insert, the earlier
-     * writer's when the key raced in — so engines always hand the
-     * backend the canonical compiled stream.
-     */
-    std::shared_ptr<const CompiledCircuit>
-    insert(uint64_t key, std::shared_ptr<const CompiledCircuit> compiled);
-
-    size_t hits() const;
-    size_t misses() const;
-    size_t size() const;
-    size_t capacity() const { return capacity_; }
-
-    /** Drop every entry (counters survive). */
-    void clear();
-
-  private:
-    struct Entry
-    {
-        uint64_t key;
-        std::shared_ptr<const CompiledCircuit> compiled;
-    };
-
-    mutable std::mutex mutex_;
-    size_t capacity_;
-    std::list<Entry> lru_;
-    std::unordered_map<uint64_t, std::list<Entry>::iterator> index_;
-    size_t hits_ = 0;
-    size_t misses_ = 0;
-};
+using SharedCompileCache = LruCache<std::shared_ptr<const CompiledCircuit>>;
 
 /** How an EstimationEngine turns circuits into energies. */
 struct EstimationConfig
@@ -205,22 +129,23 @@ struct EstimationConfig
     uint64_t seed = 0xE571A7E5ull;
 
     /**
-     * Capacity (entries) of the per-engine LRU cache of per-term
-     * expectations, keyed by Circuit::contentHash(). 0 disables
-     * caching, preserving fresh-Monte-Carlo-sample semantics for
-     * repeated evaluations of the same circuit.
+     * Capacity (entries) of the engine's own LRU cache of per-term
+     * expectations, keyed by Circuit::contentHash(). 0 builds none, so
+     * caching stays off until a cache is attached — preserving
+     * fresh-Monte-Carlo-sample semantics for repeated evaluations of
+     * the same circuit.
      */
     size_t cache_capacity = 0;
 
     /**
-     * Capacity (entries) of the per-engine LRU memo of compiled
+     * Capacity (entries) of the engine's own LRU memo of compiled
      * circuits (sim/compiled_circuit.hpp), keyed by
      * Circuit::contentHash(). Compilation is deterministic, so —
      * unlike the energy cache — this memo never changes results and
      * is on by default; GA re-evaluations and shot loops skip
-     * recompilation entirely. 0 disables it (every prepare recompiles
-     * inside the backend). Only consulted for dense substrates on
-     * registers the compiler supports (<= 64 qubits).
+     * recompilation entirely. 0 disables the compiled pipeline (every
+     * prepare recompiles inside the backend). Only consulted for dense
+     * substrates on registers the compiler supports (<= 64 qubits).
      */
     size_t compile_cache_capacity = 256;
 
@@ -315,45 +240,41 @@ class EstimationEngine
     std::vector<double> energies(std::span<const Circuit> bound_circuits);
 
     /** Cache hits/misses since construction (0/0 when caching is off).
-     *  Counts this engine's lookups whether the storage is the private
-     *  LRU or an attached session cache. */
+     *  Counts this engine's lookups only, even when the cache is
+     *  attached and shared. */
     size_t cacheHits() const { return cache_hits_; }
     size_t cacheMisses() const { return cache_misses_; }
 
     /**
-     * Hoist the energy-LRU storage into a session-level cache: lookups
-     * and inserts go to @p cache under keys hashCombine(@p scope_key,
-     * circuit contentHash), so hits carry across every engine attached
-     * with the same scope. Enables caching regardless of
-     * config().cache_capacity (the private LRU is bypassed entirely).
+     * Replace the energy cache with @p cache: lookups and inserts go
+     * to it under keys hashCombine(@p scope_key, circuit contentHash),
+     * so hits carry across every engine attached with the same scope.
+     * Caching is on exactly when a cache is held, whatever
+     * config().cache_capacity says; null turns it off.
      * vqa::ExperimentSession attaches every engine it builds, scoped by
      * (Hamiltonian hash, regime key).
      */
     void attachSharedCache(std::shared_ptr<SharedEnergyCache> cache,
                            uint64_t scope_key);
 
-    /** True when evaluations are memoized (private LRU or session
-     *  cache) — the genome -> energy pure-function regime. */
-    bool cachingEnabled() const
-    {
-        return shared_cache_ != nullptr || config_.cache_capacity > 0;
-    }
+    /** True when evaluations are memoized (an energy cache is held)
+     *  — the genome -> energy pure-function regime. */
+    bool cachingEnabled() const { return cache_ != nullptr; }
 
     /** Compile-memo hits/misses since construction (0/0 when the
      *  compiled pipeline is not in use for this engine). Counts this
-     *  engine's lookups whether the storage is the private LRU or an
-     *  attached shared memo. */
+     *  engine's lookups only, even when the memo is attached and
+     *  shared. */
     size_t compileCacheHits() const;
     size_t compileCacheMisses() const;
 
     /**
-     * Hoist the compile-memo storage into a shared cache: compiledFor()
-     * lookups and inserts go to @p cache under the engine's usual
-     * composite key (circuit content hash x kernel ISA tag — globally
-     * unique, so no scope key is needed), and the private LRU is
-     * bypassed entirely. Whether the compiled pipeline applies at all
-     * is still decided per engine (substrate, register width,
-     * compile_cache_capacity). Null detaches.
+     * Replace the compile memo with @p cache: compiledFor() lookups
+     * and inserts go to it under the engine's usual composite key
+     * (circuit content hash x kernel ISA tag — globally unique, so no
+     * scope key is needed). Whether the compiled pipeline applies at
+     * all is still decided per engine (substrate, register width,
+     * compile_cache_capacity). Null turns the memo off.
      */
     void
     attachSharedCompileCache(std::shared_ptr<SharedCompileCache> cache);
@@ -389,12 +310,6 @@ class EstimationEngine
     }
 
   private:
-    struct CacheEntry
-    {
-        uint64_t key;
-        std::vector<double> vals;
-    };
-
     Hamiltonian ham_;
     EstimationConfig config_;
     mutable std::vector<std::vector<size_t>> groups_;
@@ -415,37 +330,28 @@ class EstimationEngine
     // when caching is off (fresh Monte-Carlo samples per batch).
     Rng batch_rng_;
 
-    // LRU cache: list front = most recently used; map indexes the list.
-    // Bypassed entirely when a session cache is attached.
-    std::list<CacheEntry> cache_lru_;
-    std::unordered_map<uint64_t, std::list<CacheEntry>::iterator>
-        cache_index_;
+    // Energy cache: the engine's own when config.cache_capacity > 0,
+    // replaced by attachSharedCache(); null means caching is off.
+    std::shared_ptr<SharedEnergyCache> cache_;
+    uint64_t cache_scope_ = 0;
     size_t cache_hits_ = 0;
     size_t cache_misses_ = 0;
-    std::shared_ptr<SharedEnergyCache> shared_cache_;
-    uint64_t cache_scope_ = 0;
     std::shared_ptr<const CancelToken> cancel_;
 
-    struct CompiledEntry
-    {
-        uint64_t key;
-        std::shared_ptr<const CompiledCircuit> compiled;
-    };
-
-    // Compile memo (LRU, same shape as the energy cache). Unlike the
-    // energy cache it is consulted from the energies() worker threads
-    // (shot-path measurement circuits are compiled per group), so it
-    // carries its own mutex; compilation itself runs outside the lock.
-    // Off for tableau engines, registers over 64 qubits and noisy
-    // density matrices, whose backend compiles its own DmPass stream.
+    // Compile memo: the engine's own when the compiled pipeline
+    // applies, replaced by attachSharedCompileCache(); null means off.
+    // Unlike the energy cache it is consulted from the energies()
+    // worker threads (shot-path measurement circuits are compiled per
+    // group), so the pointer and this engine's counters sit behind
+    // their own mutex; compilation itself runs outside every lock. The
+    // pipeline is off for tableau engines, registers over 64 qubits and
+    // noisy density matrices, whose backend compiles its own DmPass
+    // stream.
     bool use_compiled_pipeline_ = false;
     mutable std::mutex compile_mutex_;
-    std::list<CompiledEntry> compile_lru_;
-    std::unordered_map<uint64_t, std::list<CompiledEntry>::iterator>
-        compile_index_;
+    std::shared_ptr<SharedCompileCache> compile_cache_;
     size_t compile_hits_ = 0;
     size_t compile_misses_ = 0;
-    std::shared_ptr<SharedCompileCache> shared_compile_cache_;
 
     // Per-group shot counts (weighted or uniform), computed once.
     std::vector<size_t> group_shots_;
@@ -461,15 +367,16 @@ class EstimationEngine
      *  reseeds and per-work-item clones. */
     bool monteCarloBackend() const;
 
-    /** Cache lookup into @p out; counts one hit or one miss. Returns
-     *  false (counting nothing) when caching is disabled. */
-    bool cacheLookup(uint64_t key, std::vector<double> &out);
+    /** Cached per-term expectations of the circuit hashing to @p key;
+     *  counts one hit or one miss (nothing when caching is off). */
+    std::optional<std::vector<double>> cacheLookup(uint64_t key);
     void cacheStore(uint64_t key, std::vector<double> vals);
 
     /**
      * Memoized compilation of a bound circuit (thread-safe). Returns
      * null when the compiled pipeline is off for this engine (tableau
-     * substrate, noisy density matrix, > 64 qubits, or capacity 0).
+     * substrate, noisy density matrix, > 64 qubits, capacity 0, or a
+     * null memo attached).
      */
     std::shared_ptr<const CompiledCircuit>
     compiledFor(const Circuit &bound_circuit);

@@ -211,11 +211,6 @@ ExperimentSpec::validate() const
             std::to_string(ansatz.nQubits()) +
             " does not match hamiltonian width " +
             std::to_string(hamiltonian.nQubits()));
-    if (share_cache && cache_capacity == 0)
-        throw std::invalid_argument(
-            "ExperimentSpec.cache_capacity: must be > 0 when share_cache "
-            "is set (a zero-capacity shared cache would miss on every "
-            "lookup; clear share_cache to disable caching instead)");
     for (size_t i = 0; i < regimes.size(); ++i) {
         regimes[i].validate();
         for (size_t j = i + 1; j < regimes.size(); ++j)
@@ -267,12 +262,12 @@ ExperimentSession::ExperimentSession(
       cache_(std::move(shared_cache)), pool_(spec_.executor_threads)
 {
     spec_.validate();
-    if (cache_ && !spec_.share_cache)
+    if (cache_ && spec_.cache_capacity == 0)
         throw std::invalid_argument(
-            "ExperimentSpec.share_cache: must be set when attaching an "
-            "external shared cache (the attached cache would otherwise "
-            "be ignored)");
-    if (!cache_ && spec_.share_cache)
+            "ExperimentSpec.cache_capacity: must be > 0 when attaching an "
+            "external cache (a session with caching off would ignore "
+            "it)");
+    if (!cache_ && spec_.cache_capacity > 0)
         cache_ = std::make_shared<SharedEnergyCache>(spec_.cache_capacity);
 }
 
@@ -294,10 +289,10 @@ ExperimentSession::slotFor(const RegimeSpec &regime)
         return *it->second;
 
     EstimationConfig config = regime.estimationConfig();
-    // Cache storage is hoisted to the session (share_cache) or kept in
-    // the engine's private LRU otherwise; either way the knobs below
-    // come from the spec, not the regime.
-    config.cache_capacity = spec_.share_cache ? 0 : spec_.cache_capacity;
+    // The engine builds no energy cache of its own: the session's (if
+    // any) is attached below. The other knobs come from the spec, not
+    // the regime.
+    config.cache_capacity = 0;
     config.compile_cache_capacity = spec_.compile_cache_capacity;
     config.weighted_shots = spec_.weighted_shots;
     config.parallel = spec_.parallel;
@@ -329,6 +324,11 @@ void
 ExperimentSession::attachCompileCache(
     std::shared_ptr<SharedCompileCache> cache)
 {
+    if (!cache)
+        throw std::invalid_argument(
+            "ExperimentSession::attachCompileCache: the cache must be "
+            "non-null (set compile_cache_capacity = 0 to run without a "
+            "memo)");
     std::lock_guard<std::mutex> lock(engines_mutex_);
     compile_cache_ = std::move(cache);
     for (auto &[key, slot] : engines_)

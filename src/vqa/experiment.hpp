@@ -19,10 +19,11 @@
  *    validate() rejects bad values at construction with errors naming
  *    the field.
  *  - ExperimentSession — owns the spec-to-engine lifecycle. Engines
- *    are built lazily and memoized per regime key; the energy LRU is
- *    hoisted out of the engines into one session-level
- *    SharedEnergyCache keyed by (Hamiltonian hash, regime key, circuit
- *    hash), so hits carry across engines, regimes and engine rebuilds;
+ *    are built lazily and memoized per regime key; when
+ *    spec.cache_capacity > 0 every engine attaches one session-level
+ *    SharedEnergyCache (an LruCache, common/lru.hpp) keyed by
+ *    (Hamiltonian hash, regime key, circuit hash), so hits carry across
+ *    engines, regimes and engine rebuilds, and at 0 no engine caches;
  *    and submit() runs evaluations asynchronously on a session
  *    executor while the engine layer schedules QWC-group measurement
  *    sampling across Backend::clone()s.
@@ -168,10 +169,12 @@ struct ExperimentSpec
     GeneticConfig genetic;
 
     /**
-     * Entries in the session-level shared energy cache (share_cache)
-     * or in each engine's private LRU (share_cache == false; 0 then
-     * disables caching, preserving fresh-Monte-Carlo-sample semantics
-     * for repeated evaluations).
+     * Entries in the session's energy cache, keyed by (Hamiltonian
+     * hash, regime key, circuit hash) so hits carry across engines and
+     * regimes. With caching on, circuit -> energy is a pure function
+     * per regime, so cache reuse never changes results. 0 runs without
+     * a cache, preserving fresh-Monte-Carlo-sample semantics for
+     * repeated evaluations.
      */
     size_t cache_capacity = 4096;
 
@@ -188,15 +191,6 @@ struct ExperimentSpec
      *  results); false pins the serial group sweep. */
     bool async_groups = true;
 
-    /**
-     * Hoist the energy LRU out of the engines into one session cache
-     * keyed by (Hamiltonian hash, regime key, circuit hash), so hits
-     * carry across engines and regimes (default). With caching on,
-     * circuit -> energy is a pure function per regime, so cache reuse
-     * never changes results.
-     */
-    bool share_cache = true;
-
     /** Session executor threads for submit(); 0 = pick a small default
      *  from the hardware concurrency. */
     size_t executor_threads = 0;
@@ -207,9 +201,8 @@ struct ExperimentSpec
 
     /**
      * Throws std::invalid_argument naming the offending field:
-     * ansatz/Hamiltonian width mismatch, duplicate regime names, a
-     * zero-capacity cache with share_cache requested, negative
-     * shots/trajectories, bad GA knobs.
+     * ansatz/Hamiltonian width mismatch, duplicate regime names,
+     * negative shots/trajectories, bad GA knobs.
      */
     void validate() const;
 
@@ -249,7 +242,8 @@ class ExperimentSession
      * layer's cross-cell seam (vqa/sweep.hpp): entries are keyed
      * purely by (Hamiltonian hash, regime key, circuit hash) content,
      * so sessions of different sweep cells reuse each other's work.
-     * Requires spec.share_cache (throws naming the field otherwise);
+     * Requires spec.cache_capacity > 0 (throws naming the field
+     * otherwise: a session with caching off would ignore the cache);
      * a null @p shared_cache behaves exactly like the plain ctor.
      */
     ExperimentSession(ExperimentSpec spec,
@@ -346,7 +340,7 @@ class ExperimentSession
                              const Circuit &bound_b, double e0,
                              double gap_floor = 1e-12);
 
-    /** Session-level cache, or null when spec().share_cache is off. */
+    /** Session-level cache, or null when spec().cache_capacity is 0. */
     SharedEnergyCache *cache() { return cache_.get(); }
 
     /** Engines built so far (distinct regime keys). */
@@ -376,10 +370,11 @@ class ExperimentSession
     }
 
     /**
-     * Hoist compiled-circuit memo storage into a shared cache on every
-     * engine this session has built or will build (null clears it).
-     * Unlike the energy cache this never changes results — compilation
-     * is pure — so it needs no share_cache opt-in; the vqad daemon
+     * Replace the compile memo of every engine this session has built
+     * or will build with @p cache, which must be non-null (set
+     * spec.compile_cache_capacity = 0 to run without a memo). Unlike
+     * the energy cache this never changes results — compilation is
+     * pure — so it is independent of cache_capacity; the vqad daemon
      * attaches one server-resident memo to every request session so
      * compiled op streams outlive any one request.
      */

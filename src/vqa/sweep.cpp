@@ -321,12 +321,6 @@ SweepSpec::validate() const
         throw std::invalid_argument(oss.str());
     }
 
-    if (share_cache && cache_capacity == 0)
-        throw std::invalid_argument(
-            "SweepSpec.cache_capacity: must be > 0 when share_cache is "
-            "set (clear share_cache to disable the sweep-level cache "
-            "instead)");
-
     if (cell_attempts == 0)
         throw std::invalid_argument(
             "SweepSpec.cell_attempts: must be >= 1");
@@ -418,6 +412,12 @@ cellContentKey(const SweepPoint &point, const ExperimentSpec &experiment,
     mix(experiment.genetic.elite);
     mix(experiment.genetic.seed);
     mix(weighted_shots ? 1 : 0);
+    // Caching on/off changes rows (off draws fresh trajectory samples
+    // per evaluation), so it is keyed; any capacity > 0 gives identical
+    // rows (frozen-parent discipline), so only the bit is. The tag is
+    // mixed only when caching is off, keeping every cached key as is.
+    if (experiment.cache_capacity == 0)
+        mix(0x0C4C4E0FFull);
     return h;
 }
 
@@ -501,7 +501,6 @@ SweepSpec::cells() const
         experiment.weighted_shots = weighted_shots;
         experiment.parallel = parallel;
         experiment.async_groups = async_groups;
-        experiment.share_cache = share_cache;
         experiment.executor_threads = executor_threads;
 
         if (customize)
@@ -529,7 +528,7 @@ SweepSpec::cells() const
 SweepRunner::SweepRunner(SweepSpec spec) : spec_(std::move(spec))
 {
     cells_ = spec_.cells(); // validates the grid and every cell
-    if (spec_.share_cache)
+    if (spec_.cache_capacity > 0)
         cache_ = std::make_shared<SharedEnergyCache>(spec_.cache_capacity);
 }
 
@@ -605,7 +604,8 @@ SweepRunner::run(const SweepCellFn &fn, SweepSink *sink)
                 token->setDeadline(spec_.cell_timeout_ms);
             }
             std::shared_ptr<SharedEnergyCache> cache;
-            if (spec_.share_cache) {
+            if (spec_.cache_capacity > 0 &&
+                cells_[i].experiment.cache_capacity > 0) {
                 if (!*worker_cache)
                     *worker_cache = std::make_shared<SharedEnergyCache>(
                         spec_.cache_capacity);
@@ -673,11 +673,13 @@ SweepRunner::run(const SweepCellFn &fn, SweepSink *sink)
                     // Each cell owns a fresh session; the sweep-level
                     // cache is the only shared state, and it is pure
                     // (hits equal what re-evaluation would produce), so
-                    // results are independent of cell scheduling.
-                    ExperimentSession session(cells_[i].experiment,
-                                              spec_.share_cache
-                                                  ? cache_
-                                                  : nullptr);
+                    // results are independent of cell scheduling. A
+                    // cell that does not cache gets none.
+                    ExperimentSession session(
+                        cells_[i].experiment,
+                        cells_[i].experiment.cache_capacity > 0
+                            ? cache_
+                            : nullptr);
                     if (token)
                         session.setCancelToken(token);
                     row = fn(cells_[i], session);

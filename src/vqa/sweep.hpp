@@ -26,10 +26,13 @@
  *    (vqa/executor.hpp). Cells are scheduled asynchronously but
  *    results are bit-identical to executing them in serial cell
  *    order: cells are independent, and the one sweep-level
- *    SharedEnergyCache all sessions attach to only ever serves hits
- *    that equal what re-evaluation would produce (the session purity
- *    contract), so identical (Hamiltonian, regime, circuit) work is
- *    paid once per sweep regardless of which cell runs first.
+ *    SharedEnergyCache (an LruCache, common/lru.hpp) every caching
+ *    session attaches to only ever serves hits that equal what
+ *    re-evaluation would produce (the session purity contract), so
+ *    identical (Hamiltonian, regime, circuit) work is paid once per
+ *    sweep regardless of which cell runs first. cache_capacity > 0
+ *    means one sweep cache, 0 means none; caching on/off is part of
+ *    every cell's key, because uncached cells draw fresh samples.
  *  - SweepSink — streaming result consumer; store::BinarySweepSink
  *    (store/sink.hpp) over the append-only SweepStore is the one
  *    implementation. Rerunning against an existing store skips every
@@ -310,15 +313,14 @@ struct SweepSpec
     CellCustomizer customize; ///< per-cell overrides (seeds, regimes)
 
     // Session knobs forwarded into every cell's ExperimentSpec.
+    /** Entries in the one SharedEnergyCache shared by every cell of
+     *  the sweep: identical (Hamiltonian, regime, circuit) work is paid
+     *  once per sweep. 0 runs every cell without a cache. */
     size_t cache_capacity = 4096;
     size_t compile_cache_capacity = 256;
     bool weighted_shots = true;
     bool parallel = true;
     bool async_groups = true;
-    /** One SharedEnergyCache across every cell of the sweep (default):
-     *  identical (Hamiltonian, regime, circuit) work is paid once per
-     *  sweep. false: each cell caches privately per its spec. */
-    bool share_cache = true;
     size_t executor_threads = 0; ///< per-session submit() executor
 
     /** Concurrent cells; 0 = a small hardware default, 1 = serial.
@@ -407,9 +409,9 @@ struct SweepSpec
      * Throws std::invalid_argument naming the offending axis/field:
      * empty name/families, missing ansatz factory, an empty or
      * non-positive size axis, an empty coupling axis, a Molecule
-     * family without molecules, a zero/exceeded max_cells, a
-     * zero-capacity shared cache, zero cell_attempts, retries under
-     * fail_fast, negative backoff/timeout.
+     * family without molecules, a zero/exceeded max_cells, zero
+     * cell_attempts, retries under fail_fast, negative
+     * backoff/timeout.
      */
     void validate() const;
 
@@ -445,11 +447,11 @@ struct SweepReport
 /**
  * Executes a SweepSpec: expands the grid once at construction, then
  * run() drives every (non-skipped) cell through its own
- * ExperimentSession — all sessions attached to one sweep-level
- * SharedEnergyCache — on a WorkerPool, writing rows to the sink in
- * serial cell order as their prefix completes. run() may be called
- * again: the cache persists across runs, so a second pass is the
- * warm cross-cell path (the sweep_cache bench block).
+ * ExperimentSession — every caching session attached to one
+ * sweep-level SharedEnergyCache — on a WorkerPool, writing rows to
+ * the sink in serial cell order as their prefix completes. run() may
+ * be called again: the cache persists across runs, so a second pass
+ * is the warm cross-cell path (the sweep_cache bench block).
  */
 class SweepRunner
 {
@@ -466,7 +468,7 @@ class SweepRunner
      *  quarantine records instead. */
     SweepReport run(const SweepCellFn &fn, SweepSink *sink = nullptr);
 
-    /** The sweep-level cache, or null when share_cache is off. */
+    /** The sweep-level cache, or null when spec().cache_capacity is 0. */
     SharedEnergyCache *cache() { return cache_.get(); }
 
   private:

@@ -176,18 +176,17 @@ TEST(Validation, ErrorsNameTheOffendingField)
     ga.mutation_rate = 1.5;
     EXPECT_THROW(ga.validate(), std::invalid_argument);
 
-    // Zero-capacity cache with caching requested.
+    // Zero capacity is not an error: the session runs without a cache
+    // and evaluates exactly what a caching session does.
     auto spec = smallSpec(3, {RegimeSpec::ideal()});
     spec.cache_capacity = 0;
-    spec.share_cache = true;
-    try {
-        ExperimentSession session(std::move(spec));
-        FAIL() << "zero-capacity shared cache must throw";
-    } catch (const std::invalid_argument &e) {
-        EXPECT_NE(
-            std::string(e.what()).find("ExperimentSpec.cache_capacity"),
-            std::string::npos);
-    }
+    ExperimentSession uncached(std::move(spec));
+    EXPECT_EQ(uncached.cache(), nullptr);
+    EXPECT_FALSE(uncached.engine("ideal").cachingEnabled());
+    ExperimentSession cached(smallSpec(3, {RegimeSpec::ideal()}));
+    const Circuit bound = cliffordAnsatz(3, 7);
+    EXPECT_EQ(uncached.energy(uncached.spec().regime("ideal"), bound),
+              cached.energy(cached.spec().regime("ideal"), bound));
 
     // Width mismatch and duplicate names.
     ExperimentSpec mismatch;
@@ -339,6 +338,16 @@ TEST(ExperimentSession, CacheEntriesEqualReEvaluationAfterRebuild)
     EXPECT_EQ(session.energy(mc_shots, bound), mcs_cached);
 }
 
+TEST(ExperimentSession, AttachCompileCacheRejectsNull)
+{
+    // Each engine holds one memo pointer, so a null memo would switch
+    // the memo off on engines already built while later engines kept
+    // their own; the session refuses it instead.
+    ExperimentSession session(smallSpec(3, {RegimeSpec::ideal()}));
+    session.engine("ideal");
+    EXPECT_THROW(session.attachCompileCache(nullptr), std::invalid_argument);
+}
+
 // --------------------------------------------------------------------
 // Async submit: bit-identity vs the serial engine path
 // --------------------------------------------------------------------
@@ -399,8 +408,7 @@ TEST(ExperimentSession, SubmitMatchesSerialEnginePathAtAnyThreadCount)
             spec.hamiltonian = ham;
             spec.ansatz = fcheAnsatz(n, 1);
             spec.regimes = {regime};
-            spec.share_cache = false; // every submit really evaluates
-            spec.cache_capacity = 0;
+            spec.cache_capacity = 0; // every submit really evaluates
             spec.executor_threads = 2;
             ExperimentSession session(std::move(spec));
             std::vector<std::future<double>> futures;

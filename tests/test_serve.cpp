@@ -1,7 +1,8 @@
 /**
  * @file
- * The experiment service daemon (src/serve/): the SharedCompileCache
- * memo, wire-level request validation, request coalescing pinned to
+ * The experiment service daemon (src/serve/): the LruCache behind its
+ * server-resident energy and compile caches, wire-level request
+ * validation, request coalescing pinned to
  * exactly one evaluation, the determinism contract (daemon result
  * bytes == local in-process bytes), admission control (quota / busy /
  * draining), the client-disconnect cancellation seam, graceful drain —
@@ -15,12 +16,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "ansatz/ansatz.hpp"
@@ -140,35 +143,79 @@ localReferenceLine(const serve::Workload &wl, const SweepCell &cell)
 } // namespace
 
 // --------------------------------------------------------------------
-// SharedCompileCache
+// LruCache, over both of its instantiations
 // --------------------------------------------------------------------
 
 namespace {
 
-std::shared_ptr<const CompiledCircuit>
-compiledDummy(int qubits)
+/** Distinct values per (key, writer) for each cache instantiation:
+ *  energy vectors carry both in their contents, compiled circuits are
+ *  distinct objects (the cache compares them by pointer). */
+template <typename Cache> struct LruValues;
+
+template <> struct LruValues<SharedEnergyCache>
 {
-    const Circuit ansatz = fcheAnsatz(qubits, 1);
-    const Circuit bound =
-        ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.0));
-    return std::make_shared<const CompiledCircuit>(bound);
-}
+    static std::vector<double> make(int key, int writer)
+    {
+        return {static_cast<double>(key), static_cast<double>(writer)};
+    }
+};
+
+template <> struct LruValues<SharedCompileCache>
+{
+    static std::shared_ptr<const CompiledCircuit> make(int, int)
+    {
+        const Circuit ansatz = fcheAnsatz(2, 1);
+        const Circuit bound =
+            ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.0));
+        return std::make_shared<const CompiledCircuit>(bound);
+    }
+};
+
+template <typename Cache> class LruCacheTest : public ::testing::Test
+{
+  protected:
+    static auto value(int key, int writer = 0)
+    {
+        return LruValues<Cache>::make(key, writer);
+    }
+};
+
+using LruCacheTypes = ::testing::Types<SharedEnergyCache, SharedCompileCache>;
+
+struct LruCacheNames
+{
+    template <typename Cache> static std::string GetName(int)
+    {
+        return std::is_same_v<Cache, SharedEnergyCache>
+                   ? "SharedEnergyCache"
+                   : "SharedCompileCache";
+    }
+};
 
 } // namespace
 
-TEST(SharedCompileCache, RejectsZeroCapacity)
+TYPED_TEST_SUITE(LruCacheTest, LruCacheTypes, LruCacheNames);
+
+TYPED_TEST(LruCacheTest, RejectsZeroCapacity)
 {
-    EXPECT_THROW(SharedCompileCache(0), std::invalid_argument);
+    try {
+        TypeParam cache(0);
+        FAIL() << "a zero-capacity cache must throw";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("LruCache.capacity"),
+                  std::string::npos);
+    }
 }
 
-TEST(SharedCompileCache, CountsHitsAndMissesAndEvictsLru)
+TYPED_TEST(LruCacheTest, CountsHitsAndMissesAndEvictsLru)
 {
-    SharedCompileCache cache(2);
-    const auto a = compiledDummy(2);
-    const auto b = compiledDummy(3);
-    const auto c = compiledDummy(4);
+    TypeParam cache(2);
+    const auto a = this->value(1);
+    const auto b = this->value(2);
+    const auto c = this->value(3);
 
-    EXPECT_EQ(cache.find(1), nullptr);
+    EXPECT_FALSE(cache.find(1).has_value());
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_EQ(cache.insert(1, a), a);
     EXPECT_EQ(cache.insert(2, b), b);
@@ -179,7 +226,7 @@ TEST(SharedCompileCache, CountsHitsAndMissesAndEvictsLru)
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.insert(3, c), c);
     EXPECT_EQ(cache.size(), 2u);
-    EXPECT_EQ(cache.find(2), nullptr);
+    EXPECT_FALSE(cache.find(2).has_value());
     EXPECT_EQ(cache.find(1), a);
     EXPECT_EQ(cache.find(3), c);
     EXPECT_EQ(cache.hits(), 3u);
@@ -188,19 +235,131 @@ TEST(SharedCompileCache, CountsHitsAndMissesAndEvictsLru)
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.hits(), 3u); // counters survive clear()
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_FALSE(cache.find(1).has_value());
+    EXPECT_EQ(cache.misses(), 3u);
 }
 
-TEST(SharedCompileCache, FirstWriterWinsOnRacingInserts)
+TYPED_TEST(LruCacheTest, FirstWriterWinsOnRacingInserts)
 {
-    // Two engines compiling the same circuit concurrently both call
-    // insert; everyone must end up executing the canonical entry.
-    SharedCompileCache cache(4);
-    const auto first = compiledDummy(2);
-    const auto second = compiledDummy(2);
+    // Two engines computing the same key both call insert; everyone
+    // must end up holding the canonical entry.
+    TypeParam cache(4);
+    const auto first = this->value(42, 1);
+    const auto second = this->value(42, 2);
     ASSERT_NE(first, second);
     EXPECT_EQ(cache.insert(42, first), first);
     EXPECT_EQ(cache.insert(42, second), first);
     EXPECT_EQ(cache.find(42), first);
+
+    // The losing insert does not refresh the entry's place either: 42
+    // stays the least recently used and is the next victim.
+    TypeParam pair(2);
+    const auto seven = this->value(7);
+    pair.insert(42, first);
+    pair.insert(7, seven);
+    EXPECT_EQ(pair.insert(42, second), first);
+    pair.insert(8, this->value(8));
+    EXPECT_FALSE(pair.find(42).has_value());
+    EXPECT_EQ(pair.find(7), seven);
+}
+
+TYPED_TEST(LruCacheTest, ConcurrentFindThenInsertKeepsOneValuePerKey)
+{
+    // Eight writers race find-then-insert over the same keys for
+    // several rounds, four walking them upwards in lockstep and four
+    // downwards, so most first inserts of a key race. With room for
+    // every key, each key must keep one resident value that every
+    // writer got back in every round; under eviction pressure every
+    // value returned must still be one written for its key. Either
+    // way the counters must account for every find and the size bound
+    // must hold throughout.
+    constexpr int kThreads = 8;
+    constexpr int kKeys = 32;
+    constexpr int kRounds = 16;
+    using Value = decltype(this->value(0));
+    std::vector<std::vector<Value>> values(kKeys);
+    for (int k = 0; k < kKeys; ++k)
+        for (int t = 0; t < kThreads; ++t)
+            values[k].push_back(this->value(k, t));
+
+    for (const size_t capacity : {size_t{kKeys}, size_t{4}}) {
+        TypeParam cache(capacity);
+        std::vector<std::vector<Value>> got(
+            kThreads, std::vector<Value>(kKeys));
+        std::atomic<bool> oversize{false};
+        std::atomic<bool> foreign{false};
+        std::atomic<bool> changed{false};
+        std::atomic<int> ready{0};
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                ready.fetch_add(1);
+                while (ready.load() < kThreads)
+                    std::this_thread::yield();
+                for (int j = 0; j < kKeys * kRounds; ++j) {
+                    const int k = t % 2 == 0 ? j % kKeys
+                                             : kKeys - 1 - j % kKeys;
+                    auto hit = cache.find(static_cast<uint64_t>(k));
+                    const Value v =
+                        hit ? *hit
+                            : cache.insert(static_cast<uint64_t>(k),
+                                           values[k][t]);
+                    if (std::find(values[k].begin(), values[k].end(), v) ==
+                        values[k].end())
+                        foreign.store(true);
+                    if (cache.size() > capacity)
+                        oversize.store(true);
+                    if (j < kKeys)
+                        got[t][k] = v; // the first value this writer saw
+                    else if (capacity >= kKeys && v != got[t][k])
+                        changed.store(true);
+                }
+            });
+        for (auto &th : threads)
+            th.join();
+
+        EXPECT_FALSE(foreign.load()) << "capacity " << capacity;
+        EXPECT_FALSE(oversize.load()) << "capacity " << capacity;
+        EXPECT_FALSE(changed.load()) << "capacity " << capacity;
+        EXPECT_LE(cache.size(), capacity);
+        EXPECT_EQ(cache.hits() + cache.misses(),
+                  static_cast<size_t>(kThreads * kKeys * kRounds))
+            << "capacity " << capacity;
+        if (capacity < kKeys)
+            continue; // evicted keys may be re-inserted by a later writer
+        for (int k = 0; k < kKeys; ++k) {
+            const auto resident = cache.find(static_cast<uint64_t>(k));
+            ASSERT_TRUE(resident.has_value()) << "key " << k;
+            for (int t = 0; t < kThreads; ++t)
+                EXPECT_EQ(got[t][k], *resident)
+                    << "key " << k << " writer " << t;
+        }
+    }
+}
+
+// --------------------------------------------------------------------
+// Catalog workloads
+// --------------------------------------------------------------------
+
+TEST(ServeWorkloads, Fig12SmokeKeysMatchTheStoreFixture)
+{
+    // The recorded fig12 smoke store is the byte-identity reference of
+    // the export and daemon checks; its keys must stay what the
+    // catalog's fig12 smoke grid expands to.
+    const storefmt::StoreScan fixture = storefmt::readStoreCells(
+        std::string(EFTVQA_TEST_DATA_DIR) + "/fig12_smoke_store.json");
+    ASSERT_TRUE(fixture.found);
+    const std::vector<SweepCell> cells =
+        serve::fig12Workload("smoke").spec.cells();
+    ASSERT_EQ(cells.size(), 2u);
+    ASSERT_EQ(fixture.cells.size(), cells.size());
+    for (size_t i = 0; i < cells.size(); ++i) {
+        EXPECT_EQ(cells[i].keyString(), fixture.cells[i].key);
+        EXPECT_EQ(cells[i].label, fixture.cells[i].label);
+    }
+    EXPECT_EQ(cells[0].keyString(), "0xbee91f6ed97cb214");
+    EXPECT_EQ(cells[1].keyString(), "0x4905aa3dc00a98e3");
 }
 
 // --------------------------------------------------------------------

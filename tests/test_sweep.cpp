@@ -156,10 +156,6 @@ TEST(SweepSpec, ValidationNamesTheOffendingAxis)
     spec = smallSweep();
     spec.max_cells = 0;
     expect_field(spec, "SweepSpec.max_cells");
-
-    spec = smallSweep();
-    spec.cache_capacity = 0;
-    expect_field(spec, "SweepSpec.cache_capacity");
 }
 
 TEST(SweepSpec, CellCapGuardNamesTheExpandedCount)
@@ -268,6 +264,21 @@ TEST(SweepSpec, CellKeyIsContentNotGridPosition)
     SweepSpec salted = smallSweep();
     salted.key_salt = 60;
     EXPECT_NE(salted.cells()[0].key(), smallSweep().cells()[0].key());
+}
+
+TEST(SweepSpec, CellKeyCarriesCachingOnOffNotCapacity)
+{
+    // Without a cache a cell draws fresh trajectory samples per
+    // evaluation, so its rows differ from a caching run's and a store
+    // must not resume one with the other. Any capacity > 0 computes
+    // identical rows, so only the on/off bit is keyed.
+    auto key_at = [](size_t capacity) {
+        SweepSpec spec = smallSweep();
+        spec.cache_capacity = capacity;
+        return spec.cells()[0].key();
+    };
+    EXPECT_NE(key_at(0), key_at(4096));
+    EXPECT_EQ(key_at(16), key_at(4096));
 }
 
 // --------------------------------------------------------------------
@@ -384,20 +395,39 @@ TEST(SweepRunner, CellErrorsPropagate)
         std::runtime_error);
 }
 
-TEST(SweepRunner, ExternalCacheRequiresShareCache)
+TEST(SweepRunner, ZeroCacheCapacityRunsWithoutACache)
+{
+    // cache_capacity = 0 is a valid sweep: no sweep-level cache is
+    // built, every cell's session runs uncached, and no lookup is
+    // counted.
+    SweepSpec spec = smallSweep();
+    spec.couplings = {1.0, 1.0};
+    spec.cache_capacity = 0;
+    spec.cell_workers = 1;
+    SweepRunner runner(std::move(spec));
+    EXPECT_EQ(runner.cache(), nullptr);
+    const SweepReport report = runner.run(energiesCellFn);
+    ASSERT_EQ(report.rows.size(), 2u);
+    EXPECT_EQ(report.executed, 2u);
+    EXPECT_EQ(report.cache_hits, 0u);
+    EXPECT_EQ(report.cache_misses, 0u);
+}
+
+TEST(SweepRunner, ExternalCacheRequiresCacheCapacity)
 {
     // The session-side contract the runner relies on: attaching an
-    // external cache with share_cache cleared is a named-field error.
+    // external cache to a spec that does not cache is a named-field
+    // error (the session would ignore the cache).
     ExperimentSpec spec;
     spec.hamiltonian = isingHamiltonian(3, 1.0);
     spec.ansatz = fcheAnsatz(3, 1);
-    spec.share_cache = false;
+    spec.cache_capacity = 0;
     try {
         ExperimentSession session(
             std::move(spec), std::make_shared<SharedEnergyCache>(16));
-        FAIL() << "expected share_cache to be required";
+        FAIL() << "expected cache_capacity > 0 to be required";
     } catch (const std::invalid_argument &e) {
-        expectMentions(e, "ExperimentSpec.share_cache");
+        expectMentions(e, "ExperimentSpec.cache_capacity");
     }
 }
 
