@@ -6,7 +6,8 @@
  *  - trajectory farm: serial-reference vs OpenMP-parallel
  *    termExpectations on a fig12-style Clifford workload (plus a
  *    bit-identity check between the two paths);
- *  - bucket-sharded expectationBatch vs the amplitude-parallel path;
+ *  - group-sharded expectationBatch vs the unsharded sweep (slice
+ *    shards at or above 2^14 states, one thread below);
  *  - EstimationEngine LRU energy cache, cold vs warm, on a GA-style
  *    population with duplicate genomes;
  *  - compiled gate pipeline: Statevector::runCompiled of the fused op
@@ -220,7 +221,7 @@ main(int argc, char **argv)
                                  : " (MISMATCH!)")
               << "\n";
 
-    // ---- 2. Bucket-sharded expectationBatch ------------------------
+    // ---- 2. Group-sharded expectationBatch -------------------------
     const int batch_qubits = smoke ? 12 : 16;
     const int batch_reps = smoke ? 5 : 20;
     Statevector psi(static_cast<size_t>(batch_qubits));

@@ -315,8 +315,8 @@ BM_DiagPhaseSimd(benchmark::State &state)
 BENCHMARK(BM_DiagPhaseSimd)->Args({16, 0})->Args({16, 1});
 
 /**
- * X-mask lane sweep behind expectationBatch (the chunked
- * amplitude-pair traversal), scalar vs SIMD as above.
+ * X-mask group sweep behind expectationBatch (one band fill per
+ * group, one signed accumulation per term), scalar vs SIMD as above.
  */
 static void
 BM_LaneSweepSimd(benchmark::State &state)

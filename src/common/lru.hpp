@@ -3,7 +3,7 @@
  * The one LRU cache of the stack: a thread-safe, capacity-bounded map
  * from 64-bit content keys to values. The energy cache
  * (SharedEnergyCache), the compiled-circuit memo (SharedCompileCache)
- * and the sweep chunk-plan memo (sim/lane_sweep.cpp) are all instances
+ * and the sweep group-plan memo (sim/lane_sweep.cpp) are all instances
  * of it. Every key is a content hash of whatever the value was computed
  * from, so a resident entry is always interchangeable with
  * recomputation — which is why a racing insert may keep the first

@@ -44,19 +44,21 @@ moleculeSeed(const MoleculeSpec &spec)
     return seed;
 }
 
-/** Random Hermitian Pauli of the given weight on distinct sites. */
+/** Random Hermitian Pauli of the given weight on distinct sites
+ *  (n <= 64: the drawn sites live in one mask word). */
 PauliString
 randomString(Rng &rng, int n, int weight, bool hopping_like)
 {
     weight = std::min(weight, n); // a register has only n distinct sites
     PauliString p(static_cast<size_t>(n));
-    std::unordered_set<int> used;
-    while (static_cast<int>(used.size()) < weight) {
+    uint64_t used = 0;
+    for (int drawn = 0; drawn < weight;) {
         const int q = static_cast<int>(rng.uniformInt(
             static_cast<uint64_t>(n)));
-        if (used.count(q))
+        if ((used >> q) & 1)
             continue;
-        used.insert(q);
+        used |= uint64_t{1} << q;
+        ++drawn;
         Pauli pl;
         if (hopping_like) {
             // X/Y pairs dominate one- and two-body excitation strings.
@@ -76,6 +78,10 @@ Hamiltonian
 moleculeHamiltonian(const MoleculeSpec &spec)
 {
     const int n = spec.n_qubits;
+    if (n > 64)
+        throw std::invalid_argument(
+            "moleculeHamiltonian: n_qubits must be <= 64 (got " +
+            std::to_string(n) + ")");
     const int target_terms = moleculeTermCount(spec.molecule);
     Rng rng(moleculeSeed(spec));
 

@@ -48,7 +48,8 @@ struct MoleculeSpec
 /** Term counts matching the paper (H2O 367, H6 919, LiH 631). */
 int moleculeTermCount(Molecule molecule);
 
-/** Deterministic surrogate Hamiltonian for a benchmark configuration. */
+/** Deterministic surrogate Hamiltonian for a benchmark configuration.
+ *  Throws std::invalid_argument above 64 qubits. */
 Hamiltonian moleculeHamiltonian(const MoleculeSpec &spec);
 
 /** All six paper configurations (3 molecules x 2 bond lengths). */

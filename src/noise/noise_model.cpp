@@ -230,13 +230,32 @@ runNoisyDensityMatrix(const Circuit &circuit, const DmNoiseSpec &spec,
     rho.runPasses(compileNoisyDmStream(circuit, spec));
 }
 
+namespace {
+
+double
+dampingForWeight(double meas_flip, size_t weight)
+{
+    return std::pow(1.0 - 2.0 * meas_flip, static_cast<double>(weight));
+}
+
+} // namespace
+
 double
 readoutDampingFactor(double meas_flip, const PauliString &op)
 {
     if (meas_flip <= 0.0)
         return 1.0;
-    return std::pow(1.0 - 2.0 * meas_flip,
-                    static_cast<double>(op.weight()));
+    return dampingForWeight(meas_flip, op.weight());
+}
+
+std::vector<double>
+readoutDampingByWeight(double meas_flip, size_t n_qubits)
+{
+    std::vector<double> factors(n_qubits + 1, 1.0);
+    if (meas_flip > 0.0)
+        for (size_t w = 0; w <= n_qubits; ++w)
+            factors[w] = dampingForWeight(meas_flip, w);
+    return factors;
 }
 
 double

@@ -120,6 +120,14 @@ void runNoisyDensityMatrix(const Circuit &circuit, const DmNoiseSpec &spec,
 double readoutDampingFactor(double meas_flip, const PauliString &op);
 
 /**
+ * readoutDampingFactor for every Pauli weight 0..n_qubits: entry w is
+ * bit-identical to the factor of a weight-w string, so a batch builds
+ * n + 1 factors instead of one power per term.
+ */
+std::vector<double> readoutDampingByWeight(double meas_flip,
+                                           size_t n_qubits);
+
+/**
  * Energy Tr(H rho) after noisy execution, with readout error folded in
  * analytically as a (1 - 2 p_meas)^weight damping per Pauli term: the
  * density-matrix backend's prepare() + energy() under @p spec.

@@ -39,6 +39,13 @@ class Hamiltonian
     /** Empty Hamiltonian on @p n_qubits qubits. */
     explicit Hamiltonian(size_t n_qubits = 0);
 
+    Hamiltonian(const Hamiltonian &) = default;
+    Hamiltonian &operator=(const Hamiltonian &) = default;
+    /** A moved-from Hamiltonian is left empty on its qubits, with the
+     *  content hash of an empty term list. */
+    Hamiltonian(Hamiltonian &&other) noexcept;
+    Hamiltonian &operator=(Hamiltonian &&other) noexcept;
+
     /** Number of qubits. */
     size_t nQubits() const { return n_; }
 
@@ -82,13 +89,15 @@ class Hamiltonian
      * Hamiltonians hash equal iff they would produce identical term
      * expectations term for term — this is the Hamiltonian half of the
      * session-level energy-cache key (vqa/experiment.hpp), the
-     * counterpart of Circuit::contentHash().
+     * counterpart of Circuit::contentHash(). O(1): the FNV-1a fold is
+     * kept up to date by addTerm and compress.
      */
-    uint64_t contentHash() const;
+    uint64_t contentHash() const { return hash_; }
 
   private:
     size_t n_;
     std::vector<PauliTerm> terms_;
+    uint64_t hash_; ///< FNV-1a fold of n_ and terms_
 };
 
 } // namespace eftvqa

@@ -252,9 +252,11 @@ class DensityMatrixBackend final : public Backend
             throwNotPrepared();
         std::vector<double> vals = rho_.expectationBatch(ham);
         if (measFlip() > 0.0) {
+            const std::vector<double> damping =
+                readoutDampingByWeight(measFlip(), rho_.nQubits());
             const auto &terms = ham.terms();
             for (size_t k = 0; k < terms.size(); ++k)
-                vals[k] *= readoutDampingFactor(measFlip(), terms[k].op);
+                vals[k] *= damping[terms[k].op.weight()];
         }
         return vals;
     }

@@ -672,20 +672,22 @@ DensityMatrix::expectationBatch(const Hamiltonian &h) const
     const std::complex<double> *data = data_.data();
     return detail::expectationBatchSweep(
         h, d,
-        // Diagonal group: only Re(rho_ii) survives the final real
-        // projection (Hermitian Z-type terms have +/-1 phase).
-        [data, d](uint64_t i) {
-            return std::complex<double>{data[i * d + i].real(), 0.0};
-        },
-        [data, d](uint64_t xm) {
-            return [data, d, xm](uint64_t i) {
-                return data[i * d + (i ^ xm)];
-            };
-        },
-        [data, d](uint64_t xm, size_t lanes, const uint64_t *z,
-                  bool parallel, double *out_re, double *out_im) {
-            return simd::trySweepChunkDm(data, d, xm, lanes, z, parallel,
-                                         out_re, out_im);
+        // Band rho[i, i ^ xm]; the diagonal keeps only Re(rho_ii), all
+        // that survives the final real projection (Hermitian Z-type
+        // terms have +/-1 phase).
+        [data, d](uint64_t xm, uint64_t i0, size_t n,
+                  std::complex<double> *out, bool) {
+            if (xm == 0) {
+                for (size_t j = 0; j < n; ++j) {
+                    const uint64_t i = i0 + j;
+                    out[j] = {data[i * d + i].real(), 0.0};
+                }
+                return;
+            }
+            for (size_t j = 0; j < n; ++j) {
+                const uint64_t i = i0 + j;
+                out[j] = data[i * d + (i ^ xm)];
+            }
         });
 }
 

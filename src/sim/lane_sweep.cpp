@@ -1,21 +1,22 @@
 /**
  * @file
- * Memoized sweep chunk plans for expectationBatchSweep. Bucketing a
- * Hamiltonian by X-mask and flattening the buckets into 4-lane chunks
- * is cheap once, but GA and shot loops evaluate the same Hamiltonian
- * tens of thousands of times — so the plan is cached per content hash.
+ * Memoized X-mask group plans for expectationBatchSweep, and the
+ * per-thread sweep scratch. Bucketing a Hamiltonian by X-mask is cheap
+ * once, but GA and shot loops evaluate the same Hamiltonian tens of
+ * thousands of times — so the plan is cached per content hash.
  */
 
 #include "sim/lane_sweep.hpp"
 
 #include "common/lru.hpp"
+#include "pauli/term_groups.hpp"
 
 namespace eftvqa {
 namespace detail {
 
 namespace {
 
-using PlanPtr = std::shared_ptr<const std::vector<SweepChunk>>;
+using PlanPtr = std::shared_ptr<const SweepPlan>;
 
 constexpr size_t kPlanCacheCap = 64;
 
@@ -30,31 +31,27 @@ PlanPtr
 buildPlan(const Hamiltonian &h)
 {
     const auto &terms = h.terms();
-    auto plan = std::make_shared<std::vector<SweepChunk>>();
-    const auto groups = groupByXMask(h);
-    for (const auto &group : groups) {
-        const size_t nt = group.term_indices.size();
-        for (size_t c0 = 0; c0 < nt; c0 += 4) {
-            // Partial chunks round up to the next lane count with a
-            // zero mask in the spare lanes.
-            SweepChunk c{group.x_mask, std::min<size_t>(4, nt - c0),
-                         {0, 0, 0, 0}, {0, 0, 0, 0}};
-            for (size_t k = 0; k < c.lanes; ++k) {
-                const size_t t = group.term_indices[c0 + k];
-                const auto &zw = terms[t].op.zWords();
-                c.z[k] = zw.empty() ? 0 : zw[0];
-                c.term[k] = t;
-            }
-            plan->push_back(c);
+    auto plan = std::make_shared<SweepPlan>();
+    plan->begin.push_back(0);
+    for (const auto &group : groupByXMask(h)) {
+        plan->x.push_back(group.x_mask);
+        for (const size_t t : group.term_indices) {
+            const auto &zw = terms[t].op.zWords();
+            plan->z.push_back(zw.empty() ? 0 : zw[0]);
+            plan->term.push_back(t);
+            plan->phase.push_back(terms[t].op.phase());
         }
+        plan->begin.push_back(plan->z.size());
+        plan->max_group =
+            std::max(plan->max_group, group.term_indices.size());
     }
     return plan;
 }
 
 } // namespace
 
-std::shared_ptr<const std::vector<SweepChunk>>
-sweepChunkPlan(const Hamiltonian &h)
+std::shared_ptr<const SweepPlan>
+sweepPlan(const Hamiltonian &h)
 {
     const uint64_t key = h.contentHash();
     if (auto plan = planMemo().find(key))
@@ -74,6 +71,13 @@ uint64_t
 sweepPlanCacheMisses()
 {
     return planMemo().misses();
+}
+
+SweepScratch &
+sweepScratch()
+{
+    thread_local SweepScratch scratch;
+    return scratch;
 }
 
 } // namespace detail

@@ -1,14 +1,34 @@
 /**
  * @file
- * Internal multi-lane signed-accumulation sweep shared by the dense
- * simulators' expectationBatch kernels, plus the bucket-sharding policy
- * that decides between amplitude-level and bucket-level parallelism.
- * Not part of the public API.
+ * Internal expectation sweep shared by the dense simulators'
+ * expectationBatch kernels: one pass per X-mask group, plus the
+ * sharding policy that spreads groups (or slices) across threads. Not
+ * part of the public API.
+ *
+ * Terms sharing an X-mask x read the same per-basis-state weight
+ * w_i ("the band": conj(psi[i^x]) psi[i] on a statevector, rho[i, i^x]
+ * on a density matrix). Per group the backend fills the band once into
+ * an aligned per-thread scratch, and each term then runs one signed
+ * accumulation sum_i (-1)^{parity(i & z)} w_i over it.
+ *
+ * Summation order (the determinism contract). A sweep of dim basis
+ * states runs W lanes (simd::kLanes on the vector path, 1 on the scalar
+ * one) and S fixed slices of len = dim / S states each: S = 8 when the
+ * vector path has dim >= 16 W, or the scalar path dim >=
+ * kParallelGrainAmps, and S = 1 otherwise. Lane j of slice s sums the
+ * states s len + j, s len + j + W, ... in ascending order from +0.0;
+ * a slice's lanes are then added in ascending lane order, and the
+ * slices are added in ascending slice order onto +0.0. The partition
+ * depends only on dim and the lane width, never on the thread count,
+ * the shard axis or the scratch blocking, so every value is identical
+ * at any OpenMP team size. Below the grain the scalar path is one
+ * ascending chain per term.
  */
 
 #ifndef EFTVQA_SIM_LANE_SWEEP_HPP
 #define EFTVQA_SIM_LANE_SWEEP_HPP
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <complex>
@@ -21,159 +41,54 @@
 #endif
 
 #include "pauli/hamiltonian.hpp"
-#include "pauli/term_groups.hpp"
+#include "sim/simd.hpp"
 
 namespace eftvqa {
 namespace detail {
 
-/**
- * One flattened sweep work unit: up to four terms sharing an X-mask,
- * evaluated in a single traversal of the state. Spare lanes carry a
- * zero Z-mask and term slot 0 (their results are simply ignored).
- */
-struct SweepChunk
-{
-    uint64_t xm;
-    size_t lanes;
-    uint64_t z[4];
-    size_t term[4];
-};
+using cd = std::complex<double>;
 
 /**
- * Chunk plan for expectationBatchSweep, memoized per Hamiltonian
- * content hash (GA/shot loops evaluate the same Hamiltonian thousands
- * of times; re-bucketing it each call is pure waste). The plan depends
- * only on the Hamiltonian, not on the backend or register size, so one
- * cache serves both dense simulators. Thread-safe; returns a shared
- * pointer so a concurrent eviction cannot free a plan in use.
+ * A Hamiltonian's X-mask groups, flattened: group g owns the planned
+ * terms [begin[g], begin[g + 1]). Memoized per Hamiltonian content hash
+ * (GA and shot loops evaluate the same Hamiltonian thousands of times).
+ * The plan depends only on the Hamiltonian, not on the backend or
+ * register size, so one cache serves both dense simulators.
  */
-std::shared_ptr<const std::vector<SweepChunk>>
-sweepChunkPlan(const Hamiltonian &h);
+struct SweepPlan
+{
+    std::vector<uint64_t> x;     ///< X-mask per group
+    std::vector<size_t> begin;   ///< group offsets, groups() + 1 of them
+    std::vector<uint64_t> z;     ///< Z-mask per planned term
+    std::vector<size_t> term;    ///< Hamiltonian term slot per planned term
+    std::vector<cd> phase;       ///< i^e per planned term
+    size_t max_group = 0;        ///< largest group's term count
+
+    size_t groups() const { return x.size(); }
+};
+
+/** Thread-safe memoized plan; the shared pointer keeps a plan alive
+ *  through a concurrent eviction. */
+std::shared_ptr<const SweepPlan> sweepPlan(const Hamiltonian &h);
 
 /** Cache observability for tests/bench (process-wide counters). */
 uint64_t sweepPlanCacheHits();
 uint64_t sweepPlanCacheMisses();
 
-/**
- * Serial core of laneSweep: accumulate
- * sum_i (-1)^{parity(i & z_k)} * load(i) for kLanes terms in one
- * traversal of i in [0, dim). Stack-scalar accumulators keep the
- * per-lane sums in registers — heap-array accumulators cost a memory
- * round-trip per term per amplitude, which eats the benefit of sharing
- * load(i) across the lanes. Hermitian Pauli terms with no X support
- * contribute only real parts, so kWantImag = false lets diagonal
- * groups skip half the arithmetic.
- *
- * This is also the deterministic reference: one thread sweeping i in
- * ascending order. The bucket-sharded batch path runs each chunk
- * through this serial core, so its per-term sums are bit-identical for
- * any thread count.
- */
-template <int kLanes, bool kWantImag, class LoadFn>
-void
-laneSweepSerial(size_t dim, const uint64_t *z, LoadFn &&load,
-                double *out_re, double *out_im)
+/** The calling thread's sweep scratch (grow-only): the band block,
+ *  the running chains and one group's slice sums. */
+struct SweepScratch
 {
-    double re[kLanes] = {};
-    double im[kLanes] = {};
-    for (uint64_t i = 0; i < dim; ++i) {
-        const std::complex<double> p = load(i);
-        for (int k = 0; k < kLanes; ++k) {
-            const bool neg = std::popcount(i & z[k]) & 1;
-            re[k] += neg ? -p.real() : p.real();
-            if constexpr (kWantImag)
-                im[k] += neg ? -p.imag() : p.imag();
-        }
-    }
-    for (int k = 0; k < kLanes; ++k) {
-        out_re[k] = re[k];
-        out_im[k] = im[k];
-    }
-}
+    simd::AmpVector band;
+    simd::AmpVector acc;
+    std::vector<cd> sums;
+};
+SweepScratch &sweepScratch();
 
-/** laneSweepSerial with amplitude-level OpenMP parallelism for large
- *  registers (merge order across threads is not deterministic). */
-template <int kLanes, bool kWantImag, class LoadFn>
-void
-laneSweep(size_t dim, const uint64_t *z, LoadFn &&load, double *out_re,
-          double *out_im)
-{
-#ifdef _OPENMP
-    double re[kLanes] = {};
-    double im[kLanes] = {};
-#pragma omp parallel if (dim >= (size_t{1} << 14))
-    {
-        double lre[kLanes] = {};
-        double lim[kLanes] = {};
-#pragma omp for nowait
-        for (int64_t si = 0; si < static_cast<int64_t>(dim); ++si) {
-            const auto i = static_cast<uint64_t>(si);
-            const std::complex<double> p = load(i);
-            for (int k = 0; k < kLanes; ++k) {
-                const bool neg = std::popcount(i & z[k]) & 1;
-                lre[k] += neg ? -p.real() : p.real();
-                if constexpr (kWantImag)
-                    lim[k] += neg ? -p.imag() : p.imag();
-            }
-        }
-#pragma omp critical
-        for (int k = 0; k < kLanes; ++k) {
-            re[k] += lre[k];
-            im[k] += lim[k];
-        }
-    }
-    for (int k = 0; k < kLanes; ++k) {
-        out_re[k] = re[k];
-        out_im[k] = im[k];
-    }
-#else
-    laneSweepSerial<kLanes, kWantImag>(dim, z, load, out_re, out_im);
-#endif
-}
-
-/** Dispatch laneSweep on the run-time lane count (1, 2 or up-to-4). */
-template <bool kWantImag, class LoadFn>
-void
-laneSweepChunk(size_t dim, size_t lanes, const uint64_t *z, LoadFn &&load,
-               double *out_re, double *out_im)
-{
-    switch (lanes) {
-      case 1:
-        laneSweep<1, kWantImag>(dim, z, load, out_re, out_im);
-        break;
-      case 2:
-        laneSweep<2, kWantImag>(dim, z, load, out_re, out_im);
-        break;
-      default:
-        laneSweep<4, kWantImag>(dim, z, load, out_re, out_im);
-        break;
-    }
-}
-
-/** laneSweepChunk without inner parallelism (one chunk = one thread's
- *  work item in the bucket-sharded batch path). */
-template <bool kWantImag, class LoadFn>
-void
-laneSweepChunkSerial(size_t dim, size_t lanes, const uint64_t *z,
-                     LoadFn &&load, double *out_re, double *out_im)
-{
-    switch (lanes) {
-      case 1:
-        laneSweepSerial<1, kWantImag>(dim, z, load, out_re, out_im);
-        break;
-      case 2:
-        laneSweepSerial<2, kWantImag>(dim, z, load, out_re, out_im);
-        break;
-      default:
-        laneSweepSerial<4, kWantImag>(dim, z, load, out_re, out_im);
-        break;
-    }
-}
-
-/** Bucket-sharding override: -1 auto (grain heuristic), 0 force the
- *  amplitude-parallel path, 1 force bucket shards. Exposed so benches
- *  and determinism tests can pin either path; production code leaves
- *  it at auto. */
+/** Shard-axis override: -1 auto, 0 force slice shards (only at or
+ *  above kParallelGrainAmps), 1 force group shards. Exposed so benches
+ *  and determinism tests can pin either axis; both give the same bits,
+ *  and production code leaves it at auto. */
 inline std::atomic<int> g_bucket_shard_mode{-1};
 
 inline void
@@ -182,130 +97,303 @@ setBucketShardMode(int mode)
     g_bucket_shard_mode.store(mode, std::memory_order_relaxed);
 }
 
-/**
- * Shard an expectationBatch across its X-mask chunks (bucket-level
- * parallelism) rather than across amplitudes?
- *
- * Chunks are independent work units writing disjoint outputs, and each
- * runs the serial sweep core — so sharding is deterministic and
- * fork-free per chunk. It wins when there are enough chunks to fill
- * the threads; with few chunks over a huge register, amplitude-level
- * parallelism inside each traversal wins instead. Small problems
- * (total work under the grain) stay serial either way, so tiny
- * Hamiltonians don't pay the fork.
- */
-inline bool
-shouldShardBuckets(size_t n_chunks, size_t dim)
+/** Geometry of one sweep (see the file comment). */
+struct SweepShape
 {
+    size_t slices; ///< S
+    size_t len;    ///< states per slice
+    size_t block;  ///< states per slice per scratch block
+};
+
+inline SweepShape
+sweepShape(size_t dim, bool vec)
+{
+    SweepShape s;
+    const bool sliced = vec ? dim >= simd::kSweepSlices * simd::kLanes * 2
+                            : dim >= simd::kParallelGrainAmps;
+    s.slices = sliced ? simd::kSweepSlices : 1;
+    s.len = dim / s.slices;
+    // Registers above the grain fill their band block by block, so the
+    // scratch stays at kParallelGrainAmps states per thread.
+    s.block = std::min(s.len, simd::kParallelGrainAmps / s.slices);
+    return s;
+}
+
+/** Which axis an expectationBatch spreads across threads. */
+enum class SweepAxis
+{
+    serial,
+    groups,
+    slices
+};
+
+inline SweepAxis
+sweepAxis(size_t groups, size_t planned_terms, size_t dim)
+{
+    // At the grain both lane widths run eight slices.
+    const bool sliceable = dim >= simd::kParallelGrainAmps;
     const int mode = g_bucket_shard_mode.load(std::memory_order_relaxed);
     if (mode == 0)
-        return false;
+        return sliceable ? SweepAxis::slices : SweepAxis::serial;
     if (mode == 1)
-        return n_chunks >= 2;
+        return groups >= 2 ? SweepAxis::groups : SweepAxis::serial;
 #ifdef _OPENMP
-    const auto threads = static_cast<size_t>(omp_get_max_threads());
-    if (threads <= 1 || n_chunks < 2)
-        return false;
-    // Grain: don't fork for less than ~8k amplitude visits total.
-    if (n_chunks * dim < (size_t{1} << 13))
-        return false;
-    // Enough chunks to occupy the team; otherwise the inner amplitude
-    // loop is the better axis (it subdivides a single huge traversal).
-    return n_chunks >= threads;
+    // A call from inside an active region would get a team of one.
+    const size_t team = omp_in_parallel()
+                            ? 1
+                            : static_cast<size_t>(omp_get_max_threads());
+    if (team <= 1 || planned_terms * dim < simd::kParallelGrainAmps)
+        return SweepAxis::serial;
+    if (groups >= team)
+        return SweepAxis::groups;
+    if (sliceable)
+        return SweepAxis::slices;
+    return groups >= 2 ? SweepAxis::groups : SweepAxis::serial;
 #else
-    (void)n_chunks;
-    (void)dim;
-    return false;
+    (void)planned_terms;
+    (void)sliceable;
+    return SweepAxis::serial;
 #endif
 }
 
-/** Placeholder simd_chunk for callers without a vector sweep. */
-struct NoSimdSweep
+/** x with its sign bit flipped when @p neg is 1 — an exact negation,
+ *  branch-free. */
+inline double
+negateIf(double x, uint64_t neg)
 {
-    bool
-    operator()(uint64_t, size_t, const uint64_t *, bool, double *,
-               double *) const
+    return std::bit_cast<double>(std::bit_cast<uint64_t>(x) ^ (neg << 63));
+}
+
+/** Scalar lanes (W = 1): the reference the vector lanes mirror. */
+struct ScalarLanes
+{
+    static constexpr size_t kWidth = 1;
+
+    /** One block of NS interleaved slice chains for one term. band
+     *  holds NS rows of @p steps states, @p stride apart; row r is
+     *  slice slice0 + r, starting at within-slice offset @p off. acc
+     *  holds the NS running sums (zeroed first when @p first). */
+    template <size_t NS>
+    static void
+    block(const cd *band, size_t stride, size_t steps, uint64_t off,
+          uint64_t slice0, uint64_t len, uint64_t z, cd *acc, bool first)
     {
-        return false;
+        double re[NS], im[NS];
+        uint64_t ps[NS];
+        for (size_t r = 0; r < NS; ++r) {
+            ps[r] = std::popcount(((slice0 + r) * len) & z) & 1;
+            re[r] = first ? 0.0 : acc[r].real();
+            im[r] = first ? 0.0 : acc[r].imag();
+        }
+        for (size_t k = 0; k < steps; ++k) {
+            const uint64_t pk = std::popcount((off + k) & z) & 1;
+            for (size_t r = 0; r < NS; ++r) {
+                const cd w = band[r * stride + k];
+                re[r] += negateIf(w.real(), ps[r] ^ pk);
+                im[r] += negateIf(w.imag(), ps[r] ^ pk);
+            }
+        }
+        for (size_t r = 0; r < NS; ++r)
+            acc[r] = cd{re[r], im[r]};
+    }
+
+    static cd
+    laneSum(const cd *acc)
+    {
+        return acc[0];
     }
 };
 
-/**
- * Shared expectationBatch driver for the dense simulators. Buckets the
- * Hamiltonian's terms by X-mask, flattens the buckets into <=4-lane
- * chunks (independent traversals writing disjoint out[] slots), and
- * dispatches each chunk through the lane sweep — bucket-sharded across
- * threads when shouldShardBuckets says so, amplitude-parallel
- * otherwise. The chunk plan itself is memoized per Hamiltonian content
- * hash (sweepChunkPlan).
- *
- * @p diag_load  (uint64_t i) -> complex weight of basis state i for
- *               X-mask-0 (diagonal) groups; only the real part is used.
- * @p band_load  (uint64_t xm) -> a per-amplitude loader
- *               (uint64_t i) -> complex for the off-diagonal band xm.
- * @p simd_chunk (uint64_t xm, size_t lanes, const uint64_t *z,
- *               bool parallel, double *out_re, double *out_im) -> bool;
- *               a backend's vectorized sweep over one chunk. Returning
- *               false falls back to the scalar lane sweep. The SIMD
- *               sweep uses a fixed slice partition so its reduction
- *               order is stable across thread counts and shard modes
- *               (parity with the scalar reference is a tested <=1e-12
- *               contract, see simd.hpp).
- */
-template <class DiagLoad, class BandLoadFactory,
-          class SimdChunk = NoSimdSweep>
-std::vector<double>
-expectationBatchSweep(const Hamiltonian &h, size_t dim,
-                      DiagLoad &&diag_load, BandLoadFactory &&band_load,
-                      SimdChunk &&simd_chunk = SimdChunk{})
+#if defined(EFTVQA_SIMD_VECTOR)
+/** Vector lanes (W = simd::kLanes). */
+struct VectorLanes
 {
-    const auto &terms = h.terms();
-    std::vector<double> out(terms.size(), 0.0);
-    const auto plan = sweepChunkPlan(h);
-    const auto &chunks = *plan;
+    static constexpr size_t kWidth = simd::kLanes;
 
-    const bool shard = shouldShardBuckets(chunks.size(), dim);
-    auto sweep_chunk = [&](const SweepChunk &c, bool serial) {
-        double res_re[4] = {};
-        double res_im[4] = {};
-        if (simd_chunk(c.xm, c.lanes, c.z, !serial, res_re, res_im)) {
-            // vectorized path wrote the chunk's sums
-        } else if (c.xm == 0) {
-            if (serial)
-                laneSweepChunkSerial<false>(dim, c.lanes, c.z, diag_load,
-                                            res_re, res_im);
-            else
-                laneSweepChunk<false>(dim, c.lanes, c.z, diag_load,
-                                      res_re, res_im);
-        } else {
-            auto load = band_load(c.xm);
-            if (serial)
-                laneSweepChunkSerial<true>(dim, c.lanes, c.z, load,
-                                           res_re, res_im);
-            else
-                laneSweepChunk<true>(dim, c.lanes, c.z, load, res_re,
-                                     res_im);
+    template <size_t NS>
+    static void
+    block(const cd *band, size_t stride, size_t steps, uint64_t off,
+          uint64_t slice0, uint64_t len, uint64_t z, cd *acc, bool first)
+    {
+        simd::detail::kernSweepBlock<NS>(band, stride, steps, off, slice0,
+                                         len, z, acc, first);
+    }
+
+    static cd
+    laneSum(const cd *acc)
+    {
+        double re = acc[0].real();
+        double im = acc[0].imag();
+        for (size_t j = 1; j < kWidth; ++j) {
+            re += acc[j].real();
+            im += acc[j].imag();
         }
-        for (size_t k = 0; k < c.lanes; ++k) {
-            const size_t t = c.term[k];
-            out[t] = (terms[t].op.phase() *
-                      std::complex<double>{res_re[k], res_im[k]})
-                         .real();
-        }
+        return cd{re, im};
+    }
+};
+#endif
+
+/** Lanes::block with the row count NS (1..kSweepSlices) as a template
+ *  argument, so the NS chains stay in registers. */
+template <class Lanes>
+void
+sweepBlockRows(size_t rows, const cd *band, size_t stride, size_t steps,
+               uint64_t off, uint64_t slice0, uint64_t len, uint64_t z,
+               cd *acc, bool first)
+{
+    static_assert(simd::kSweepSlices == 8);
+    switch (rows) {
+#define EFTVQA_SWEEP_ROWS(N)                                                 \
+      case N:                                                                \
+        Lanes::template block<N>(band, stride, steps, off, slice0, len, z,   \
+                                 acc, first);                                \
+        break;
+      EFTVQA_SWEEP_ROWS(1)
+      EFTVQA_SWEEP_ROWS(2)
+      EFTVQA_SWEEP_ROWS(3)
+      EFTVQA_SWEEP_ROWS(4)
+      EFTVQA_SWEEP_ROWS(5)
+      EFTVQA_SWEEP_ROWS(6)
+      EFTVQA_SWEEP_ROWS(7)
+      EFTVQA_SWEEP_ROWS(8)
+#undef EFTVQA_SWEEP_ROWS
+    }
+}
+
+/**
+ * Group g over slices [s0, s1): fill the band block by block, run every
+ * term's chains, and write the lane-reduced sum of slice s for the
+ * group's k-th term to sums[k * slices + s].
+ */
+template <class Lanes, class Fill>
+void
+sweepGroup(const SweepPlan &plan, size_t g, const SweepShape &shape,
+           size_t s0, size_t s1, Fill &fill, cd *sums)
+{
+    constexpr size_t W = Lanes::kWidth;
+    const size_t rows = s1 - s0;
+    const size_t p0 = plan.begin[g];
+    const size_t m = plan.begin[g + 1] - p0;
+    SweepScratch &scratch = sweepScratch();
+    if (scratch.band.size() < rows * shape.block)
+        scratch.band.resize(rows * shape.block);
+    if (scratch.acc.size() < plan.max_group * simd::kSweepSlices * W)
+        scratch.acc.resize(plan.max_group * simd::kSweepSlices * W);
+    cd *band = scratch.band.data();
+    cd *acc = scratch.acc.data();
+    const uint64_t xm = plan.x[g];
+    for (size_t off = 0; off < shape.len; off += shape.block) {
+        if (shape.block == shape.len) // one block: the rows are adjacent
+            fill(xm, s0 * shape.len, rows * shape.len, band, W > 1);
+        else
+            for (size_t r = 0; r < rows; ++r)
+                fill(xm, (s0 + r) * shape.len + off, shape.block,
+                     band + r * shape.block, W > 1);
+        for (size_t k = 0; k < m; ++k)
+            sweepBlockRows<Lanes>(rows, band, shape.block, shape.block / W,
+                                  off, s0, shape.len, plan.z[p0 + k],
+                                  acc + k * rows * W, off == 0);
+    }
+    for (size_t k = 0; k < m; ++k)
+        for (size_t r = 0; r < rows; ++r)
+            sums[k * shape.slices + s0 + r] =
+                Lanes::laneSum(acc + (k * rows + r) * W);
+}
+
+/** Slice sums onto +0.0 in ascending slice order, projected through the
+ *  term's phase. */
+inline double
+finishTerm(const cd *slice_sums, size_t slices, cd phase)
+{
+    double re = 0.0, im = 0.0;
+    for (size_t s = 0; s < slices; ++s) {
+        re += slice_sums[s].real();
+        im += slice_sums[s].imag();
+    }
+    return (phase * cd{re, im}).real();
+}
+
+template <class Lanes, class Fill>
+std::vector<double>
+sweepWithLanes(const SweepPlan &plan, size_t n_terms, size_t dim,
+               Fill &fill)
+{
+    std::vector<double> out(n_terms, 0.0);
+    const SweepShape shape = sweepShape(dim, Lanes::kWidth > 1);
+    const size_t S = shape.slices;
+    const size_t groups = plan.groups();
+
+    // One group end to end on the calling thread.
+    auto whole_group = [&](size_t g) {
+        std::vector<cd> &sums = sweepScratch().sums;
+        if (sums.size() < plan.max_group * S)
+            sums.resize(plan.max_group * S);
+        sweepGroup<Lanes>(plan, g, shape, 0, S, fill, sums.data());
+        const size_t p0 = plan.begin[g];
+        for (size_t p = p0; p < plan.begin[g + 1]; ++p)
+            out[plan.term[p]] =
+                finishTerm(&sums[(p - p0) * S], S, plan.phase[p]);
     };
 
-    if (shard) {
+    switch (sweepAxis(groups, plan.z.size(), dim)) {
+      case SweepAxis::serial:
+        for (size_t g = 0; g < groups; ++g)
+            whole_group(g);
+        break;
+      case SweepAxis::groups:
 #ifdef _OPENMP
 #pragma omp parallel for schedule(dynamic)
 #endif
-        for (int64_t ci = 0; ci < static_cast<int64_t>(chunks.size());
-             ++ci)
-            sweep_chunk(chunks[static_cast<size_t>(ci)], true);
-    } else {
-        for (const SweepChunk &c : chunks)
-            sweep_chunk(c, false);
+        for (int64_t g = 0; g < static_cast<int64_t>(groups); ++g)
+            whole_group(static_cast<size_t>(g));
+        break;
+      case SweepAxis::slices: {
+        // Each thread owns a fixed run of slices for every group; the
+        // slice sums meet in sums and are finished after the region.
+        std::vector<cd> sums(plan.z.size() * S);
+#ifdef _OPENMP
+#pragma omp parallel
+#endif
+        {
+#ifdef _OPENMP
+            const auto tid = static_cast<size_t>(omp_get_thread_num());
+            const auto nt = static_cast<size_t>(omp_get_num_threads());
+#else
+            const size_t tid = 0, nt = 1;
+#endif
+            const size_t s0 = S * tid / nt;
+            const size_t s1 = S * (tid + 1) / nt;
+            if (s0 < s1)
+                for (size_t g = 0; g < groups; ++g)
+                    sweepGroup<Lanes>(plan, g, shape, s0, s1, fill,
+                                      &sums[plan.begin[g] * S]);
+        }
+        for (size_t p = 0; p < plan.z.size(); ++p)
+            out[plan.term[p]] = finishTerm(&sums[p * S], S, plan.phase[p]);
+        break;
+      }
     }
     return out;
+}
+
+/**
+ * Shared expectationBatch entry point of the dense simulators.
+ *
+ * @p fill (uint64_t xm, uint64_t i0, size_t n, cd *out, bool vec) writes
+ *         the band of X-mask xm for basis states [i0, i0 + n) into out;
+ *         vec selects the vector-lane form (the sweep took the vector
+ *         path: simd::enabled() and dim >= simd::kLanes).
+ */
+template <class Fill>
+std::vector<double>
+expectationBatchSweep(const Hamiltonian &h, size_t dim, Fill &&fill)
+{
+    const auto plan = sweepPlan(h);
+#if defined(EFTVQA_SIMD_VECTOR)
+    if (simd::enabled() && dim >= simd::kLanes)
+        return sweepWithLanes<VectorLanes>(*plan, h.nTerms(), dim, fill);
+#endif
+    return sweepWithLanes<ScalarLanes>(*plan, h.nTerms(), dim, fill);
 }
 
 } // namespace detail

@@ -21,11 +21,16 @@
  * scalar association, and no FMA contraction is emitted (the kernels
  * use explicit mul/add intrinsics) — so the vector run() path is
  * bit-identical to the scalar one. The expectation sweep is the one
- * exception: it accumulates into per-lane vector accumulators and
- * reduces them in a fixed order at the end, which reorders the sum
- * relative to the scalar sweep. It is therefore gated behind a tested
- * <= 1e-12 parity contract, and laneSweepSerial (lane_sweep.hpp)
- * remains the deterministic reference used by the sharded batch.
+ * exception: its sums run in kLanes lane chains per slice, which
+ * reorders them relative to the scalar path (one chain per slice), so
+ * SIMD on/off agree to a tested <= 1e-12. Each path is bit-exact to
+ * its own written-down order (sim/lane_sweep.hpp): 8 fixed slices of
+ * dim / 8 states (one slice below 16 kLanes states; the scalar path
+ * slices only from kParallelGrainAmps), each lane adding its states in
+ * ascending order, lanes then slices added in ascending order. The
+ * partition never depends on the thread count or the shard axis, and
+ * tests/test_pauli_sums.cpp checks both paths by memcmp against a
+ * reference that follows it.
  *
  * Mode pinning: setSimdMode(0) forces the scalar paths (benches and
  * parity tests), setSimdMode(-1) restores the default auto dispatch.
@@ -87,6 +92,11 @@ inline constexpr const char *kCompiledIsa = "scalar";
 /** Fork threshold in amplitudes, matching the simulators' historical
  *  OpenMP grain. */
 inline constexpr size_t kParallelGrainAmps = size_t{1} << 14;
+
+/** Fixed slice count of the expectation sweep (sim/lane_sweep.hpp):
+ *  slice sums are added in slice order, so the partition, and every
+ *  value, is independent of the thread count. */
+inline constexpr size_t kSweepSlices = 8;
 
 /** Runtime sanity check: does this host implement the compiled ISA?
  *  Vector kernels are never entered when it fails, so a binary built
@@ -358,11 +368,6 @@ vdupPairsOdd(CVec v)
     return _mm512_permutexvar_pd(idx, v);
 }
 EFTVQA_SIMD_TARGET inline SignVec
-signsNone()
-{
-    return _mm512_setzero_pd();
-}
-EFTVQA_SIMD_TARGET inline SignVec
 signsAll()
 {
     return _mm512_set1_pd(-0.0);
@@ -470,11 +475,6 @@ EFTVQA_SIMD_TARGET inline CVec
 vdupPairsOdd(CVec v)
 {
     return _mm256_permute2f128_pd(v, v, 0x11);
-}
-EFTVQA_SIMD_TARGET inline SignVec
-signsNone()
-{
-    return _mm256_setzero_pd();
 }
 EFTVQA_SIMD_TARGET inline SignVec
 signsAll()
@@ -613,11 +613,6 @@ vdupPairsOdd(CVec v)
     return out;
 }
 inline SignVec
-signsNone()
-{
-    return dvec(1.0);
-}
-inline SignVec
 signsAll()
 {
     return dvec(-1.0);
@@ -643,13 +638,7 @@ vsignApply(CVec v, SignVec s)
 
 #endif // per-ISA primitives
 
-/** Round-trip helper for lane extraction in the fixed-order sweep
- *  reduction. */
-EFTVQA_SIMD_TARGET inline void
-vtoArray(CVec v, cd *out)
-{
-    vstore(out, v);
-}
+/** Load kLanes complex values staged in a scalar buffer. */
 EFTVQA_SIMD_TARGET inline CVec
 vfromArray(const cd *in)
 {
@@ -893,116 +882,67 @@ kernRowScalePhase(cd *row, size_t n_chunks, cd pi, const cd *ph)
 }
 
 // ------------------------- sweep kernels ------------------------- //
-// Mask-parity sign-flip vectors instead of the scalar sweep's per-  //
-// amplitude popcount branch: per term, the within-chunk sign        //
-// pattern is precomputed (lane j flips on parity(j & z)), and per   //
-// chunk one scalar popcount of the lane-aligned base index selects  //
-// pattern or flipped pattern. Accumulation is per-lane vectors      //
-// reduced in fixed lane order at the end (the <= 1e-12 contract).   //
+// The expectation sweep (sim/lane_sweep.hpp) runs per X-mask group:  //
+// the group's band is filled once into scratch, then each term runs //
+// kernSweepBlock over it. Signs are mask-parity sign-flip vectors:  //
+// per slice the within-register pattern (lane j flips on            //
+// parity(j & z)) or its flip, picked per register step by one       //
+// scalar popcount of the step's within-slice offset.                //
 
-struct SweepAcc
-{
-    CVec acc[4];
-    SignVec pat[4];
-    SignVec flip[4];
-    size_t lanes;
-
-    EFTVQA_SIMD_TARGET void init(size_t nl, const uint64_t *z)
-    {
-        lanes = nl;
-        for (size_t k = 0; k < lanes; ++k) {
-            acc[k] = vzero();
-            pat[k] = signsForMask(z[k]);
-            flip[k] = signsXor(pat[k], signsAll());
-        }
-    }
-    EFTVQA_SIMD_TARGET void accumulate(uint64_t i, const uint64_t *z,
-                                       CVec val)
-    {
-        for (size_t k = 0; k < lanes; ++k) {
-            const bool neg = std::popcount(i & z[k]) & 1;
-            acc[k] = vadd(acc[k], vsignApply(val, neg ? flip[k]
-                                                      : pat[k]));
-        }
-    }
-    /** Fixed-order (ascending lane) reduction into complex sums. */
-    EFTVQA_SIMD_TARGET void reduce(cd *out) const
-    {
-        alignas(64) cd tmp[kLanes];
-        for (size_t k = 0; k < lanes; ++k) {
-            vtoArray(acc[k], tmp);
-            double re = tmp[0].real();
-            double im = tmp[0].imag();
-            for (size_t j = 1; j < kLanes; ++j) {
-                re += tmp[j].real();
-                im += tmp[j].imag();
-            }
-            out[k] = cd{re, im};
-        }
-    }
-};
-
-/** Statevector diagonal bucket: sum_i (+-) |a_i|^2. */
+/** Statevector band over [i0, i0 + n): conj(a_{i^xm}) a_i, or
+ *  vnormPairs(a_i) when xm = 0. */
 EFTVQA_SIMD_TARGET inline void
-kernSweepSvDiag(const cd *data, uint64_t start, size_t len,
-                size_t lanes, const uint64_t *z, cd *out)
+kernBandSv(const cd *data, uint64_t i0, size_t n, uint64_t xm, cd *out)
 {
-    SweepAcc s;
-    s.init(lanes, z);
-    for (uint64_t i = start; i < start + len; i += kLanes)
-        s.accumulate(i, z, vnormPairs(vload(data + i)));
-    s.reduce(out);
-}
-
-/** Statevector off-diagonal band: sum_i (+-) conj(a_{i^xm}) a_i. */
-EFTVQA_SIMD_TARGET inline void
-kernSweepSvBand(const cd *data, uint64_t start, size_t len, uint64_t xm,
-                size_t lanes, const uint64_t *z, cd *out)
-{
+    if (xm == 0) {
+        for (size_t j = 0; j < n; j += kLanes)
+            vstore(out + j, vnormPairs(vload(data + i0 + j)));
+        return;
+    }
     const uint64_t xm_hi = xm & ~uint64_t{kLanes - 1};
     const auto xm_lo = static_cast<unsigned>(xm & (kLanes - 1));
-    SweepAcc s;
-    s.init(lanes, z);
-    for (uint64_t i = start; i < start + len; i += kLanes) {
-        const CVec v = vload(data + i);
+    for (size_t j = 0; j < n; j += kLanes) {
+        const uint64_t i = i0 + j;
         CVec pv = vload(data + (i ^ xm_hi));
         if (xm_lo)
             pv = vlanePermuteXor(pv, xm_lo);
-        s.accumulate(i, z, vcmul(vconj(pv), v));
+        vstore(out + j, vcmul(vconj(pv), vload(data + i)));
     }
-    s.reduce(out);
 }
 
-/** Density-matrix diagonal bucket: sum_i (+-) Re(rho_ii). */
+/**
+ * One scratch block of NS interleaved slice chains for one term. band
+ * holds NS rows of @p steps registers, @p stride states apart; row r is
+ * slice slice0 + r (of @p len states) from within-slice offset @p off.
+ * acc holds NS stored registers of running sums, zeroed first when
+ * @p first. Each register lane adds its states in ascending order.
+ */
+template <size_t NS>
 EFTVQA_SIMD_TARGET inline void
-kernSweepDmDiag(const cd *data, size_t d, uint64_t start, size_t len,
-                size_t lanes, const uint64_t *z, cd *out)
+kernSweepBlock(const cd *band, size_t stride, size_t steps, uint64_t off,
+               uint64_t slice0, uint64_t len, uint64_t z, cd *acc,
+               bool first)
 {
-    SweepAcc s;
-    s.init(lanes, z);
-    alignas(64) cd buf[kLanes];
-    for (uint64_t i = start; i < start + len; i += kLanes) {
-        for (size_t l = 0; l < kLanes; ++l)
-            buf[l] = cd{data[(i + l) * d + (i + l)].real(), 0.0};
-        s.accumulate(i, z, vfromArray(buf));
+    const SignVec pat = signsForMask(z);
+    const SignVec flip = signsXor(pat, signsAll());
+    SignVec sel[NS][2];
+    CVec a[NS];
+    for (size_t r = 0; r < NS; ++r) {
+        const bool ps = std::popcount(((slice0 + r) * len) & z) & 1;
+        sel[r][0] = ps ? flip : pat;
+        sel[r][1] = ps ? pat : flip;
+        a[r] = first ? vzero() : vload(acc + r * kLanes);
     }
-    s.reduce(out);
-}
-
-/** Density-matrix off-diagonal band: sum_i (+-) rho[i, i ^ xm]. */
-EFTVQA_SIMD_TARGET inline void
-kernSweepDmBand(const cd *data, size_t d, uint64_t start, size_t len,
-                uint64_t xm, size_t lanes, const uint64_t *z, cd *out)
-{
-    SweepAcc s;
-    s.init(lanes, z);
-    alignas(64) cd buf[kLanes];
-    for (uint64_t i = start; i < start + len; i += kLanes) {
-        for (size_t l = 0; l < kLanes; ++l)
-            buf[l] = data[(i + l) * d + ((i + l) ^ xm)];
-        s.accumulate(i, z, vfromArray(buf));
+    for (size_t k = 0; k < steps; ++k) {
+        const size_t pk =
+            std::popcount((off + k * kLanes) & z) & 1;
+        for (size_t r = 0; r < NS; ++r)
+            a[r] = vadd(a[r], vsignApply(vload(band + r * stride +
+                                               k * kLanes),
+                                         sel[r][pk]));
     }
-    s.reduce(out);
+    for (size_t r = 0; r < NS; ++r)
+        vstore(acc + r * kLanes, a[r]);
 }
 
 #endif // EFTVQA_SIMD_VECTOR
@@ -1237,124 +1177,33 @@ rowScalePhase(cd *row, size_t n, cd pi, const cd *ph)
         row[j] *= pi * std::conj(ph[j]);
 }
 
-#if defined(EFTVQA_SIMD_VECTOR)
-namespace detail {
-
-/** Fixed slice count for the sweep: partials are merged in slice
- *  order, so the result is identical for any OpenMP thread count
- *  (including 1) and for the sharded serial path — the slicing
- *  depends only on the traversal length. */
-inline constexpr size_t kSweepSlices = 8;
-
-template <class SliceFn>
-inline void
-sweepSliced(size_t dim, size_t lanes, bool parallel, double *out_re,
-            double *out_im, SliceFn &&slice)
-{
-    const size_t nslices =
-        dim >= kSweepSlices * kLanes * 2 ? kSweepSlices : 1;
-    cd partial[kSweepSlices][4];
-    const size_t len = dim / nslices;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (                               \
-        parallel && nslices > 1 && dim >= kParallelGrainAmps)
-#endif
-    for (int64_t s = 0; s < static_cast<int64_t>(nslices); ++s)
-        slice(static_cast<uint64_t>(s) * len, len,
-              partial[static_cast<size_t>(s)]);
-#ifndef _OPENMP
-    (void)parallel;
-#endif
-    for (size_t k = 0; k < lanes; ++k) {
-        double re = 0.0, im = 0.0;
-        for (size_t s = 0; s < nslices; ++s) {
-            re += partial[s][k].real();
-            im += partial[s][k].imag();
-        }
-        out_re[k] = re;
-        out_im[k] = im;
-    }
-}
-
-} // namespace detail
-#endif
-
 /**
- * Statevector expectation sweep chunk (up to 4 terms sharing an
- * X-mask). Returns false when the vector path is unavailable; the
- * caller then runs the scalar lane sweep.
+ * Statevector expectation band over [i0, i0 + n) for X-mask @p xm (see
+ * sim/lane_sweep.hpp): the vector form when @p vec (the sweep took
+ * vector lanes, so n is a multiple of kLanes), else the scalar
+ * reference conj(a_{i^xm}) a_i, or (|a_i|^2, 0) when xm = 0.
  */
-inline bool
-trySweepChunkSv(const cd *data, size_t dim, uint64_t xm, size_t lanes,
-                const uint64_t *z, bool parallel, double *out_re,
-                double *out_im)
+inline void
+bandSv(const cd *data, uint64_t i0, size_t n, uint64_t xm, bool vec,
+       cd *out)
 {
 #if defined(EFTVQA_SIMD_VECTOR)
-    if (!enabled() || dim < kLanes)
-        return false;
-    if (xm == 0)
-        detail::sweepSliced(dim, lanes, parallel, out_re, out_im,
-                            [&](uint64_t start, size_t len, cd *out) {
-                                detail::kernSweepSvDiag(data, start,
-                                                        len, lanes, z,
-                                                        out);
-                            });
-    else
-        detail::sweepSliced(dim, lanes, parallel, out_re, out_im,
-                            [&](uint64_t start, size_t len, cd *out) {
-                                detail::kernSweepSvBand(data, start,
-                                                        len, xm, lanes,
-                                                        z, out);
-                            });
-    return true;
+    if (vec) {
+        detail::kernBandSv(data, i0, n, xm, out);
+        return;
+    }
 #else
-    (void)data;
-    (void)dim;
-    (void)xm;
-    (void)lanes;
-    (void)z;
-    (void)parallel;
-    (void)out_re;
-    (void)out_im;
-    return false;
+    (void)vec;
 #endif
-}
-
-/** Density-matrix expectation sweep chunk. */
-inline bool
-trySweepChunkDm(const cd *data, size_t d, uint64_t xm, size_t lanes,
-                const uint64_t *z, bool parallel, double *out_re,
-                double *out_im)
-{
-#if defined(EFTVQA_SIMD_VECTOR)
-    if (!enabled() || d < kLanes)
-        return false;
-    if (xm == 0)
-        detail::sweepSliced(d, lanes, parallel, out_re, out_im,
-                            [&](uint64_t start, size_t len, cd *out) {
-                                detail::kernSweepDmDiag(data, d, start,
-                                                        len, lanes, z,
-                                                        out);
-                            });
-    else
-        detail::sweepSliced(d, lanes, parallel, out_re, out_im,
-                            [&](uint64_t start, size_t len, cd *out) {
-                                detail::kernSweepDmBand(data, d, start,
-                                                        len, xm, lanes,
-                                                        z, out);
-                            });
-    return true;
-#else
-    (void)data;
-    (void)d;
-    (void)xm;
-    (void)lanes;
-    (void)z;
-    (void)parallel;
-    (void)out_re;
-    (void)out_im;
-    return false;
-#endif
+    if (xm == 0) {
+        for (size_t j = 0; j < n; ++j)
+            out[j] = cd{std::norm(data[i0 + j]), 0.0};
+        return;
+    }
+    for (size_t j = 0; j < n; ++j) {
+        const uint64_t i = i0 + j;
+        out[j] = std::conj(data[i ^ xm]) * data[i];
+    }
 }
 
 } // namespace simd

@@ -580,24 +580,11 @@ Statevector::expectationBatch(const Hamiltonian &h) const
     if (h.nQubits() != n_)
         throw std::invalid_argument(
             "Statevector::expectationBatch: size mismatch");
-    const size_t dim = data_.size();
     const std::complex<double> *data = data_.data();
     return detail::expectationBatchSweep(
-        h, dim,
-        // Diagonal group: |a_i|^2 weights, no imaginary part.
-        [data](uint64_t i) {
-            return std::complex<double>{std::norm(data[i]), 0.0};
-        },
-        [data](uint64_t xm) {
-            return [data, xm](uint64_t i) {
-                return std::conj(data[i ^ xm]) * data[i];
-            };
-        },
-        [data, dim](uint64_t xm, size_t lanes, const uint64_t *z,
-                    bool parallel, double *out_re, double *out_im) {
-            return simd::trySweepChunkSv(data, dim, xm, lanes, z,
-                                         parallel, out_re, out_im);
-        });
+        h, data_.size(),
+        [data](uint64_t xm, uint64_t i0, size_t n, std::complex<double> *out,
+               bool vec) { simd::bandSv(data, i0, n, xm, vec, out); });
 }
 
 std::vector<double>

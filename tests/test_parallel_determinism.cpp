@@ -1,7 +1,7 @@
 /**
  * @file
  * Determinism contract of the parallel execution layer: the OpenMP
- * trajectory farm, the bucket-sharded expectationBatch and the
+ * trajectory farm, the group- and slice-sharded expectationBatch and the
  * clone-parallel EstimationEngine::energies batch must all be
  * bit-identical to their serial references at any thread count, and the
  * LRU energy cache must collapse duplicate genomes into lookups.
@@ -121,9 +121,9 @@ TEST(ParallelDeterminism, TrajectoryFarmThreadCountInvariant)
 
 TEST(ParallelDeterminism, ShardedStatevectorBatchMatchesSerial)
 {
-    // dim 2^12 < the amplitude-parallel threshold, so the unsharded
-    // path is the one-thread ascending-index reference the sharded
-    // path must reproduce exactly.
+    // dim 2^12 is below the slice-shard grain, so pin 0 runs the
+    // whole sweep on the calling thread: the reference the group
+    // shards must reproduce exactly.
     const int n = 12;
     Statevector psi(n);
     const auto ansatz = fcheAnsatz(n, 1);

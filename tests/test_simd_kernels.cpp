@@ -11,7 +11,8 @@
  *  - toggling the L2 block schedule must be bit-identical;
  *  - EstimationEngine::energies must be bit-identical across OpenMP
  *    thread counts in both SIMD modes;
- *  - the groupByXMask chunk-plan memo must hit on repeat Hamiltonians.
+ *  - the X-mask group-plan memo must be looked up once per
+ *    expectationBatch and hit on repeat Hamiltonians.
  */
 
 #include <gtest/gtest.h>
