@@ -4,23 +4,12 @@
  * against the 0.76 threshold that decides whether pQEC beats NISQ at
  * large depth, and the resulting crossover qubit counts.
  *
- * The size axis runs through a SweepSpec (vqa/sweep.hpp) like the
- * figure drivers: one cell per qubit count, each cell's row carrying
- * the four ansatz families' ratios at that size. The analytic cell
- * function never touches its session — the sweep machinery still
- * provides the cell keys, the resumable --cells store and --out JSON
- * for free.
+ * The sizes are serve::ablationRzCnotWorkload (src/serve/workloads.cpp),
+ * one analytic cell per qubit count; the flags are sweep_driver.hpp's.
  */
 
-#include <iostream>
-#include <memory>
-#include <optional>
-
 #include "ansatz/ansatz.hpp"
-#include "common/table.hpp"
-#include "driver_args.hpp"
-#include "store/sink.hpp"
-#include "vqa/sweep.hpp"
+#include "sweep_driver.hpp"
 
 using namespace eftvqa;
 
@@ -30,101 +19,54 @@ constexpr AnsatzKind kKinds[] = {AnsatzKind::LinearHea, AnsatzKind::Fche,
                                  AnsatzKind::BlockedAllToAll,
                                  AnsatzKind::UccsdLite};
 
-} // namespace
-
-int
-main(int argc, char **argv)
+void
+banner(std::ostream &out, const serve::Workload &)
 {
-    const auto args = bench::DriverArgs::parse(argc, argv);
-    if (!args.merge_out.empty())
-        return runStoreMergeCli(args.merge_inputs, args.merge_out,
-                                std::cout);
+    out << "=== Section 4.4: CNOT-to-Rz ratio analysis ===\n";
+    out << "(pQEC wins at large depth when the ratio exceeds "
+           "0.76e-3/1e-3 = 0.76;\n paper: blocked crosses at N = "
+           "13, linear never crosses at 0.25,\n FCHE/UCCSD scale "
+           "as O(N))\n\n";
+}
 
-    std::cout << "=== Section 4.4: CNOT-to-Rz ratio analysis ===\n";
-    std::cout << "(pQEC wins at large depth when the ratio exceeds "
-                 "0.76e-3/1e-3 = 0.76;\n paper: blocked crosses at N = "
-                 "13, linear never crosses at 0.25,\n FCHE/UCCSD scale "
-                 "as O(N))\n\n";
-
-    SweepSpec sweep;
-    sweep.name = "ablation_rz_cnot_ratio";
-    sweep.families = {HamFamily::Ising};
-    sweep.sizes = {8, 16, 32, 64};
-    sweep.couplings = {1.0};
-    sweep.ansatz = [](int n) { return fcheAnsatz(n, 1); };
-
-    const auto cell_fn = [](const SweepCell &cell, ExperimentSession &) {
-        SweepRow row;
-        row.set("qubits", cell.point.qubits);
-        for (const AnsatzKind kind : kKinds)
-            row.set(ansatzKindName(kind),
-                    cnotToRzRatio(kind, cell.point.qubits));
-        return row;
-    };
-
-    bench::applyFaultArgs(args, sweep);
-    SweepRunner runner(std::move(sweep));
-    std::unique_ptr<SweepSink> cells;
-    if (!args.cells.empty())
-        cells = store::makeSweepSink(args.cells, "ablation_rz_cnot_ratio");
-    const SweepReport report =
-        runner.run(cell_fn, cells.get());
-
-    AsciiTable table({"Ansatz", "N=8", "N=16", "N=32", "N=64",
-                      "crossover N"});
+/** One table row per ansatz family: its ratio at each size and the
+ *  size where it crosses the workload's threshold. */
+SweepRow
+table(std::ostream &out, const serve::Workload &wl,
+      const std::vector<SweepRow> &rows)
+{
+    std::vector<std::string> headers = {"Ansatz"};
+    for (const SweepRow &row : rows)
+        headers.push_back("N=" + AsciiTable::num(row.integer("qubits")));
+    headers.push_back("crossover N");
+    AsciiTable table(headers);
     for (const AnsatzKind kind : kKinds) {
-        // 0.755 is the unrounded 23/30-derived boundary; the paper
-        // rounds it to 0.76 (the blocked ratio at N=13 is 0.7596).
-        const int crossover = crossoverQubits(kind, 0.755);
+        const int crossover =
+            crossoverQubits(kind, wl.knobs.num("threshold"));
         std::vector<std::string> cols = {ansatzKindName(kind)};
-        for (const SweepRow &row : report.rows) {
-            if (row.has("quarantined"))
-                continue; // isolate-mode marker, not a data row
+        for (const SweepRow &row : rows)
             cols.push_back(
                 AsciiTable::num(row.num(ansatzKindName(kind)), 4));
-        }
         cols.push_back(crossover < 0
                            ? "never"
                            : AsciiTable::num(
                                  static_cast<long long>(crossover)));
         table.addRow(cols);
     }
-    table.print(std::cout);
+    table.print(out);
 
-    std::cout << "\nBlocked closed form N/8 - 5/4 + 5/N at N = 13: "
-              << AsciiTable::num(
-                     cnotToRzRatio(AnsatzKind::BlockedAllToAll, 13), 4)
-              << " (just above 0.76)\n";
+    out << "\nBlocked closed form N/8 - 5/4 + 5/N at N = 13: "
+        << AsciiTable::num(cnotToRzRatio(AnsatzKind::BlockedAllToAll, 13),
+                           4)
+        << " (just above 0.76)\n";
+    return {};
+}
 
-    if (cells) {
-        std::cout << "sweep: " << report.cells << " cells, "
-                  << report.executed << " executed, " << report.skipped
-                  << " skipped";
-        if (report.failed > 0)
-            std::cout << ", " << report.failed << " quarantined";
-        std::cout << " -> " << args.cells << "\n";
-    }
+} // namespace
 
-    if (!args.out.empty()) {
-        auto os = bench::openJsonOut(args.out);
-        bench::JsonWriter json(os);
-        json.beginObject();
-        json.field("bench", "ablation_rz_cnot_ratio");
-        json.field("threshold", 0.755);
-        json.beginArray("rows");
-        for (const SweepRow &row : report.rows) {
-            if (row.has("quarantined"))
-                continue;
-            json.beginObject();
-            json.field("qubits", row.integer("qubits"));
-            for (const AnsatzKind kind : kKinds)
-                json.field(ansatzKindName(kind),
-                           row.num(ansatzKindName(kind)));
-            json.endObject();
-        }
-        json.endArray();
-        json.endObject();
-        std::cout << "wrote " << args.out << "\n";
-    }
-    return 0;
+int
+main(int argc, char **argv)
+{
+    return bench::runSweepFigure("ablation_rz_cnot_ratio", {banner, table},
+                                 argc, argv);
 }

@@ -83,7 +83,7 @@
 #endif
 
 #include "ansatz/ansatz.hpp"
-#include "driver_args.hpp"
+#include "sweep_driver.hpp"
 #include "ham/heisenberg.hpp"
 #include "ham/ising.hpp"
 #include "noise/noise_model.hpp"
@@ -168,7 +168,7 @@ boundCliffordFche(int n, uint64_t angle_seed)
 int
 main(int argc, char **argv)
 {
-    auto args = bench::DriverArgs::parse(argc, argv);
+    auto args = bench::DriverArgs::parse(argc, argv, /*sweep_flags=*/false);
     const bool smoke = args.smoke;
     if (args.out.empty())
         args.out = "BENCH_parallel.json";

@@ -3,11 +3,9 @@
  * Streaming JSON emission shared by the bench drivers and the sweep
  * layer.
  *
- * JsonWriter started life in bench/driver_args.hpp as the fig drivers'
- * result emitter; the sweep layer's resumable cell store
- * (vqa/sweep.hpp) writes through the same class, so it now lives here
- * and bench/driver_args.hpp re-exports it. Three growths over the
- * original:
+ * JsonWriter writes the figure drivers' --out files
+ * (bench/sweep_driver.hpp re-exports it) and the sweep layer's
+ * resumable cell store (vqa/sweep.hpp). Beyond plain emission:
  *
  *  - string values are escaped (quotes, backslashes, control chars),
  *    so labels can contain anything;

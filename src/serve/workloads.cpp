@@ -4,6 +4,11 @@
 #include <stdexcept>
 
 #include "ansatz/ansatz.hpp"
+#include "common/table.hpp"
+#include "ham/heisenberg.hpp"
+#include "ham/ising.hpp"
+#include "mitigation/varsaw.hpp"
+#include "noise/noise_model.hpp"
 
 namespace eftvqa {
 namespace serve {
@@ -28,6 +33,28 @@ parseMode(const std::string &mode)
     throw std::invalid_argument(
         "workload mode: expected smoke/default/full, got '" + mode + "'");
 }
+
+/**
+ * Energy evaluator with VarSaw mitigation folded into each call: the
+ * estimation engine's batched term expectations already carry the
+ * analytic readout damping, which VarSaw then unbiases term-by-term.
+ * Evaluates through the session's regime engine (shared cache).
+ */
+EnergyEvaluator
+mitigatedEvaluator(ExperimentSession &session, const RegimeSpec &regime)
+{
+    const auto cal = ReadoutCalibration::uniform(
+        session.hamiltonian().nQubits(), regime.noise->dm.meas_flip);
+    return [&session, regime, cal](const Circuit &bound) {
+        return mitigateDampedEnergy(
+            session.hamiltonian(),
+            session.termExpectations(regime, bound), cal);
+    };
+}
+
+constexpr AnsatzKind kRatioKinds[] = {
+    AnsatzKind::LinearHea, AnsatzKind::Fche, AnsatzKind::BlockedAllToAll,
+    AnsatzKind::UccsdLite};
 
 } // namespace
 
@@ -115,7 +142,104 @@ fig12Workload(const std::string &mode)
         row.set("gamma", cmp.gamma);
         return row;
     };
-    wl.knobs["trajectories"] = static_cast<double>(trajectories);
+    wl.knobs.set("trajectories", trajectories);
+    return wl;
+}
+
+Workload
+fig13Workload(const std::string &mode)
+{
+    const Mode m = parseMode(mode);
+    // The paper runs 8 and 12 qubits; default runs 8-qubit physics
+    // models plus shrunken 8-qubit molecular surrogates, full the
+    // 12-qubit Hamiltonians with the paper's term counts.
+    const int n = m.full ? 12 : 8;
+    const size_t evals = m.smoke ? 60 : (m.full ? 400 : 150);
+    const size_t attempts = m.full ? 3 : 2;
+
+    Workload wl;
+    wl.spec.name = "fig13_density_matrix_gamma";
+    if (m.smoke) {
+        // CI-sized subset: one physics case per family.
+        wl.spec.families = {HamFamily::Ising, HamFamily::Heisenberg};
+        wl.spec.couplings = {1.0};
+    } else {
+        // SweepSpec shares one coupling axis across families; the
+        // paper's Ising and Heisenberg sweeps use the same J list,
+        // which this guard pins — if the factories ever diverge, this
+        // workload must grow a per-family axis rather than silently
+        // sweeping Heisenberg over the Ising couplings.
+        if (isingCouplings() != heisenbergCouplings())
+            throw std::logic_error(
+                "fig13: isingCouplings() != heisenbergCouplings(); split "
+                "the coupling axis per family");
+        wl.spec.families = {HamFamily::Ising, HamFamily::Heisenberg,
+                            HamFamily::Molecule};
+        wl.spec.couplings = isingCouplings();
+        for (auto spec : paperMoleculeBenchmarks()) {
+            spec.n_qubits = n;
+            wl.spec.molecules.push_back(spec);
+        }
+    }
+    wl.spec.sizes = {n};
+    wl.spec.ansatz = [](int nq) { return fcheAnsatz(nq, 1); };
+    wl.spec.regimes = {RegimeSpec::ideal(), RegimeSpec::nisqDensityMatrix(),
+                       RegimeSpec::pqecDensityMatrix()};
+    // The optimizer budget changes the rows but lives in the cell
+    // function, and the per-case seed walks the cell index; both must
+    // reach the cell key (the seed via genetic.seed below) or a cell
+    // store written in one mode would wrongly resume another.
+    wl.spec.key_salt = evals * 8 + attempts;
+    wl.spec.customize = [](const SweepPoint &pt, ExperimentSpec &spec) {
+        // 101-per-cell stride in serial cell order — the exact seed
+        // sequence of the pre-sweep driver loop. genetic.seed is
+        // unused by the continuous-VQE entry points, so this is purely
+        // a keyed carrier the cell function reads back.
+        spec.genetic.seed =
+            555 + 101 * (static_cast<uint64_t>(pt.index) + 1);
+    };
+
+    // Optimal Parameter Resilience (paper section 2.1): parameters that
+    // minimize the noiseless loss are near-optimal under noise, so each
+    // cell is optimized to convergence on the cheap statevector backend
+    // and then *refined* under each regime's density-matrix noise. This
+    // keeps gamma a statement about noise, not optimizer budget.
+    wl.fn = [evals, attempts](const SweepCell &cell,
+                              ExperimentSession &session) {
+        std::string name;
+        switch (cell.point.family) {
+          case HamFamily::Ising:
+            name = "Ising(J=" + AsciiTable::num(cell.point.coupling, 3) +
+                   ")";
+            break;
+          case HamFamily::Heisenberg:
+            name = "Heisenberg(J=" +
+                   AsciiTable::num(cell.point.coupling, 3) + ")";
+            break;
+          case HamFamily::Molecule:
+            name = cell.point.molecule->name();
+            break;
+        }
+        const uint64_t case_seed = session.spec().genetic.seed;
+
+        NelderMeadOptimizer opt(0.6);
+        const double e0 = session.hamiltonian().groundStateEnergy();
+        const auto ideal = session.minimizeBestOf(
+            session.spec().regime("ideal"), opt, 4 * evals, attempts + 1,
+            case_seed);
+        const auto nisq = session.minimize(session.spec().regime("nisq"),
+                                           opt, ideal.params, evals);
+        const auto pqec = session.minimize(session.spec().regime("pqec"),
+                                           opt, ideal.params, evals);
+        SweepRow row;
+        row.set("benchmark", name);
+        row.set("e0", e0);
+        row.set("e_nisq", nisq.energy);
+        row.set("e_pqec", pqec.energy);
+        row.set("gamma", relativeImprovement(e0, pqec.energy, nisq.energy));
+        return row;
+    };
+    wl.knobs.set("evals", evals);
     return wl;
 }
 
@@ -188,7 +312,89 @@ fig14Workload(const std::string &mode)
         row.set("ideal_ratio", ideal_ratio);
         return row;
     };
-    wl.knobs["eval_traj"] = static_cast<double>(eval_traj);
+    return wl;
+}
+
+Workload
+fig15Workload(const std::string &mode)
+{
+    const Mode m = parseMode(mode);
+    // The paper runs 12 qubits (--full); default 8 for runtime.
+    const int n = m.smoke ? 6 : (m.full ? 12 : 8);
+    const size_t evals = m.smoke ? 80 : (m.full ? 400 : 180);
+
+    Workload wl;
+    wl.spec.name = "fig15_varsaw";
+    wl.spec.families = {HamFamily::Ising, HamFamily::Heisenberg};
+    wl.spec.sizes = {n};
+    wl.spec.couplings = {1.0};
+    wl.spec.ansatz = [](int nq) { return fcheAnsatz(nq, 1); };
+    wl.spec.regimes = {RegimeSpec::ideal(), RegimeSpec::nisqDensityMatrix(),
+                       RegimeSpec::pqecDensityMatrix()};
+    // The optimizer budget lives in the cell function: salt it into
+    // the cell keys so a --cells store never resumes across modes.
+    wl.spec.key_salt = evals;
+
+    // Warm-start both regimes from the converged noiseless optimum
+    // (OPR, paper section 2.1) so convergence differences reflect
+    // mitigation, not optimizer budget. One cell = one family; both
+    // regimes' plain and mitigated runs land in the cell's row, and
+    // they share the regime engines — and the sweep-level energy
+    // cache — so the warm-start evaluations are computed once.
+    wl.fn = [evals](const SweepCell &cell, ExperimentSession &session) {
+        NelderMeadOptimizer opt(0.6);
+        const double e0 = session.hamiltonian().groundStateEnergy();
+        const auto ideal = session.minimizeBestOf(
+            session.spec().regime("ideal"), opt, 4 * evals, 3, 99);
+        SweepRow row;
+        row.set("family", hamFamilyName(cell.point.family));
+        row.set("e0", e0);
+        for (const bool pqec : {false, true}) {
+            const RegimeSpec &regime =
+                session.spec().regime(pqec ? "pqec" : "nisq");
+            const auto plain =
+                session.minimize(regime, opt, ideal.params, evals);
+            const auto mitigated =
+                runVqe(session.spec().ansatz,
+                       mitigatedEvaluator(session, regime), opt,
+                       ideal.params, evals);
+            row.set(pqec ? "e_plain_pqec" : "e_plain_nisq",
+                    plain.energy);
+            row.set(pqec ? "e_varsaw_pqec" : "e_varsaw_nisq",
+                    mitigated.energy);
+        }
+        return row;
+    };
+    wl.knobs.set("qubits", n);
+    return wl;
+}
+
+Workload
+ablationRzCnotWorkload(const std::string &mode)
+{
+    parseMode(mode); // the analytic grid is the same in every mode
+
+    // One cell per qubit count, each row carrying the four ansatz
+    // families' ratios at that size. The analytic cell function never
+    // touches its session; the sweep still provides the cell keys, the
+    // resumable store and the daemon path.
+    Workload wl;
+    wl.spec.name = "ablation_rz_cnot_ratio";
+    wl.spec.families = {HamFamily::Ising};
+    wl.spec.sizes = {8, 16, 32, 64};
+    wl.spec.couplings = {1.0};
+    wl.spec.ansatz = [](int n) { return fcheAnsatz(n, 1); };
+    wl.fn = [](const SweepCell &cell, ExperimentSession &) {
+        SweepRow row;
+        row.set("qubits", cell.point.qubits);
+        for (const AnsatzKind kind : kRatioKinds)
+            row.set(ansatzKindName(kind),
+                    cnotToRzRatio(kind, cell.point.qubits));
+        return row;
+    };
+    // The unrounded 23/30-derived pQEC boundary; the paper rounds it
+    // to 0.76 (the blocked ratio at N=13 is 0.7596).
+    wl.knobs.set("threshold", 0.755);
     return wl;
 }
 
@@ -240,7 +446,11 @@ WorkloadCatalog::builtin()
 {
     WorkloadCatalog catalog;
     catalog.registerWorkload("fig12_clifford_scale", fig12Workload);
+    catalog.registerWorkload("fig13_density_matrix_gamma", fig13Workload);
     catalog.registerWorkload("fig14_blocked_vs_fche", fig14Workload);
+    catalog.registerWorkload("fig15_varsaw", fig15Workload);
+    catalog.registerWorkload("ablation_rz_cnot_ratio",
+                             ablationRzCnotWorkload);
     return catalog;
 }
 

@@ -1,16 +1,18 @@
 /**
  * @file
- * Named sweep workloads for the experiment service daemon.
+ * Named sweep workloads: every sweep figure of the paper.
  *
  * A Workload is a fully built SweepSpec plus its cell function — the
- * exact pair a figure driver would hand to SweepRunner::run. The
- * builders here are the single source of truth for the fig12/fig14
- * sweeps: the bench drivers call them to run locally and vqad calls
- * them to serve the same cells over the socket, so a cell's content
- * key — and therefore its result bytes — cannot diverge between the
- * two paths. That shared construction is what makes the daemon's
- * determinism contract ("bytes from the daemon == bytes from a local
- * run") structural rather than aspirational.
+ * exact pair a figure driver hands to SweepRunner::run. The builders
+ * here are the single source of truth for the five sweep figures
+ * (fig12-15 and the section 4.4 Rz/CNOT ablation): every grid,
+ * budget, seed and key_salt is decided here. The bench drivers build
+ * them by name to run locally, and vqad builds the same names to
+ * serve the same cells over the socket, so a cell's content key — and
+ * therefore its result bytes — cannot diverge between the two paths.
+ * That shared construction is what makes the daemon's determinism
+ * contract ("bytes from the daemon == bytes from a local run")
+ * structural rather than aspirational.
  *
  * WorkloadCatalog is the daemon's dispatch table (the zfs_ioctl
  * idiom: a named vector of entries, each validated before any work is
@@ -34,15 +36,15 @@ namespace eftvqa {
 namespace serve {
 
 /** One runnable sweep: the spec that expands into content-keyed cells
- *  and the function every cell runs. knobs carries the handful of
- *  driver-level constants (trajectory counts) the figure drivers need
- *  for their human-readable output, so they never recompute — and
- *  never drift from — what the builder chose. */
+ *  and the function every cell runs. knobs are the driver's `--out`
+ *  header fields, written in field order after "bench" and "mode":
+ *  the builder's own constants (a trajectory count, a budget), so the
+ *  drivers never recompute — and never drift from — what it chose. */
 struct Workload
 {
     SweepSpec spec;
     SweepCellFn fn;
-    std::map<std::string, double> knobs;
+    SweepRow knobs;
 };
 
 /** Builds a Workload for a driver mode ("smoke"/"default"/"full"). */
@@ -52,16 +54,25 @@ using WorkloadFactory = std::function<Workload(const std::string &mode)>;
 bool validWorkloadMode(std::string_view mode);
 
 /**
- * Fig 12 (gamma(pQEC/NISQ) at scale): the grid, GA budgets, regimes,
- * per-cell seed overrides and cell protocol previously inlined in
- * bench/fig12_clifford_scale.cpp. Throws std::invalid_argument on an
- * unknown mode.
+ * Fig 12 (gamma(pQEC/NISQ) at scale): Clifford-state VQE with the
+ * genetic optimizer on stabilizer trajectories. Each builder throws
+ * std::invalid_argument on an unknown mode.
  */
 Workload fig12Workload(const std::string &mode);
 
-/** Fig 14 (blocked_all_to_all vs FCHE under pQEC), likewise extracted
- *  from bench/fig14_blocked_vs_fche.cpp. */
+/** Fig 13 (gamma(pQEC/NISQ), density-matrix VQE): physics models over
+ *  the paper's coupling axis plus the molecule benchmarks. */
+Workload fig13Workload(const std::string &mode);
+
+/** Fig 14 (blocked_all_to_all vs FCHE under pQEC). */
 Workload fig14Workload(const std::string &mode);
+
+/** Fig 15 (VQE convergence with and without VarSaw, J=1). */
+Workload fig15Workload(const std::string &mode);
+
+/** Section 4.4: each ansatz family's CNOT-to-Rz ratio per size (the
+ *  same analytic grid in every mode). */
+Workload ablationRzCnotWorkload(const std::string &mode);
 
 /**
  * Name -> factory dispatch table. Lookup failures are structured
@@ -86,7 +97,8 @@ class WorkloadCatalog
     /** Registered workload names, sorted. */
     std::vector<std::string> names() const;
 
-    /** The built-in table: fig12/fig14 under their sweep names. */
+    /** The built-in table: the five sweep figures under their sweep
+     *  names. */
     static WorkloadCatalog builtin();
 
   private:

@@ -24,6 +24,7 @@
 #include <string>
 #include <thread>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ansatz/ansatz.hpp"
@@ -362,6 +363,70 @@ TEST(ServeWorkloads, Fig12SmokeKeysMatchTheStoreFixture)
     EXPECT_EQ(cells[1].keyString(), "0x4905aa3dc00a98e3");
 }
 
+TEST(ServeWorkloads, BuiltinCatalogIsTheFiveSweepFigures)
+{
+    EXPECT_EQ(serve::WorkloadCatalog::builtin().names(),
+              (std::vector<std::string>{
+                  "ablation_rz_cnot_ratio", "fig12_clifford_scale",
+                  "fig13_density_matrix_gamma", "fig14_blocked_vs_fche",
+                  "fig15_varsaw"}));
+}
+
+TEST(ServeWorkloads, EveryWorkloadBuildsAndExpandsInEveryMode)
+{
+    const serve::WorkloadCatalog catalog = serve::WorkloadCatalog::builtin();
+    for (const std::string &name : catalog.names()) {
+        for (const char *mode : {"smoke", "default", "full"}) {
+            SCOPED_TRACE(name + " " + mode);
+            const serve::Workload wl = catalog.build(name, mode);
+            EXPECT_EQ(wl.spec.name, name);
+            EXPECT_TRUE(static_cast<bool>(wl.fn));
+            EXPECT_EQ(wl.spec.cells().size(), wl.spec.cellCount());
+        }
+        EXPECT_THROW(catalog.build(name, "huge"), std::invalid_argument);
+    }
+}
+
+TEST(ServeWorkloads, MovedFigureKeysMatchTheirRecordedStores)
+{
+    // Cell keys of stores written by the drivers before fig13, fig15
+    // and the ablation moved into the catalog: a key that moves would
+    // make every existing store of that figure re-execute.
+    const struct
+    {
+        const char *name;
+        const char *mode;
+        std::vector<std::string> keys;
+    } recorded[] = {
+        {"fig13_density_matrix_gamma", "smoke",
+         {"0xe4d1fdd1edb4a7d8", "0xc65a01837ce345a0"}},
+        {"fig13_density_matrix_gamma", "default",
+         {"0x5e341a618c0c56e8", "0xf82b0e618c7168e9", "0x7ffafe61912b319e",
+          "0xf41b9b50a264b876", "0xad4993508fe8605d", "0x30691f508eca841c",
+          "0x119aba0bb76c8fd6", "0x3145cb816cb17e87", "0xb3afe63b2742d1c7",
+          "0xf4ab3f23a4a05b20", "0xc01eb76b96507551",
+          "0x8473d16da593df39"}},
+        {"fig15_varsaw", "smoke",
+         {"0x5613fd4695e2e936", "0xc1f876ea3bdbfcdd"}},
+        {"fig15_varsaw", "default",
+         {"0xdecb9adbb089af69", "0x71e522f32a2a1cf0"}},
+        {"ablation_rz_cnot_ratio", "smoke",
+         {"0x6f33416e61a9b79e", "0xddac39c2c8a6820e", "0x8fd6528368ed2dce",
+          "0x72104cbaaa9bd38e"}},
+        {"ablation_rz_cnot_ratio", "default",
+         {"0x6f33416e61a9b79e", "0xddac39c2c8a6820e", "0x8fd6528368ed2dce",
+          "0x72104cbaaa9bd38e"}},
+    };
+    const serve::WorkloadCatalog catalog = serve::WorkloadCatalog::builtin();
+    for (const auto &r : recorded) {
+        SCOPED_TRACE(std::string(r.name) + " " + r.mode);
+        std::vector<std::string> keys;
+        for (const SweepCell &cell : catalog.build(r.name, r.mode).spec.cells())
+            keys.push_back(cell.keyString());
+        EXPECT_EQ(keys, r.keys);
+    }
+}
+
 // --------------------------------------------------------------------
 // Satellite: cancellation probes in the tableau trajectory loops
 // --------------------------------------------------------------------
@@ -550,6 +615,35 @@ TEST(Daemon, ResultBytesMatchLocalInProcessRuns)
     EXPECT_EQ(stats.cells_completed, 3u);
     EXPECT_EQ(stats.cells_failed, 0u);
     EXPECT_EQ(stats.requests_total, 3u);
+}
+
+TEST(Daemon, ServesMovedFigureCellsByteIdenticalToLocalRuns)
+{
+    // The builtin catalog serves the figures that used to build their
+    // sweeps in their drivers' main: the analytic ablation and fig15's
+    // density-matrix + VarSaw cells.
+    const serve::ServeConfig config = baseConfig("serve_builtin.sock");
+    serve::Daemon daemon(config, serve::WorkloadCatalog::builtin());
+    serve::DaemonClient client =
+        serve::DaemonClient::connectUnix(config.socket_path);
+
+    long long id = 0;
+    for (const auto &[name, mode] :
+         {std::pair<std::string, std::string>{"ablation_rz_cnot_ratio",
+                                              "default"},
+          {"fig15_varsaw", "smoke"}}) {
+        const serve::Workload wl =
+            serve::WorkloadCatalog::builtin().build(name, mode);
+        for (const SweepCell &cell : wl.spec.cells()) {
+            SCOPED_TRACE(cell.label);
+            ASSERT_TRUE(client.sendRun(++id, name, mode, cell.keyString()));
+            serve::DaemonReply reply;
+            ASSERT_TRUE(client.readReply(reply));
+            ASSERT_EQ(reply.type, "ok") << reply.error;
+            EXPECT_EQ(reply.payload, localReferenceLine(wl, cell));
+        }
+    }
+    EXPECT_EQ(daemon.stats().cells_completed, 6u);
 }
 
 // --------------------------------------------------------------------
