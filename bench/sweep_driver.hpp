@@ -41,10 +41,7 @@
 #ifndef EFTVQA_BENCH_SWEEP_DRIVER_HPP
 #define EFTVQA_BENCH_SWEEP_DRIVER_HPP
 
-#include <charconv>
-#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
 #include <functional>
@@ -52,10 +49,10 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <variant>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/json.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -69,20 +66,6 @@ namespace eftvqa {
 namespace bench {
 
 using JsonWriter = ::eftvqa::JsonWriter;
-
-/** All of @p text as a finite T >= 0, else nullopt. */
-template <class T>
-std::optional<T>
-nonNegative(const char *text)
-{
-    T v{};
-    const char *end = text + std::strlen(text);
-    const auto [ptr, ec] = std::from_chars(text, end, v);
-    const double d = static_cast<double>(v);
-    if (ec != std::errc() || ptr != end || !std::isfinite(d) || d < 0.0)
-        return std::nullopt;
-    return v;
-}
 
 /** Common fig/bench driver flags. */
 struct DriverArgs
@@ -118,15 +101,7 @@ struct DriverArgs
             std::string problem;
             // Reads the flag's value into @p field, a number >= 0.
             const auto number = [&](auto &field) {
-                using T = std::decay_t<decltype(field)>;
-                const char *text = argv[++i];
-                if (const auto v = nonNegative<T>(text))
-                    field = *v;
-                else
-                    problem = flag + " takes a non-negative " +
-                              (std::is_integral_v<T> ? "integer"
-                                                     : "number") +
-                              ", not '" + text + "'";
+                problem = readNonNegative(flag, argv[++i], field);
             };
             if (flag == "--full") {
                 args.full = true;

@@ -106,8 +106,12 @@ std::vector<DmPass> compileNoisyDmStream(const Circuit &circuit,
                                          const DmNoiseSpec &spec);
 
 /**
- * Runs a bound circuit with the spec's noise on @p rho: one
- * compileNoisyDmStream() plus DensityMatrix::runPasses().
+ * Runs a bound circuit with the spec's noise on @p rho, from whatever
+ * state it holds: one compileNoisyDmStream() plus
+ * DensityMatrix::runPasses(), every pass at full width. The noisy
+ * prepare from |0..0> (the density-matrix backend's prepare()) runs the
+ * same stream through DensityMatrix::runPassesFromZero() instead, which
+ * skips the qubits no pass has named yet.
  */
 void runNoisyDensityMatrix(const Circuit &circuit, const DmNoiseSpec &spec,
                            DensityMatrix &rho);

@@ -215,25 +215,27 @@ class DensityMatrixBackend final : public Backend
     void
     prepare(const Circuit &circuit) override
     {
-        rho_.setZeroState();
-        if (noisy_)
-            runNoisyDensityMatrix(circuit, spec_, rho_);
-        else
+        if (noisy_) {
+            prepareNoisy(circuit);
+        } else {
+            rho_.setZeroState();
             rho_.run(circuit);
+        }
         prepared_ = true;
     }
 
     void
     prepareCompiled(const CompiledCircuit &compiled) override
     {
-        rho_.setZeroState();
         // Gate noise compiles the source circuit into its own DmPass
         // stream (channels fold into per-qubit superoperators); only
         // the noiseless path executes the compiled unitary ops.
-        if (noisy_)
-            runNoisyDensityMatrix(compiled.source(), spec_, rho_);
-        else
+        if (noisy_) {
+            prepareNoisy(compiled.source());
+        } else {
+            rho_.setZeroState();
             rho_.runCompiled(compiled);
+        }
         prepared_ = true;
     }
 
@@ -278,6 +280,16 @@ class DensityMatrixBackend final : public Backend
     }
 
   private:
+    /** The noisy stream from |0..0>, on the live prefix. */
+    void
+    prepareNoisy(const Circuit &circuit)
+    {
+        if (circuit.nQubits() != rho_.nQubits())
+            throw std::invalid_argument(
+                "DensityMatrixBackend::prepare: width mismatch");
+        rho_.runPassesFromZero(compileNoisyDmStream(circuit, spec_));
+    }
+
     DensityMatrix rho_;
     bool noisy_;
     DmNoiseSpec spec_;

@@ -194,20 +194,21 @@ insertZeroBit(uint64_t x, uint64_t p)
 }
 
 /**
- * Apply a 4x4 matrix at two global bit positions of a flat vector
- * (pa indexes the high bit of the 4x4 basis): the two-qubit analogue
- * of applyAtBit for ket- and bra-side updates.
+ * Apply a 4x4 matrix at two global bit positions of the flat vector
+ * [v, v + span) (pa indexes the high bit of the 4x4 basis): the
+ * two-qubit analogue of applyAtBit for ket- and bra-side updates.
  */
 void
-applyMat4AtBits(simd::AmpVector &v, const Mat4 &m, size_t pa, size_t pb)
+applyMat4AtBits(std::complex<double> *v, size_t span, const Mat4 &m,
+                size_t pa, size_t pb)
 {
-    if (simd::tryApply2q(v.data(), v.size(), pa, pb, m, false))
+    if (simd::tryApply2q(v, span, pa, pb, m, false))
         return;
     const uint64_t ma = uint64_t{1} << pa;
     const uint64_t mb = uint64_t{1} << pb;
     const uint64_t plow = std::min(pa, pb);
     const uint64_t phigh = std::max(pa, pb);
-    const size_t quarter = v.size() / 4;
+    const size_t quarter = span / 4;
     for (size_t t = 0; t < quarter; ++t) {
         const uint64_t i00 = insertZeroBit(insertZeroBit(t, plow), phigh);
         const uint64_t i01 = i00 | mb;
@@ -248,8 +249,8 @@ DensityMatrix::applyMatrix1q(const Mat2 &u, size_t q)
 void
 DensityMatrix::applyMatrix2q(const Mat4 &u, size_t qa, size_t qb)
 {
-    applyMat4AtBits(data_, u, n_ + qa, n_ + qb);
-    applyMat4AtBits(data_, conjugate4(u), qa, qb);
+    applyMat4AtBits(data_.data(), data_.size(), u, n_ + qa, n_ + qb);
+    applyMat4AtBits(data_.data(), data_.size(), conjugate4(u), qa, qb);
 }
 
 void
@@ -283,10 +284,10 @@ DensityMatrix::applyGf2Perm(const Gf2PermOp &p)
         return;
       }
       case Gf2PermClass::SingleCX:
-        applyPairPass(GateType::CX, p.q0, p.q1, 0.0);
+        applyPairPass(GateType::CX, p.q0, p.q1, 0.0, n_);
         return;
       case Gf2PermClass::SingleSwap:
-        applyPairPass(GateType::Swap, p.q0, p.q1, 0.0);
+        applyPairPass(GateType::Swap, p.q0, p.q1, 0.0, n_);
         return;
       case Gf2PermClass::General:
         break;
@@ -353,7 +354,7 @@ DensityMatrix::applyGate(const Gate &g)
       case GateType::CX:
       case GateType::CZ:
       case GateType::Swap:
-        applyPairPass(g.type, g.q0, g.q1, 0.0);
+        applyPairPass(g.type, g.q0, g.q1, 0.0, n_);
         return;
       case GateType::Measure:
         applyMeasurementDephase(g.q0);
@@ -404,22 +405,76 @@ DensityMatrix::runCompiled(const CompiledCircuit &compiled)
     }
 }
 
+size_t
+dmLiveWidth(const DmPass &p, size_t m, size_t n_qubits)
+{
+    size_t hi = p.q0;
+    if (p.kind == DmPass::Kind::Pair)
+        hi = std::max<size_t>(hi, p.q1);
+    return std::min(n_qubits, std::max(m, hi + 1));
+}
+
 void
 DensityMatrix::runPasses(const std::vector<DmPass> &passes)
 {
-    for (const DmPass &p : passes) {
-        switch (p.kind) {
-          case DmPass::Kind::Superop:
-            applySuperop1q(p.superop, p.q0);
-            break;
-          case DmPass::Kind::Channel:
-            applyChannel1q(p.superop, p.q0);
-            break;
-          case DmPass::Kind::Pair:
-            applyPairPass(p.gate, p.q0, p.q1, p.lambda);
-            break;
+    runPassesFrom(n_, passes);
+}
+
+void
+DensityMatrix::runPassesFromZero(const std::vector<DmPass> &passes)
+{
+    // Width 0: the block is the single entry 1. Whatever the buffer
+    // held past it is overwritten by growLive before anything reads it.
+    data_[0] = 1.0;
+    runPassesFrom(0, passes);
+}
+
+void
+DensityMatrix::runPassesFrom(size_t m, const std::vector<DmPass> &passes)
+{
+    try {
+        for (const DmPass &p : passes) {
+            const size_t width = dmLiveWidth(p, m, n_);
+            growLive(m, width);
+            m = width;
+            switch (p.kind) {
+              case DmPass::Kind::Superop:
+                applySuperop1q(p.superop, p.q0, m);
+                break;
+              case DmPass::Kind::Channel:
+                applyChannel1q(p.superop, p.q0, m);
+                break;
+              case DmPass::Kind::Pair:
+                applyPairPass(p.gate, p.q0, p.q1, p.lambda, m);
+                break;
+            }
         }
+    } catch (...) {
+        // The kernels reject a pass before touching rho, so the block
+        // is whole: embed it and leave a valid n-qubit matrix.
+        growLive(m, n_);
+        throw;
     }
+    growLive(m, n_);
+}
+
+void
+DensityMatrix::growLive(size_t m, size_t m2)
+{
+    if (m2 == m)
+        return;
+    const size_t d = size_t{1} << m;
+    const size_t d2 = size_t{1} << m2;
+    std::complex<double> *rho = data_.data();
+    const std::complex<double> zero{0.0, 0.0};
+    // Row i moves from i * d to i * d2 >= i * d, so walking down from
+    // the last row never overwrites a row still to move. Rows d..d2-1
+    // and each row's tail past column d are the new, zero entries.
+    std::fill(rho + d * d2, rho + d2 * d2, zero);
+    for (size_t i = d - 1; i > 0; --i)
+        std::copy_backward(rho + i * d, rho + (i + 1) * d, rho + i * d2 + d);
+    for (size_t i = 0; i < d; ++i)
+        std::fill(rho + i * d2 + d, rho + (i + 1) * d2, zero);
 }
 
 void
@@ -438,17 +493,18 @@ DensityMatrix::applyKraus1q(const KrausChannel &channel, size_t q)
 }
 
 void
-DensityMatrix::applySuperop1q(const Mat4 &superop, size_t q)
+DensityMatrix::applySuperop1q(const Mat4 &superop, size_t q, size_t width)
 {
-    if (q >= n_)
+    if (q >= width)
         throw std::out_of_range("DensityMatrix::applySuperop1q: qubit");
-    applyMat4AtBits(data_, superop, n_ + q, q);
+    applyMat4AtBits(data_.data(), size_t{1} << (2 * width), superop,
+                    width + q, q);
 }
 
 void
-DensityMatrix::applyChannel1q(const Mat4 &superop, size_t q)
+DensityMatrix::applyChannel1q(const Mat4 &superop, size_t q, size_t width)
 {
-    if (q >= n_)
+    if (q >= width)
         throw std::out_of_range("DensityMatrix::applyChannel1q: qubit");
     // Populations (A = rho[0,0], D = rho[1,1] of qubit q) and coherences
     // (B = rho[0,1], C = rho[1,0]) mix only within their own block.
@@ -456,7 +512,7 @@ DensityMatrix::applyChannel1q(const Mat4 &superop, size_t q)
     const double da = superop[12].real(), dd = superop[15].real();
     const double bb = superop[5].real(), bc = superop[6].real();
     const double cb = superop[9].real(), cc = superop[10].real();
-    const size_t d = dim();
+    const size_t d = size_t{1} << width;
     const size_t stride = size_t{1} << q;
     const double k[8] = {aa, ad, da, dd, bb, bc, cb, cc};
     if (simd::tryChannel1q(data_.data(), d, stride, k))
@@ -484,7 +540,7 @@ DensityMatrix::applyChannel1q(const Mat4 &superop, size_t q)
 void
 DensityMatrix::applyPauliChannel1q(const PauliChannel &channel, size_t q)
 {
-    applyChannel1q(pauliChannelSuperop(channel), q);
+    applyChannel1q(pauliChannelSuperop(channel), q, n_);
 }
 
 void
@@ -492,7 +548,7 @@ DensityMatrix::applyDepolarizing2q(double p, size_t q0, size_t q1)
 {
     if (!(p >= 0.0 && p <= 1.0))
         throw std::invalid_argument("applyDepolarizing2q: bad p");
-    applyPairPass(GateType::I, q0, q1, 16.0 * p / 15.0);
+    applyPairPass(GateType::I, q0, q1, 16.0 * p / 15.0, n_);
 }
 
 namespace {
@@ -573,9 +629,9 @@ pairPass(std::complex<double> *data, size_t d, uint64_t lo, uint64_t hi,
 
 void
 DensityMatrix::applyPairPass(GateType gate, size_t qa, size_t qb,
-                             double lambda)
+                             double lambda, size_t width)
 {
-    if (qa >= n_ || qb >= n_ || qa == qb)
+    if (qa >= width || qb >= width || qa == qb)
         throw std::invalid_argument(
             "DensityMatrix: two-qubit pass needs two distinct qubits");
     const uint64_t bit_a = uint64_t{1} << qa;
@@ -583,7 +639,7 @@ DensityMatrix::applyPairPass(GateType gate, size_t qa, size_t qb,
     const uint64_t sb[4] = {0, bit_b, bit_a, bit_a | bit_b};
     const uint64_t lo = std::min(qa, qb), hi = std::max(qa, qb);
     std::complex<double> *data = data_.data();
-    const size_t d = dim();
+    const size_t d = size_t{1} << width;
     switch (gate) {
       case GateType::I:
         if (lambda != 0.0)
@@ -605,26 +661,26 @@ DensityMatrix::applyPairPass(GateType gate, size_t qa, size_t qb,
 void
 DensityMatrix::applyAmplitudeDamping(double gamma, size_t q)
 {
-    applyChannel1q(amplitudeDampingSuperop(gamma), q);
+    applyChannel1q(amplitudeDampingSuperop(gamma), q, n_);
 }
 
 void
 DensityMatrix::applyPhaseDamping(double lambda, size_t q)
 {
-    applyChannel1q(phaseDampingSuperop(lambda), q);
+    applyChannel1q(phaseDampingSuperop(lambda), q, n_);
 }
 
 void
 DensityMatrix::applyThermalRelaxation(double t1, double t2, double t,
                                       size_t q)
 {
-    applyChannel1q(thermalRelaxationSuperop(t1, t2, t), q);
+    applyChannel1q(thermalRelaxationSuperop(t1, t2, t), q, n_);
 }
 
 void
 DensityMatrix::applyMeasurementDephase(size_t q)
 {
-    applyChannel1q(phaseDampingSuperop(1.0), q);
+    applyChannel1q(phaseDampingSuperop(1.0), q, n_);
 }
 
 void
@@ -632,7 +688,7 @@ DensityMatrix::applyResetChannel(size_t q)
 {
     // Full amplitude damping: rho[1,1] moves onto rho[0,0], coherences
     // vanish.
-    applyChannel1q(amplitudeDampingSuperop(1.0), q);
+    applyChannel1q(amplitudeDampingSuperop(1.0), q, n_);
 }
 
 double

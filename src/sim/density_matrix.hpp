@@ -11,7 +11,9 @@
  * over 2n index bits (ket bit q at position n + q, bra bit q at q), so
  * every one-qubit map is a 4x4 superoperator on bits (n + q, q) and a
  * qubit's gates and channels between two-qubit gates fold into one
- * pass (DmPassBuilder).
+ * pass (DmPassBuilder). Run from |0..0>, the stream keeps a live prefix
+ * (dmLiveWidth): qubits no pass has named yet are exact |0><0| factors
+ * and are not swept.
  */
 
 #ifndef EFTVQA_SIM_DENSITY_MATRIX_HPP
@@ -100,9 +102,24 @@ class DmPassBuilder
 };
 
 /**
+ * Live width of a DmPass stream run from |0..0> after pass @p p, given
+ * the width @p m before it on an @p n_qubits register: one past the
+ * highest qubit the stream has named so far, capped at @p n_qubits (a
+ * pass naming a qubit >= n_qubits runs at full width, where its kernel
+ * rejects it). Qubits m..n-1 are exact |0><0| factors, so rho is
+ * rho_m (x) |0..0><0..0| and a pass only sweeps the 2^m x 2^m block of
+ * the low qubits 0..m-1; no qubit is relabeled.
+ */
+size_t dmLiveWidth(const DmPass &p, size_t m, size_t n_qubits);
+
+/**
  * Density operator on n qubits (n <= 13 supported; memory is 16 * 4^n
  * bytes). Index convention: element (i, j) = data[i * 2^n + j], where i
  * is the ket (row) index.
+ *
+ * Two entry points run a noisy DmPass stream through one loop:
+ * runPassesFromZero() starts from |0..0> (the density-matrix backend's
+ * noisy prepare), runPasses() takes whatever state rho holds.
  */
 class DensityMatrix
 {
@@ -151,8 +168,24 @@ class DensityMatrix
     /** Execute a pre-compiled op stream (the hot path). */
     void runCompiled(const CompiledCircuit &compiled);
 
-    /** Execute a noisy DmPass stream (see DmPassBuilder). */
+    /**
+     * Execute a noisy DmPass stream (see DmPassBuilder) on the current
+     * state, whatever it is: every pass sweeps the full matrix.
+     */
     void runPasses(const std::vector<DmPass> &passes);
+
+    /**
+     * Reset to |0..0><0..0| and execute a noisy DmPass stream from
+     * there, as setZeroState() then runPasses() would, but each pass
+     * sweeps only the live prefix's block (dmLiveWidth), which grows in
+     * place inside data() as passes name higher qubits. Every nonzero
+     * entry is bit-identical to that path; an exact zero that a
+     * full-width pass writes as -0 (a CZ sign flip on an entry the
+     * prefix has not reached yet) reads +0, which no expectation can
+     * tell apart. A pass the kernels reject throws as runPasses() would
+     * and leaves a valid n-qubit matrix.
+     */
+    void runPassesFromZero(const std::vector<DmPass> &passes);
 
     /** Apply a single-qubit Kraus channel to qubit q (sum over the
      *  Kraus operators through scratch copies; the reference path). */
@@ -228,8 +261,14 @@ class DensityMatrix
     void applyMatrixKet(const Mat2 &m, size_t q);
     void applyMatrixBra(const Mat2 &m, size_t q);
 
+    /*
+     * The stream kernels below act on the 2^width x 2^width block
+     * stored row-major at the start of data_ (width n_: the whole
+     * matrix) and reject a qubit >= width.
+     */
+
     /** Apply a 4x4 superoperator (sim/channels.hpp basis) to qubit q. */
-    void applySuperop1q(const Mat4 &superop, size_t q);
+    void applySuperop1q(const Mat4 &superop, size_t q, size_t width);
 
     /**
      * Apply a gate-free channel superoperator — real and block-sparse on
@@ -237,7 +276,7 @@ class DensityMatrix
      * read — to qubit q in one in-place pass. Backs every named
      * one-qubit channel.
      */
-    void applyChannel1q(const Mat4 &superop, size_t q);
+    void applyChannel1q(const Mat4 &superop, size_t q, size_t width);
 
     /**
      * One in-place pass over the 16-element groups of the pair (qa, qb):
@@ -246,7 +285,18 @@ class DensityMatrix
      * @p lambda (the 2q depolarizing channel, which commutes with any
      * unitary on the pair).
      */
-    void applyPairPass(GateType gate, size_t qa, size_t qb, double lambda);
+    void applyPairPass(GateType gate, size_t qa, size_t qb, double lambda,
+                       size_t width);
+
+    /** The pass loop of both stream entry points, from live width m. */
+    void runPassesFrom(size_t m, const std::vector<DmPass> &passes);
+
+    /**
+     * Grow the live block from width m to m2 <= n_ in place: rows move
+     * to the wider row stride, last row first, and the new entries are
+     * zeroed (the |0><0| factors of qubits m..m2-1).
+     */
+    void growLive(size_t m, size_t m2);
 };
 
 } // namespace eftvqa

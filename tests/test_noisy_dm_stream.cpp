@@ -6,16 +6,21 @@
  * sums (applyKraus1q with thermalRelaxationChannel and Pauli Kraus
  * sets) and the two-qubit depolarizing channel written as the weighted
  * sum of its 15 Pauli conjugations. Plus the stream's pass-count bound,
- * the pair pass on every gate and DmNoiseSpec::validate().
+ * the live prefix of runPassesFromZero() against runPasses() on a fresh
+ * matrix (memcmp, or up to the sign of an exact zero), the pair pass on
+ * every gate and DmNoiseSpec::validate().
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ansatz/ansatz.hpp"
 #include "common/rng.hpp"
@@ -163,6 +168,15 @@ everyFieldSpec()
     return spec;
 }
 
+/** The specs every stream test runs: both presets and every field. */
+std::vector<std::pair<std::string, DmNoiseSpec>>
+streamSpecs()
+{
+    return {{"nisq", nisqDmSpec(NisqParams{})},
+            {"pqec", pqecDmSpec(PqecParams{})},
+            {"every-field", everyFieldSpec()}};
+}
+
 constexpr GateType kAllGates[] = {
     GateType::I,  GateType::X,     GateType::Y,     GateType::Z,
     GateType::H,  GateType::S,     GateType::Sdg,   GateType::T,
@@ -228,30 +242,76 @@ mixedStart(DensityMatrix &rho, uint64_t seed)
     }
 }
 
+/** FCHE-8 at depth 1 with seeded angles: the shipped DM workloads' ansatz. */
+Circuit
+fche8Circuit()
+{
+    const auto ansatz = fcheAnsatz(8, 1);
+    Rng rng(3);
+    std::vector<double> params(ansatz.nParameters());
+    for (auto &p : params)
+        p = rng.uniform() * 2.0 * M_PI;
+    return ansatz.bind(params);
+}
+
+bool
+sameBytes(const DensityMatrix &a, const DensityMatrix &b)
+{
+    return a.data().size() == b.data().size() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.data().size() * sizeof(a.data()[0])) == 0;
+}
+
+/**
+ * runPassesFromZero() on a matrix holding a stale mixed state (as a
+ * reused backend's does) against runPasses() on a fresh |0..0> matrix,
+ * in both SIMD modes: memcmp over rho's storage.
+ */
+void
+expectLivePrefixBytes(const Circuit &c, const DmNoiseSpec &spec,
+                      const std::string &what)
+{
+    const size_t n = c.nQubits();
+    const std::vector<DmPass> passes = compileNoisyDmStream(c, spec);
+    for (const int mode : {-1, 0}) {
+        SimdModeGuard guard(mode);
+        DensityMatrix full(n);
+        full.runPasses(passes);
+        DensityMatrix live(n);
+        mixedStart(live, n + passes.size());
+        live.runPassesFromZero(passes);
+        EXPECT_TRUE(sameBytes(live, full)) << what << " simd " << mode;
+        // A second prepare on the same object reads nothing of the first.
+        live.runPassesFromZero(passes);
+        EXPECT_TRUE(sameBytes(live, full))
+            << what << " simd " << mode << " (reused)";
+    }
+}
+
 } // namespace
 
 TEST(NoisyDmStream, MatchesKrausOracleOnRandomCircuits)
 {
-    const std::pair<const char *, DmNoiseSpec> specs[] = {
-        {"nisq", nisqDmSpec(NisqParams{})},
-        {"pqec", pqecDmSpec(PqecParams{})},
-        {"every-field", everyFieldSpec()},
-    };
+    // From a mixed start through runPasses(), and from |0..0> through
+    // the live prefix of runPassesFromZero().
     std::set<GateType> seen;
     double worst = 0.0;
     for (uint64_t seed = 0; seed < 60; ++seed) {
         const size_t n = 1 + seed % 6;
         const Circuit c = randomCircuit(n, seed, seen);
-        for (const auto &[name, spec] : specs) {
-            DensityMatrix ref(n);
+        for (const auto &[name, spec] : streamSpecs()) {
+            DensityMatrix ref(n), ref_zero(n);
             mixedStart(ref, seed);
             oracleRun(c, spec, ref);
+            oracleRun(c, spec, ref_zero);
             for (const int mode : {-1, 0}) {
                 SimdModeGuard guard(mode);
-                DensityMatrix rho(n);
+                DensityMatrix rho(n), from_zero(n);
                 mixedStart(rho, seed);
                 runNoisyDensityMatrix(c, spec, rho);
-                const double diff = maxAbsDiff(rho, ref);
+                from_zero.runPassesFromZero(compileNoisyDmStream(c, spec));
+                const double diff = std::max(maxAbsDiff(rho, ref),
+                                             maxAbsDiff(from_zero, ref_zero));
                 worst = std::max(worst, diff);
                 EXPECT_LE(diff, kTol) << "seed " << seed << " n " << n
                                       << " spec " << name << " simd "
@@ -302,12 +362,7 @@ TEST(NoisyDmStream, Fche8PassCountIsBounded)
     // One pair pass per two-qubit gate, at most one flush per qubit of
     // the pair before it, and one final flush per qubit.
     const size_t n = 8;
-    const auto ansatz = fcheAnsatz(static_cast<int>(n), 1);
-    Rng rng(3);
-    std::vector<double> params(ansatz.nParameters());
-    for (auto &p : params)
-        p = rng.uniform() * 2.0 * M_PI;
-    const Circuit c = ansatz.bind(params);
+    const Circuit c = fche8Circuit();
     size_t two_qubit = 0;
     for (const Gate &g : c.gates())
         two_qubit += g.isTwoQubit() ? 1 : 0;
@@ -321,6 +376,180 @@ TEST(NoisyDmStream, Fche8PassCountIsBounded)
         for (const DmPass &p : passes)
             pairs += p.kind == DmPass::Kind::Pair ? 1 : 0;
         EXPECT_EQ(pairs, two_qubit);
+    }
+}
+
+TEST(NoisyDmStream, LivePrefixIsBitIdenticalToFullWidth)
+{
+    const auto specs = streamSpecs();
+    std::set<GateType> seen;
+    for (uint64_t seed = 0; seed < 60; ++seed) {
+        const Circuit c = randomCircuit(1 + seed % 6, seed, seen);
+        for (const auto &[name, spec] : specs)
+            expectLivePrefixBytes(c, spec,
+                                  "seed " + std::to_string(seed) + " " +
+                                      name);
+    }
+
+    const Circuit fche = fche8Circuit();
+    expectLivePrefixBytes(fche, nisqDmSpec(NisqParams{}), "fche8 nisq");
+    expectLivePrefixBytes(fche, pqecDmSpec(PqecParams{}), "fche8 pqec");
+
+    // The first pass names the top qubit: full width from the start.
+    Circuit top(6);
+    top.h(0);
+    top.rx(5, 0.7);
+    top.cx(5, 3);
+    top.cx(0, 1);
+    top.cz(2, 4);
+    top.ry(3, -1.1);
+    top.cx(3, 0);
+    // Qubit 3 meets no two-qubit gate: its one pass is the final flush.
+    Circuit lone(4);
+    lone.h(3);
+    lone.rz(3, 0.4);
+    lone.ry(0, 0.9);
+    lone.cx(0, 1);
+    lone.cx(1, 2);
+    lone.h(3);
+    lone.swap(2, 0);
+    // Mid-circuit Measure and Reset between two-qubit gates.
+    Circuit mid(5);
+    mid.h(0);
+    mid.cx(0, 1);
+    mid.add(Gate(GateType::Measure, 1));
+    mid.add(Gate(GateType::Reset, 0));
+    mid.rx(2, 1.3);
+    mid.cx(1, 2);
+    mid.add(Gate(GateType::Measure, 2));
+    mid.cz(2, 3);
+    mid.add(Gate(GateType::Reset, 1));
+    mid.cx(3, 4);
+    mid.h(4);
+    mid.add(Gate(GateType::Measure, 4));
+    for (const auto &[name, spec] : specs) {
+        expectLivePrefixBytes(top, spec, "cx(5,3) first " + name);
+        expectLivePrefixBytes(lone, spec, "lone qubit " + name);
+        expectLivePrefixBytes(mid, spec, "measure/reset " + name);
+    }
+}
+
+TEST(NoisyDmStream, LivePrefixDiffersFromFullWidthOnlyInTheSignOfZero)
+{
+    // At full width this CZ pass negates entries of qubit 2 that are
+    // still exact zeros, writing -0 over +0; the live prefix zeroes
+    // them (+0) when it grows. Every entry compares equal, and every
+    // expectation — each sweep accumulates from +0 — is byte-identical.
+    const size_t n = 3;
+    Circuit c(n);
+    c.h(0);
+    c.h(1);
+    c.cz(0, 1);
+    const std::vector<DmPass> passes =
+        compileNoisyDmStream(c, pqecDmSpec(PqecParams{}));
+    Hamiltonian every(n);
+    for (size_t k = 0; k < (size_t{1} << (2 * n)); ++k) {
+        std::string label;
+        for (size_t q = 0; q < n; ++q)
+            label += "IXYZ"[(k >> (2 * q)) & 3];
+        every.addTerm(1.0, label);
+    }
+    for (const int mode : {-1, 0}) {
+        SimdModeGuard guard(mode);
+        DensityMatrix full(n), live(n);
+        full.runPasses(passes);
+        live.runPassesFromZero(passes);
+        for (size_t i = 0; i < full.data().size(); ++i)
+            EXPECT_EQ(live.data()[i], full.data()[i]) << i;
+        const std::vector<double> a = full.expectationBatch(every);
+        const std::vector<double> b = live.expectationBatch(every);
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)),
+                  0)
+            << "simd " << mode;
+    }
+}
+
+TEST(NoisyDmStream, LivePrefixRejectsBadPassesAndStaysAWholeMatrix)
+{
+    // Valid passes on qubits 0 and 1 of a 4-qubit register, then one
+    // the kernels reject: rho must throw like runPasses() and hold the
+    // full-width result of the valid passes, embedded at all 4 qubits.
+    const size_t n = 4;
+    Circuit c(n);
+    c.h(0);
+    c.cx(0, 1);
+    const std::vector<DmPass> valid =
+        compileNoisyDmStream(c, nisqDmSpec(NisqParams{}));
+    DensityMatrix expected(n);
+    expected.runPasses(valid);
+
+    DmPass superop = valid.front();
+    superop.kind = DmPass::Kind::Superop;
+    superop.q0 = n;
+    DmPass channel = superop;
+    channel.kind = DmPass::Kind::Channel;
+    DmPass pair;
+    pair.kind = DmPass::Kind::Pair;
+    pair.gate = GateType::CX;
+    pair.q0 = 0;
+    pair.q1 = n;
+    DmPass same_qubit = pair; // rejected inside the live block
+    same_qubit.q1 = 0;
+
+    const auto check = [&](const DmPass &bad, auto exception_tag,
+                           const char *what) {
+        using E = decltype(exception_tag);
+        std::vector<DmPass> passes = valid;
+        passes.push_back(bad);
+        DensityMatrix full(n);
+        EXPECT_THROW(full.runPasses(passes), E) << what;
+        DensityMatrix live(n);
+        mixedStart(live, 11);
+        EXPECT_THROW(live.runPassesFromZero(passes), E) << what;
+        EXPECT_EQ(live.nQubits(), n) << what;
+        EXPECT_EQ(live.data().size(), size_t{1} << (2 * n)) << what;
+        EXPECT_TRUE(sameBytes(live, expected)) << what;
+    };
+    check(superop, std::out_of_range("superop"), "superop on qubit n");
+    check(channel, std::out_of_range("channel"), "channel on qubit n");
+    check(pair, std::invalid_argument("pair"), "pair on qubit n");
+    check(same_qubit, std::invalid_argument("pair"), "pair on (0, 0)");
+}
+
+TEST(NoisyDmStream, LivePrefixEngagesOnFche8)
+{
+    // The runner's own width rule (dmLiveWidth) over FCHE-8 depth 1:
+    // how many passes still sweep all 8 qubits, and the share of the
+    // full-width entry visits the prefix keeps. A change that falls
+    // back to full width fails here, not only in the benchmark.
+    const size_t n = 8;
+    const Circuit c = fche8Circuit();
+    const struct
+    {
+        const char *name;
+        DmNoiseSpec spec;
+        size_t passes, full_width;
+        double visit_share;
+    } cases[] = {
+        {"nisq", nisqDmSpec(NisqParams{}), 92, 55, 0.630},
+        {"pqec", pqecDmSpec(PqecParams{}), 48, 27, 0.591},
+    };
+    for (const auto &cs : cases) {
+        const std::vector<DmPass> passes = compileNoisyDmStream(c, cs.spec);
+        ASSERT_EQ(passes.size(), cs.passes) << cs.name;
+        size_t m = 0, full_width = 0;
+        double visits = 0.0;
+        for (const DmPass &p : passes) {
+            m = dmLiveWidth(p, m, n);
+            full_width += m == n ? 1 : 0;
+            visits += std::ldexp(1.0, static_cast<int>(2 * m));
+        }
+        const double share =
+            visits / (std::ldexp(1.0, static_cast<int>(2 * n)) *
+                      static_cast<double>(passes.size()));
+        EXPECT_EQ(full_width, cs.full_width) << cs.name;
+        EXPECT_NEAR(share, cs.visit_share, 5e-4) << cs.name;
     }
 }
 

@@ -16,7 +16,6 @@
  * skipped client-side, never re-requested).
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -24,69 +23,30 @@
 #include "serve/client.hpp"
 #include "serve/workloads.hpp"
 #include "store/sink.hpp"
+#include "tool_args.hpp"
 #include "vqa/sweep.hpp"
 
 namespace {
 
 int
-usage(const char *argv0)
-{
-    std::cerr
-        << "usage: " << argv0 << " <socket> ping\n"
-        << "       " << argv0 << " <socket> stats\n"
-        << "       " << argv0 << " <socket> list\n"
-        << "       " << argv0
-        << " <socket> run <workload> [--mode smoke|default|full]\n"
-           "            [--cells <store>] [--isolate] "
-           "[--inflight <n>]\n";
-    return 2;
-}
-
-int
-runCommand(eftvqa::serve::DaemonClient &client, int argc, char **argv)
+runCommand(eftvqa::serve::DaemonClient &client,
+           const eftvqa::tools::VqacArgs &args)
 {
     using namespace eftvqa;
 
-    if (argc < 4) {
-        std::cerr << "vqac: run needs a workload name\n";
-        return 2;
-    }
-    const std::string workload = argv[3];
-    serve::DaemonRunOptions options;
-    options.workload = workload;
-    std::string cells_path;
-    for (int i = 4; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const bool has_value = i + 1 < argc;
-        if (arg == "--mode" && has_value) {
-            options.mode = argv[++i];
-        } else if ((arg == "--cells" || arg == "--store") &&
-                   has_value) {
-            cells_path = argv[++i];
-        } else if (arg == "--isolate") {
-            options.isolation = "process";
-        } else if (arg == "--inflight" && has_value) {
-            options.max_inflight =
-                static_cast<size_t>(std::atoll(argv[++i]));
-        } else {
-            std::cerr << "vqac: unknown run argument '" << arg << "'\n";
-            return 2;
-        }
-    }
-
     // Build the workload locally — identical builder, identical cells,
     // identical content keys — to know what to ask the daemon for.
-    const serve::Workload wl =
-        serve::WorkloadCatalog::builtin().build(workload, options.mode);
+    const serve::Workload wl = serve::WorkloadCatalog::builtin().build(
+        args.run.workload, args.run.mode);
     const std::vector<SweepCell> cells = wl.spec.cells();
 
     std::unique_ptr<SweepSink> sink;
-    if (!cells_path.empty())
-        sink = store::makeSweepSink(cells_path, wl.spec.name);
+    if (!args.cells_path.empty())
+        sink = store::makeSweepSink(args.cells_path, wl.spec.name);
 
     const SweepReport report =
-        serve::runSweepViaDaemon(client, cells, options, sink.get());
-    std::cout << "vqac: " << workload << ": " << report.cells
+        serve::runSweepViaDaemon(client, cells, args.run, sink.get());
+    std::cout << "vqac: " << args.run.workload << ": " << report.cells
               << " cells, " << report.executed << " executed, "
               << report.skipped << " skipped, " << report.failed
               << " failed" << std::endl;
@@ -100,10 +60,12 @@ main(int argc, char **argv)
 {
     using namespace eftvqa;
 
-    if (argc < 3)
-        return usage(argv[0]);
-    const std::string socket_path = argv[1];
-    const std::string command = argv[2];
+    // Parse the whole command line before connecting: a bad flag or
+    // value exits 2 without touching the daemon.
+    const auto args = tools::parseVqacArgs(argc, argv, std::cerr);
+    if (!args)
+        return 2;
+    const std::string &command = args->command;
 
     try {
         if (command == "list") {
@@ -116,7 +78,7 @@ main(int argc, char **argv)
         }
 
         serve::DaemonClient client =
-            serve::DaemonClient::connectUnix(socket_path);
+            serve::DaemonClient::connectUnix(args->socket_path);
         if (command == "ping") {
             if (!client.sendPing(1))
                 throw std::runtime_error("vqac: daemon hung up");
@@ -137,9 +99,7 @@ main(int argc, char **argv)
             }
             return 0;
         }
-        if (command == "run")
-            return runCommand(client, argc, argv);
-        return usage(argv[0]);
+        return runCommand(client, *args);
     } catch (const std::exception &e) {
         std::cerr << "vqac: " << e.what() << "\n";
         return 1;

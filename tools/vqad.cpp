@@ -10,14 +10,14 @@
  *        [--max-pending <n>] [--quota <n>] [--cell-timeout <ms>]
  */
 
+#include <cerrno>
 #include <csignal>
-#include <cstdlib>
 #include <iostream>
-#include <string>
 
 #include <unistd.h>
 
 #include "serve/daemon.hpp"
+#include "tool_args.hpp"
 
 namespace {
 
@@ -30,17 +30,6 @@ onSignal(int)
     [[maybe_unused]] const ssize_t n = write(g_signal_pipe[1], &byte, 1);
 }
 
-int
-usage(const char *argv0)
-{
-    std::cerr << "usage: " << argv0
-              << " --socket <path> [--tcp <port>] [--workers <n>]\n"
-                 "            [--max-pending <n>] [--quota <n>] "
-                 "[--cell-timeout <ms>] "
-                 "[--store <path>]\n";
-    return 2;
-}
-
 } // namespace
 
 int
@@ -48,33 +37,12 @@ main(int argc, char **argv)
 {
     using namespace eftvqa;
 
-    serve::ServeConfig config;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const bool has_value = i + 1 < argc;
-        if (arg == "--socket" && has_value) {
-            config.socket_path = argv[++i];
-        } else if (arg == "--tcp" && has_value) {
-            config.tcp_port =
-                static_cast<uint16_t>(std::atoi(argv[++i]));
-        } else if (arg == "--workers" && has_value) {
-            config.workers = static_cast<size_t>(std::atoll(argv[++i]));
-        } else if (arg == "--max-pending" && has_value) {
-            config.max_pending =
-                static_cast<size_t>(std::atoll(argv[++i]));
-        } else if (arg == "--quota" && has_value) {
-            config.per_client_inflight =
-                static_cast<size_t>(std::atoll(argv[++i]));
-        } else if (arg == "--cell-timeout" && has_value) {
-            config.cell_timeout_ms = std::atof(argv[++i]);
-        } else if (arg == "--store" && has_value) {
-            config.store_path = argv[++i];
-        } else {
-            return usage(argv[0]);
-        }
-    }
-    if (config.socket_path.empty())
-        return usage(argv[0]);
+    // Parse every flag before the daemon binds its socket or starts
+    // a worker: a bad command line exits 2 with nothing started.
+    const auto parsed = tools::parseVqadArgs(argc, argv, std::cerr);
+    if (!parsed)
+        return 2;
+    const serve::ServeConfig &config = *parsed;
 
     if (pipe(g_signal_pipe) != 0) {
         std::cerr << "vqad: cannot create the signal pipe\n";
