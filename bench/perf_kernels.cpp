@@ -36,6 +36,19 @@ preparedState(size_t n)
     return psi;
 }
 
+/** The same state as a density matrix, prepared as the backend does
+ *  without noise: the DmNoiseSpec{} stream from |0..0>. */
+DensityMatrix
+preparedDensityMatrix(size_t n)
+{
+    DensityMatrix rho(n);
+    const auto ansatz = fcheAnsatz(static_cast<int>(n), 1);
+    const Circuit bound =
+        ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.3));
+    rho.runPassesFromZero(compileNoisyDmStream(bound, DmNoiseSpec{}));
+    return rho;
+}
+
 /** Bound Clifford FCHE circuit for trajectory benchmarks. */
 Circuit
 cliffordFche(int n)
@@ -176,9 +189,7 @@ static void
 BM_DensityMatrixExpectationPerTerm(benchmark::State &state)
 {
     const auto n = static_cast<size_t>(state.range(0));
-    DensityMatrix rho(n);
-    const auto ansatz = fcheAnsatz(static_cast<int>(n), 1);
-    rho.run(ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.3)));
+    const DensityMatrix rho = preparedDensityMatrix(n);
     const auto ham = heisenbergHamiltonian(static_cast<int>(n), 1.0);
     for (auto _ : state) {
         double energy = 0.0;
@@ -193,9 +204,7 @@ static void
 BM_DensityMatrixExpectationBatch(benchmark::State &state)
 {
     const auto n = static_cast<size_t>(state.range(0));
-    DensityMatrix rho(n);
-    const auto ansatz = fcheAnsatz(static_cast<int>(n), 1);
-    rho.run(ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.3)));
+    const DensityMatrix rho = preparedDensityMatrix(n);
     const auto ham = heisenbergHamiltonian(static_cast<int>(n), 1.0);
     for (auto _ : state)
         benchmark::DoNotOptimize(rho.expectationBatch(ham));
@@ -258,14 +267,20 @@ BM_EnergyCacheWarm(benchmark::State &state)
 }
 BENCHMARK(BM_EnergyCacheWarm)->Arg(16)->Arg(48);
 
+/** One noiseless CX: a single lambda = 0 pair pass at full width. */
 static void
 BM_DensityMatrixCx(benchmark::State &state)
 {
     const auto n = static_cast<size_t>(state.range(0));
+    DmPassBuilder h(n);
+    h.gate1q(Gate(GateType::H, 0));
+    DmPassBuilder cx(n);
+    cx.gate2q(Gate(GateType::CX, 0, 1), 0.0);
+    const std::vector<DmPass> cx_pass = cx.finish();
     DensityMatrix rho(n);
-    rho.applyGate(Gate(GateType::H, 0));
+    rho.runPasses(h.finish());
     for (auto _ : state)
-        rho.applyGate(Gate(GateType::CX, 0, 1));
+        rho.runPasses(cx_pass);
 }
 BENCHMARK(BM_DensityMatrixCx)->Arg(6)->Arg(8);
 

@@ -9,7 +9,6 @@
 
 #include "qec/magic/injection.hpp"
 #include "qec/surface_code.hpp"
-#include "sim/backend.hpp"
 
 namespace eftvqa {
 
@@ -221,15 +220,6 @@ compileNoisyDmStream(const Circuit &circuit, const DmNoiseSpec &spec)
     return stream.finish();
 }
 
-void
-runNoisyDensityMatrix(const Circuit &circuit, const DmNoiseSpec &spec,
-                      DensityMatrix &rho)
-{
-    if (circuit.nQubits() != rho.nQubits())
-        throw std::invalid_argument("runNoisyDensityMatrix: width mismatch");
-    rho.runPasses(compileNoisyDmStream(circuit, spec));
-}
-
 namespace {
 
 double
@@ -256,18 +246,6 @@ readoutDampingByWeight(double meas_flip, size_t n_qubits)
         for (size_t w = 0; w <= n_qubits; ++w)
             factors[w] = dampingForWeight(meas_flip, w);
     return factors;
-}
-
-double
-noisyDensityMatrixEnergy(const Circuit &circuit, const Hamiltonian &ham,
-                         const DmNoiseSpec &spec)
-{
-    sim::NoiseModel model;
-    model.dm = spec;
-    const auto backend = sim::makeBackend(sim::BackendKind::DensityMatrix,
-                                          circuit.nQubits(), &model);
-    backend->prepare(circuit);
-    return backend->energy(ham);
 }
 
 } // namespace eftvqa

@@ -100,21 +100,12 @@ DmNoiseSpec pqecDmSpec(const PqecParams &params);
  * stream (validating the spec first). The channels follow the gates
  * they belong to — rotation or 1q depolarizing plus relaxation after a
  * 1q gate, 2q depolarizing plus relaxation after a 2q gate — and every
- * ASAP layer adds idle-window noise on the qubits it leaves idle.
+ * ASAP layer adds idle-window noise on the qubits it leaves idle. Under
+ * a spec without noise (DmNoiseSpec{}) the stream carries the gates
+ * alone: the noiseless density matrix runs it too.
  */
 std::vector<DmPass> compileNoisyDmStream(const Circuit &circuit,
                                          const DmNoiseSpec &spec);
-
-/**
- * Runs a bound circuit with the spec's noise on @p rho, from whatever
- * state it holds: one compileNoisyDmStream() plus
- * DensityMatrix::runPasses(), every pass at full width. The noisy
- * prepare from |0..0> (the density-matrix backend's prepare()) runs the
- * same stream through DensityMatrix::runPassesFromZero() instead, which
- * skips the qubits no pass has named yet.
- */
-void runNoisyDensityMatrix(const Circuit &circuit, const DmNoiseSpec &spec,
-                           DensityMatrix &rho);
 
 /**
  * Analytic readout damping (1 - 2 p_meas)^weight(P) of a Pauli
@@ -130,15 +121,6 @@ double readoutDampingFactor(double meas_flip, const PauliString &op);
  */
 std::vector<double> readoutDampingByWeight(double meas_flip,
                                            size_t n_qubits);
-
-/**
- * Energy Tr(H rho) after noisy execution, with readout error folded in
- * analytically as a (1 - 2 p_meas)^weight damping per Pauli term: the
- * density-matrix backend's prepare() + energy() under @p spec.
- */
-double noisyDensityMatrixEnergy(const Circuit &circuit,
-                                const Hamiltonian &ham,
-                                const DmNoiseSpec &spec);
 
 } // namespace eftvqa
 

@@ -113,6 +113,7 @@ ServeConfig::validate() const
             "ServeConfig.socket_path: '" + socket_path +
             "' exceeds the sockaddr_un path limit (" +
             std::to_string(sizeof(addr.sun_path) - 1) + " bytes)");
+    checkWorkerCount("ServeConfig.workers", workers);
     if (max_pending == 0)
         throw std::invalid_argument(
             "ServeConfig.max_pending: must be > 0 (a daemon that can "

@@ -103,7 +103,8 @@ struct ServeConfig
     /** Loopback TCP port; 0 = Unix socket only. */
     uint16_t tcp_port = 0;
 
-    /** Evaluation worker threads; 0 = a small hardware default. */
+    /** Evaluation worker threads; 0 = a small hardware default, at
+     *  most kMaxWorkers. */
     size_t workers = 0;
 
     /** Jobs admitted but not yet executing before new work is

@@ -200,12 +200,7 @@ class DensityMatrixBackend final : public Backend
 {
   public:
     DensityMatrixBackend(size_t n_qubits, const NoiseModel *noise)
-        : rho_(n_qubits),
-          // Gate on the half this substrate consumes: a model carrying
-          // only trajectory channels must not be mistaken for noise
-          // here.
-          noisy_(noise != nullptr && noise->hasDmNoise()),
-          spec_(noise != nullptr ? noise->dm : DmNoiseSpec{})
+        : rho_(n_qubits), spec_(noise != nullptr ? noise->dm : DmNoiseSpec{})
     {
     }
 
@@ -215,27 +210,12 @@ class DensityMatrixBackend final : public Backend
     void
     prepare(const Circuit &circuit) override
     {
-        if (noisy_) {
-            prepareNoisy(circuit);
-        } else {
-            rho_.setZeroState();
-            rho_.run(circuit);
-        }
-        prepared_ = true;
-    }
-
-    void
-    prepareCompiled(const CompiledCircuit &compiled) override
-    {
-        // Gate noise compiles the source circuit into its own DmPass
-        // stream (channels fold into per-qubit superoperators); only
-        // the noiseless path executes the compiled unitary ops.
-        if (noisy_) {
-            prepareNoisy(compiled.source());
-        } else {
-            rho_.setZeroState();
-            rho_.runCompiled(compiled);
-        }
+        if (circuit.nQubits() != rho_.nQubits())
+            throw std::invalid_argument(
+                "DensityMatrixBackend::prepare: width mismatch");
+        // Noisy or not, one DmPass stream from |0..0> on the live
+        // prefix: a spec without noise leaves only the gates' passes.
+        rho_.runPassesFromZero(compileNoisyDmStream(circuit, spec_));
         prepared_ = true;
     }
 
@@ -244,7 +224,7 @@ class DensityMatrixBackend final : public Backend
     {
         if (!prepared_)
             throwNotPrepared();
-        return rho_.expectation(p) * readoutDampingFactor(measFlip(), p);
+        return rho_.expectation(p) * readoutDampingFactor(spec_.meas_flip, p);
     }
 
     std::vector<double>
@@ -253,9 +233,9 @@ class DensityMatrixBackend final : public Backend
         if (!prepared_)
             throwNotPrepared();
         std::vector<double> vals = rho_.expectationBatch(ham);
-        if (measFlip() > 0.0) {
+        if (spec_.meas_flip > 0.0) {
             const std::vector<double> damping =
-                readoutDampingByWeight(measFlip(), rho_.nQubits());
+                readoutDampingByWeight(spec_.meas_flip, rho_.nQubits());
             const auto &terms = ham.terms();
             for (size_t k = 0; k < terms.size(); ++k)
                 vals[k] *= damping[terms[k].op.weight()];
@@ -270,7 +250,7 @@ class DensityMatrixBackend final : public Backend
             throwNotPrepared();
         return sampleFromProbabilities(rho_.diagonalProbabilities(),
                                        rho_.nQubits(), n_shots, rng,
-                                       measFlip());
+                                       spec_.meas_flip);
     }
 
     std::unique_ptr<Backend>
@@ -280,22 +260,12 @@ class DensityMatrixBackend final : public Backend
     }
 
   private:
-    /** The noisy stream from |0..0>, on the live prefix. */
-    void
-    prepareNoisy(const Circuit &circuit)
-    {
-        if (circuit.nQubits() != rho_.nQubits())
-            throw std::invalid_argument(
-                "DensityMatrixBackend::prepare: width mismatch");
-        rho_.runPassesFromZero(compileNoisyDmStream(circuit, spec_));
-    }
-
     DensityMatrix rho_;
-    bool noisy_;
+    // Only the density-matrix half: a model carrying trajectory channels
+    // alone leaves this spec noiseless. prepare() validates it, so the
+    // queries below only ever see a meas_flip in [0, 1].
     DmNoiseSpec spec_;
     bool prepared_ = false;
-
-    double measFlip() const { return noisy_ ? spec_.meas_flip : 0.0; }
 };
 
 class TableauBackend final : public Backend
@@ -526,6 +496,14 @@ resolveBackendKind(BackendKind requested, const Circuit &circuit,
     if (noise != nullptr && !noise->isNoiseless())
         return BackendKind::DensityMatrix;
     return BackendKind::Statevector;
+}
+
+bool
+canRunDensityMatrix(BackendKind requested, const NoiseModel *noise)
+{
+    return requested == BackendKind::DensityMatrix ||
+           (requested == BackendKind::Auto && noise != nullptr &&
+            !noise->isNoiseless());
 }
 
 std::unique_ptr<Backend>

@@ -38,7 +38,7 @@ enum class BackendKind : uint8_t
 {
     Auto,         ///< dispatch per prepared circuit (see resolveBackendKind)
     Statevector,  ///< dense 2^n amplitudes, exact, noiseless
-    DensityMatrix,///< dense 4^n density operator with Kraus-channel noise
+    DensityMatrix,///< dense 4^n density operator, one DmPass stream
     Tableau,      ///< stabilizer tableau, exact Clifford / Pauli trajectories
 };
 
@@ -47,10 +47,10 @@ std::string backendKindName(BackendKind kind);
 
 /**
  * Unified execution-regime noise description. Each substrate consumes
- * the half it understands: the density-matrix path applies the Kraus
- * channels of @c dm, the tableau path samples the Pauli channels of
- * @c clifford over @c trajectories Monte-Carlo executions. A
- * default-constructed model is noiseless on every backend.
+ * the half it understands: the density-matrix path folds the channels
+ * of @c dm into its DmPass stream, the tableau path samples the Pauli
+ * channels of @c clifford over @c trajectories Monte-Carlo executions.
+ * A default-constructed model is noiseless on every backend.
  */
 struct NoiseModel
 {
@@ -110,13 +110,13 @@ class Backend
 
     /**
      * prepare() from a pre-compiled circuit (sim/compiled_circuit.hpp).
-     * The dense noiseless substrates execute the fused op stream
-     * directly; a noisy density matrix compiles compiled.source() into
-     * its DmPass stream, and the tableau executes compiled.source()
-     * gate by gate. Callers that re-prepare the same circuit
-     * (optimizer loops, shot loops) should compile once —
-     * EstimationEngine memoizes CompiledCircuits by content hash and
-     * routes through this entry point.
+     * The statevector executes the fused op stream directly; the
+     * density matrix compiles compiled.source() into its DmPass stream,
+     * and the tableau executes compiled.source() gate by gate. Callers
+     * that re-prepare the same statevector circuit (optimizer loops,
+     * shot loops) should compile once — EstimationEngine memoizes
+     * CompiledCircuits by content hash and routes through this entry
+     * point.
      */
     virtual void prepareCompiled(const CompiledCircuit &compiled);
 
@@ -157,6 +157,15 @@ class Backend
  */
 BackendKind resolveBackendKind(BackendKind requested, const Circuit &circuit,
                                const NoiseModel *noise);
+
+/**
+ * True when a backend of kind @p requested under @p noise (null:
+ * noiseless) can run some circuit on the density matrix: DensityMatrix
+ * itself, or Auto with a noise model that is not noiseless (rule 3
+ * above). RegimeSpec::key() folds kNoisyDmKernelVersion into exactly
+ * these regimes, and EstimationEngine keeps no compile memo for them.
+ */
+bool canRunDensityMatrix(BackendKind requested, const NoiseModel *noise);
 
 /**
  * Create a backend on @p n_qubits qubits. @p noise may be null

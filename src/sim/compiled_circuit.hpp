@@ -1,10 +1,10 @@
 /**
  * @file
- * Circuit compilation layer for the dense simulators.
+ * Circuit compilation layer for the statevector.
  *
- * `Statevector::run` / `DensityMatrix::run` used to make one full-state
- * traversal per gate through generic kernels. CompiledCircuit compiles
- * a bound Circuit once into a short fused op stream:
+ * `Statevector::run` used to make one full-state traversal per gate
+ * through generic kernels. CompiledCircuit compiles a bound Circuit
+ * once into a short fused op stream:
  *
  *  - adjacent one-qubit gates on the same qubit merge into one 2x2
  *    unitary (and keep merging into a neighbouring two-qubit op);
@@ -22,13 +22,13 @@
  * Fusion respects program order per qubit: a gate only merges backward
  * past ops that touch none of its qubits (or, for diagonal gates, past
  * other diagonal ops). Measure/Reset are per-qubit fusion barriers and
- * survive as explicit ops (the density matrix executes them as
- * channels; the statevector rejects them exactly as the uncompiled
- * path did).
+ * survive as explicit ops, which the statevector rejects exactly as the
+ * uncompiled path did (the density matrix runs them as channels of its
+ * own DmPass stream, compiled from the source circuit).
  *
- * Compile once, execute many: the op stream is immutable and
- * backend-agnostic, so EstimationEngine memoizes CompiledCircuits by
- * Circuit::contentHash() and GA re-evaluations / shot loops skip
+ * Compile once, execute many: the op stream is immutable, so
+ * EstimationEngine memoizes CompiledCircuits by Circuit::contentHash()
+ * for its statevector engines and GA re-evaluations / shot loops skip
  * recompilation entirely.
  */
 
@@ -51,8 +51,8 @@ enum class CompiledOpKind : uint8_t
     Unitary2q, ///< fused 4x4 unitary on a qubit pair
     DiagPhase, ///< diagonal phase sweep (collapsed Z/S/T/Rz/CZ run)
     Gf2Perm,   ///< GF(2)-affine basis permutation (X/CX/Swap run)
-    Measure,   ///< measurement barrier (channel on the density matrix)
-    Reset,     ///< reset barrier (channel on the density matrix)
+    Measure,   ///< measurement barrier (the statevector rejects it)
+    Reset,     ///< reset barrier (the statevector rejects it)
 };
 
 /**
@@ -171,8 +171,8 @@ int compiledBlockMode();
 /**
  * A Circuit compiled to the fused op stream. Immutable after
  * construction; keeps the source circuit for the backends that do not
- * execute unitary ops: the tableau runs it gate by gate, and the noisy
- * density matrix compiles it, channels included, into a DmPass stream.
+ * execute the fused ops: the tableau runs it gate by gate, and the
+ * density matrix compiles it, with any channels, into a DmPass stream.
  */
 class CompiledCircuit
 {

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "pauli/term_groups.hpp"
-#include "sim/compiled_circuit.hpp"
 #include "sim/lane_sweep.hpp"
 #include "vqa/fault.hpp"
 
@@ -125,13 +124,6 @@ DensityMatrix::DensityMatrix(size_t n_qubits) : n_(n_qubits)
 }
 
 void
-DensityMatrix::setZeroState()
-{
-    std::fill(data_.begin(), data_.end(), std::complex<double>{0.0, 0.0});
-    data_[0] = 1.0;
-}
-
-void
 DensityMatrix::setPureState(const Statevector &psi)
 {
     if (psi.nQubits() != n_)
@@ -145,46 +137,6 @@ DensityMatrix::setPureState(const Statevector &psi)
 
 namespace {
 
-/**
- * Apply a 2x2 matrix at a global bit position of a flat vector: the
- * workhorse for both ket- and bra-side updates. SIMD when the lane
- * kernels are available (bit-identical to the scalar loop).
- */
-void
-applyAtBit(simd::AmpVector &v, const Mat2 &m, size_t bit)
-{
-    const size_t stride = size_t{1} << bit;
-    if (simd::tryApply1q(v.data(), v.size(), stride, m, false))
-        return;
-    const size_t dim = v.size();
-    for (size_t base = 0; base < dim; base += 2 * stride) {
-        for (size_t off = 0; off < stride; ++off) {
-            const size_t i0 = base + off;
-            const size_t i1 = i0 + stride;
-            const std::complex<double> a = v[i0];
-            const std::complex<double> b = v[i1];
-            v[i0] = m[0] * a + m[1] * b;
-            v[i1] = m[2] * a + m[3] * b;
-        }
-    }
-}
-
-Mat2
-conjugate(const Mat2 &m)
-{
-    return {std::conj(m[0]), std::conj(m[1]), std::conj(m[2]),
-            std::conj(m[3])};
-}
-
-Mat4
-conjugate4(const Mat4 &m)
-{
-    Mat4 out;
-    for (int i = 0; i < 16; ++i)
-        out[i] = std::conj(m[i]);
-    return out;
-}
-
 /** Insert a zero bit at position p (bits at and above p shift up). */
 uint64_t
 insertZeroBit(uint64_t x, uint64_t p)
@@ -195,8 +147,8 @@ insertZeroBit(uint64_t x, uint64_t p)
 
 /**
  * Apply a 4x4 matrix at two global bit positions of the flat vector
- * [v, v + span) (pa indexes the high bit of the 4x4 basis): the
- * two-qubit analogue of applyAtBit for ket- and bra-side updates.
+ * [v, v + span) (pa indexes the high bit of the 4x4 basis): a
+ * superoperator pass on a qubit's (ket, bra) bits.
  */
 void
 applyMat4AtBits(std::complex<double> *v, size_t span, const Mat4 &m,
@@ -226,184 +178,6 @@ applyMat4AtBits(std::complex<double> *v, size_t span, const Mat4 &m,
 }
 
 } // namespace
-
-void
-DensityMatrix::applyMatrixKet(const Mat2 &m, size_t q)
-{
-    applyAtBit(data_, m, n_ + q);
-}
-
-void
-DensityMatrix::applyMatrixBra(const Mat2 &m, size_t q)
-{
-    applyAtBit(data_, conjugate(m), q);
-}
-
-void
-DensityMatrix::applyMatrix1q(const Mat2 &u, size_t q)
-{
-    applyMatrixKet(u, q);
-    applyMatrixBra(u, q);
-}
-
-void
-DensityMatrix::applyMatrix2q(const Mat4 &u, size_t qa, size_t qb)
-{
-    applyMat4AtBits(data_.data(), data_.size(), u, n_ + qa, n_ + qb);
-    applyMat4AtBits(data_.data(), data_.size(), conjugate4(u), qa, qb);
-}
-
-void
-DensityMatrix::applyDiagPhase(const DiagPhaseOp &dop)
-{
-    // One pass over the matrix: rho_ij *= ph_i conj(ph_j), with the
-    // per-row phases materialized once (d entries, not 4^n).
-    const size_t d = dim();
-    std::vector<std::complex<double>> ph(d);
-    for (uint64_t i = 0; i < d; ++i)
-        ph[i] = dop.phaseAt(i);
-    for (uint64_t i = 0; i < d; ++i)
-        simd::rowScalePhase(&data_[i * d], d, ph[i], ph.data());
-}
-
-void
-DensityMatrix::applyGf2Perm(const Gf2PermOp &p)
-{
-    const size_t d = dim();
-    switch (p.cls) {
-      case Gf2PermClass::XorMask: {
-        // rho -> P rho P with P the xor-mask involution: element
-        // (i, j) exchanges with (i^f, j^f), a xor-mask on the 2n-bit
-        // index.
-        const uint64_t f = (p.flips << n_) | p.flips;
-        if (simd::tryXorMask(data_.data(), data_.size(), f, false))
-            return;
-        for (uint64_t i = 0; i < data_.size(); ++i)
-            if (i < (i ^ f))
-                std::swap(data_[i], data_[i ^ f]);
-        return;
-      }
-      case Gf2PermClass::SingleCX:
-        applyPairPass(GateType::CX, p.q0, p.q1, 0.0, n_);
-        return;
-      case Gf2PermClass::SingleSwap:
-        applyPairPass(GateType::Swap, p.q0, p.q1, 0.0, n_);
-        return;
-      case Gf2PermClass::General:
-        break;
-    }
-    // General affine map, in place: permute rows then columns by
-    // cycle-walking the index permutation with one row/column buffer
-    // (d entries) instead of a transient 4^n scratch matrix — at the
-    // 13-qubit cap a full scratch would double the gigabyte-scale
-    // footprint.
-    std::vector<uint64_t> src(d);
-    for (uint64_t y = 0; y < d; ++y)
-        src[y] = p.applyInverse(y);
-    std::vector<std::complex<double>> buf(d);
-    std::vector<char> visited(d, 0);
-
-    // Rows: row y <- row src[y], cycle by cycle.
-    for (uint64_t start = 0; start < d; ++start) {
-        if (visited[start] || src[start] == start)
-            continue;
-        std::copy_n(&data_[start * d], d, buf.begin());
-        uint64_t y = start;
-        while (true) {
-            visited[y] = 1;
-            const uint64_t s = src[y];
-            if (s == start)
-                break;
-            std::copy_n(&data_[s * d], d, &data_[y * d]);
-            y = s;
-        }
-        std::copy_n(buf.begin(), d, &data_[y * d]);
-    }
-
-    // Columns: column y <- column src[y], same cycles.
-    std::fill(visited.begin(), visited.end(), 0);
-    for (uint64_t start = 0; start < d; ++start) {
-        if (visited[start] || src[start] == start)
-            continue;
-        for (uint64_t i = 0; i < d; ++i)
-            buf[i] = data_[i * d + start];
-        uint64_t y = start;
-        while (true) {
-            visited[y] = 1;
-            const uint64_t s = src[y];
-            if (s == start)
-                break;
-            for (uint64_t i = 0; i < d; ++i)
-                data_[i * d + y] = data_[i * d + s];
-            y = s;
-        }
-        for (uint64_t i = 0; i < d; ++i)
-            data_[i * d + y] = buf[i];
-    }
-}
-
-void
-DensityMatrix::applyGate(const Gate &g)
-{
-    if (g.isParameterized())
-        throw std::invalid_argument(
-            "DensityMatrix::applyGate: unbound parameter");
-    switch (g.type) {
-      case GateType::I:
-        return;
-      case GateType::CX:
-      case GateType::CZ:
-      case GateType::Swap:
-        applyPairPass(g.type, g.q0, g.q1, 0.0, n_);
-        return;
-      case GateType::Measure:
-        applyMeasurementDephase(g.q0);
-        return;
-      case GateType::Reset:
-        applyResetChannel(g.q0);
-        return;
-      default:
-        applyMatrix1q(gateMatrix1q(g.type, g.angle), g.q0);
-        return;
-    }
-}
-
-void
-DensityMatrix::run(const Circuit &circuit)
-{
-    if (circuit.nQubits() != n_)
-        throw std::invalid_argument("DensityMatrix::run: width mismatch");
-    runCompiled(CompiledCircuit(circuit));
-}
-
-void
-DensityMatrix::runCompiled(const CompiledCircuit &compiled)
-{
-    if (compiled.nQubits() != n_)
-        throw std::invalid_argument("DensityMatrix::run: width mismatch");
-    for (const CompiledOp &op : compiled.ops()) {
-        switch (op.kind) {
-          case CompiledOpKind::Unitary1q:
-            applyMatrix1q(compiled.mat1(op), op.q0);
-            break;
-          case CompiledOpKind::Unitary2q:
-            applyMatrix2q(compiled.mat2(op), op.q0, op.q1);
-            break;
-          case CompiledOpKind::DiagPhase:
-            applyDiagPhase(compiled.diag(op));
-            break;
-          case CompiledOpKind::Gf2Perm:
-            applyGf2Perm(compiled.perm(op));
-            break;
-          case CompiledOpKind::Measure:
-            applyMeasurementDephase(op.q0);
-            break;
-          case CompiledOpKind::Reset:
-            applyResetChannel(op.q0);
-            break;
-        }
-    }
-}
 
 size_t
 dmLiveWidth(const DmPass &p, size_t m, size_t n_qubits)
@@ -478,21 +252,6 @@ DensityMatrix::growLive(size_t m, size_t m2)
 }
 
 void
-DensityMatrix::applyKraus1q(const KrausChannel &channel, size_t q)
-{
-    simd::AmpVector acc(data_.size(), {0.0, 0.0});
-    simd::AmpVector scratch;
-    for (const auto &k : channel.ops) {
-        scratch = data_;
-        applyAtBit(scratch, k, n_ + q);
-        applyAtBit(scratch, conjugate(k), q);
-        for (size_t i = 0; i < acc.size(); ++i)
-            acc[i] += scratch[i];
-    }
-    data_ = std::move(acc);
-}
-
-void
 DensityMatrix::applySuperop1q(const Mat4 &superop, size_t q, size_t width)
 {
     if (q >= width)
@@ -537,24 +296,10 @@ DensityMatrix::applyChannel1q(const Mat4 &superop, size_t q, size_t width)
     }
 }
 
-void
-DensityMatrix::applyPauliChannel1q(const PauliChannel &channel, size_t q)
-{
-    applyChannel1q(pauliChannelSuperop(channel), q, n_);
-}
-
-void
-DensityMatrix::applyDepolarizing2q(double p, size_t q0, size_t q1)
-{
-    if (!(p >= 0.0 && p <= 1.0))
-        throw std::invalid_argument("applyDepolarizing2q: bad p");
-    applyPairPass(GateType::I, q0, q1, 16.0 * p / 15.0, n_);
-}
-
 namespace {
 
 /** Pair state s = (bit qa << 1) | bit qb under CX(qa, qb) / Swap; CZ
- *  and I keep it. Every pair gate is an involution. */
+ *  keeps it. Every pair gate is an involution. */
 constexpr int
 pairPerm(GateType g, int s)
 {
@@ -641,11 +386,6 @@ DensityMatrix::applyPairPass(GateType gate, size_t qa, size_t qb,
     std::complex<double> *data = data_.data();
     const size_t d = size_t{1} << width;
     switch (gate) {
-      case GateType::I:
-        if (lambda != 0.0)
-            pairPass<GateType::I, true>(data, d, lo, hi, sb, 1.0 - lambda,
-                                        0.25 * lambda);
-        return;
       case GateType::CX:
         return pairPass<GateType::CX>(data, d, lo, hi, sb, lambda);
       case GateType::Swap:
@@ -654,41 +394,8 @@ DensityMatrix::applyPairPass(GateType gate, size_t qa, size_t qb,
         return pairPass<GateType::CZ>(data, d, lo, hi, sb, lambda);
       default:
         throw std::invalid_argument(
-            "DensityMatrix: pair pass takes CX, CZ, Swap or I");
+            "DensityMatrix: pair pass takes CX, CZ or Swap");
     }
-}
-
-void
-DensityMatrix::applyAmplitudeDamping(double gamma, size_t q)
-{
-    applyChannel1q(amplitudeDampingSuperop(gamma), q, n_);
-}
-
-void
-DensityMatrix::applyPhaseDamping(double lambda, size_t q)
-{
-    applyChannel1q(phaseDampingSuperop(lambda), q, n_);
-}
-
-void
-DensityMatrix::applyThermalRelaxation(double t1, double t2, double t,
-                                      size_t q)
-{
-    applyChannel1q(thermalRelaxationSuperop(t1, t2, t), q, n_);
-}
-
-void
-DensityMatrix::applyMeasurementDephase(size_t q)
-{
-    applyChannel1q(phaseDampingSuperop(1.0), q, n_);
-}
-
-void
-DensityMatrix::applyResetChannel(size_t q)
-{
-    // Full amplitude damping: rho[1,1] moves onto rho[0,0], coherences
-    // vanish.
-    applyChannel1q(amplitudeDampingSuperop(1.0), q, n_);
 }
 
 double

@@ -1,19 +1,19 @@
 /**
  * @file
- * Dense density-matrix simulator with Kraus-channel noise.
+ * Dense density-matrix simulator with superoperator noise.
  *
  * This is the in-tree replacement for Qiskit's AerSimulator density-matrix
  * backend the paper uses for 8- and 12-qubit studies (section 5.2.1).
- * The density operator is stored as a 2^n x 2^n row-major matrix; gates
- * act as rho -> U rho U^dag and noise as rho -> sum_k K_k rho K_k^dag.
+ * The density operator is stored as a 2^n x 2^n row-major matrix.
  *
- * Noisy circuits execute as a DmPass stream: rho is viewed as a vector
- * over 2n index bits (ket bit q at position n + q, bra bit q at q), so
- * every one-qubit map is a 4x4 superoperator on bits (n + q, q) and a
- * qubit's gates and channels between two-qubit gates fold into one
- * pass (DmPassBuilder). Run from |0..0>, the stream keeps a live prefix
- * (dmLiveWidth): qubits no pass has named yet are exact |0><0| factors
- * and are not swept.
+ * Every circuit, noisy or not, executes as one DmPass stream: rho is
+ * viewed as a vector over 2n index bits (ket bit q at position n + q,
+ * bra bit q at q), so every one-qubit map — gate, channel, Measure or
+ * Reset — is a 4x4 superoperator on bits (n + q, q), a qubit's maps
+ * between two-qubit gates fold into one pass (DmPassBuilder), and
+ * CX/CZ/Swap relabel 16-element groups in place. Run from |0..0>, the
+ * stream keeps a live prefix (dmLiveWidth): qubits no pass has named
+ * yet are exact |0><0| factors and are not swept.
  */
 
 #ifndef EFTVQA_SIM_DENSITY_MATRIX_HPP
@@ -31,22 +31,22 @@
 namespace eftvqa {
 
 /**
- * Version of the noisy density-matrix kernels' floating-point order.
- * RegimeSpec::key() folds it into every non-tableau regime with
- * density-matrix noise, so stores written by different kernel
- * generations never mix. Bump it whenever noisy density-matrix results
- * move, even by an ulp.
+ * Version of the density-matrix stream kernels' floating-point order.
+ * RegimeSpec::key() folds it into every regime that can run a circuit
+ * on rho, noisy or not (sim::canRunDensityMatrix), so stores written by
+ * different kernel generations never mix. Bump it whenever
+ * density-matrix results move, even by an ulp.
  */
 inline constexpr uint64_t kNoisyDmKernelVersion = 2;
 
-/** One pass of a noisy density-matrix stream (see DmPassBuilder). */
+/** One pass of a density-matrix stream (see DmPassBuilder). */
 struct DmPass
 {
     enum class Kind : uint8_t
     {
         Superop, ///< complex 4x4 superoperator carrying a gate
         Channel, ///< gate-free channel: real, block-sparse superoperator
-        Pair,    ///< CX/CZ/Swap (I: none) fused with 2q depolarizing
+        Pair,    ///< CX/CZ/Swap fused with 2q depolarizing (lambda >= 0)
     };
 
     Kind kind = Kind::Superop;
@@ -117,9 +117,10 @@ size_t dmLiveWidth(const DmPass &p, size_t m, size_t n_qubits);
  * bytes). Index convention: element (i, j) = data[i * 2^n + j], where i
  * is the ket (row) index.
  *
- * Two entry points run a noisy DmPass stream through one loop:
- * runPassesFromZero() starts from |0..0> (the density-matrix backend's
- * noisy prepare), runPasses() takes whatever state rho holds.
+ * rho evolves only through a DmPass stream, by two entry points that
+ * share one loop: runPassesFromZero() starts from |0..0> (the
+ * density-matrix backend's prepare, noisy or not), runPasses() takes
+ * whatever state rho holds and sweeps it at full width.
  */
 class DensityMatrix
 {
@@ -134,50 +135,19 @@ class DensityMatrix
     const simd::AmpVector &data() const { return data_; }
     simd::AmpVector &data() { return data_; }
 
-    /** Reset to |0..0><0..0|. */
-    void setZeroState();
-
     /** Initialize from a pure state. */
     void setPureState(const Statevector &psi);
 
-    /** Apply a one-qubit unitary. */
-    void applyMatrix1q(const Mat2 &u, size_t q);
-
     /**
-     * Apply a 4x4 unitary to the pair (qa, qb), qa indexing the high
-     * bit of the 4x4 basis (conjugation: ket side then bra side).
-     */
-    void applyMatrix2q(const Mat4 &u, size_t qa, size_t qb);
-
-    /** Apply a collapsed diagonal-gate run: rho_ij *= ph_i conj(ph_j). */
-    void applyDiagPhase(const DiagPhaseOp &d);
-
-    /** Conjugate by a collapsed X/CX/Swap basis permutation. */
-    void applyGf2Perm(const Gf2PermOp &p);
-
-    /** Apply a unitary gate (Measure/Reset are channels; see below). */
-    void applyGate(const Gate &g);
-
-    /**
-     * Run all gates of a bound circuit (no gate noise; Measure/Reset
-     * execute as their channels). Compiles to the fused op stream
-     * first; repeat callers should compile once and use runCompiled().
-     */
-    void run(const Circuit &circuit);
-
-    /** Execute a pre-compiled op stream (the hot path). */
-    void runCompiled(const CompiledCircuit &compiled);
-
-    /**
-     * Execute a noisy DmPass stream (see DmPassBuilder) on the current
-     * state, whatever it is: every pass sweeps the full matrix.
+     * Execute a DmPass stream (see DmPassBuilder) on the current state,
+     * whatever it is: every pass sweeps the full matrix.
      */
     void runPasses(const std::vector<DmPass> &passes);
 
     /**
-     * Reset to |0..0><0..0| and execute a noisy DmPass stream from
-     * there, as setZeroState() then runPasses() would, but each pass
-     * sweeps only the live prefix's block (dmLiveWidth), which grows in
+     * Reset to |0..0><0..0| and execute a DmPass stream from there, as
+     * runPasses() on a fresh matrix would, but each pass sweeps only
+     * the live prefix's block (dmLiveWidth), which grows in
      * place inside data() as passes name higher qubits. Every nonzero
      * entry is bit-identical to that path; an exact zero that a
      * full-width pass writes as -0 (a CZ sign flip on an entry the
@@ -186,38 +156,6 @@ class DensityMatrix
      * and leaves a valid n-qubit matrix.
      */
     void runPassesFromZero(const std::vector<DmPass> &passes);
-
-    /** Apply a single-qubit Kraus channel to qubit q (sum over the
-     *  Kraus operators through scratch copies; the reference path). */
-    void applyKraus1q(const KrausChannel &channel, size_t q);
-
-    /** Apply a single-qubit Pauli channel to qubit q. */
-    void applyPauliChannel1q(const PauliChannel &channel, size_t q);
-
-    /**
-     * Two-qubit symmetric depolarizing channel: with probability p a
-     * uniformly random non-identity two-qubit Pauli is applied.
-     */
-    void applyDepolarizing2q(double p, size_t q0, size_t q1);
-
-    /** Amplitude damping with decay probability gamma. */
-    void applyAmplitudeDamping(double gamma, size_t q);
-
-    /** Phase damping with parameter lambda. */
-    void applyPhaseDamping(double lambda, size_t q);
-
-    /**
-     * Thermal relaxation for duration t with times T1, T2 — one pass of
-     * thermalRelaxationSuperop(), matching thermalRelaxationChannel()
-     * (and throwing on the same invalid times).
-     */
-    void applyThermalRelaxation(double t1, double t2, double t, size_t q);
-
-    /** Non-destructive Z-basis measurement channel (full dephase of q). */
-    void applyMeasurementDephase(size_t q);
-
-    /** Reset channel: trace out q and re-prepare |0>. */
-    void applyResetChannel(size_t q);
 
     /** Tr(P rho) for a Hermitian Pauli. */
     double expectation(const PauliString &p) const;
@@ -253,14 +191,6 @@ class DensityMatrix
     size_t n_;
     simd::AmpVector data_;
 
-    /**
-     * Apply a 2x2 matrix (not necessarily unitary) to the ket or bra
-     * index of qubit q. Conjugation by U is ket(U) followed by
-     * bra(conj-transpose handled internally).
-     */
-    void applyMatrixKet(const Mat2 &m, size_t q);
-    void applyMatrixBra(const Mat2 &m, size_t q);
-
     /*
      * The stream kernels below act on the 2^width x 2^width block
      * stored row-major at the start of data_ (width n_: the whole
@@ -273,17 +203,16 @@ class DensityMatrix
     /**
      * Apply a gate-free channel superoperator — real and block-sparse on
      * the populations / coherences, so only its 8 block entries are
-     * read — to qubit q in one in-place pass. Backs every named
-     * one-qubit channel.
+     * read — to qubit q in one in-place pass (every Channel pass).
      */
     void applyChannel1q(const Mat4 &superop, size_t q, size_t width);
 
     /**
      * One in-place pass over the 16-element groups of the pair (qa, qb):
-     * relabel/sign each group by CX(qa, qb), CZ or Swap (I: neither),
-     * then mix it toward its pair-maximally-mixed part with weight
-     * @p lambda (the 2q depolarizing channel, which commutes with any
-     * unitary on the pair).
+     * relabel/sign each group by CX(qa, qb), CZ or Swap, then mix it
+     * toward its pair-maximally-mixed part with weight @p lambda (the
+     * 2q depolarizing channel, which commutes with any unitary on the
+     * pair).
      */
     void applyPairPass(GateType gate, size_t qa, size_t qb, double lambda,
                        size_t width);

@@ -868,19 +868,6 @@ kernChannel1q(cd *data, size_t d, size_t stride, const double *k)
     }
 }
 
-/** row[j] *= pi * conj(ph[j]) over whole chunks (density-matrix
- *  DiagPhase). */
-EFTVQA_SIMD_TARGET inline void
-kernRowScalePhase(cd *row, size_t n_chunks, cd pi, const cd *ph)
-{
-    const CVec pv = vbroadcast(pi);
-    for (size_t c = 0; c < n_chunks; ++c) {
-        const size_t j = c * kLanes;
-        const CVec w = vcmul(pv, vconj(vload(ph + j)));
-        vstore(row + j, vcmul(vload(row + j), w));
-    }
-}
-
 // ------------------------- sweep kernels ------------------------- //
 // The expectation sweep (sim/lane_sweep.hpp) runs per X-mask group:  //
 // the group's band is filled once into scratch, then each term runs //
@@ -1160,21 +1147,6 @@ tryChannel1q(cd *data, size_t d, size_t stride, const double *k)
     (void)k;
     return false;
 #endif
-}
-
-/** row[j] *= pi * conj(ph[j]) over n columns. */
-inline void
-rowScalePhase(cd *row, size_t n, cd pi, const cd *ph)
-{
-    size_t j = 0;
-#if defined(EFTVQA_SIMD_VECTOR)
-    if (enabled() && n >= kLanes) {
-        detail::kernRowScalePhase(row, n / kLanes, pi, ph);
-        j = (n / kLanes) * kLanes;
-    }
-#endif
-    for (; j < n; ++j)
-        row[j] *= pi * std::conj(ph[j]);
 }
 
 /**

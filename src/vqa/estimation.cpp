@@ -115,18 +115,19 @@ EstimationEngine::EstimationEngine(Hamiltonian ham, EstimationConfig config)
       batch_rng_(config.seed ^ 0xBA7C4EEDull)
 {
     config_.validate();
-    // The compiled pipeline serves the dense noiseless substrates: the
-    // tableau substrate executes the source gate list either way, the
-    // compiler caps at 64 qubits (the 100+-qubit Clifford sweeps stay
-    // on the gate-by-gate path), and a noisy density matrix compiles
-    // the source circuit into its own DmPass stream at prepare() —
-    // compiling for those engines would just fill the memo with
-    // streams nothing executes.
+    // The compiled pipeline serves the statevector alone: the tableau
+    // executes the source gate list either way, the compiler caps at
+    // 64 qubits (the 100+-qubit Clifford sweeps stay on the
+    // gate-by-gate path), and the density matrix, noisy or not,
+    // compiles the source circuit into its own DmPass stream at
+    // prepare() — compiling for those engines would just fill the memo
+    // with streams nothing executes.
     use_compiled_pipeline_ =
         config_.compile_cache_capacity > 0 &&
         config_.backend != sim::BackendKind::Tableau &&
         ham_.nQubits() <= 64 &&
-        !(config_.noise && config_.noise->hasDmNoise());
+        !sim::canRunDensityMatrix(config_.backend,
+                                  config_.noise ? &*config_.noise : nullptr);
     if (config_.cache_capacity > 0)
         cache_ = std::make_shared<SharedEnergyCache>(config_.cache_capacity);
     if (use_compiled_pipeline_)

@@ -144,8 +144,9 @@ struct EstimationConfig
      * unlike the energy cache — this memo never changes results and
      * is on by default; GA re-evaluations and shot loops skip
      * recompilation entirely. 0 disables the compiled pipeline (every
-     * prepare recompiles inside the backend). Only consulted for dense
-     * substrates on registers the compiler supports (<= 64 qubits).
+     * prepare recompiles inside the backend). Only consulted for
+     * engines that run on the statevector alone, on registers the
+     * compiler supports (<= 64 qubits).
      */
     size_t compile_cache_capacity = 256;
 
@@ -345,7 +346,8 @@ class EstimationEngine
     // group), so the pointer and this engine's counters sit behind
     // their own mutex; compilation itself runs outside every lock. The
     // pipeline is off for tableau engines, registers over 64 qubits and
-    // noisy density matrices, whose backend compiles its own DmPass
+    // every engine that can run on the density matrix
+    // (sim::canRunDensityMatrix), whose backend compiles its own DmPass
     // stream.
     bool use_compiled_pipeline_ = false;
     mutable std::mutex compile_mutex_;
@@ -375,8 +377,8 @@ class EstimationEngine
     /**
      * Memoized compilation of a bound circuit (thread-safe). Returns
      * null when the compiled pipeline is off for this engine (tableau
-     * substrate, noisy density matrix, > 64 qubits, capacity 0, or a
-     * null memo attached).
+     * substrate, density matrix, > 64 qubits, capacity 0, or a null
+     * memo attached).
      */
     std::shared_ptr<const CompiledCircuit>
     compiledFor(const Circuit &bound_circuit);

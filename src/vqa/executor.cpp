@@ -1,8 +1,20 @@
 #include "vqa/executor.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace eftvqa {
+
+void
+checkWorkerCount(const char *field, size_t count)
+{
+    if (count > kMaxWorkers)
+        throw std::invalid_argument(
+            std::string(field) + ": must be <= " +
+            std::to_string(kMaxWorkers) + " (got " +
+            std::to_string(count) + ")");
+}
 
 WorkerPool::WorkerPool(size_t threads) : threads_(threads)
 {

@@ -32,6 +32,19 @@
 
 namespace eftvqa {
 
+/**
+ * Most workers a configuration may ask for: ServeConfig::workers and
+ * SweepSpec's and ExperimentSpec's worker counts are validated against
+ * it. A pool starts all its workers at once, so a count mistyped by a
+ * few digits fails validation instead of asking the host for a million
+ * threads or processes.
+ */
+inline constexpr size_t kMaxWorkers = 1024;
+
+/** Throws std::invalid_argument naming @p field and the limit when
+ *  @p count exceeds kMaxWorkers. */
+void checkWorkerCount(const char *field, size_t count);
+
 class WorkerPool
 {
   public:

@@ -129,16 +129,17 @@ RegimeSpec::key() const
         mix(trajectories > 0 ? static_cast<uint64_t>(trajectories)
                              : nm.trajectories);
         mix(nm.seed);
-        // Noisy density-matrix results depend on the kernels' float
-        // order: stores never resume across a kernel generation. Tableau
-        // and noiseless keys stay put.
-        if (backend != sim::BackendKind::Tableau && nm.hasDmNoise())
-            mix(kNoisyDmKernelVersion);
         // nm.parallel is deliberately NOT hashed: the trajectory farm
         // is bit-identical to its serial reference, so the toggle can
         // never change results and must not split engines or cache
         // scopes.
     }
+    // Density-matrix results, noisy or not, depend on the stream
+    // kernels' float order: stores never resume across a kernel
+    // generation. Keep this the last mix: earlier, it would move every
+    // stored noisy density-matrix key.
+    if (sim::canRunDensityMatrix(backend, noise ? &*noise : nullptr))
+        mix(kNoisyDmKernelVersion);
     return h;
 }
 
@@ -220,6 +221,7 @@ ExperimentSpec::validate() const
                     regimes[i].name + "' (names must be unique)");
     }
     genetic.validate();
+    checkWorkerCount("ExperimentSpec.executor_threads", executor_threads);
 }
 
 ExperimentSpec

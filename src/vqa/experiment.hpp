@@ -192,7 +192,7 @@ struct ExperimentSpec
     bool async_groups = true;
 
     /** Session executor threads for submit(); 0 = pick a small default
-     *  from the hardware concurrency. */
+     *  from the hardware concurrency; at most kMaxWorkers. */
     size_t executor_threads = 0;
 
     /** Regime lookup by name; throws listing the known names. */
@@ -426,8 +426,7 @@ class ExperimentSession
  * Session-backed energy evaluator that owns its session: builds a
  * single-regime ExperimentSpec around (ham, regime) and keeps the
  * session alive inside the returned callable. vqe.hpp's
- * idealEvaluator()/densityMatrixEvaluator() are thin wrappers over
- * this.
+ * idealEvaluator() is a thin wrapper over this.
  */
 EnergyEvaluator sessionEvaluator(const Hamiltonian &ham,
                                  const RegimeSpec &regime);

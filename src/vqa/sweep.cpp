@@ -321,6 +321,10 @@ SweepSpec::validate() const
         throw std::invalid_argument(oss.str());
     }
 
+    checkWorkerCount("SweepSpec.cell_workers", cell_workers);
+    checkWorkerCount("SweepSpec.process_workers", process_workers);
+    checkWorkerCount("SweepSpec.executor_threads", executor_threads);
+
     if (cell_attempts == 0)
         throw std::invalid_argument(
             "SweepSpec.cell_attempts: must be >= 1");

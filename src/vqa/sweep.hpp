@@ -325,7 +325,8 @@ struct SweepSpec
 
     /** Concurrent cells; 0 = a small hardware default, 1 = serial.
      *  Never changes results (cells are independent and the shared
-     *  cache is pure). */
+     *  cache is pure). This and the other worker counts here are at
+     *  most kMaxWorkers. */
     size_t cell_workers = 0;
 
     /**

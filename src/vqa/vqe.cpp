@@ -13,21 +13,6 @@ idealEvaluator(const Hamiltonian &ham)
     return sessionEvaluator(ham, RegimeSpec::ideal());
 }
 
-EnergyEvaluator
-densityMatrixEvaluator(const Hamiltonian &ham, const DmNoiseSpec &spec)
-{
-    // Both dense exact paths are deterministic pure functions of the
-    // bound circuit, so the session cache behind sessionEvaluator()
-    // never changes what repeated evaluations return.
-    sim::NoiseModel noise;
-    noise.dm = spec;
-    RegimeSpec regime;
-    regime.name = "density-matrix";
-    regime.backend = sim::BackendKind::DensityMatrix;
-    regime.noise = noise;
-    return sessionEvaluator(ham, regime);
-}
-
 VqeResult
 runVqe(const Circuit &ansatz, const EnergyEvaluator &evaluate,
        Optimizer &optimizer, std::vector<double> initial, size_t max_evals)

@@ -15,7 +15,6 @@
 #include <functional>
 
 #include "circuit/circuit.hpp"
-#include "noise/noise_model.hpp"
 #include "pauli/hamiltonian.hpp"
 #include "vqa/estimation.hpp"
 #include "vqa/optimizer.hpp"
@@ -42,11 +41,6 @@ struct VqeResult
  * regimes share engines and the cross-engine energy cache.
  */
 EnergyEvaluator idealEvaluator(const Hamiltonian &ham);
-
-/** Noisy density-matrix evaluator for a regime noise spec
- *  (session-backed, like idealEvaluator). */
-EnergyEvaluator densityMatrixEvaluator(const Hamiltonian &ham,
-                                       const DmNoiseSpec &spec);
 
 /**
  * Minimize the energy of @p ansatz under @p evaluate with @p optimizer.

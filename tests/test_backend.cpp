@@ -17,6 +17,8 @@
 #include "sim/density_matrix.hpp"
 #include "sim/statevector.hpp"
 
+#include "dm_oracle.hpp"
+
 using namespace eftvqa;
 
 namespace {
@@ -135,8 +137,7 @@ TEST(BackendParity, ExpectationBatchMatchesPerTerm)
     Statevector psi(4);
     psi.run(c);
     const auto sv_batch = psi.expectationBatch(ham);
-    DensityMatrix rho(4);
-    rho.run(c);
+    const DensityMatrix rho = dm_oracle::noiseless(c);
     const auto dm_batch = rho.expectationBatch(ham);
     ASSERT_EQ(sv_batch.size(), ham.nTerms());
     ASSERT_EQ(dm_batch.size(), ham.nTerms());

@@ -4,6 +4,9 @@
  * randomized circuits, fusion-structure guarantees of the compiler,
  * compile-memo behaviour in EstimationEngine, determinism of compiled
  * execution, weighted shot allocation, and the width-cap diagnostics.
+ * The density matrix, which runs its own DmPass stream instead of the
+ * compiled ops, is checked on the same circuits against |psi><psi| and
+ * the Kraus oracle (dm_oracle.hpp), in both SIMD modes.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +25,8 @@
 #include "sim/density_matrix.hpp"
 #include "sim/statevector.hpp"
 #include "vqa/estimation.hpp"
+
+#include "dm_oracle.hpp"
 
 using namespace eftvqa;
 
@@ -78,18 +83,22 @@ statevectorParityError(const Circuit &c)
     return err;
 }
 
+/** Max |entry difference| between the noiseless density-matrix stream
+ *  and |psi><psi| of the gate-by-gate statevector, over both SIMD
+ *  modes. */
 double
 densityMatrixParityError(const Circuit &c)
 {
-    DensityMatrix compiled(c.nQubits());
-    compiled.run(c);
-    DensityMatrix naive(c.nQubits());
+    Statevector psi(c.nQubits());
     for (const auto &g : c.gates())
-        naive.applyGate(g);
+        psi.applyGate(g);
+    DensityMatrix pure(c.nQubits());
+    pure.setPureState(psi);
     double err = 0.0;
-    for (size_t i = 0; i < compiled.data().size(); ++i)
+    dm_oracle::inBothSimdModes([&] {
         err = std::max(err,
-                       std::abs(compiled.data()[i] - naive.data()[i]));
+                       dm_oracle::maxAbsDiff(dm_oracle::noiseless(c), pure));
+    });
     return err;
 }
 
@@ -155,8 +164,8 @@ TEST(CompiledCircuit, EmptyAndSingleGateCircuits)
 TEST(CompiledCircuit, MeasureResetChannelsOnDensityMatrix)
 {
     // Randomized unitaries with interleaved measure/reset barriers:
-    // the compiled stream must execute the same channels in the same
-    // per-qubit order as the gate-by-gate path.
+    // the noiseless stream must execute the same channels in the same
+    // per-qubit order as the gate-by-gate Kraus oracle.
     Rng rng(11);
     for (uint64_t seed = 0; seed < 4; ++seed) {
         Circuit c(3);
@@ -169,7 +178,13 @@ TEST(CompiledCircuit, MeasureResetChannelsOnDensityMatrix)
             else
                 c.reset(q);
         }
-        EXPECT_LT(densityMatrixParityError(c), 1e-12) << seed;
+        DensityMatrix oracle(3);
+        dm_oracle::run(c, DmNoiseSpec{}, oracle);
+        dm_oracle::inBothSimdModes([&] {
+            EXPECT_LT(dm_oracle::maxAbsDiff(dm_oracle::noiseless(c), oracle),
+                      1e-12)
+                << seed;
+        });
     }
 }
 
@@ -454,38 +469,22 @@ TEST(CompiledCircuit, EngineMemoizesCompiledCircuits)
     EXPECT_EQ(uncached.compileCacheHits(), 0u);
 }
 
-TEST(CompiledCircuit, GeneralPermutationOnDensityMatrixIsInPlaceExact)
-{
-    // A CX cascade compiles to a General-class Gf2Perm; the density
-    // matrix applies it by cycle-walking rows and columns in place.
-    Circuit c(4);
-    c.h(0);
-    c.ry(2, 0.6);
-    for (uint32_t a = 0; a < 4; ++a)
-        for (uint32_t b = a + 1; b < 4; ++b)
-            c.cx(a, b);
-    const CompiledCircuit compiled(c);
-    ASSERT_EQ(compiled.countKind(CompiledOpKind::Gf2Perm), 1u);
-    bool has_general = false;
-    for (const auto &op : compiled.ops())
-        if (op.kind == CompiledOpKind::Gf2Perm)
-            has_general =
-                compiled.perm(op).cls == Gf2PermClass::General;
-    ASSERT_TRUE(has_general);
-    EXPECT_LT(densityMatrixParityError(c), 1e-12);
-}
-
 TEST(CompiledCircuit, NoisyDensityMatrixEngineSkipsCompilation)
 {
-    // Gate noise forces the gate-by-gate path; the engine must not
-    // fill the compile memo with streams nothing executes.
+    // The density matrix, noisy or not, compiles its own DmPass stream
+    // from the source circuit; the engine must not fill the compile
+    // memo with ops nothing executes, nor even look it up.
     const auto ham = isingHamiltonian(3, 1.0);
-    const EstimationConfig config =
-        EstimationConfig::densityMatrix(sim::NoiseModel::nisq());
-    EstimationEngine engine(ham, config);
-    engine.energy(randomUnitaryCircuit(3, 15, 42));
-    EXPECT_EQ(engine.compileCacheMisses(), 0u);
-    EXPECT_EQ(engine.compileCacheHits(), 0u);
+    EstimationConfig noiseless;
+    noiseless.backend = sim::BackendKind::DensityMatrix;
+    for (const EstimationConfig &config :
+         {EstimationConfig::densityMatrix(sim::NoiseModel::nisq()),
+          noiseless}) {
+        EstimationEngine engine(ham, config);
+        engine.energy(randomUnitaryCircuit(3, 15, 42));
+        EXPECT_EQ(engine.compileCacheMisses(), 0u);
+        EXPECT_EQ(engine.compileCacheHits(), 0u);
+    }
 }
 
 TEST(CompiledCircuit, ShotLoopSkipsRecompilation)

@@ -107,8 +107,10 @@ TEST(EstimationEngine, DensityMatrixRegimeMatchesLegacyPath)
     config.backend = sim::BackendKind::DensityMatrix;
     config.noise = noise;
     EstimationEngine engine(ham, config);
-    EXPECT_NEAR(engine.energy(bound),
-                noisyDensityMatrixEnergy(bound, ham, spec), 1e-10);
+    const auto backend = sim::makeBackend(sim::BackendKind::DensityMatrix,
+                                          bound.nQubits(), &noise);
+    backend->prepare(bound);
+    EXPECT_NEAR(engine.energy(bound), backend->energy(ham), 1e-10);
 }
 
 TEST(EstimationEngine, TableauRegimeMatchesTrajectorySimulator)

@@ -135,10 +135,10 @@ TEST(RegimeSpec, KeyHashesKnobsButNotName)
     EXPECT_NE(RegimeSpec::ideal().key(), RegimeSpec::idealTableau().key());
 }
 
-TEST(RegimeSpec, OnlyNoisyDensityMatrixKeysCarryTheKernelTag)
+TEST(RegimeSpec, DensityMatrixKeysCarryTheKernelTag)
 {
-    // Captured before the DmPass stream: tableau and noiseless keys (the
-    // fig12/fig14, daemon and store keys) never move with the noisy
+    // Captured before the DmPass stream: tableau and ideal keys (the
+    // fig12/fig14, daemon and store keys) never move with the
     // density-matrix kernels.
     EXPECT_EQ(RegimeSpec::nisqTableau(64, 7).key(), 0x49900b8c68417818ull);
     EXPECT_EQ(RegimeSpec::ideal().key(), 0x329019bde1392148ull);
@@ -146,6 +146,15 @@ TEST(RegimeSpec, OnlyNoisyDensityMatrixKeysCarryTheKernelTag)
     // of the gate-by-gate generation never resume into the stream's.
     EXPECT_NE(RegimeSpec::nisqDensityMatrix().key(), 0x414bc8cb35774291ull);
     EXPECT_NE(RegimeSpec::pqecDensityMatrix().key(), 0xeead6603c3707a88ull);
+    // The tag is the last mix, so the noisy keys kept their values when
+    // the noiseless density matrix moved onto the stream and took the
+    // tag as well; its own key left the compiled-op generation's.
+    EXPECT_EQ(RegimeSpec::nisqDensityMatrix().key(), 0x6b08c44bd9a61fc9ull);
+    RegimeSpec noiseless;
+    noiseless.name = "density-matrix";
+    noiseless.backend = sim::BackendKind::DensityMatrix;
+    EXPECT_EQ(noiseless.key(), 0x2e88ad0c054db538ull);
+    EXPECT_NE(noiseless.key(), 0xbe6a7172329fa9eaull);
 }
 
 TEST(Validation, ErrorsNameTheOffendingField)
@@ -201,6 +210,24 @@ TEST(Validation, ErrorsNameTheOffendingField)
     RegimeSpec neg;
     neg.trajectories = -1;
     EXPECT_THROW(neg.validate(), std::invalid_argument);
+
+    // An executor thread count past kMaxWorkers fails validation, which
+    // names the field and the limit; no session (and no pool) is built.
+    auto wide = smallSpec(3, {RegimeSpec::ideal()});
+    wide.executor_threads = kMaxWorkers + 1;
+    try {
+        wide.validate();
+        FAIL() << "executor_threads past the limit must throw";
+    } catch (const std::invalid_argument &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("ExperimentSpec.executor_threads"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find(std::to_string(kMaxWorkers)), std::string::npos)
+            << what;
+    }
+    wide.executor_threads = kMaxWorkers;
+    EXPECT_NO_THROW(wide.validate());
 }
 
 // --------------------------------------------------------------------

@@ -31,11 +31,11 @@ TEST(Integration, DensityMatrixGammaFavorsPqec)
 
     NelderMeadOptimizer opt(0.6);
     const auto nisq = runBestOf(
-        ansatz, densityMatrixEvaluator(ham, nisqDmSpec(NisqParams{})),
-        opt, 250, 2, 7);
+        ansatz, sessionEvaluator(ham, RegimeSpec::nisqDensityMatrix()), opt,
+        250, 2, 7);
     const auto pqec = runBestOf(
-        ansatz, densityMatrixEvaluator(ham, pqecDmSpec(PqecParams{})),
-        opt, 250, 2, 7);
+        ansatz, sessionEvaluator(ham, RegimeSpec::pqecDensityMatrix()), opt,
+        250, 2, 7);
 
     const double gamma = relativeImprovement(e0, pqec.energy, nisq.energy);
     EXPECT_GT(gamma, 1.0);
@@ -118,16 +118,17 @@ TEST(Integration, VarsawImprovesBothRegimes)
     NelderMeadOptimizer opt(0.6);
 
     for (bool use_pqec : {false, true}) {
-        DmNoiseSpec spec = use_pqec ? pqecDmSpec(PqecParams{})
-                                    : nisqDmSpec(NisqParams{});
+        const RegimeSpec regime = use_pqec ? RegimeSpec::pqecDensityMatrix()
+                                           : RegimeSpec::nisqDensityMatrix();
+        const DmNoiseSpec &spec = regime.noise->dm;
         const double q = spec.meas_flip;
-        const auto noisy = runVqe(
-            ansatz, densityMatrixEvaluator(ham, spec), opt, {}, 200);
+        const auto noisy =
+            runVqe(ansatz, sessionEvaluator(ham, regime), opt, {}, 200);
 
         // Mitigated energy: divide each term's damped expectation back.
         const auto bound = ansatz.bind(noisy.params);
         DensityMatrix rho(static_cast<size_t>(n));
-        runNoisyDensityMatrix(bound, spec, rho);
+        rho.runPassesFromZero(compileNoisyDmStream(bound, spec));
         const auto cal =
             ReadoutCalibration::uniform(static_cast<size_t>(n), q);
         std::vector<double> damped;

@@ -7,8 +7,27 @@
 
 #include "ham/ising.hpp"
 #include "noise/noise_model.hpp"
+#include "sim/backend.hpp"
 
 using namespace eftvqa;
+
+namespace {
+
+/** Tr(H rho) after the density-matrix backend's prepare() under
+ *  @p spec, readout damping included. */
+double
+dmEnergy(const Circuit &circuit, const Hamiltonian &ham,
+         const DmNoiseSpec &spec)
+{
+    sim::NoiseModel model;
+    model.dm = spec;
+    const auto backend = sim::makeBackend(sim::BackendKind::DensityMatrix,
+                                          circuit.nQubits(), &model);
+    backend->prepare(circuit);
+    return backend->energy(ham);
+}
+
+} // namespace
 
 TEST(NoiseModel, NisqErrorRatesMatchPaper)
 {
@@ -72,14 +91,14 @@ TEST(NoiseModel, NoiselessDmRunMatchesIdeal)
     Hamiltonian h(2);
     h.addTerm(1.0, "ZZ");
     DmNoiseSpec clean; // all zeros
-    EXPECT_NEAR(noisyDensityMatrixEnergy(c, h, clean), 1.0, 1e-10);
+    EXPECT_NEAR(dmEnergy(c, h, clean), 1.0, 1e-10);
 }
 
 TEST(NoiseModel, DmLevelBucketingAppliesEveryGate)
 {
     // Regression for the non-monotone-ASAP-level gate lists of
     // all-to-all entanglers: the layered noisy runner must execute the
-    // full circuit (with zero noise it must equal the plain DM run).
+    // full circuit (with zero noise it must equal the statevector).
     Circuit c(5);
     for (int q = 0; q < 5; ++q)
         c.ry(static_cast<uint32_t>(q), 0.3 + 0.1 * q);
@@ -92,11 +111,10 @@ TEST(NoiseModel, DmLevelBucketingAppliesEveryGate)
     h.addTerm(0.5, "IIXXI");
     h.addTerm(-0.25, "YIIIY");
 
-    DensityMatrix rho(5);
-    rho.run(c);
+    Statevector psi(5);
+    psi.run(c);
     DmNoiseSpec clean;
-    EXPECT_NEAR(noisyDensityMatrixEnergy(c, h, clean), rho.expectation(h),
-                1e-10);
+    EXPECT_NEAR(dmEnergy(c, h, clean), psi.expectation(h), 1e-10);
 }
 
 TEST(NoiseModel, NisqDegradesMoreThanPqecOnBell)
@@ -111,10 +129,8 @@ TEST(NoiseModel, NisqDegradesMoreThanPqecOnBell)
     Hamiltonian h(2);
     h.addTerm(1.0, "ZZ");
 
-    const double e_nisq =
-        noisyDensityMatrixEnergy(c, h, nisqDmSpec(NisqParams{}));
-    const double e_pqec =
-        noisyDensityMatrixEnergy(c, h, pqecDmSpec(PqecParams{}));
+    const double e_nisq = dmEnergy(c, h, nisqDmSpec(NisqParams{}));
+    const double e_pqec = dmEnergy(c, h, pqecDmSpec(PqecParams{}));
     // Ideal value 1.0 (even number of CNOTs leaves the Bell pair
     // correlated): pQEC should be closer.
     EXPECT_GT(e_pqec, e_nisq);
@@ -130,7 +146,7 @@ TEST(NoiseModel, MeasurementFlipDampingInDmEnergy)
     DmNoiseSpec spec;
     spec.meas_flip = 0.1;
     // <Z> = -1, damped by (1-0.2) = -0.8.
-    EXPECT_NEAR(noisyDensityMatrixEnergy(c, h, spec), -0.8, 1e-10);
+    EXPECT_NEAR(dmEnergy(c, h, spec), -0.8, 1e-10);
 }
 
 TEST(NoiseModel, IdleDepolHitsWaitingQubitsInDm)
@@ -143,7 +159,7 @@ TEST(NoiseModel, IdleDepolHitsWaitingQubitsInDm)
     h.addTerm(1.0, "IX");
     DmNoiseSpec spec;
     spec.idle_depol = 0.05;
-    const double e = noisyDensityMatrixEnergy(c, h, spec);
+    const double e = dmEnergy(c, h, spec);
     EXPECT_LT(e, 0.5);
     EXPECT_GT(e, -0.05);
 }

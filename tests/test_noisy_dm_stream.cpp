@@ -1,14 +1,14 @@
 /**
  * @file
- * The noisy density-matrix DmPass stream (noise/noise_model.hpp,
- * sim/density_matrix.hpp) against an independent Kraus oracle: a
- * gate-by-gate loop of unitary conjugations (applyMatrix1q/2q), Kraus
- * sums (applyKraus1q with thermalRelaxationChannel and Pauli Kraus
- * sets) and the two-qubit depolarizing channel written as the weighted
- * sum of its 15 Pauli conjugations. Plus the stream's pass-count bound,
- * the live prefix of runPassesFromZero() against runPasses() on a fresh
- * matrix (memcmp, or up to the sign of an exact zero), the pair pass on
- * every gate and DmNoiseSpec::validate().
+ * The density-matrix DmPass stream (noise/noise_model.hpp,
+ * sim/density_matrix.hpp) against the independent Kraus oracle of
+ * dm_oracle.hpp: a gate-by-gate loop of scalar unitary conjugations,
+ * Kraus sums (thermalRelaxationChannel and Pauli Kraus sets) and the
+ * two-qubit depolarizing channel written as the weighted sum of its 15
+ * Pauli conjugations. Plus the stream's pass-count bound, the live
+ * prefix of runPassesFromZero() against runPasses() on a fresh matrix
+ * (memcmp, or up to the sign of an exact zero), the pair pass on every
+ * gate and DmNoiseSpec::validate().
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +31,10 @@
 #include "sim/simd.hpp"
 #include "vqa/experiment.hpp"
 
+#include "dm_oracle.hpp"
+
 using namespace eftvqa;
+using dm_oracle::maxAbsDiff;
 
 namespace {
 
@@ -43,112 +46,6 @@ struct SimdModeGuard
     explicit SimdModeGuard(int mode) { simd::setSimdMode(mode); }
     ~SimdModeGuard() { simd::setSimdMode(-1); }
 };
-
-const Mat2 kPaulis[4] = {gateMatrix1q(GateType::I),
-                         gateMatrix1q(GateType::X),
-                         gateMatrix1q(GateType::Y),
-                         gateMatrix1q(GateType::Z)};
-
-/** {sqrt(p_P) P} for P in I, X, Y, Z. */
-KrausChannel
-pauliKraus(const PauliChannel &ch)
-{
-    const double w[4] = {ch.pIdentity(), ch.px, ch.py, ch.pz};
-    KrausChannel out;
-    for (int k = 0; k < 4; ++k) {
-        Mat2 op = kPaulis[k];
-        for (auto &e : op)
-            e *= std::sqrt(w[k]);
-        out.ops.push_back(op);
-    }
-    return out;
-}
-
-/** (1 - p) rho + p/15 sum_{P != II} P rho P. */
-void
-oracleDepolarize2q(DensityMatrix &rho, double p, size_t q0, size_t q1)
-{
-    simd::AmpVector acc(rho.data().size(), {0.0, 0.0});
-    for (int a = 0; a < 4; ++a) {
-        for (int b = 0; b < 4; ++b) {
-            const double w = (a == 0 && b == 0) ? 1.0 - p : p / 15.0;
-            DensityMatrix term = rho;
-            term.applyMatrix1q(kPaulis[a], q0);
-            term.applyMatrix1q(kPaulis[b], q1);
-            for (size_t i = 0; i < acc.size(); ++i)
-                acc[i] += w * term.data()[i];
-        }
-    }
-    rho.data() = acc;
-}
-
-/** Gate-by-gate Kraus execution with the stream's noise placement. */
-void
-oracleRun(const Circuit &circuit, const DmNoiseSpec &spec,
-          DensityMatrix &rho)
-{
-    const size_t n = circuit.nQubits();
-    const auto &gates = circuit.gates();
-    std::vector<size_t> level(n, 0);
-    std::vector<std::vector<const Gate *>> layers;
-    for (const Gate &g : gates) {
-        size_t lvl = level[g.q0];
-        if (g.isTwoQubit())
-            lvl = std::max(lvl, level[g.q1]);
-        level[g.q0] = lvl + 1;
-        if (g.isTwoQubit())
-            level[g.q1] = lvl + 1;
-        if (layers.size() <= lvl)
-            layers.resize(lvl + 1);
-        layers[lvl].push_back(&g);
-    }
-
-    const auto pauli = [&](const PauliChannel &ch, size_t q) {
-        if (ch.px + ch.py + ch.pz > 0.0)
-            rho.applyKraus1q(pauliKraus(ch), q);
-    };
-    const auto relax = [&](double t, size_t q) {
-        if (spec.use_relaxation && t > 0.0)
-            rho.applyKraus1q(
-                thermalRelaxationChannel(spec.t1_ns, spec.t2_ns, t), q);
-    };
-    const KrausChannel measure{{{1, 0, 0, 0}, {0, 0, 0, 1}}};
-    const KrausChannel reset{{{1, 0, 0, 0}, {0, 1, 0, 0}}};
-
-    for (const auto &layer : layers) {
-        std::vector<bool> busy(n, false);
-        for (const Gate *g : layer) {
-            busy[g->q0] = true;
-            if (g->isTwoQubit()) {
-                busy[g->q1] = true;
-                rho.applyMatrix2q(gateMatrix2q(*g, g->q0, g->q1), g->q0,
-                                  g->q1);
-                if (spec.two_qubit_depol > 0.0)
-                    oracleDepolarize2q(rho, spec.two_qubit_depol, g->q0,
-                                       g->q1);
-                relax(spec.time_2q_ns, g->q0);
-                relax(spec.time_2q_ns, g->q1);
-            } else if (g->type == GateType::Measure) {
-                rho.applyKraus1q(measure, g->q0);
-            } else if (g->type == GateType::Reset) {
-                rho.applyKraus1q(reset, g->q0);
-            } else if (g->type != GateType::I) {
-                rho.applyMatrix1q(gateMatrix1q(g->type, g->angle), g->q0);
-                pauli(isRotationType(g->type)
-                          ? spec.rotation
-                          : depolarizingPauliChannel(spec.one_qubit_depol),
-                      g->q0);
-                relax(spec.time_1q_ns, g->q0);
-            }
-        }
-        for (size_t q = 0; q < n; ++q) {
-            if (busy[q])
-                continue;
-            relax(spec.time_2q_ns, q);
-            pauli(depolarizingPauliChannel(spec.idle_depol), q);
-        }
-    }
-}
 
 /** Every DmNoiseSpec field non-zero, at rates large enough to matter. */
 DmNoiseSpec
@@ -219,26 +116,18 @@ randomCircuit(size_t n, uint64_t seed, std::set<GateType> &seen)
     return c;
 }
 
-double
-maxAbsDiff(const DensityMatrix &a, const DensityMatrix &b)
-{
-    double worst = 0.0;
-    for (size_t i = 0; i < a.data().size(); ++i)
-        worst = std::max(worst, std::abs(a.data()[i] - b.data()[i]));
-    return worst;
-}
-
 /** Start from a random mixed state so every element of rho is live. */
 void
 mixedStart(DensityMatrix &rho, uint64_t seed)
 {
     Rng rng(seed ^ 0xA5A5ull);
     for (size_t q = 0; q < rho.nQubits(); ++q) {
-        rho.applyMatrix1q(gateMatrix1q(GateType::Ry, rng.uniform() * 3.0),
-                          q);
-        rho.applyMatrix1q(gateMatrix1q(GateType::Rz, rng.uniform() * 3.0),
-                          q);
-        rho.applyAmplitudeDamping(0.2 * rng.uniform(), q);
+        dm_oracle::conjugate1q(
+            rho, gateMatrix1q(GateType::Ry, rng.uniform() * 3.0), q);
+        dm_oracle::conjugate1q(
+            rho, gateMatrix1q(GateType::Rz, rng.uniform() * 3.0), q);
+        dm_oracle::kraus1q(
+            rho, dm_oracle::amplitudeDampingKraus(0.2 * rng.uniform()), q);
     }
 }
 
@@ -293,22 +182,24 @@ expectLivePrefixBytes(const Circuit &c, const DmNoiseSpec &spec,
 TEST(NoisyDmStream, MatchesKrausOracleOnRandomCircuits)
 {
     // From a mixed start through runPasses(), and from |0..0> through
-    // the live prefix of runPassesFromZero().
+    // the live prefix of runPassesFromZero(); the noiseless stream too.
     std::set<GateType> seen;
     double worst = 0.0;
+    auto specs = streamSpecs();
+    specs.emplace_back("noiseless", DmNoiseSpec{});
     for (uint64_t seed = 0; seed < 60; ++seed) {
         const size_t n = 1 + seed % 6;
         const Circuit c = randomCircuit(n, seed, seen);
-        for (const auto &[name, spec] : streamSpecs()) {
+        for (const auto &[name, spec] : specs) {
             DensityMatrix ref(n), ref_zero(n);
             mixedStart(ref, seed);
-            oracleRun(c, spec, ref);
-            oracleRun(c, spec, ref_zero);
+            dm_oracle::run(c, spec, ref);
+            dm_oracle::run(c, spec, ref_zero);
             for (const int mode : {-1, 0}) {
                 SimdModeGuard guard(mode);
                 DensityMatrix rho(n), from_zero(n);
                 mixedStart(rho, seed);
-                runNoisyDensityMatrix(c, spec, rho);
+                rho.runPasses(compileNoisyDmStream(c, spec));
                 from_zero.runPassesFromZero(compileNoisyDmStream(c, spec));
                 const double diff = std::max(maxAbsDiff(rho, ref),
                                              maxAbsDiff(from_zero, ref_zero));
@@ -337,7 +228,7 @@ TEST(NoisyDmStream, BackendEnergyIsTheOracleTrace)
         const Circuit c = randomCircuit(n, seed, seen);
         const DmNoiseSpec spec = everyFieldSpec();
         DensityMatrix ref(n);
-        oracleRun(c, spec, ref);
+        dm_oracle::run(c, spec, ref);
         double expected = 0.0;
         for (const auto &t : ham.terms())
             expected += t.coefficient *
@@ -352,8 +243,6 @@ TEST(NoisyDmStream, BackendEnergyIsTheOracleTrace)
         EXPECT_NEAR(backend->energy(ham), expected, kTol) << seed;
         backend->prepareCompiled(CompiledCircuit(c));
         EXPECT_NEAR(backend->energy(ham), expected, kTol) << seed;
-        EXPECT_NEAR(noisyDensityMatrixEnergy(c, ham, spec), expected, kTol)
-            << seed;
     }
 }
 
@@ -555,7 +444,8 @@ TEST(NoisyDmStream, LivePrefixEngagesOnFche8)
 
 TEST(NoisyDmStream, PairPassMatchesMatrixConjugationForEveryGate)
 {
-    // applyGate's CX/CZ/Swap pair pass equals the dense 4x4
+    // The stream's lambda = 0 CX/CZ/Swap pair pass (the noiseless
+    // prepare's two-qubit gates) equals the oracle's dense 4x4
     // conjugation, for both qubit orders, including pairs on bit 0.
     const size_t n = 4;
     for (const GateType t : {GateType::CX, GateType::CZ, GateType::Swap}) {
@@ -567,8 +457,10 @@ TEST(NoisyDmStream, PairPassMatchesMatrixConjugationForEveryGate)
                 mixedStart(fast, a * 7 + b);
                 mixedStart(ref, a * 7 + b);
                 const Gate g(t, a, b);
-                fast.applyGate(g);
-                ref.applyMatrix2q(gateMatrix2q(g, a, b), a, b);
+                DmPassBuilder stream(n);
+                stream.gate2q(g, 0.0);
+                fast.runPasses(stream.finish());
+                dm_oracle::conjugate2q(ref, gateMatrix2q(g, a, b), a, b);
                 EXPECT_LE(maxAbsDiff(fast, ref), kTol)
                     << gateName(t) << " " << a << " " << b;
             }
@@ -578,12 +470,11 @@ TEST(NoisyDmStream, PairPassMatchesMatrixConjugationForEveryGate)
 
 TEST(NoisyDmStream, ThermalRelaxationRejectsT2AboveTwiceT1LikeKraus)
 {
-    // The in-place channel and the Kraus constructor agree on invalid
-    // times instead of one of them clamping silently.
-    DensityMatrix rho(1);
+    // The stream's superoperator and the Kraus constructor agree on
+    // invalid times instead of one of them clamping silently.
     EXPECT_THROW(thermalRelaxationChannel(100.0, 250.0, 10.0),
                  std::invalid_argument);
-    EXPECT_THROW(rho.applyThermalRelaxation(100.0, 250.0, 10.0, 0),
+    EXPECT_THROW(thermalRelaxationSuperop(100.0, 250.0, 10.0),
                  std::invalid_argument);
 }
 
@@ -695,8 +586,12 @@ TEST(DmNoiseSpecValidate, StreamCompileAndRegimeSpecValidate)
     DmNoiseSpec spec = nisqDmSpec(NisqParams{});
     spec.t2_ns = 3.0 * spec.t1_ns;
     EXPECT_THROW(compileNoisyDmStream(c, spec), std::invalid_argument);
-    DensityMatrix rho(2);
-    EXPECT_THROW(runNoisyDensityMatrix(c, spec, rho), std::invalid_argument);
+    sim::NoiseModel model;
+    model.dm = spec;
+    EXPECT_THROW(
+        sim::makeBackend(sim::BackendKind::DensityMatrix, 2, &model)
+            ->prepare(c),
+        std::invalid_argument);
 
     RegimeSpec regime = RegimeSpec::nisqDensityMatrix();
     regime.noise->dm.two_qubit_depol = -0.5;
@@ -706,5 +601,28 @@ TEST(DmNoiseSpecValidate, StreamCompileAndRegimeSpecValidate)
     } catch (const std::invalid_argument &e) {
         EXPECT_NE(std::string(e.what()).find("DmNoiseSpec.two_qubit_depol"),
                   std::string::npos);
+    }
+}
+
+TEST(DmNoiseSpecValidate, NoiselessDensityMatrixBackendValidatesAtPrepare)
+{
+    // meas_flip = -0.1 carries no noise by NoiseModel::hasDmNoise(),
+    // yet the backend runs its spec through the stream compiler, which
+    // rejects it at prepare() and names the field.
+    Circuit c(2);
+    c.h(0);
+    c.cx(0, 1);
+    sim::NoiseModel model;
+    model.dm.meas_flip = -0.1;
+    ASSERT_FALSE(model.hasDmNoise());
+    const auto backend =
+        sim::makeBackend(sim::BackendKind::DensityMatrix, 2, &model);
+    try {
+        backend->prepare(c);
+        FAIL() << "a negative meas_flip must fail prepare()";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("DmNoiseSpec.meas_flip"),
+                  std::string::npos)
+            << e.what();
     }
 }

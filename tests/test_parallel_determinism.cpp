@@ -27,6 +27,8 @@
 #include "vqa/estimation.hpp"
 #include "vqa/optimizer.hpp"
 
+#include "dm_oracle.hpp"
+
 using namespace eftvqa;
 
 namespace {
@@ -147,9 +149,9 @@ TEST(ParallelDeterminism, ShardedStatevectorBatchMatchesSerial)
 TEST(ParallelDeterminism, ShardedDensityMatrixBatchMatchesSerial)
 {
     const int n = 7;
-    DensityMatrix rho(n);
     const auto ansatz = fcheAnsatz(n, 1);
-    rho.run(ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.4)));
+    const DensityMatrix rho = dm_oracle::noiseless(
+        ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.4)));
     const auto ham = heisenbergHamiltonian(n, 0.75);
 
     std::vector<double> unsharded, sharded;

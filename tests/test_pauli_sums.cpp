@@ -39,6 +39,8 @@
 #include "sim/simd.hpp"
 #include "sim/statevector.hpp"
 
+#include "dm_oracle.hpp"
+
 using namespace eftvqa;
 using cd = std::complex<double>;
 
@@ -81,10 +83,12 @@ boundFche(int n, uint64_t seed)
 DensityMatrix
 dampedRho(int n, uint64_t seed)
 {
-    DensityMatrix rho(static_cast<size_t>(n));
-    rho.run(boundFche(n, seed));
+    DensityMatrix rho = dm_oracle::noiseless(boundFche(n, seed));
+    DmPassBuilder damping(static_cast<size_t>(n));
     for (int q = 0; q < n; ++q)
-        rho.applyAmplitudeDamping(0.02 + 0.01 * q, static_cast<size_t>(q));
+        damping.channel(static_cast<size_t>(q),
+                        amplitudeDampingSuperop(0.02 + 0.01 * q));
+    rho.runPasses(damping.finish());
     return rho;
 }
 
@@ -417,7 +421,7 @@ TEST(PauliSums, DensityMatrixReadoutDampingPerTerm)
     const std::vector<double> got = backend->expectationBatch(h);
 
     DensityMatrix rho(n);
-    runNoisyDensityMatrix(c, noise.dm, rho);
+    rho.runPasses(compileNoisyDmStream(c, noise.dm));
     std::vector<double> want = rho.expectationBatch(h);
     for (size_t k = 0; k < want.size(); ++k)
         want[k] *= readoutDampingFactor(noise.dm.meas_flip, h.terms()[k].op);

@@ -16,6 +16,8 @@
 #include "sim/density_matrix.hpp"
 #include "sim/statevector.hpp"
 
+#include "dm_oracle.hpp"
+
 using namespace eftvqa;
 
 // ---------------------------------------------------------------------
@@ -184,8 +186,7 @@ TEST_P(DmVsStatevector, RandomCircuitAgreement)
     }
     Statevector psi(n);
     psi.run(c);
-    DensityMatrix rho(n);
-    rho.run(c);
+    const DensityMatrix rho = dm_oracle::noiseless(c);
 
     EXPECT_NEAR(rho.purity(), 1.0, 1e-10);
     EXPECT_NEAR(rho.fidelityWithPure(psi), 1.0, 1e-10);

@@ -506,6 +506,21 @@ TEST(Daemon, ConfigValidationNamesTheField)
     config.per_client_inflight = 2;
     config.cache_capacity = 0;
     EXPECT_THROW(config.validate(), std::invalid_argument);
+    config.cache_capacity = 16;
+    // Validated only: no daemon or pool starts at these counts.
+    config.workers = kMaxWorkers + 1;
+    try {
+        config.validate();
+        FAIL() << "workers past kMaxWorkers must throw";
+    } catch (const std::invalid_argument &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("ServeConfig.workers"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find(std::to_string(kMaxWorkers)), std::string::npos)
+            << what;
+    }
+    config.workers = kMaxWorkers;
+    EXPECT_NO_THROW(config.validate());
 }
 
 TEST(Daemon, RejectsMalformedAndUnknownRequests)

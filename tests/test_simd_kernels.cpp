@@ -30,6 +30,7 @@
 #include "ansatz/ansatz.hpp"
 #include "ham/heisenberg.hpp"
 #include "ham/ising.hpp"
+#include "noise/noise_model.hpp"
 #include "sim/compiled_circuit.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/lane_sweep.hpp"
@@ -262,15 +263,22 @@ TEST(SimdKernels, ExpectationBatchParityStatevector)
 
 TEST(SimdKernels, DensityMatrixChannelAndBatchParity)
 {
+    // The noiseless FCHE stream, then one Channel pass per channel, a
+    // gate-carrying Superop pass and a noisy CX pair pass: every kernel
+    // the stream runs.
     const int n = 6;
     const auto apply = [&](DensityMatrix &rho) {
-        rho.run(boundFche(n, 0.3));
-        rho.applyAmplitudeDamping(0.05, 0);
-        rho.applyPhaseDamping(0.08, 1);
-        rho.applyResetChannel(2);
-        rho.applyMeasurementDephase(3);
-        rho.applyKraus1q(depolarizingChannel(0.02), 4);
-        rho.applyMatrix2q(randomU4(77), 5, 0);
+        rho.runPassesFromZero(
+            compileNoisyDmStream(boundFche(n, 0.3), DmNoiseSpec{}));
+        DmPassBuilder stream(static_cast<size_t>(n));
+        stream.channel(0, amplitudeDampingSuperop(0.05));
+        stream.channel(1, phaseDampingSuperop(0.08));
+        stream.gate1q(Gate(GateType::Reset, 2));
+        stream.gate1q(Gate(GateType::Measure, 3));
+        stream.channel(4, pauliChannelSuperop(depolarizingPauliChannel(0.02)));
+        stream.gate1q(Gate::rotation(GateType::Ry, 5, 0.9));
+        stream.gate2q(Gate(GateType::CX, 5, 0), 0.03);
+        rho.runPasses(stream.finish());
     };
     DensityMatrix ref(static_cast<size_t>(n));
     DensityMatrix vec(static_cast<size_t>(n));
@@ -295,15 +303,21 @@ TEST(SimdKernels, DensityMatrixChannelAndBatchParity)
     // Tiny density matrices (rows shorter than a vector register) must
     // stay correct through the scalar fallbacks.
     for (const size_t tiny : {1u, 2u}) {
+        DmPassBuilder gates(tiny);
+        gates.gate1q(Gate::rotation(GateType::Ry, 0, 0.3 + 0.1 * tiny));
+        gates.gate1q(Gate::rotation(GateType::Rz, 0, 1.1));
+        DmPassBuilder damping(tiny);
+        damping.channel(0, amplitudeDampingSuperop(0.1));
+        const std::vector<DmPass> superop = gates.finish();
+        const std::vector<DmPass> channel = damping.finish();
         DensityMatrix a(tiny), b(tiny);
-        const Mat2 u = randomU2(5 + tiny);
         {
             SimdModeGuard off(0);
-            a.applyMatrix1q(u, 0);
-            a.applyAmplitudeDamping(0.1, 0);
+            a.runPasses(superop);
+            a.runPasses(channel);
         }
-        b.applyMatrix1q(u, 0);
-        b.applyAmplitudeDamping(0.1, 0);
+        b.runPasses(superop);
+        b.runPasses(channel);
         EXPECT_LE(maxAbsDiff(a.data(), b.data()), kTol);
     }
 }

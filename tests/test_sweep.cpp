@@ -156,6 +156,28 @@ TEST(SweepSpec, ValidationNamesTheOffendingAxis)
     spec = smallSweep();
     spec.max_cells = 0;
     expect_field(spec, "SweepSpec.max_cells");
+
+    // Worker counts stop at kMaxWorkers, and the error names it. Only
+    // validated here: no pool is ever started at these counts.
+    const std::string limit = std::to_string(kMaxWorkers);
+    spec = smallSweep();
+    spec.cell_workers = kMaxWorkers + 1;
+    expect_field(spec, "SweepSpec.cell_workers");
+    expect_field(spec, limit);
+    spec = smallSweep();
+    spec.executor_threads = 1000000;
+    expect_field(spec, "SweepSpec.executor_threads");
+    expect_field(spec, limit);
+    spec = smallSweep();
+    spec.fault_policy = FaultPolicy::isolate;
+    spec.isolation = IsolationMode::process;
+    spec.process_workers = kMaxWorkers + 1;
+    expect_field(spec, "SweepSpec.process_workers");
+    expect_field(spec, limit);
+    spec.process_workers = kMaxWorkers;
+    spec.cell_workers = kMaxWorkers;
+    spec.executor_threads = kMaxWorkers;
+    EXPECT_NO_THROW(spec.validate());
 }
 
 TEST(SweepSpec, CellCapGuardNamesTheExpandedCount)

@@ -104,6 +104,21 @@ TEST(VqadArgs, RejectsBadNumbersForEveryNumericFlag)
     std::string err;
     EXPECT_FALSE(parseVqad({"--socket", "s.sock", "--tcp", "70000"}, &err));
     EXPECT_TRUE(contains(err, "from 0 to 65535, not '70000'")) << err;
+
+    // A worker count past kMaxWorkers parses as a number but fails
+    // ServeConfig::validate() inside the parser, naming the limit, so
+    // vqad exits 2 before any socket or thread exists.
+    const std::string limit = std::to_string(kMaxWorkers);
+    for (const std::string over : {std::to_string(kMaxWorkers + 1),
+                                   std::string("100000")}) {
+        SCOPED_TRACE("--workers " + over);
+        EXPECT_FALSE(
+            parseVqad({"--socket", "s.sock", "--workers", over}, &err));
+        EXPECT_TRUE(contains(err, "vqad: ServeConfig.workers")) << err;
+        EXPECT_TRUE(contains(err, "<= " + limit)) << err;
+        EXPECT_TRUE(contains(err, "usage: vqad")) << err;
+    }
+    EXPECT_TRUE(parseVqad({"--socket", "s.sock", "--workers", limit}));
 }
 
 TEST(VqadArgs, RequiresASocketAndKnownFlags)

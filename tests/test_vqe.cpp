@@ -7,6 +7,7 @@
 
 #include "ansatz/ansatz.hpp"
 #include "ham/ising.hpp"
+#include "vqa/experiment.hpp"
 #include "vqa/metrics.hpp"
 #include "vqa/vqe.hpp"
 
@@ -57,13 +58,16 @@ TEST(Vqe, NoisyEnergyAboveIdealEnergy)
     const double e0 = h.groundStateEnergy();
     const auto ansatz = linearHeaAnsatz(3, 1);
 
-    DmNoiseSpec noisy;
-    noisy.two_qubit_depol = 0.05;
-    noisy.one_qubit_depol = 0.01;
+    RegimeSpec noisy;
+    noisy.name = "density-matrix";
+    noisy.backend = sim::BackendKind::DensityMatrix;
+    noisy.noise = sim::NoiseModel{};
+    noisy.noise->dm.two_qubit_depol = 0.05;
+    noisy.noise->dm.one_qubit_depol = 0.01;
 
     NelderMeadOptimizer opt(0.6);
-    const auto result = runVqe(ansatz, densityMatrixEvaluator(h, noisy),
-                               opt, {}, 300);
+    const auto result =
+        runVqe(ansatz, sessionEvaluator(h, noisy), opt, {}, 300);
     EXPECT_GT(result.energy, e0 - 1e-9);
 }
 

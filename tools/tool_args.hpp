@@ -4,7 +4,9 @@
  * parsed whole before any socket opens or any worker starts, so a bad
  * flag or value prints the problem and the usage line and the tool
  * exits 2 with nothing started. Numbers go through nonNegative()
- * (common/cli.hpp), the parser the figure drivers use.
+ * (common/cli.hpp), the parser the figure drivers use, and vqad's
+ * parsed config through ServeConfig::validate(), so a --workers above
+ * kMaxWorkers exits 2 too.
  */
 
 #ifndef EFTVQA_TOOLS_TOOL_ARGS_HPP
@@ -12,6 +14,7 @@
 
 #include <optional>
 #include <ostream>
+#include <stdexcept>
 #include <string>
 
 #include "common/cli.hpp"
@@ -51,8 +54,16 @@ parseVqadArgs(int argc, char **argv, std::ostream &err)
     }
     if (problem.empty() && config.socket_path.empty())
         problem = "--socket <path> is required";
-    if (problem.empty())
-        return config;
+    if (problem.empty()) {
+        // The daemon's own checks, worker limit included, before any
+        // socket opens.
+        try {
+            config.validate();
+            return config;
+        } catch (const std::invalid_argument &e) {
+            problem = e.what();
+        }
+    }
     err << "vqad: " << problem << "\nusage: " << argv[0]
         << " --socket <path> [--tcp <port>] [--workers <n>]\n"
            "            [--max-pending <n>] [--quota <n>] "
