@@ -3,11 +3,12 @@
  * Benchmarks the deterministic parallel execution layer and emits
  * machine-readable results as BENCH_parallel.json:
  *
- *  - trajectory farm: serial-reference vs OpenMP-parallel
- *    termExpectations on a fig12-style Clifford workload (plus a
- *    bit-identity check between the two paths);
- *  - group-sharded expectationBatch vs the unsharded sweep (slice
- *    shards at or above 2^14 states, one thread below);
+ *  - trajectory farm: termExpectations on a fig12-style Clifford
+ *    workload at an OpenMP team of one (the serial reference) vs the
+ *    ambient team (plus a bit-identity check between the two);
+ *  - group-sharded expectationBatch at the ambient team vs the serial
+ *    sweep of a team of one, on a Heisenberg chain whose X-mask groups
+ *    outnumber the threads;
  *  - EstimationEngine LRU energy cache, cold vs warm, on a GA-style
  *    population with duplicate genomes;
  *  - compiled gate pipeline: Statevector::runCompiled of the fused op
@@ -88,7 +89,6 @@
 #include "ham/ising.hpp"
 #include "noise/noise_model.hpp"
 #include "sim/backend.hpp"
-#include "sim/lane_sweep.hpp"
 #include "sim/simd.hpp"
 #include "sim/statevector.hpp"
 #include "stabilizer/noisy_clifford.hpp"
@@ -107,6 +107,23 @@ elapsedNs(Clock::time_point t0)
 {
     return std::chrono::duration<double, std::nano>(Clock::now() - t0)
         .count();
+}
+
+/** fn() with the OpenMP team size set to @p threads, restored after. */
+template <class Fn>
+double
+atTeamSize(int threads, Fn &&fn)
+{
+#ifdef _OPENMP
+    const int saved = omp_get_max_threads();
+    omp_set_num_threads(threads);
+    const double out = fn();
+    omp_set_num_threads(saved);
+    return out;
+#else
+    (void)threads;
+    return fn();
+#endif
 }
 
 /** Best-of-reps wall time of fn(), in ns. */
@@ -192,11 +209,12 @@ main(int argc, char **argv)
     const auto farm_spec = nisqCliffordSpec(NisqParams{});
 
     std::vector<double> serial_vals, parallel_vals;
-    const double farm_serial_ns = bestOf(farm_reps, [&] {
-        NoisyCliffordSimulator sim(farm_spec, 77);
-        sim.setParallel(false);
-        serial_vals = sim.termExpectations(farm_circuit, farm_ham,
-                                           farm_traj);
+    const double farm_serial_ns = atTeamSize(1, [&] {
+        return bestOf(farm_reps, [&] {
+            NoisyCliffordSimulator sim(farm_spec, 77);
+            serial_vals = sim.termExpectations(farm_circuit, farm_ham,
+                                               farm_traj);
+        });
     });
     const double farm_parallel_ns = bestOf(farm_reps, [&] {
         NoisyCliffordSimulator sim(farm_spec, 77);
@@ -230,13 +248,11 @@ main(int argc, char **argv)
         std::vector<double>(batch_ansatz.nParameters(), 0.3)));
     const auto batch_ham = heisenbergHamiltonian(batch_qubits, 1.0);
 
-    detail::setBucketShardMode(0);
-    const double batch_unsharded_ns =
-        bestOf(batch_reps, [&] { psi.expectationBatch(batch_ham); });
-    detail::setBucketShardMode(1);
+    const double batch_unsharded_ns = atTeamSize(1, [&] {
+        return bestOf(batch_reps, [&] { psi.expectationBatch(batch_ham); });
+    });
     const double batch_sharded_ns =
         bestOf(batch_reps, [&] { psi.expectationBatch(batch_ham); });
-    detail::setBucketShardMode(-1);
     const double batch_speedup = batch_sharded_ns > 0.0
                                      ? batch_unsharded_ns /
                                            batch_sharded_ns

@@ -7,6 +7,10 @@
 
 #include <benchmark/benchmark.h>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "ansatz/ansatz.hpp"
 #include "common/rng.hpp"
 #include "ham/heisenberg.hpp"
@@ -225,28 +229,31 @@ BM_EstimationEngineEnergy(benchmark::State &state)
 }
 BENCHMARK(BM_EstimationEngineEnergy)->Arg(16);
 
-/** Trajectory farm, serial reference vs OpenMP (range(1) = parallel). */
+/** Trajectory farm at an OpenMP team of range(1) threads; a team of
+ *  one is the serial reference. */
 static void
 BM_TrajectoryFarm(benchmark::State &state)
 {
     const int n = static_cast<int>(state.range(0));
-    const bool parallel = state.range(1) != 0;
     const Circuit circuit = cliffordFche(n);
     const auto ham = isingHamiltonian(n, 1.0);
     const size_t trajectories = 32;
     NoisyCliffordSimulator sim(nisqCliffordSpec(NisqParams{}), 77);
-    sim.setParallel(parallel);
+#ifdef _OPENMP
+    const int saved = omp_get_max_threads();
+    omp_set_num_threads(static_cast<int>(state.range(1)));
+#endif
     for (auto _ : state)
         benchmark::DoNotOptimize(
             sim.termExpectations(circuit, ham, trajectories));
+#ifdef _OPENMP
+    omp_set_num_threads(saved);
+#endif
     state.SetItemsProcessed(
         static_cast<int64_t>(state.iterations() * trajectories));
 }
 BENCHMARK(BM_TrajectoryFarm)
-    ->Args({48, 0})
-    ->Args({48, 1})
-    ->Args({100, 0})
-    ->Args({100, 1});
+    ->ArgsProduct({{48, 100}, {1, 2, 4}});
 
 /** Warm LRU energy cache on a population of duplicate genomes. */
 static void

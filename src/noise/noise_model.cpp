@@ -128,7 +128,7 @@ DmNoiseSpec::validate() const
         specError("t1_ns", "> 0 with use_relaxation", t1_ns);
     if (!(t2_ns > 0.0))
         specError("t2_ns", "> 0 with use_relaxation", t2_ns);
-    // Same bound (and slack) as thermalRelaxationChannel().
+    // Same bound (and slack) as thermalRelaxationSuperop().
     if (t2_ns > 2.0 * t1_ns + 1e-12)
         specError("t2_ns", "<= 2 * t1_ns = " + std::to_string(2.0 * t1_ns),
                   t2_ns);

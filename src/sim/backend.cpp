@@ -286,7 +286,6 @@ class TableauBackend final : public Backend
         if (noisy_ && trajectories_ == 0)
             throw std::invalid_argument(
                 "TableauBackend: need trajectories > 0");
-        sim_.setParallel(noise == nullptr || noise->parallel);
     }
 
     BackendKind kind() const override { return BackendKind::Tableau; }

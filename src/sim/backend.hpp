@@ -59,13 +59,6 @@ struct NoiseModel
     size_t trajectories = 200;       ///< Monte-Carlo samples (tableau path)
     uint64_t seed = 0x5EEDC11FF0ull; ///< trajectory RNG seed
 
-    /**
-     * Run trajectories on the OpenMP farm (default). The farm forks one
-     * RNG stream per trajectory, so results are bit-identical to the
-     * serial reference (parallel = false) at any thread count.
-     */
-    bool parallel = true;
-
     /** True when neither path would insert any error channel. */
     bool isNoiseless() const;
 

@@ -1,9 +1,9 @@
 #include "sim/channels.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 namespace eftvqa {
 
@@ -55,115 +55,6 @@ matmul(const Mat2 &a, const Mat2 &b)
 {
     return {a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
             a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]};
-}
-
-Mat2
-dagger(const Mat2 &m)
-{
-    return {std::conj(m[0]), std::conj(m[2]), std::conj(m[1]),
-            std::conj(m[3])};
-}
-
-bool
-KrausChannel::isTracePreserving(double tol) const
-{
-    Mat2 acc = {0, 0, 0, 0};
-    for (const auto &k : ops) {
-        const Mat2 kk = matmul(dagger(k), k);
-        for (int i = 0; i < 4; ++i)
-            acc[i] += kk[i];
-    }
-    return std::abs(acc[0] - 1.0) < tol && std::abs(acc[1]) < tol &&
-           std::abs(acc[2]) < tol && std::abs(acc[3] - 1.0) < tol;
-}
-
-KrausChannel
-depolarizingChannel(double p)
-{
-    if (p < 0.0 || p > 1.0)
-        throw std::invalid_argument("depolarizingChannel: bad p");
-    const double s0 = std::sqrt(1.0 - p);
-    const double s1 = std::sqrt(p / 3.0);
-    KrausChannel ch;
-    ch.ops.push_back({s0, 0, 0, s0});
-    ch.ops.push_back({0, s1, s1, 0});                 // X
-    ch.ops.push_back({0, -kI * s1, kI * s1, 0});      // Y
-    ch.ops.push_back({s1, 0, 0, -s1});                // Z
-    return ch;
-}
-
-KrausChannel
-bitFlipChannel(double p)
-{
-    if (p < 0.0 || p > 1.0)
-        throw std::invalid_argument("bitFlipChannel: bad p");
-    const double s0 = std::sqrt(1.0 - p);
-    const double s1 = std::sqrt(p);
-    KrausChannel ch;
-    ch.ops.push_back({s0, 0, 0, s0});
-    ch.ops.push_back({0, s1, s1, 0});
-    return ch;
-}
-
-KrausChannel
-phaseFlipChannel(double p)
-{
-    if (p < 0.0 || p > 1.0)
-        throw std::invalid_argument("phaseFlipChannel: bad p");
-    const double s0 = std::sqrt(1.0 - p);
-    const double s1 = std::sqrt(p);
-    KrausChannel ch;
-    ch.ops.push_back({s0, 0, 0, s0});
-    ch.ops.push_back({s1, 0, 0, -s1});
-    return ch;
-}
-
-namespace {
-
-/** (gamma, lambda) of thermal relaxation: amplitude damping, then the
- *  phase damping that makes the off-diagonal decay exactly exp(-t/T2). */
-std::pair<double, double>
-thermalRelaxationRates(double t1, double t2, double t)
-{
-    if (t1 <= 0.0 || t2 <= 0.0 || t < 0.0)
-        throw std::invalid_argument("thermalRelaxation: bad times");
-    if (t2 > 2.0 * t1 + 1e-12)
-        throw std::invalid_argument("thermalRelaxation: requires T2 <= 2 T1");
-
-    const double gamma = 1.0 - std::exp(-t / t1);
-    // sqrt(1-gamma) * sqrt(1-lambda) = exp(-t/T2).
-    const double target = std::exp(-t / t2);
-    const double sq1mg = std::sqrt(1.0 - gamma);
-    double lambda = 0.0;
-    if (sq1mg > 0.0) {
-        const double ratio = target / sq1mg;
-        lambda = std::max(0.0, 1.0 - ratio * ratio);
-    }
-    return {gamma, lambda};
-}
-
-} // namespace
-
-KrausChannel
-thermalRelaxationChannel(double t1, double t2, double t)
-{
-    const auto [gamma, lambda] = thermalRelaxationRates(t1, t2, t);
-
-    // Amplitude damping.
-    KrausChannel amp;
-    amp.ops.push_back({1, 0, 0, std::sqrt(1.0 - gamma)});
-    amp.ops.push_back({0, std::sqrt(gamma), 0, 0});
-    // Phase damping.
-    KrausChannel ph;
-    ph.ops.push_back({1, 0, 0, std::sqrt(1.0 - lambda)});
-    ph.ops.push_back({0, 0, 0, std::sqrt(lambda)});
-
-    // Compose: K_ij = Ph_i * Amp_j.
-    KrausChannel out;
-    for (const auto &a : ph.ops)
-        for (const auto &b : amp.ops)
-            out.ops.push_back(matmul(a, b));
-    return out;
 }
 
 PauliChannel
@@ -262,8 +153,22 @@ phaseDampingSuperop(double lambda)
 Mat4
 thermalRelaxationSuperop(double t1, double t2, double t)
 {
-    const auto [gamma, lambda] = thermalRelaxationRates(t1, t2, t);
-    const double keep = std::sqrt(1.0 - gamma) * std::sqrt(1.0 - lambda);
+    if (t1 <= 0.0 || t2 <= 0.0 || t < 0.0)
+        throw std::invalid_argument("thermalRelaxation: bad times");
+    if (t2 > 2.0 * t1 + 1e-12)
+        throw std::invalid_argument("thermalRelaxation: requires T2 <= 2 T1");
+
+    const double gamma = 1.0 - std::exp(-t / t1);
+    // Phase damping lambda with sqrt(1-gamma) * sqrt(1-lambda) =
+    // exp(-t/T2), so the off-diagonal decays exactly as T2 says.
+    const double target = std::exp(-t / t2);
+    const double sq1mg = std::sqrt(1.0 - gamma);
+    double lambda = 0.0;
+    if (sq1mg > 0.0) {
+        const double ratio = target / sq1mg;
+        lambda = std::max(0.0, 1.0 - ratio * ratio);
+    }
+    const double keep = sq1mg * std::sqrt(1.0 - lambda);
     return blockSuperop(1.0, gamma, 0.0, 1.0 - gamma, keep, 0.0, 0.0, keep);
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * 2x2 matrices, gate unitaries and Kraus channel constructors.
+ * 2x2 matrices, gate unitaries and noise-channel constructors.
  *
  * These are the noise-channel building blocks of the paper's evaluation
  * (section 5.2.1): depolarizing + thermal relaxation for NISQ gates,
@@ -13,7 +13,6 @@
 
 #include <array>
 #include <complex>
-#include <vector>
 
 #include "circuit/gate.hpp"
 
@@ -31,18 +30,6 @@ Mat2 gateMatrix1q(GateType type, double angle = 0.0);
 /** Matrix product a*b. */
 Mat2 matmul(const Mat2 &a, const Mat2 &b);
 
-/** Conjugate transpose. */
-Mat2 dagger(const Mat2 &m);
-
-/** A single-qubit channel as a list of Kraus operators. */
-struct KrausChannel
-{
-    std::vector<Mat2> ops;
-
-    /** Check sum_k K^dag K = I within @p tol. */
-    bool isTracePreserving(double tol = 1e-9) const;
-};
-
 /** Probabilities of a single-qubit Pauli channel. */
 struct PauliChannel
 {
@@ -52,22 +39,6 @@ struct PauliChannel
 
     double pIdentity() const { return 1.0 - px - py - pz; }
 };
-
-/** Symmetric depolarizing channel with total error probability p. */
-KrausChannel depolarizingChannel(double p);
-
-/** Classical bit-flip channel (X with probability p). */
-KrausChannel bitFlipChannel(double p);
-
-/** Pure dephasing channel (Z with probability p). */
-KrausChannel phaseFlipChannel(double p);
-
-/**
- * Thermal relaxation for duration @p t with times T1 and T2 (T2 <= 2 T1):
- * amplitude damping with gamma = 1 - exp(-t/T1) composed with phase
- * damping chosen so off-diagonals decay as exp(-t/T2).
- */
-KrausChannel thermalRelaxationChannel(double t1, double t2, double t);
 
 /**
  * Pauli-twirled thermal relaxation: the Pauli channel with the same
@@ -101,9 +72,10 @@ Mat4 amplitudeDampingSuperop(double gamma);
 Mat4 phaseDampingSuperop(double lambda);
 
 /**
- * Thermal relaxation for duration @p t: the same amplitude-then-phase
- * damping thermalRelaxationChannel() builds, with the same argument
- * checks (T1, T2 > 0, t >= 0, T2 <= 2 T1).
+ * Thermal relaxation for duration @p t with times T1 and T2: amplitude
+ * damping with gamma = 1 - exp(-t/T1), then the phase damping that
+ * makes off-diagonals decay as exp(-t/T2). Throws std::invalid_argument
+ * unless T1, T2 > 0, t >= 0 and T2 <= 2 T1.
  */
 Mat4 thermalRelaxationSuperop(double t1, double t2, double t);
 

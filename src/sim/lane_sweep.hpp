@@ -29,7 +29,6 @@
 #define EFTVQA_SIM_LANE_SWEEP_HPP
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <complex>
 #include <cstdint>
@@ -85,18 +84,6 @@ struct SweepScratch
 };
 SweepScratch &sweepScratch();
 
-/** Shard-axis override: -1 auto, 0 force slice shards (only at or
- *  above kParallelGrainAmps), 1 force group shards. Exposed so benches
- *  and determinism tests can pin either axis; both give the same bits,
- *  and production code leaves it at auto. */
-inline std::atomic<int> g_bucket_shard_mode{-1};
-
-inline void
-setBucketShardMode(int mode)
-{
-    g_bucket_shard_mode.store(mode, std::memory_order_relaxed);
-}
-
 /** Geometry of one sweep (see the file comment). */
 struct SweepShape
 {
@@ -127,33 +114,32 @@ enum class SweepAxis
     slices
 };
 
-inline SweepAxis
-sweepAxis(size_t groups, size_t planned_terms, size_t dim)
+/** The team a region opened here would get: one inside an active
+ *  region, whose nested regions run serially, or without OpenMP. */
+inline size_t
+teamSize()
 {
-    // At the grain both lane widths run eight slices.
-    const bool sliceable = dim >= simd::kParallelGrainAmps;
-    const int mode = g_bucket_shard_mode.load(std::memory_order_relaxed);
-    if (mode == 0)
-        return sliceable ? SweepAxis::slices : SweepAxis::serial;
-    if (mode == 1)
-        return groups >= 2 ? SweepAxis::groups : SweepAxis::serial;
 #ifdef _OPENMP
-    // A call from inside an active region would get a team of one.
-    const size_t team = omp_in_parallel()
-                            ? 1
-                            : static_cast<size_t>(omp_get_max_threads());
+    return omp_in_parallel() ? 1
+                             : static_cast<size_t>(omp_get_max_threads());
+#else
+    return 1;
+#endif
+}
+
+/** The axis a sweep of @p planned_terms terms in @p groups X-mask
+ *  groups over @p dim states spreads across a team of @p team. */
+inline SweepAxis
+sweepAxis(size_t groups, size_t planned_terms, size_t dim, size_t team)
+{
     if (team <= 1 || planned_terms * dim < simd::kParallelGrainAmps)
         return SweepAxis::serial;
     if (groups >= team)
         return SweepAxis::groups;
-    if (sliceable)
+    // At the grain both lane widths run eight slices.
+    if (dim >= simd::kParallelGrainAmps)
         return SweepAxis::slices;
     return groups >= 2 ? SweepAxis::groups : SweepAxis::serial;
-#else
-    (void)planned_terms;
-    (void)sliceable;
-    return SweepAxis::serial;
-#endif
 }
 
 /** x with its sign bit flipped when @p neg is 1 — an exact negation,
@@ -335,7 +321,7 @@ sweepWithLanes(const SweepPlan &plan, size_t n_terms, size_t dim,
                 finishTerm(&sums[(p - p0) * S], S, plan.phase[p]);
     };
 
-    switch (sweepAxis(groups, plan.z.size(), dim)) {
+    switch (sweepAxis(groups, plan.z.size(), dim, teamSize())) {
       case SweepAxis::serial:
         for (size_t g = 0; g < groups; ++g)
             whole_group(g);

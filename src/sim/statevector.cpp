@@ -548,14 +548,9 @@ Statevector::expectation(const PauliString &p) const
     const auto &zw = p.zWords();
     const uint64_t xm = xw.empty() ? 0 : xw[0];
     const uint64_t zm = zw.empty() ? 0 : zw[0];
-    const size_t dim = data_.size();
+    // One ascending pass, so the value is the same at any team size.
     double re = 0.0, im = 0.0;
-#ifdef _OPENMP
-#pragma omp parallel for reduction(+ : re, im)                               \
-    if (dim >= (size_t{1} << 14))
-#endif
-    for (int64_t si = 0; si < static_cast<int64_t>(dim); ++si) {
-        const auto i = static_cast<uint64_t>(si);
+    for (uint64_t i = 0; i < data_.size(); ++i) {
         const std::complex<double> v =
             std::conj(data_[i ^ xm]) * data_[i];
         const bool neg = std::popcount(i & zm) & 1;

@@ -291,7 +291,7 @@ NoisyCliffordSimulator::energySamples(const Circuit &circuit,
     // to the serial sweep no matter how trajectories land on threads.
     withTrajectory(circuit, walk, ham, [&](const auto &prototype) {
 #ifdef _OPENMP
-#pragma omp parallel if (parallel_ && trajectories > 1)
+#pragma omp parallel if (trajectories > 1)
 #endif
         {
             auto traj = prototype;
@@ -345,7 +345,7 @@ NoisyCliffordSimulator::termExpectations(const Circuit &circuit,
     std::vector<int64_t> acc(terms.size(), 0);
     withTrajectory(circuit, walk, ham, [&](const auto &prototype) {
 #ifdef _OPENMP
-#pragma omp parallel if (parallel_ && trajectories > 1)
+#pragma omp parallel if (trajectories > 1)
 #endif
         {
             auto traj = prototype;

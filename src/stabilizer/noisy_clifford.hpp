@@ -24,9 +24,8 @@
  * stream is forked per trajectory up front (Rng::forkStreams), so
  * trajectory k consumes stream k on whatever thread runs it, and
  * per-term tallies are integer sums (exactly order-independent). The
- * OpenMP path is therefore bit-identical to the serial reference for
- * any thread count; setParallel(false) selects the serial sweep of the
- * same streams.
+ * farm therefore returns the same bits at every OpenMP team size; a
+ * team of one is the serial sweep of the same streams.
  */
 
 #ifndef EFTVQA_STABILIZER_NOISY_CLIFFORD_HPP
@@ -107,18 +106,9 @@ class NoisyCliffordSimulator
 
     const CliffordNoiseSpec &spec() const { return spec_; }
 
-    /**
-     * Toggle the OpenMP trajectory farm (default on). The serial path
-     * sweeps the same per-trajectory streams in index order and is the
-     * bit-identical reference the parallel path is tested against.
-     */
-    void setParallel(bool parallel) { parallel_ = parallel; }
-    bool parallel() const { return parallel_; }
-
   private:
     CliffordNoiseSpec spec_;
     Rng rng_;
-    bool parallel_ = true;
 
     /** Per-term (1-2p)^weight readout damping, hoisted out of the
      *  trajectory loop. */

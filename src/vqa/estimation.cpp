@@ -448,7 +448,7 @@ EstimationEngine::energies(std::span<const Circuit> bound_circuits)
         // batch is better served by each item's own inner parallelism
         // (trajectory farm / amplitude sweeps) using all cores.
         const bool fan_out =
-            config_.parallel && omp_get_max_threads() > 1 &&
+            omp_get_max_threads() > 1 &&
             work.size() >= static_cast<size_t>(omp_get_max_threads()) &&
             work.size() > 1;
 #pragma omp parallel for schedule(dynamic) if (fan_out)
@@ -547,12 +547,11 @@ EstimationEngine::shotEstimates(const Circuit &bound_circuit,
     const auto &terms = ham_.terms();
     std::vector<double> out(terms.size(), 0.0);
 
-    // Group scheduling discipline: every QWC group is an independent
-    // work item — own measurement circuit, own hash-seeded shot stream,
-    // and (where the substrate consumes internal randomness) its own
-    // clone of a per-evaluation parent. Group gi's samples are a
-    // function of (circuit, evaluation, gi) alone, so the groups can
-    // run serially or across threads with bit-identical results.
+    // Every QWC group is an independent work item: own measurement
+    // circuit, own hash-seeded shot stream, and (where the substrate
+    // consumes internal randomness) its own clone of a per-evaluation
+    // parent. Group gi's samples are a function of (circuit,
+    // evaluation, gi) alone, whatever ran before it.
     //
     // With caching enabled the per-evaluation bases derive from the
     // circuit's content hash instead of the advancing engine stream,
@@ -581,73 +580,26 @@ EstimationEngine::shotEstimates(const Circuit &bound_circuit,
         cachingEnabled() ? detail::hashCombine(config_.seed, circuit_hash)
                          : shot_rng.next();
 
-    std::vector<std::vector<uint64_t>> group_bits(groups.size());
-    std::exception_ptr error;
-#ifdef _OPENMP
-    // Fan out only at the top level: inside energies()'s circuit-level
-    // fan-out a nested region would serialize anyway, and each circuit
-    // already owns a whole work item.
-    const bool fan_out = config_.parallel && config_.async_groups &&
-                         groups.size() > 1 && omp_get_max_threads() > 1 &&
-                         !omp_in_parallel();
-#else
-    const bool fan_out = false;
-#endif
-    // Serial sweeps rewind one scratch circuit to the shared bound
-    // prefix per group instead of copying the gate list; concurrent
-    // tasks each copy (they cannot share scratch).
-    Circuit scratch(bound_circuit.nQubits());
-    size_t base_gates = 0;
-    if (!fan_out) {
-        scratch = bound_circuit;
-        base_gates = scratch.nGates();
-        scratch.reserveGates(base_gates + 2 * ham_.nQubits());
-    }
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) if (fan_out)
-#endif
-    for (int64_t gii = 0; gii < static_cast<int64_t>(groups.size());
-         ++gii) {
-        const auto gi = static_cast<size_t>(gii);
-        try {
-            // Concurrent tasks must not share one backend, and
-            // Monte-Carlo parents must be clone-replayed per group; a
-            // serial sweep over a deterministic backend needs neither
-            // (prepare() overwrites the state anyway).
-            std::unique_ptr<sim::Backend> clone;
-            sim::Backend *b = &parent;
-            if (mc || fan_out) {
-                clone = parent.clone();
-                b = clone.get();
-            }
-            Circuit local;
-            Circuit *meas = &scratch;
-            if (fan_out) {
-                local = bound_circuit;
-                local.reserveGates(local.nGates() +
-                                   group_rotations_[gi].size());
-                meas = &local;
-            } else {
-                scratch.truncateGates(base_gates);
-            }
-            for (const Gate &g : group_rotations_[gi])
-                meas->add(g);
-            prepareOn(*meas, *b);
-            Rng group_rng(detail::hashCombine(shot_base, gi + 1));
-            group_bits[gi] = b->sample(group_shots[gi], group_rng);
-        } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical
-#endif
-            if (!error)
-                error = std::current_exception();
-        }
-    }
-    if (error)
-        std::rethrow_exception(error);
-
+    // One scratch circuit, rewound to the shared bound prefix per group
+    // instead of copying the gate list.
+    Circuit scratch = bound_circuit;
+    const size_t base_gates = scratch.nGates();
+    scratch.reserveGates(base_gates + 2 * ham_.nQubits());
     for (size_t gi = 0; gi < groups.size(); ++gi) {
-        const std::vector<uint64_t> &shots = group_bits[gi];
+        // Monte-Carlo parents are clone-replayed per group; a
+        // deterministic backend is reused, since prepare() overwrites
+        // its state anyway.
+        std::unique_ptr<sim::Backend> clone;
+        if (mc)
+            clone = parent.clone();
+        sim::Backend &b = mc ? *clone : parent;
+        scratch.truncateGates(base_gates);
+        for (const Gate &g : group_rotations_[gi])
+            scratch.add(g);
+        prepareOn(scratch, b);
+        Rng group_rng(detail::hashCombine(shot_base, gi + 1));
+        const std::vector<uint64_t> shots =
+            b.sample(group_shots[gi], group_rng);
         for (size_t k : groups[gi]) {
             const uint64_t support = term_support_[k];
             int64_t signed_count = 0;

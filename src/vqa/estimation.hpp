@@ -16,7 +16,7 @@
  * appended) and estimates each term from bitstring parities, the way
  * hardware would.
  *
- * Three batch-scale features sit on top (the deterministic parallel
+ * Two batch-scale features sit on top (the deterministic parallel
  * execution layer):
  *
  *  - an energy cache keyed by bound-circuit content hash: one
@@ -34,12 +34,12 @@
  *    own content hash, so every circuit sees the same randomness
  *    regardless of batch order or thread count — the batch is
  *    bit-identical to evaluating each circuit on a fresh clone
- *    serially;
- *  - async QWC-group scheduling on the shot path (config.async_groups):
- *    each measurement group is an independent work item with its own
- *    hash-seeded shot stream and (on Monte-Carlo substrates) its own
- *    clone of a per-evaluation parent, so the groups fan out across
- *    OpenMP threads bit-identically to the serial group sweep.
+ *    serially.
+ *
+ * The shot path runs its QWC groups as one serial sweep. Each group
+ * draws from its own hash-seeded shot stream and, on Monte-Carlo
+ * substrates, samples its own clone of a per-evaluation parent, so a
+ * group's samples depend on (circuit, evaluation, group) alone.
  */
 
 #ifndef EFTVQA_VQA_ESTIMATION_HPP
@@ -158,30 +158,6 @@ struct EstimationConfig
      * set false for the historical uniform shots-per-group split.
      */
     bool weighted_shots = true;
-
-    /**
-     * Fan energies() out across threads when the batch has enough
-     * distinct circuits to fill them (default). Each circuit's
-     * evaluation is independent (own backend clone, own shot stream),
-     * so the toggle never changes which state each circuit is
-     * evaluated on; on the tableau-trajectory regime — whose farm
-     * reduction is exactly order-independent — results are
-     * bit-identical either way. (Dense backends large enough to use
-     * amplitude-level parallelism keep its usual non-deterministic
-     * float merge order.)
-     */
-    bool parallel = true;
-
-    /**
-     * Shot path: schedule the per-QWC-group measurement sampling across
-     * OpenMP threads, one Backend::clone() per group where cloning is
-     * needed (default). Group results are order-independent by
-     * construction — each group draws from its own hash-seeded shot
-     * stream, and Monte-Carlo backends clone a per-evaluation parent —
-     * so the toggle never changes results; false pins the serial group
-     * sweep of the same streams.
-     */
-    bool async_groups = true;
 
     /**
      * Throw std::invalid_argument naming the offending field for values

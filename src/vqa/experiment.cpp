@@ -129,10 +129,6 @@ RegimeSpec::key() const
         mix(trajectories > 0 ? static_cast<uint64_t>(trajectories)
                              : nm.trajectories);
         mix(nm.seed);
-        // nm.parallel is deliberately NOT hashed: the trajectory farm
-        // is bit-identical to its serial reference, so the toggle can
-        // never change results and must not split engines or cache
-        // scopes.
     }
     // Density-matrix results, noisy or not, depend on the stream
     // kernels' float order: stores never resume across a kernel
@@ -297,8 +293,6 @@ ExperimentSession::slotFor(const RegimeSpec &regime)
     config.cache_capacity = 0;
     config.compile_cache_capacity = spec_.compile_cache_capacity;
     config.weighted_shots = spec_.weighted_shots;
-    config.parallel = spec_.parallel;
-    config.async_groups = spec_.async_groups;
 
     auto slot = std::make_unique<EngineSlot>();
     slot->engine =

@@ -25,8 +25,7 @@
  *    (Hamiltonian hash, regime key, circuit hash), so hits carry across
  *    engines, regimes and engine rebuilds, and at 0 no engine caches;
  *    and submit() runs evaluations asynchronously on a session
- *    executor while the engine layer schedules QWC-group measurement
- *    sampling across Backend::clone()s.
+ *    executor.
  *
  * Determinism contract: everything a session returns is bit-identical
  * to evaluating the same spec serially, at any thread count. Per
@@ -183,13 +182,6 @@ struct ExperimentSpec
 
     /** Weighted (VarSaw-style) shot allocation across QWC groups. */
     bool weighted_shots = true;
-
-    /** OpenMP fan-out inside evaluations (never changes results). */
-    bool parallel = true;
-
-    /** Schedule QWC-group sampling across clones (never changes
-     *  results); false pins the serial group sweep. */
-    bool async_groups = true;
 
     /** Session executor threads for submit(); 0 = pick a small default
      *  from the hardware concurrency; at most kMaxWorkers. */

@@ -503,8 +503,6 @@ SweepSpec::cells() const
         experiment.cache_capacity = cache_capacity;
         experiment.compile_cache_capacity = compile_cache_capacity;
         experiment.weighted_shots = weighted_shots;
-        experiment.parallel = parallel;
-        experiment.async_groups = async_groups;
         experiment.executor_threads = executor_threads;
 
         if (customize)

@@ -319,8 +319,6 @@ struct SweepSpec
     size_t cache_capacity = 4096;
     size_t compile_cache_capacity = 256;
     bool weighted_shots = true;
-    bool parallel = true;
-    bool async_groups = true;
     size_t executor_threads = 0; ///< per-session submit() executor
 
     /** Concurrent cells; 0 = a small hardware default, 1 = serial.

@@ -3,9 +3,11 @@
  * Test-side density-matrix references. noiseless() and channel() run
  * the library's one executor, the DmPass stream, the way the backend
  * does. The Kraus oracle below them is independent of that executor:
- * plain scalar loops over DensityMatrix::data() for 2x2 and 4x4
- * ket/bra conjugation and Kraus sums, calling no simd:: kernel, and a
- * gate-by-gate run that places the noise channels where
+ * Kraus-operator channels built here from their physical parameters
+ * (thermal relaxation derives its own rates rather than sharing the
+ * superoperator's), plain scalar loops over DensityMatrix::data() for
+ * 2x2 and 4x4 ket/bra conjugation and Kraus sums, calling no simd::
+ * kernel, and a gate-by-gate run that places the noise channels where
  * compileNoisyDmStream() does.
  */
 
@@ -17,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <stdexcept>
 #include <vector>
 
 #include "noise/noise_model.hpp"
@@ -57,6 +60,102 @@ channel(DensityMatrix &rho, size_t q, const Mat4 &superop)
     DmPassBuilder stream(rho.nQubits());
     stream.channel(q, superop);
     rho.runPasses(stream.finish());
+}
+
+/** Conjugate transpose. */
+inline Mat2
+dagger(const Mat2 &m)
+{
+    return {std::conj(m[0]), std::conj(m[2]), std::conj(m[1]),
+            std::conj(m[3])};
+}
+
+/** A single-qubit channel as a list of Kraus operators. */
+struct KrausChannel
+{
+    std::vector<Mat2> ops;
+
+    /** Check sum_k K^dag K = I within @p tol. */
+    bool
+    isTracePreserving(double tol = 1e-9) const
+    {
+        Mat2 acc = {0, 0, 0, 0};
+        for (const auto &k : ops) {
+            const Mat2 kk = matmul(dagger(k), k);
+            for (int i = 0; i < 4; ++i)
+                acc[i] += kk[i];
+        }
+        return std::abs(acc[0] - 1.0) < tol && std::abs(acc[1]) < tol &&
+               std::abs(acc[2]) < tol && std::abs(acc[3] - 1.0) < tol;
+    }
+};
+
+/** Symmetric depolarizing channel with total error probability p. */
+inline KrausChannel
+depolarizingChannel(double p)
+{
+    if (p < 0.0 || p > 1.0)
+        throw std::invalid_argument("depolarizingChannel: bad p");
+    const std::complex<double> i(0.0, 1.0);
+    const double s0 = std::sqrt(1.0 - p);
+    const double s1 = std::sqrt(p / 3.0);
+    return {{{s0, 0, 0, s0},
+             {0, s1, s1, 0},           // X
+             {0, -i * s1, i * s1, 0},  // Y
+             {s1, 0, 0, -s1}}};        // Z
+}
+
+/** Classical bit-flip channel (X with probability p). */
+inline KrausChannel
+bitFlipChannel(double p)
+{
+    if (p < 0.0 || p > 1.0)
+        throw std::invalid_argument("bitFlipChannel: bad p");
+    const double s0 = std::sqrt(1.0 - p);
+    const double s1 = std::sqrt(p);
+    return {{{s0, 0, 0, s0}, {0, s1, s1, 0}}};
+}
+
+/** Pure dephasing channel (Z with probability p). */
+inline KrausChannel
+phaseFlipChannel(double p)
+{
+    if (p < 0.0 || p > 1.0)
+        throw std::invalid_argument("phaseFlipChannel: bad p");
+    const double s0 = std::sqrt(1.0 - p);
+    const double s1 = std::sqrt(p);
+    return {{{s0, 0, 0, s0}, {s1, 0, 0, -s1}}};
+}
+
+/**
+ * Thermal relaxation for duration @p t with times T1 and T2 (T2 <= 2 T1):
+ * amplitude damping with gamma = 1 - exp(-t/T1) composed with phase
+ * damping chosen so off-diagonals decay as exp(-t/T2).
+ */
+inline KrausChannel
+thermalRelaxationChannel(double t1, double t2, double t)
+{
+    if (t1 <= 0.0 || t2 <= 0.0 || t < 0.0)
+        throw std::invalid_argument("thermalRelaxationChannel: bad times");
+    if (t2 > 2.0 * t1 + 1e-12)
+        throw std::invalid_argument(
+            "thermalRelaxationChannel: requires T2 <= 2 T1");
+    const double gamma = 1.0 - std::exp(-t / t1);
+    // sqrt(1 - gamma) * sqrt(1 - lambda) = exp(-t/T2).
+    const double sq1mg = std::sqrt(1.0 - gamma);
+    double lambda = 0.0;
+    if (sq1mg > 0.0) {
+        const double ratio = std::exp(-t / t2) / sq1mg;
+        lambda = std::max(0.0, 1.0 - ratio * ratio);
+    }
+    const Mat2 amp[2] = {{1, 0, 0, sq1mg}, {0, std::sqrt(gamma), 0, 0}};
+    const Mat2 phase[2] = {{1, 0, 0, std::sqrt(1.0 - lambda)},
+                           {0, 0, 0, std::sqrt(lambda)}};
+    KrausChannel out;
+    for (const Mat2 &ph : phase)
+        for (const Mat2 &a : amp)
+            out.ops.push_back(matmul(ph, a));
+    return out;
 }
 
 /** v -> m v on index bit @p bit of the flat vector. */

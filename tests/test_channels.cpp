@@ -1,6 +1,7 @@
 /**
  * @file
- * Tests for gate matrices and Kraus channel constructors.
+ * Tests for gate matrices, the Pauli channels and the Kraus channel
+ * references of the density-matrix oracle (dm_oracle.hpp).
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +10,10 @@
 
 #include "sim/channels.hpp"
 
+#include "dm_oracle.hpp"
+
 using namespace eftvqa;
+using namespace eftvqa::dm_oracle;
 
 namespace {
 

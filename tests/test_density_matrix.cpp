@@ -111,7 +111,7 @@ TEST(DensityMatrix, KrausPathMatchesFastPath)
         DensityMatrix a = noiseless(prep);
         DensityMatrix b = noiseless(prep);
 
-        dm_oracle::kraus1q(a, depolarizingChannel(0.2), 1);
+        dm_oracle::kraus1q(a, dm_oracle::depolarizingChannel(0.2), 1);
         dm_oracle::channel(b, 1,
                            pauliChannelSuperop(depolarizingPauliChannel(0.2)));
         for (const char *label : {"XX", "ZZ", "IZ", "YX"}) {
@@ -160,7 +160,8 @@ TEST(DensityMatrix, ThermalRelaxationMatchesKrausChannel)
         DensityMatrix a = noiseless(oneGate(1, Gate(GateType::H, 0)));
         DensityMatrix b = a;
         dm_oracle::channel(a, 0, thermalRelaxationSuperop(t1, t2, t));
-        dm_oracle::kraus1q(b, thermalRelaxationChannel(t1, t2, t), 0);
+        dm_oracle::kraus1q(
+            b, dm_oracle::thermalRelaxationChannel(t1, t2, t), 0);
         for (const char *label : {"X", "Y", "Z"}) {
             const auto p = PauliString::fromLabel(label);
             EXPECT_NEAR(a.expectation(p), b.expectation(p), 1e-10) << label;

@@ -3,7 +3,8 @@
  * The experiment-session layer (vqa/experiment.hpp): spec presets and
  * validation, regime keying, the shared cross-engine energy cache
  * (counter-pinned), async submit() bit-identity against the serial
- * engine path at several OpenMP thread counts, and migration
+ * engine path at several OpenMP thread counts, the shot path's
+ * thread-count invariance, and migration
  * equivalence of the session entry points against the pre-session
  * engine wiring.
  */
@@ -13,15 +14,13 @@
 #include <cmath>
 #include <future>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "ansatz/ansatz.hpp"
 #include "ham/heisenberg.hpp"
 #include "ham/ising.hpp"
 #include "noise/noise_model.hpp"
 #include "vqa/experiment.hpp"
+
+#include "omp_team.hpp"
 
 using namespace eftvqa;
 
@@ -61,19 +60,6 @@ smallSpec(int n, std::vector<RegimeSpec> regimes)
     spec.regimes = std::move(regimes);
     return spec;
 }
-
-#ifdef _OPENMP
-/** Restore the OpenMP thread count when a test scope exits. */
-struct ThreadGuard
-{
-    int saved;
-    explicit ThreadGuard(int n) : saved(omp_get_max_threads())
-    {
-        omp_set_num_threads(n);
-    }
-    ~ThreadGuard() { omp_set_num_threads(saved); }
-};
-#endif
 
 } // namespace
 
@@ -417,18 +403,8 @@ TEST(ExperimentSession, SubmitMatchesSerialEnginePathAtAnyThreadCount)
                 reference.push_back(engine.energy(c));
         }
 
-        const std::vector<int> thread_counts
-#ifdef _OPENMP
-            {1, 2, 4};
-#else
-            {1};
-#endif
-        for (int threads : thread_counts) {
-#ifdef _OPENMP
-            ThreadGuard guard(threads);
-#else
-            (void)threads;
-#endif
+        for (const int threads : omp_team::sizes()) {
+            omp_team::Guard team(threads);
             // Fresh session per thread count: same submission sequence
             // must reproduce the serial reference bit for bit.
             ExperimentSpec spec;
@@ -470,8 +446,8 @@ TEST(ExperimentSession, SubmitPopulationMatchesEnergies)
 
 TEST(ExperimentSession, BatchShotPathIsThreadCountInvariant)
 {
-    // Population evaluation of a shot-based regime: circuit-level
-    // fan-out plus per-group scheduling, against the 1-thread result.
+    // Population evaluation of a shot-based regime: the circuit-level
+    // fan-out, each circuit sweeping its groups, against a team of one.
     const int n = 6;
     const auto ham = isingHamiltonian(n, 1.0);
     std::vector<Circuit> population;
@@ -484,64 +460,39 @@ TEST(ExperimentSession, BatchShotPathIsThreadCountInvariant)
     regime.shots = 32;
     regime.seed = 61;
 
-    std::vector<double> reference;
-    {
-#ifdef _OPENMP
-        ThreadGuard guard(1);
-#endif
+    omp_team::expectSameBits([&] {
         EstimationEngine engine(ham, regime.estimationConfig());
-        reference = engine.energies(population);
-    }
-#ifdef _OPENMP
-    for (int threads : {2, 4}) {
-        ThreadGuard guard(threads);
-        EstimationEngine engine(ham, regime.estimationConfig());
-        const auto parallel = engine.energies(population);
-        for (size_t i = 0; i < reference.size(); ++i)
-            EXPECT_EQ(parallel[i], reference[i])
-                << "circuit " << i << " at " << threads << " threads";
-    }
-#endif
+        return engine.energies(population);
+    });
 }
 
-TEST(ExperimentSession, AsyncGroupSchedulingIsBitIdentical)
+TEST(ExperimentSession, ShotGroupsAreThreadCountInvariant)
 {
-    // The shot path's QWC-group fan-out must never change results:
-    // async_groups on vs off, same engine config, same energies.
+    // One energy() at a time: the QWC groups run as one serial sweep
+    // over their hash-seeded streams, and on the Monte-Carlo substrate
+    // each group's clone runs the trajectory farm, so the team size
+    // reaches the groups only through that farm. Successive rounds
+    // draw fresh per-evaluation bases from the engine stream.
     const int n = 6;
     const auto ham = heisenbergHamiltonian(n, 1.0);
     const Circuit bound = cliffordAnsatz(n, 9);
 
-#ifdef _OPENMP
-    ThreadGuard guard(4);
-#endif
-    EstimationConfig serial_cfg;
-    serial_cfg.backend = sim::BackendKind::Statevector;
-    serial_cfg.shots = 128;
-    serial_cfg.seed = 777;
-    serial_cfg.async_groups = false;
-    EstimationConfig async_cfg = serial_cfg;
-    async_cfg.async_groups = true;
-
-    EstimationEngine serial_engine(ham, serial_cfg);
-    EstimationEngine async_engine(ham, async_cfg);
-    for (int round = 0; round < 3; ++round)
-        EXPECT_EQ(async_engine.energy(bound), serial_engine.energy(bound))
-            << "round " << round;
-
-    // Same contract on the Monte-Carlo substrate (clone-per-group).
-    EstimationConfig mc_serial =
-        EstimationConfig::tableau(testSpec(), 4, 31);
-    mc_serial.shots = 12;
-    mc_serial.async_groups = false;
-    EstimationConfig mc_async = mc_serial;
-    mc_async.async_groups = true;
-    EstimationEngine mc_serial_engine(ham, mc_serial);
-    EstimationEngine mc_async_engine(ham, mc_async);
-    for (int round = 0; round < 2; ++round)
-        EXPECT_EQ(mc_async_engine.energy(bound),
-                  mc_serial_engine.energy(bound))
-            << "mc round " << round;
+    EstimationConfig sv;
+    sv.backend = sim::BackendKind::Statevector;
+    sv.shots = 128;
+    sv.seed = 777;
+    EstimationConfig mc = EstimationConfig::tableau(testSpec(), 4, 31);
+    mc.shots = 12;
+    for (const EstimationConfig &config : {sv, mc}) {
+        SCOPED_TRACE(sim::backendKindName(config.backend));
+        omp_team::expectSameBits([&] {
+            EstimationEngine engine(ham, config);
+            std::vector<double> energies;
+            for (int round = 0; round < 3; ++round)
+                energies.push_back(engine.energy(bound));
+            return energies;
+        });
+    }
 }
 
 // --------------------------------------------------------------------

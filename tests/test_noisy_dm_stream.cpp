@@ -472,7 +472,7 @@ TEST(NoisyDmStream, ThermalRelaxationRejectsT2AboveTwiceT1LikeKraus)
 {
     // The stream's superoperator and the Kraus constructor agree on
     // invalid times instead of one of them clamping silently.
-    EXPECT_THROW(thermalRelaxationChannel(100.0, 250.0, 10.0),
+    EXPECT_THROW(dm_oracle::thermalRelaxationChannel(100.0, 250.0, 10.0),
                  std::invalid_argument);
     EXPECT_THROW(thermalRelaxationSuperop(100.0, 250.0, 10.0),
                  std::invalid_argument);

@@ -1,23 +1,22 @@
 /**
  * @file
  * Determinism contract of the parallel execution layer: the OpenMP
- * trajectory farm, the group- and slice-sharded expectationBatch and the
- * clone-parallel EstimationEngine::energies batch must all be
- * bit-identical to their serial references at any thread count, and the
- * LRU energy cache must collapse duplicate genomes into lookups.
+ * trajectory farm, the group- and slice-sharded expectationBatch, the
+ * single-term expectation and the clone-parallel
+ * EstimationEngine::energies batch must all return at OpenMP team sizes
+ * 2 and 4 the bits a team of one returns, and the LRU energy cache must
+ * collapse duplicate genomes into lookups.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
+#include <string>
 
 #include "ansatz/ansatz.hpp"
 #include "ham/heisenberg.hpp"
 #include "ham/ising.hpp"
+#include "ham/molecule.hpp"
 #include "noise/noise_model.hpp"
 #include "sim/density_matrix.hpp"
 #include "sim/lane_sweep.hpp"
@@ -28,6 +27,7 @@
 #include "vqa/optimizer.hpp"
 
 #include "dm_oracle.hpp"
+#include "omp_team.hpp"
 
 using namespace eftvqa;
 
@@ -58,12 +58,13 @@ testSpec()
     return spec;
 }
 
-/** Restore the bucket-shard override when a test scope exits. */
-struct ShardModeGuard
+/** The axis a sweep of @p h over @p dim states takes at @p team. */
+detail::SweepAxis
+axisAt(const Hamiltonian &h, size_t dim, size_t team)
 {
-    explicit ShardModeGuard(int mode) { detail::setBucketShardMode(mode); }
-    ~ShardModeGuard() { detail::setBucketShardMode(-1); }
-};
+    const auto plan = detail::sweepPlan(h);
+    return detail::sweepAxis(plan->groups(), plan->z.size(), dim, team);
+}
 
 } // namespace
 
@@ -71,146 +72,118 @@ TEST(ParallelDeterminism, EnergySamplesMatchSerialReference)
 {
     const Circuit circuit = cliffordAnsatz(12, 7);
     const auto ham = isingHamiltonian(12, 1.0);
-
-    NoisyCliffordSimulator parallel_sim(testSpec(), 99);
-    NoisyCliffordSimulator serial_sim(testSpec(), 99);
-    serial_sim.setParallel(false);
-
-    const auto par = parallel_sim.energySamples(circuit, ham, 64);
-    const auto ser = serial_sim.energySamples(circuit, ham, 64);
-    ASSERT_EQ(par.size(), ser.size());
-    for (size_t k = 0; k < par.size(); ++k)
-        EXPECT_EQ(par[k], ser[k]) << "trajectory " << k;
+    omp_team::expectSameBits([&] {
+        NoisyCliffordSimulator sim(testSpec(), 99);
+        return sim.energySamples(circuit, ham, 64);
+    });
 }
 
 TEST(ParallelDeterminism, TermExpectationsMatchSerialReference)
 {
     const Circuit circuit = cliffordAnsatz(14, 3);
     const auto ham = heisenbergHamiltonian(14, 1.0);
-
-    NoisyCliffordSimulator parallel_sim(testSpec(), 1234);
-    NoisyCliffordSimulator serial_sim(testSpec(), 1234);
-    serial_sim.setParallel(false);
-
-    const auto par = parallel_sim.termExpectations(circuit, ham, 48);
-    const auto ser = serial_sim.termExpectations(circuit, ham, 48);
-    ASSERT_EQ(par.size(), ser.size());
-    for (size_t j = 0; j < par.size(); ++j)
-        EXPECT_EQ(par[j], ser[j]) << "term " << j;
+    omp_team::expectSameBits([&] {
+        NoisyCliffordSimulator sim(testSpec(), 1234);
+        return sim.termExpectations(circuit, ham, 48);
+    });
 }
 
-#ifdef _OPENMP
 TEST(ParallelDeterminism, TrajectoryFarmThreadCountInvariant)
 {
     const Circuit circuit = cliffordAnsatz(12, 11);
     const auto ham = isingHamiltonian(12, 0.5);
-    const int max_threads = omp_get_max_threads();
-
-    omp_set_num_threads(1);
-    NoisyCliffordSimulator sim_one(testSpec(), 42);
-    const auto one = sim_one.termExpectations(circuit, ham, 40);
-
-    omp_set_num_threads(std::max(4, max_threads));
-    NoisyCliffordSimulator sim_many(testSpec(), 42);
-    const auto many = sim_many.termExpectations(circuit, ham, 40);
-
-    omp_set_num_threads(max_threads);
-    ASSERT_EQ(one.size(), many.size());
-    for (size_t j = 0; j < one.size(); ++j)
-        EXPECT_EQ(one[j], many[j]) << "term " << j;
+    omp_team::expectSameBits([&] {
+        NoisyCliffordSimulator sim(testSpec(), 42);
+        return sim.termExpectations(circuit, ham, 40);
+    });
 }
-#endif
 
 TEST(ParallelDeterminism, ShardedStatevectorBatchMatchesSerial)
 {
-    // dim 2^12 is below the slice-shard grain, so pin 0 runs the
-    // whole sweep on the calling thread: the reference the group
-    // shards must reproduce exactly.
+    // dim 2^12 is below the slice grain, so teams of 2 and 4 split the
+    // 12 X-mask groups across threads; a team of one sweeps them on
+    // the calling thread, the reference the group shards reproduce.
     const int n = 12;
     Statevector psi(n);
     const auto ansatz = fcheAnsatz(n, 1);
     psi.run(ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.3)));
     const auto ham = heisenbergHamiltonian(n, 1.0);
-
-    std::vector<double> unsharded, sharded;
-    {
-        ShardModeGuard guard(0);
-        unsharded = psi.expectationBatch(ham);
-    }
-    {
-        ShardModeGuard guard(1);
-        sharded = psi.expectationBatch(ham);
-    }
-    ASSERT_EQ(unsharded.size(), sharded.size());
-    for (size_t k = 0; k < unsharded.size(); ++k)
-        EXPECT_EQ(unsharded[k], sharded[k]) << "term " << k;
+    ASSERT_EQ(axisAt(ham, psi.dim(), 1), detail::SweepAxis::serial);
+    ASSERT_EQ(axisAt(ham, psi.dim(), 2), detail::SweepAxis::groups);
+    ASSERT_EQ(axisAt(ham, psi.dim(), 4), detail::SweepAxis::groups);
+    omp_team::expectSameBits([&] { return psi.expectationBatch(ham); });
 }
 
 TEST(ParallelDeterminism, ShardedDensityMatrixBatchMatchesSerial)
 {
-    const int n = 7;
+    // An 8-qubit molecule, as in the density-matrix figures: enough
+    // term-state visits for teams of 2 and 4 to shard its groups.
+    const int n = 8;
     const auto ansatz = fcheAnsatz(n, 1);
     const DensityMatrix rho = dm_oracle::noiseless(
         ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.4)));
-    const auto ham = heisenbergHamiltonian(n, 0.75);
-
-    std::vector<double> unsharded, sharded;
-    {
-        ShardModeGuard guard(0);
-        unsharded = rho.expectationBatch(ham);
-    }
-    {
-        ShardModeGuard guard(1);
-        sharded = rho.expectationBatch(ham);
-    }
-    ASSERT_EQ(unsharded.size(), sharded.size());
-    for (size_t k = 0; k < unsharded.size(); ++k)
-        EXPECT_EQ(unsharded[k], sharded[k]) << "term " << k;
+    const auto ham = moleculeHamiltonian({Molecule::H6, 1.0, 8});
+    ASSERT_EQ(axisAt(ham, rho.dim(), 2), detail::SweepAxis::groups);
+    ASSERT_EQ(axisAt(ham, rho.dim(), 4), detail::SweepAxis::groups);
+    omp_team::expectSameBits([&] { return rho.expectationBatch(ham); });
 }
 
-#ifdef _OPENMP
 TEST(ParallelDeterminism, ShardedBatchThreadCountInvariant)
 {
+    // Three X-mask groups over 2^14 amplitudes: a team of 2 shards the
+    // groups, a team of 4 (more threads than groups) the slices.
     const int n = 14;
     Statevector psi(n);
     const auto ansatz = fcheAnsatz(n, 1);
     psi.run(ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.7)));
-    const auto ham = heisenbergHamiltonian(n, 1.0);
-    const int max_threads = omp_get_max_threads();
-
-    ShardModeGuard guard(1);
-    omp_set_num_threads(1);
-    const auto one = psi.expectationBatch(ham);
-    omp_set_num_threads(std::max(4, max_threads));
-    const auto many = psi.expectationBatch(ham);
-    omp_set_num_threads(max_threads);
-
-    ASSERT_EQ(one.size(), many.size());
-    for (size_t k = 0; k < one.size(); ++k)
-        EXPECT_EQ(one[k], many[k]) << "term " << k;
+    Hamiltonian ham(n);
+    for (int q = 0; q + 1 < n; ++q) {
+        std::string zz(n, 'I');
+        zz[q] = zz[q + 1] = 'Z';
+        ham.addTerm(0.5 + 0.05 * q, zz);
+    }
+    for (const int q : {2, 9})
+        for (const char p : {'X', 'Y'}) {
+            std::string pp(n, 'I');
+            pp[q] = pp[q + 1] = p;
+            ham.addTerm(0.75, pp);
+        }
+    ASSERT_EQ(axisAt(ham, psi.dim(), 2), detail::SweepAxis::groups);
+    ASSERT_EQ(axisAt(ham, psi.dim(), 4), detail::SweepAxis::slices);
+    omp_team::expectSameBits([&] { return psi.expectationBatch(ham); });
 }
-#endif
+
+TEST(ParallelDeterminism, SingleTermExpectationThreadCountInvariant)
+{
+    // Statevector::expectation(PauliString) is one ascending pass over
+    // all 2^16 amplitudes, whatever the team size.
+    const int n = 16;
+    Statevector psi(n);
+    const auto ansatz = fcheAnsatz(n, 1);
+    psi.run(ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.45)));
+    const auto ham = heisenbergHamiltonian(n, 1.0);
+    omp_team::expectSameBits([&] {
+        std::vector<double> values;
+        for (const auto &t : ham.terms())
+            values.push_back(psi.expectation(t.op));
+        return values;
+    });
+}
 
 TEST(ParallelDeterminism, EnergiesBatchMatchesSerialReference)
 {
+    // Eight distinct circuits fill a team of 2 or 4, so energies() fans
+    // them out across clones; a team of one evaluates them in order.
     const int n = 10;
     const auto ham = isingHamiltonian(n, 1.0);
     std::vector<Circuit> population;
     for (uint64_t s = 0; s < 8; ++s)
         population.push_back(cliffordAnsatz(n, s));
-
-    EstimationConfig par_config =
-        EstimationConfig::tableau(testSpec(), 32, 777);
-    EstimationConfig ser_config = par_config;
-    ser_config.parallel = false;
-
-    EstimationEngine par_engine(ham, par_config);
-    EstimationEngine ser_engine(ham, ser_config);
-    const auto par = par_engine.energies(population);
-    const auto ser = ser_engine.energies(population);
-    ASSERT_EQ(par.size(), population.size());
-    for (size_t i = 0; i < par.size(); ++i)
-        EXPECT_EQ(par[i], ser[i]) << "circuit " << i;
+    omp_team::expectSameBits([&] {
+        EstimationEngine engine(
+            ham, EstimationConfig::tableau(testSpec(), 32, 777));
+        return engine.energies(population);
+    });
 }
 
 TEST(ParallelDeterminism, EnergiesBatchIsOrderIndependent)

@@ -9,7 +9,8 @@
  * draw order (per ASAP layer, each gate and then its channel, then the
  * layer's idle qubits in index order), on the same forked streams. So a
  * draw-order or conjugation bug in the production walker shows as a
- * mismatch rather than being shared by both sides.
+ * mismatch rather than being shared by both sides. The farm is checked
+ * at OpenMP team sizes 1, 2 and 4.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,8 @@
 #include "stabilizer/noisy_clifford.hpp"
 #include "stabilizer/pauli_frame.hpp"
 #include "vqa/fault.hpp"
+
+#include "omp_team.hpp"
 
 using namespace eftvqa;
 
@@ -395,17 +398,16 @@ TEST(PauliFrame, FarmMatchesTableauReferenceAtEveryWidth)
                 referenceEnergySamples(values, ham, spec);
             const auto want_terms =
                 referenceTermExpectations(values, ham, spec);
-            for (bool parallel : {true, false}) {
+            for (const int threads : omp_team::sizes()) {
+                omp_team::Guard team(threads);
                 NoisyCliffordSimulator a(spec, seed);
                 NoisyCliffordSimulator b(spec, seed);
-                a.setParallel(parallel);
-                b.setParallel(parallel);
                 EXPECT_EQ(a.energySamples(circuit, ham, c.trajectories),
                           want_samples)
-                    << "n=" << c.n << " parallel=" << parallel;
+                    << "n=" << c.n << " threads=" << threads;
                 EXPECT_EQ(b.termExpectations(circuit, ham, c.trajectories),
                           want_terms)
-                    << "n=" << c.n << " parallel=" << parallel;
+                    << "n=" << c.n << " threads=" << threads;
             }
         }
     }
@@ -455,13 +457,14 @@ TEST(PauliFrame, MeasureResetCircuitKeepsItsTableauValues)
     const std::vector<double> pinned_samples = {
         0x1.ad15fd9846b34p-1, 0x1.cfe93ef35ad6p+0, 0x1.cfe93ef35ad6p+0,
         0x1.eb47e216e0ed2p-4};
-    for (bool parallel : {true, false}) {
+    for (const int threads : omp_team::sizes()) {
+        omp_team::Guard team(threads);
         NoisyCliffordSimulator a(spec, 2024);
         NoisyCliffordSimulator b(spec, 2024);
-        a.setParallel(parallel);
-        b.setParallel(parallel);
-        EXPECT_EQ(a.termExpectations(circuit, ham, 40), pinned_terms);
-        EXPECT_EQ(b.energySamples(circuit, ham, 4), pinned_samples);
+        EXPECT_EQ(a.termExpectations(circuit, ham, 40), pinned_terms)
+            << threads << " threads";
+        EXPECT_EQ(b.energySamples(circuit, ham, 4), pinned_samples)
+            << threads << " threads";
     }
     const auto values = referenceValues(circuit, ham, spec, 2024, 40);
     EXPECT_EQ(referenceTermExpectations(values, ham, spec), pinned_terms);
@@ -474,9 +477,9 @@ TEST(PauliFrame, TrippedCancelTokenStillThrows)
     CancelToken token;
     token.cancel();
     CancelScope scope(&token);
-    for (bool parallel : {true, false}) {
+    for (const int threads : omp_team::sizes()) {
+        omp_team::Guard team(threads);
         NoisyCliffordSimulator sim(fullSpec(), 3);
-        sim.setParallel(parallel);
         EXPECT_THROW(sim.energySamples(circuit, ham, 16), CancelledError);
         EXPECT_THROW(sim.termExpectations(circuit, ham, 16), CancelledError);
     }

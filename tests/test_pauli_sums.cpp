@@ -5,8 +5,10 @@
  *  - SweepOrder: both dense expectationBatch kernels equal, bit for bit,
  *    a reference written here that follows the summation order that
  *    sim/lane_sweep.hpp documents — on the vector lanes and on the
- *    scalar path, at every OpenMP team size and on both shard axes — so
- *    a kernel that re-associates a lane, slice or thread sum fails;
+ *    scalar path, at OpenMP team sizes 1, 2 and 4, which reach both
+ *    shard axes — so a kernel that re-associates a lane, slice or
+ *    thread sum fails, and detail::sweepAxis picks each axis from the
+ *    team size and the work size;
  *  - PauliSums: Hamiltonian::apply equals the per-basis-state product
  *    sum, groundStateEnergy() is pinned for the twelve 8-qubit
  *    Hamiltonians of the density-matrix figures, contentHash() is the
@@ -20,12 +22,9 @@
 #include <cmath>
 #include <complex>
 #include <cstring>
+#include <string>
 #include <string_view>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "ansatz/ansatz.hpp"
 #include "common/rng.hpp"
@@ -40,6 +39,7 @@
 #include "sim/statevector.hpp"
 
 #include "dm_oracle.hpp"
+#include "omp_team.hpp"
 
 using namespace eftvqa;
 using cd = std::complex<double>;
@@ -51,21 +51,6 @@ struct SimdModeGuard
     explicit SimdModeGuard(int mode) { simd::setSimdMode(mode); }
     ~SimdModeGuard() { simd::setSimdMode(-1); }
 };
-
-struct ShardModeGuard
-{
-    explicit ShardModeGuard(int mode) { detail::setBucketShardMode(mode); }
-    ~ShardModeGuard() { detail::setBucketShardMode(-1); }
-};
-
-#ifdef _OPENMP
-/** Restore the OpenMP team size when a test scope exits. */
-struct TeamGuard
-{
-    int saved = omp_get_max_threads();
-    ~TeamGuard() { omp_set_num_threads(saved); }
-};
-#endif
 
 /** FCHE on n qubits bound to seeded angles (no symmetric zeros). */
 Circuit
@@ -191,6 +176,19 @@ moleculeScaleHamiltonians()
             heisenbergHamiltonian(8, 0.75)};
 }
 
+/** One X-mask group: ZZ on the first @p terms neighbour pairs. */
+Hamiltonian
+zzChain(int n, int terms)
+{
+    Hamiltonian chain(n);
+    for (int q = 0; q < terms; ++q) {
+        std::string label(n, 'I');
+        label[q] = label[q + 1] = 'Z';
+        chain.addTerm(0.5 + 0.1 * q, label);
+    }
+    return chain;
+}
+
 } // namespace
 
 TEST(SweepOrder, StatevectorMatchesDocumentedOrder)
@@ -236,32 +234,46 @@ TEST(SweepOrder, ScalarPathMatchesDocumentedOrder)
                          big.expectationBatch(h14)));
 }
 
-TEST(SweepOrder, LargeStatevectorAtEveryTeamAndPin)
+TEST(SweepOrder, AxisFollowsTeamAndWorkSize)
 {
+    using detail::SweepAxis;
+    using detail::sweepAxis;
+    const size_t grain = simd::kParallelGrainAmps;
+    // A team of one, or too little work to pay for a region: serial.
+    EXPECT_EQ(sweepAxis(12, 33, grain, 1), SweepAxis::serial);
+    EXPECT_EQ(sweepAxis(12, 33, 256, 4), SweepAxis::serial);
+    // At least as many groups as threads: whole groups per thread.
+    EXPECT_EQ(sweepAxis(12, 33, 4096, 4), SweepAxis::groups);
+    EXPECT_EQ(sweepAxis(4, 33, grain, 4), SweepAxis::groups);
+    // Fewer groups than threads: slices at or above the grain ...
+    EXPECT_EQ(sweepAxis(1, 11, grain, 4), SweepAxis::slices);
+    EXPECT_EQ(sweepAxis(3, 17, grain, 4), SweepAxis::slices);
+    // ... and below it the groups, if there are two to split.
+    EXPECT_EQ(sweepAxis(2, 40, 1024, 4), SweepAxis::groups);
+    EXPECT_EQ(sweepAxis(1, 40, 1024, 4), SweepAxis::serial);
+}
+
+TEST(SweepOrder, LargeStatevectorAtEveryTeamAndAxis)
+{
+    // At 2^14 states, teams of 2 and 4 split the Heisenberg chain's 14
+    // X-mask groups across threads and the one-group ZZ chain's slices.
     Statevector psi(14);
     psi.run(boundFche(14, 16));
-    const auto h = heisenbergHamiltonian(14, 1.0);
-    for (const int mode : {-1, 0}) {
-        SimdModeGuard pin(mode);
-        const auto want = referenceSv(psi, h, simd::enabled());
-#ifdef _OPENMP
-        TeamGuard team;
-        for (const int threads : {1, 2, 4}) {
-            omp_set_num_threads(threads);
-#else
-        for (const int threads : {1}) {
-#endif
-            for (const int axis : {0, 1}) {
-                ShardModeGuard shard(axis);
+    for (const Hamiltonian &h :
+         {heisenbergHamiltonian(14, 1.0), zzChain(14, 11)}) {
+        for (const int mode : {-1, 0}) {
+            SimdModeGuard pin(mode);
+            const auto want = referenceSv(psi, h, simd::enabled());
+            for (const int threads : omp_team::sizes()) {
+                omp_team::Guard team(threads);
                 EXPECT_TRUE(sameBits(want, psi.expectationBatch(h)))
                     << "simd mode " << mode << ", " << threads
-                    << " threads, shard pin " << axis;
+                    << " threads, " << h.nTerms() << " terms";
             }
         }
     }
 }
 
-#ifdef _OPENMP
 TEST(SweepOrder, ScalarBatchThreadCountInvariant)
 {
     // A single X-mask group (11 ZZ terms) over 2^14 amplitudes: fewer
@@ -269,27 +281,22 @@ TEST(SweepOrder, ScalarBatchThreadCountInvariant)
     const int n = 14;
     Statevector psi(n);
     psi.run(boundFche(n, 17));
-    Hamiltonian chain(n);
-    for (int q = 0; q < 11; ++q) {
-        std::string label(n, 'I');
-        label[q] = label[q + 1] = 'Z';
-        chain.addTerm(0.5 + 0.1 * q, label);
-    }
-    TeamGuard team;
+    const Hamiltonian chain = zzChain(n, 11);
     for (const int mode : {0, -1}) {
         SimdModeGuard pin(mode);
-        omp_set_num_threads(1);
-        const auto one = psi.expectationBatch(chain);
+        const auto one = [&] {
+            omp_team::Guard team(1);
+            return psi.expectationBatch(chain);
+        }();
         for (int round = 0; round < 20; ++round)
-            for (const int threads : {1, 2, 4}) {
-                omp_set_num_threads(threads);
+            for (const int threads : omp_team::sizes()) {
+                omp_team::Guard team(threads);
                 ASSERT_TRUE(sameBits(one, psi.expectationBatch(chain)))
                     << "simd mode " << mode << ", " << threads
                     << " threads, round " << round;
             }
     }
 }
-#endif
 
 TEST(PauliSums, ApplyMatchesPerBasisProducts)
 {

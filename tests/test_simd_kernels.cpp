@@ -23,10 +23,6 @@
 #include <cstring>
 #include <vector>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "ansatz/ansatz.hpp"
 #include "ham/heisenberg.hpp"
 #include "ham/ising.hpp"
@@ -37,6 +33,8 @@
 #include "sim/simd.hpp"
 #include "sim/statevector.hpp"
 #include "vqa/estimation.hpp"
+
+#include "omp_team.hpp"
 
 using namespace eftvqa;
 using cd = std::complex<double>;
@@ -364,32 +362,15 @@ TEST(SimdKernels, EnergiesBitIdenticalAcrossThreadsAndSimdModes)
         population.push_back(
             boundFche(n, 0.1 + 0.07 * static_cast<double>(k)));
 
-    const auto energiesAt = [&](int threads) {
-#ifdef _OPENMP
-        omp_set_num_threads(threads);
-#else
-        (void)threads;
-#endif
-        EstimationEngine engine(ham, EstimationConfig{});
-        return engine.energies(population);
-    };
-
-#ifdef _OPENMP
-    const int max_threads = omp_get_max_threads();
-#endif
     std::vector<double> modes[2];
     for (const int mode : {0, -1}) {
         SimdModeGuard pin(mode);
-        const auto e1 = energiesAt(1);
-        const auto e2 = energiesAt(2);
-        const auto e4 = energiesAt(4);
-        EXPECT_EQ(e1, e2) << "mode " << mode;
-        EXPECT_EQ(e1, e4) << "mode " << mode;
-        modes[mode == 0 ? 0 : 1] = e1;
+        SCOPED_TRACE(mode == 0 ? "simd pinned off" : "simd auto");
+        modes[mode == 0 ? 0 : 1] = omp_team::expectSameBits([&] {
+            EstimationEngine engine(ham, EstimationConfig{});
+            return engine.energies(population);
+        });
     }
-#ifdef _OPENMP
-    omp_set_num_threads(max_threads);
-#endif
     ASSERT_EQ(modes[0].size(), modes[1].size());
     for (size_t k = 0; k < modes[0].size(); ++k)
         EXPECT_NEAR(modes[0][k], modes[1][k], kTol) << "genome " << k;

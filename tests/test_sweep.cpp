@@ -17,16 +17,14 @@
 #include <filesystem>
 #include <string>
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "ansatz/ansatz.hpp"
 #include "ham/heisenberg.hpp"
 #include "ham/ising.hpp"
 #include "noise/noise_model.hpp"
 #include "store/sink.hpp"
 #include "vqa/sweep.hpp"
+
+#include "omp_team.hpp"
 
 using namespace eftvqa;
 
@@ -95,18 +93,6 @@ expectMentions(const std::invalid_argument &e, const std::string &needle)
         << "error '" << e.what() << "' does not mention '" << needle
         << "'";
 }
-
-#ifdef _OPENMP
-struct ThreadGuard
-{
-    int saved;
-    explicit ThreadGuard(int n) : saved(omp_get_max_threads())
-    {
-        omp_set_num_threads(n);
-    }
-    ~ThreadGuard() { omp_set_num_threads(saved); }
-};
-#endif
 
 } // namespace
 
@@ -321,18 +307,8 @@ TEST(SweepRunner, AsyncCellsMatchSerialOrderAtAnyThreadCount)
         SweepRunner(std::move(serial)).run(energiesCellFn);
     ASSERT_EQ(reference.rows.size(), 8u);
 
-    const std::vector<int> thread_counts
-#ifdef _OPENMP
-        {1, 2, 4};
-#else
-        {1};
-#endif
-    for (const int threads : thread_counts) {
-#ifdef _OPENMP
-        ThreadGuard guard(threads);
-#else
-        (void)threads;
-#endif
+    for (const int threads : omp_team::sizes()) {
+        omp_team::Guard team(threads);
         SweepSpec async = base;
         async.cell_workers = 4;
         const SweepReport report =
