@@ -6,15 +6,13 @@
  *  - trajectory farm: termExpectations on a fig12-style Clifford
  *    workload at an OpenMP team of one (the serial reference) vs the
  *    ambient team (plus a bit-identity check between the two);
- *  - group-sharded expectationBatch at the ambient team vs the serial
- *    sweep of a team of one, on a Heisenberg chain whose X-mask groups
- *    outnumber the threads;
  *  - EstimationEngine LRU energy cache, cold vs warm, on a GA-style
  *    population with duplicate genomes;
  *  - compiled gate pipeline: Statevector::runCompiled of the fused op
  *    stream vs the naive gate-by-gate loop on the 16-qubit Heisenberg
- *    ansatz workload. The process exits non-zero if the compiled path
- *    is slower than the naive one, so the CI bench job gates on it;
+ *    ansatz workload, both on the calling thread. The process exits
+ *    non-zero if the compiled path is slower than the naive one, so
+ *    the CI bench job gates on it;
  *  - session_cache: the vqa::ExperimentSession shared cross-engine
  *    energy cache — cold population evaluation vs warm-same-engine vs
  *    warm-through-a-rebuilt-engine (resetEngines() drops every engine,
@@ -57,9 +55,9 @@
  * model, the compiled and the active SIMD ISA, the compiler and the
  * OpenMP team size.
  *
- * Thread-sensitive gates (trajectory-farm / sharded-batch speedups)
- * apply only when OpenMP has a real thread team: on the 1-core CI
- * container those speedups legitimately read ~1.0x, so each block
+ * The one thread-sensitive gate, the trajectory farm's speedup,
+ * applies only when OpenMP has a real thread team: on a 1-core CI
+ * container that speedup legitimately reads ~1.0x, so each block
  * records its `threads` and single-threaded runs gate on correctness
  * alone.
  *
@@ -239,32 +237,7 @@ main(int argc, char **argv)
                                  : " (MISMATCH!)")
               << "\n";
 
-    // ---- 2. Group-sharded expectationBatch -------------------------
-    const int batch_qubits = smoke ? 12 : 16;
-    const int batch_reps = smoke ? 5 : 20;
-    Statevector psi(static_cast<size_t>(batch_qubits));
-    const auto batch_ansatz = fcheAnsatz(batch_qubits, 1);
-    psi.run(batch_ansatz.bind(
-        std::vector<double>(batch_ansatz.nParameters(), 0.3)));
-    const auto batch_ham = heisenbergHamiltonian(batch_qubits, 1.0);
-
-    const double batch_unsharded_ns = atTeamSize(1, [&] {
-        return bestOf(batch_reps, [&] { psi.expectationBatch(batch_ham); });
-    });
-    const double batch_sharded_ns =
-        bestOf(batch_reps, [&] { psi.expectationBatch(batch_ham); });
-    const double batch_speedup = batch_sharded_ns > 0.0
-                                     ? batch_unsharded_ns /
-                                           batch_sharded_ns
-                                     : 0.0;
-    const bool batch_ok = threads <= 1 || batch_speedup >= 1.0;
-    std::cout << "sharded_batch     " << batch_qubits << "q x "
-              << batch_ham.nTerms() << " terms: unsharded "
-              << batch_unsharded_ns << " ns/call, sharded "
-              << batch_sharded_ns << " ns/call, speedup "
-              << batch_speedup << "\n";
-
-    // ---- 3. Energy cache, cold vs warm (GA-style population) -------
+    // ---- 2. Energy cache, cold vs warm (GA-style population) -------
     const int cache_qubits = smoke ? 10 : 16;
     const size_t cache_distinct = smoke ? 4 : 16;
     const size_t cache_copies = 4;
@@ -299,7 +272,8 @@ main(int argc, char **argv)
               << engine.cacheHits() << " hits, "
               << engine.cacheMisses() << " misses)\n";
 
-    // ---- 4. Compiled gate pipeline (16q Heisenberg workload) -------
+    // ---- 3. Compiled gate pipeline (16q Heisenberg workload) -------
+    // Both sides run on the calling thread.
     const int comp_qubits = 16;
     const int comp_reps = smoke ? 10 : 50;
     const auto comp_ansatz = fcheAnsatz(comp_qubits, 1);
@@ -330,8 +304,8 @@ main(int argc, char **argv)
               << comp_compile_ns << " ns)"
               << (comp_ok ? "" : " (SLOWER THAN NAIVE!)") << "\n";
 
-    // ---- 5. Session cache: cold vs cross-engine warm ---------------
-    // Same GA-style population as block 3, but evaluated through an
+    // ---- 4. Session cache: cold vs cross-engine warm ---------------
+    // Same GA-style population as block 2, but evaluated through an
     // ExperimentSession. The cold pass builds the regime's engine and
     // fills the session-level cache; resetEngines() then drops every
     // engine while the cache survives, so the second pass runs on a
@@ -374,8 +348,8 @@ main(int argc, char **argv)
               << session.cache()->misses() << " misses)"
               << (session_identical ? "" : " (MISMATCH!)") << "\n";
 
-    // ---- 6. Sweep cache: cold run vs warm cross-cell rerun ---------
-    // Two identical cells over the block-3 problem: the second cell of
+    // ---- 5. Sweep cache: cold run vs warm cross-cell rerun ---------
+    // Two identical cells over the block-2 problem: the second cell of
     // the cold pass already draws on what the first inserted, and a
     // second run() on the same runner re-executes every cell through a
     // fresh session against the surviving sweep-level cache — the
@@ -427,8 +401,8 @@ main(int argc, char **argv)
               << sweep_speedup
               << (sweep_identical ? "" : " (MISMATCH!)") << "\n";
 
-    // ---- 7. SIMD lane kernels: scalar vs vector --------------------
-    // Same 16q compiled workload as block 4. Pinning setSimdMode(0)
+    // ---- 6. SIMD lane kernels: scalar vs vector --------------------
+    // Same 16q compiled workload as block 3. Pinning setSimdMode(0)
     // forces every kernel down its scalar reference sweep; auto (-1)
     // re-enables the vector lanes when the build + CPU support them.
     // The two paths must agree on every Hamiltonian term to <=1e-12.
@@ -486,9 +460,7 @@ main(int argc, char **argv)
         !simd_active ||
         (simd_parity_ok && simd_run_speedup >= simd_required_speedup);
     std::cout << "simd_kernels      " << comp_qubits << "q ("
-              << simd::activeIsa() << ", "
-              << comp_compiled.nBlockedOps()
-              << " blocked ops): scalar " << simd_scalar_run_ns
+              << simd::activeIsa() << "): scalar " << simd_scalar_run_ns
               << " ns/run, simd " << simd_vector_run_ns
               << " ns/run, speedup " << simd_run_speedup
               << "; scalar " << simd_scalar_energy_ns
@@ -497,7 +469,7 @@ main(int argc, char **argv)
               << ", parity " << simd_parity
               << (simd_parity_ok ? "" : " (MISMATCH!)") << "\n";
 
-    // ---- 8. Fault probes: disarmed overhead on the energy path -----
+    // ---- 7. Fault probes: disarmed overhead on the energy path -----
     // The fault-injection probes stay compiled into the hot stack even
     // in production runs, so their disarmed cost has to stay in the
     // noise. Arming with an empty plan turns the injector into a pure
@@ -537,7 +509,7 @@ main(int argc, char **argv)
               << fault_overhead * 100.0 << "%"
               << (fault_ok ? "" : " (PROBES TOO HOT!)") << "\n";
 
-    // ---- 9. Store I/O: binary append vs JSON whole-file rewrite ----
+    // ---- 8. Store I/O: binary append vs JSON whole-file rewrite ----
     // The same synthetic sweep lands in both formats the way a run
     // writes it: one store write per completed cell. The JSON file is
     // rewritten with all previously stored lines each time, the binary
@@ -615,7 +587,7 @@ main(int argc, char **argv)
     std::remove(store_json_path.c_str());
     std::remove(store_bin_path.c_str());
 
-    // ---- 10. Noisy density-matrix stream (FCHE-8 prepare) ---------
+    // ---- 9. Noisy density-matrix stream (FCHE-8 prepare) ----------
     // Every one-qubit map folds into a pending superoperator per qubit
     // that only a two-qubit gate (or the end) flushes, so a pair pass
     // plus at most two flushes per two-qubit gate and one final flush
@@ -685,15 +657,6 @@ main(int argc, char **argv)
     json.field("bit_identical", farm_identical);
     json.field("speedup_gated", threads > 1);
     json.endObject();
-    json.beginObject("sharded_batch");
-    json.field("threads", threads);
-    json.field("qubits", batch_qubits);
-    json.field("terms", batch_ham.nTerms());
-    json.field("unsharded_ns_per_call", batch_unsharded_ns);
-    json.field("sharded_ns_per_call", batch_sharded_ns);
-    json.field("speedup", batch_speedup);
-    json.field("speedup_gated", threads > 1);
-    json.endObject();
     json.beginObject("energy_cache");
     json.field("threads", threads);
     json.field("population", population.size());
@@ -747,9 +710,6 @@ main(int argc, char **argv)
     json.field("qubits", comp_qubits);
     json.field("active_isa", simd::activeIsa());
     json.field("simd_active", simd_active);
-    json.field("blocked_ops", comp_compiled.nBlockedOps());
-    json.field("schedule_segments",
-               comp_compiled.blockSchedule().size());
     json.field("scalar_ns_per_run", simd_scalar_run_ns);
     json.field("simd_ns_per_run", simd_vector_run_ns);
     json.field("run_speedup", simd_run_speedup);
@@ -801,8 +761,6 @@ main(int argc, char **argv)
         return 4; // cross-engine warm pass regressed (or wrong values)
     if (!sweep_ok)
         return 5; // sweep warm cross-cell pass regressed (or wrong rows)
-    if (!batch_ok)
-        return 6; // sharded batch slower than unsharded with threads>1
     if (!simd_ok)
         return 7; // SIMD kernels regressed vs scalar (or parity broke)
     if (!fault_ok)

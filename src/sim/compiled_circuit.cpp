@@ -1,7 +1,6 @@
 #include "sim/compiled_circuit.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <map>
 #include <set>
@@ -9,24 +8,6 @@
 #include <utility>
 
 namespace eftvqa {
-
-namespace {
-
-std::atomic<int> g_block_mode{-1};
-
-} // namespace
-
-void
-setCompiledBlockMode(int mode)
-{
-    g_block_mode.store(mode, std::memory_order_relaxed);
-}
-
-int
-compiledBlockMode()
-{
-    return g_block_mode.load(std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -660,161 +641,6 @@ CompiledCircuit::CompiledCircuit(const Circuit &circuit)
         }
         ops_.push_back(out);
     }
-
-    buildBlockSchedule();
-}
-
-/**
- * Partition the op stream into blocked / unblocked segments.
- *
- * An op is block-local when, restricted to any 2^kBlockQubits-aligned
- * window of amplitudes, it reads and writes only that window:
- *  - 1q / fused-2q unitaries whose qubits all sit below kBlockQubits
- *    (partner indices differ only in low bits);
- *  - every DiagPhase (amplitude i is scaled in place; the kernel just
- *    needs the absolute base index for the phase lookup);
- *  - XorMask perms whose flip mask is confined to the low bits, and
- *    SingleCX/SingleSwap on low qubits.
- * General perms gather across the whole index space and Measure/Reset
- * renormalize globally, so they are scheduling barriers.
- *
- * Greedy hoisting: when a non-local op's qubit support is disjoint
- * from every later local op's support, it is deferred past them (ops
- * on disjoint qubits commute exactly), so e.g. an entangling layer on
- * high qubits does not break an otherwise block-local rotation run.
- */
-void
-CompiledCircuit::buildBlockSchedule()
-{
-    const size_t n = nQubits();
-    const uint64_t low_mask = (n >= 64)
-                                  ? ~uint64_t{0} >> (64 - kBlockQubits)
-                                  : ((uint64_t{1} << std::min<size_t>(
-                                          n, kBlockQubits)) -
-                                     1);
-
-    const auto isLocal = [&](const CompiledOp &op) {
-        switch (op.kind) {
-          case CompiledOpKind::Unitary1q:
-            return op.q0 < kBlockQubits;
-          case CompiledOpKind::Unitary2q:
-            return op.q0 < kBlockQubits && op.q1 < kBlockQubits;
-          case CompiledOpKind::DiagPhase:
-            return true;
-          case CompiledOpKind::Gf2Perm: {
-            const Gf2PermOp &p = perm(op);
-            switch (p.cls) {
-              case Gf2PermClass::XorMask:
-                return (p.flips & ~low_mask) == 0;
-              case Gf2PermClass::SingleCX:
-              case Gf2PermClass::SingleSwap:
-                return p.q0 < kBlockQubits && p.q1 < kBlockQubits;
-              case Gf2PermClass::General:
-                return false;
-            }
-            return false;
-          }
-          case CompiledOpKind::Measure:
-          case CompiledOpKind::Reset:
-            return false;
-        }
-        return false;
-    };
-
-    const auto support = [&](const CompiledOp &op) -> uint64_t {
-        switch (op.kind) {
-          case CompiledOpKind::Unitary1q:
-            return uint64_t{1} << op.q0;
-          case CompiledOpKind::Unitary2q:
-            return (uint64_t{1} << op.q0) | (uint64_t{1} << op.q1);
-          case CompiledOpKind::DiagPhase: {
-            uint64_t m = 0;
-            for (const uint32_t q : diag(op).qubits)
-                m |= uint64_t{1} << q;
-            return m;
-          }
-          case CompiledOpKind::Gf2Perm: {
-            const Gf2PermOp &p = perm(op);
-            if (p.cls == Gf2PermClass::XorMask)
-                return p.flips;
-            if (p.cls == Gf2PermClass::SingleCX ||
-                p.cls == Gf2PermClass::SingleSwap)
-                return (uint64_t{1} << p.q0) | (uint64_t{1} << p.q1);
-            return ~uint64_t{0};
-          }
-          case CompiledOpKind::Measure:
-          case CompiledOpKind::Reset:
-            return ~uint64_t{0};
-        }
-        return ~uint64_t{0};
-    };
-
-    schedule_.clear();
-    // Registers that fit inside one block gain nothing from blocking:
-    // one flat segment preserving stream order.
-    if (n <= kBlockQubits) {
-        if (!ops_.empty()) {
-            BlockSegment seg;
-            for (size_t i = 0; i < ops_.size(); ++i)
-                seg.op_indices.push_back(static_cast<uint32_t>(i));
-            schedule_.push_back(std::move(seg));
-        }
-        return;
-    }
-
-    std::vector<uint32_t> local;    // current blocked run, stream order
-    std::vector<uint32_t> deferred; // hoisted non-local ops, stream order
-    uint64_t deferred_support = 0;
-
-    const auto flush = [&]() {
-        if (local.size() >= 2) {
-            schedule_.push_back({std::move(local), true});
-            if (!deferred.empty())
-                schedule_.push_back({std::move(deferred), false});
-        } else if (!local.empty() || !deferred.empty()) {
-            // Too short to block: merge back into one unblocked run in
-            // original stream order (hoisting never happened).
-            std::vector<uint32_t> run(std::move(local));
-            run.insert(run.end(), deferred.begin(), deferred.end());
-            std::sort(run.begin(), run.end());
-            schedule_.push_back({std::move(run), false});
-        }
-        local.clear();
-        deferred.clear();
-        deferred_support = 0;
-    };
-
-    for (size_t i = 0; i < ops_.size(); ++i) {
-        const CompiledOp &op = ops_[i];
-        const uint32_t idx = static_cast<uint32_t>(i);
-        if (isLocal(op)) {
-            // A deferred op must stay after every local op it was
-            // hoisted past; a conflicting support would reorder
-            // non-commuting ops, so close the run instead.
-            if (support(op) & deferred_support)
-                flush();
-            local.push_back(idx);
-        } else if (op.kind != CompiledOpKind::Measure &&
-                   op.kind != CompiledOpKind::Reset &&
-                   support(op) != ~uint64_t{0} && !local.empty()) {
-            deferred.push_back(idx);
-            deferred_support |= support(op);
-        } else {
-            flush();
-            schedule_.push_back({{idx}, false});
-        }
-    }
-    flush();
-}
-
-size_t
-CompiledCircuit::nBlockedOps() const
-{
-    size_t count = 0;
-    for (const auto &seg : schedule_)
-        if (seg.blocked)
-            count += seg.op_indices.size();
-    return count;
 }
 
 size_t

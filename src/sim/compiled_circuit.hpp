@@ -26,6 +26,10 @@
  * uncompiled path did (the density matrix runs them as channels of its
  * own DmPass stream, compiled from the source circuit).
  *
+ * The statevector executes the stream op by op in stream order, each
+ * op one full-state sweep on the calling thread. The stream holds no
+ * data that depends on the SIMD ISA or the host.
+ *
  * Compile once, execute many: the op stream is immutable, so
  * EstimationEngine memoizes CompiledCircuits by Circuit::contentHash()
  * for its statevector engines and GA re-evaluations / shot loops skip
@@ -138,37 +142,6 @@ struct CompiledOp
 };
 
 /**
- * Amplitude-block width for cache-blocked execution: 2^14 complex
- * doubles = 256 KiB per block, sized to sit inside a typical L2 slice
- * while leaving room for the phase tables the DiagPhase kernel reads.
- */
-inline constexpr uint32_t kBlockQubits = 14;
-
-/**
- * One run of the compiled stream's execution schedule. A `blocked`
- * segment contains >= 2 ops that are all block-local (each touches only
- * amplitudes within the same 2^kBlockQubits-aligned block), so a
- * backend executes the whole run block-resident: one pass over memory
- * for the run instead of one pass per op. Unblocked segments execute
- * op by op over the full state.
- */
-struct BlockSegment
-{
-    std::vector<uint32_t> op_indices; ///< into ops(), execution order
-    bool blocked = false;
-};
-
-/**
- * Cache-blocking override for runCompiled: -1 auto (use the block
- * schedule whenever the register exceeds one block), 0 force the flat
- * op-by-op loop. Exposed so benches and determinism tests can pin
- * either path; production code leaves it at auto. The two paths are
- * bit-identical (same kernels, same per-block traversal order).
- */
-void setCompiledBlockMode(int mode);
-int compiledBlockMode();
-
-/**
  * A Circuit compiled to the fused op stream. Immutable after
  * construction; keeps the source circuit for the backends that do not
  * execute the fused ops: the tableau runs it gate by gate, and the
@@ -209,25 +182,7 @@ class CompiledCircuit
     /** Count of ops of a given kind (fusion-structure tests). */
     size_t countKind(CompiledOpKind kind) const;
 
-    /**
-     * Execution schedule: the op stream partitioned into blocked /
-     * unblocked segments (see BlockSegment). Built once at compile
-     * time; ops may be hoisted past non-adjacent neighbours with
-     * disjoint qubit support to lengthen blocked runs, which preserves
-     * semantics exactly (disjoint-support operators commute). Every op
-     * index appears exactly once across the segments.
-     */
-    const std::vector<BlockSegment> &blockSchedule() const
-    {
-        return schedule_;
-    }
-
-    /** Total ops inside blocked segments (scheduling tests/bench). */
-    size_t nBlockedOps() const;
-
   private:
-    void buildBlockSchedule();
-
     Circuit source_;
     uint64_t hash_ = 0;
     std::vector<CompiledOp> ops_;
@@ -235,7 +190,6 @@ class CompiledCircuit
     std::vector<Mat4> mats2_;
     std::vector<DiagPhaseOp> diags_;
     std::vector<Gf2PermOp> perms_;
-    std::vector<BlockSegment> schedule_;
 };
 
 /**

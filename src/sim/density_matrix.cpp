@@ -154,7 +154,7 @@ void
 applyMat4AtBits(std::complex<double> *v, size_t span, const Mat4 &m,
                 size_t pa, size_t pb)
 {
-    if (simd::tryApply2q(v, span, pa, pb, m, false))
+    if (simd::tryApply2q(v, span, pa, pb, m))
         return;
     const uint64_t ma = uint64_t{1} << pa;
     const uint64_t mb = uint64_t{1} << pb;

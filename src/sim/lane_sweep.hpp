@@ -1,9 +1,8 @@
 /**
  * @file
  * Internal expectation sweep shared by the dense simulators'
- * expectationBatch kernels: one pass per X-mask group, plus the
- * sharding policy that spreads groups (or slices) across threads. Not
- * part of the public API.
+ * expectationBatch kernels: one pass per X-mask group, on the calling
+ * thread. Not part of the public API.
  *
  * Terms sharing an X-mask x read the same per-basis-state weight
  * w_i ("the band": conj(psi[i^x]) psi[i] on a statevector, rho[i, i^x]
@@ -19,10 +18,9 @@
  * states s len + j, s len + j + W, ... in ascending order from +0.0;
  * a slice's lanes are then added in ascending lane order, and the
  * slices are added in ascending slice order onto +0.0. The partition
- * depends only on dim and the lane width, never on the thread count,
- * the shard axis or the scratch blocking, so every value is identical
- * at any OpenMP team size. Below the grain the scalar path is one
- * ascending chain per term.
+ * depends only on dim and the lane width, never on the scratch
+ * blocking, so a value is the same whichever thread computes it. Below
+ * the grain the scalar path is one ascending chain per term.
  */
 
 #ifndef EFTVQA_SIM_LANE_SWEEP_HPP
@@ -34,10 +32,6 @@
 #include <cstdint>
 #include <memory>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "pauli/hamiltonian.hpp"
 #include "sim/simd.hpp"
@@ -106,42 +100,6 @@ sweepShape(size_t dim, bool vec)
     return s;
 }
 
-/** Which axis an expectationBatch spreads across threads. */
-enum class SweepAxis
-{
-    serial,
-    groups,
-    slices
-};
-
-/** The team a region opened here would get: one inside an active
- *  region, whose nested regions run serially, or without OpenMP. */
-inline size_t
-teamSize()
-{
-#ifdef _OPENMP
-    return omp_in_parallel() ? 1
-                             : static_cast<size_t>(omp_get_max_threads());
-#else
-    return 1;
-#endif
-}
-
-/** The axis a sweep of @p planned_terms terms in @p groups X-mask
- *  groups over @p dim states spreads across a team of @p team. */
-inline SweepAxis
-sweepAxis(size_t groups, size_t planned_terms, size_t dim, size_t team)
-{
-    if (team <= 1 || planned_terms * dim < simd::kParallelGrainAmps)
-        return SweepAxis::serial;
-    if (groups >= team)
-        return SweepAxis::groups;
-    // At the grain both lane widths run eight slices.
-    if (dim >= simd::kParallelGrainAmps)
-        return SweepAxis::slices;
-    return groups >= 2 ? SweepAxis::groups : SweepAxis::serial;
-}
-
 /** x with its sign bit flipped when @p neg is 1 — an exact negation,
  *  branch-free. */
 inline double
@@ -157,17 +115,17 @@ struct ScalarLanes
 
     /** One block of NS interleaved slice chains for one term. band
      *  holds NS rows of @p steps states, @p stride apart; row r is
-     *  slice slice0 + r, starting at within-slice offset @p off. acc
-     *  holds the NS running sums (zeroed first when @p first). */
+     *  slice r, starting at within-slice offset @p off. acc holds the
+     *  NS running sums (zeroed first when @p first). */
     template <size_t NS>
     static void
     block(const cd *band, size_t stride, size_t steps, uint64_t off,
-          uint64_t slice0, uint64_t len, uint64_t z, cd *acc, bool first)
+          uint64_t len, uint64_t z, cd *acc, bool first)
     {
         double re[NS], im[NS];
         uint64_t ps[NS];
         for (size_t r = 0; r < NS; ++r) {
-            ps[r] = std::popcount(((slice0 + r) * len) & z) & 1;
+            ps[r] = std::popcount((r * len) & z) & 1;
             re[r] = first ? 0.0 : acc[r].real();
             im[r] = first ? 0.0 : acc[r].imag();
         }
@@ -199,10 +157,10 @@ struct VectorLanes
     template <size_t NS>
     static void
     block(const cd *band, size_t stride, size_t steps, uint64_t off,
-          uint64_t slice0, uint64_t len, uint64_t z, cd *acc, bool first)
+          uint64_t len, uint64_t z, cd *acc, bool first)
     {
-        simd::detail::kernSweepBlock<NS>(band, stride, steps, off, slice0,
-                                         len, z, acc, first);
+        simd::detail::kernSweepBlock<NS>(band, stride, steps, off, len, z,
+                                         acc, first);
     }
 
     static cd
@@ -219,71 +177,53 @@ struct VectorLanes
 };
 #endif
 
-/** Lanes::block with the row count NS (1..kSweepSlices) as a template
- *  argument, so the NS chains stay in registers. */
-template <class Lanes>
-void
-sweepBlockRows(size_t rows, const cd *band, size_t stride, size_t steps,
-               uint64_t off, uint64_t slice0, uint64_t len, uint64_t z,
-               cd *acc, bool first)
-{
-    static_assert(simd::kSweepSlices == 8);
-    switch (rows) {
-#define EFTVQA_SWEEP_ROWS(N)                                                 \
-      case N:                                                                \
-        Lanes::template block<N>(band, stride, steps, off, slice0, len, z,   \
-                                 acc, first);                                \
-        break;
-      EFTVQA_SWEEP_ROWS(1)
-      EFTVQA_SWEEP_ROWS(2)
-      EFTVQA_SWEEP_ROWS(3)
-      EFTVQA_SWEEP_ROWS(4)
-      EFTVQA_SWEEP_ROWS(5)
-      EFTVQA_SWEEP_ROWS(6)
-      EFTVQA_SWEEP_ROWS(7)
-      EFTVQA_SWEEP_ROWS(8)
-#undef EFTVQA_SWEEP_ROWS
-    }
-}
-
 /**
- * Group g over slices [s0, s1): fill the band block by block, run every
+ * Every slice of group g: fill the band block by block, run every
  * term's chains, and write the lane-reduced sum of slice s for the
  * group's k-th term to sums[k * slices + s].
  */
 template <class Lanes, class Fill>
 void
 sweepGroup(const SweepPlan &plan, size_t g, const SweepShape &shape,
-           size_t s0, size_t s1, Fill &fill, cd *sums)
+           Fill &fill, cd *sums)
 {
     constexpr size_t W = Lanes::kWidth;
-    const size_t rows = s1 - s0;
+    const size_t rows = shape.slices;
     const size_t p0 = plan.begin[g];
     const size_t m = plan.begin[g + 1] - p0;
     SweepScratch &scratch = sweepScratch();
     if (scratch.band.size() < rows * shape.block)
         scratch.band.resize(rows * shape.block);
-    if (scratch.acc.size() < plan.max_group * simd::kSweepSlices * W)
-        scratch.acc.resize(plan.max_group * simd::kSweepSlices * W);
+    if (scratch.acc.size() < plan.max_group * rows * W)
+        scratch.acc.resize(plan.max_group * rows * W);
     cd *band = scratch.band.data();
     cd *acc = scratch.acc.data();
     const uint64_t xm = plan.x[g];
     for (size_t off = 0; off < shape.len; off += shape.block) {
         if (shape.block == shape.len) // one block: the rows are adjacent
-            fill(xm, s0 * shape.len, rows * shape.len, band, W > 1);
+            fill(xm, 0, rows * shape.len, band, W > 1);
         else
             for (size_t r = 0; r < rows; ++r)
-                fill(xm, (s0 + r) * shape.len + off, shape.block,
+                fill(xm, r * shape.len + off, shape.block,
                      band + r * shape.block, W > 1);
-        for (size_t k = 0; k < m; ++k)
-            sweepBlockRows<Lanes>(rows, band, shape.block, shape.block / W,
-                                  off, s0, shape.len, plan.z[p0 + k],
-                                  acc + k * rows * W, off == 0);
+        // The row count is a template argument, so the chains stay in
+        // registers.
+        for (size_t k = 0; k < m; ++k) {
+            cd *chains = acc + k * rows * W;
+            const uint64_t z = plan.z[p0 + k];
+            if (rows == 1)
+                Lanes::template block<1>(band, shape.block,
+                                         shape.block / W, off, shape.len,
+                                         z, chains, off == 0);
+            else
+                Lanes::template block<simd::kSweepSlices>(
+                    band, shape.block, shape.block / W, off, shape.len, z,
+                    chains, off == 0);
+        }
     }
     for (size_t k = 0; k < m; ++k)
         for (size_t r = 0; r < rows; ++r)
-            sums[k * shape.slices + s0 + r] =
-                Lanes::laneSum(acc + (k * rows + r) * W);
+            sums[k * rows + r] = Lanes::laneSum(acc + (k * rows + r) * W);
 }
 
 /** Slice sums onto +0.0 in ascending slice order, projected through the
@@ -307,57 +247,15 @@ sweepWithLanes(const SweepPlan &plan, size_t n_terms, size_t dim,
     std::vector<double> out(n_terms, 0.0);
     const SweepShape shape = sweepShape(dim, Lanes::kWidth > 1);
     const size_t S = shape.slices;
-    const size_t groups = plan.groups();
-
-    // One group end to end on the calling thread.
-    auto whole_group = [&](size_t g) {
-        std::vector<cd> &sums = sweepScratch().sums;
-        if (sums.size() < plan.max_group * S)
-            sums.resize(plan.max_group * S);
-        sweepGroup<Lanes>(plan, g, shape, 0, S, fill, sums.data());
+    std::vector<cd> &sums = sweepScratch().sums;
+    if (sums.size() < plan.max_group * S)
+        sums.resize(plan.max_group * S);
+    for (size_t g = 0; g < plan.groups(); ++g) {
+        sweepGroup<Lanes>(plan, g, shape, fill, sums.data());
         const size_t p0 = plan.begin[g];
         for (size_t p = p0; p < plan.begin[g + 1]; ++p)
             out[plan.term[p]] =
                 finishTerm(&sums[(p - p0) * S], S, plan.phase[p]);
-    };
-
-    switch (sweepAxis(groups, plan.z.size(), dim, teamSize())) {
-      case SweepAxis::serial:
-        for (size_t g = 0; g < groups; ++g)
-            whole_group(g);
-        break;
-      case SweepAxis::groups:
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic)
-#endif
-        for (int64_t g = 0; g < static_cast<int64_t>(groups); ++g)
-            whole_group(static_cast<size_t>(g));
-        break;
-      case SweepAxis::slices: {
-        // Each thread owns a fixed run of slices for every group; the
-        // slice sums meet in sums and are finished after the region.
-        std::vector<cd> sums(plan.z.size() * S);
-#ifdef _OPENMP
-#pragma omp parallel
-#endif
-        {
-#ifdef _OPENMP
-            const auto tid = static_cast<size_t>(omp_get_thread_num());
-            const auto nt = static_cast<size_t>(omp_get_num_threads());
-#else
-            const size_t tid = 0, nt = 1;
-#endif
-            const size_t s0 = S * tid / nt;
-            const size_t s1 = S * (tid + 1) / nt;
-            if (s0 < s1)
-                for (size_t g = 0; g < groups; ++g)
-                    sweepGroup<Lanes>(plan, g, shape, s0, s1, fill,
-                                      &sums[plan.begin[g] * S]);
-        }
-        for (size_t p = 0; p < plan.z.size(); ++p)
-            out[plan.term[p]] = finishTerm(&sums[p * S], S, plan.phase[p]);
-        break;
-      }
     }
     return out;
 }

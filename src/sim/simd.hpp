@@ -28,9 +28,12 @@
  * dim / 8 states (one slice below 16 kLanes states; the scalar path
  * slices only from kParallelGrainAmps), each lane adding its states in
  * ascending order, lanes then slices added in ascending order. The
- * partition never depends on the thread count or the shard axis, and
+ * partition depends only on dim and the lane width, and
  * tests/test_pauli_sums.cpp checks both paths by memcmp against a
  * reference that follows it.
+ *
+ * Every kernel runs on its caller's thread over the whole range it is
+ * given; none opens a thread team.
  *
  * Mode pinning: setSimdMode(0) forces the scalar paths (benches and
  * parity tests), setSimdMode(-1) restores the default auto dispatch.
@@ -48,10 +51,6 @@
 #include <vector>
 
 #include "sim/channels.hpp"
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #if defined(EFTVQA_SIMD_ISA_AVX512) || defined(EFTVQA_SIMD_ISA_AVX2)
 #include <immintrin.h>
@@ -89,13 +88,15 @@ inline constexpr size_t kLanes = 1;
 inline constexpr const char *kCompiledIsa = "scalar";
 #endif
 
-/** Fork threshold in amplitudes, matching the simulators' historical
- *  OpenMP grain. */
+/** States from which the expectation sweep's scalar path runs
+ *  kSweepSlices slices instead of one chain, and the size of its band
+ *  scratch in states (sim/lane_sweep.hpp). Part of the written-down
+ *  summation order: changing it moves scalar-path expectation bits. */
 inline constexpr size_t kParallelGrainAmps = size_t{1} << 14;
 
 /** Fixed slice count of the expectation sweep (sim/lane_sweep.hpp):
- *  slice sums are added in slice order, so the partition, and every
- *  value, is independent of the thread count. */
+ *  slice sums are added in ascending slice order, part of its
+ *  written-down summation order. */
 inline constexpr size_t kSweepSlices = 8;
 
 /** Runtime sanity check: does this host implement the compiled ISA?
@@ -153,23 +154,9 @@ activeIsa()
     return enabled() ? kCompiledIsa : "scalar";
 }
 
-/** FNV-1a tag of the ACTIVE kernel ISA, folded into compile-memo keys
- *  so a cache can't serve ops compiled for another execution target —
- *  including across runtime setSimdMode toggles within one process. */
-inline uint64_t
-kernelIsaTag()
-{
-    uint64_t h = 0xCBF29CE484222325ull;
-    for (const char *s = activeIsa(); *s; ++s) {
-        h ^= static_cast<unsigned char>(*s);
-        h *= 0x100000001B3ull;
-    }
-    return h;
-}
-
 /**
  * 64-byte-aligned allocator for the amplitude buffers: cacheline- and
- * vector-register-aligned loads for every block base the kernels see.
+ * vector-register-aligned loads for every base the kernels see.
  * (The kernels themselves use unaligned load/store instructions, which
  * cost nothing on aligned addresses, so views at odd offsets — e.g.
  * density-matrix rows with dim < kLanes — stay correct.)
@@ -224,34 +211,6 @@ insertZeroBit(uint64_t x, uint64_t p)
 {
     const uint64_t low = (uint64_t{1} << p) - 1;
     return ((x & ~low) << 1) | (x & low);
-}
-
-/**
- * Split @p n_chunks of vector work into contiguous slices and run
- * fn(chunk_begin, chunk_end) per slice, OpenMP-parallel when asked and
- * the total amplitude count clears the fork grain. Chunks are whole
- * vector registers, so slice boundaries are always lane-aligned.
- */
-template <class Fn>
-inline void
-forSlices(size_t n_chunks, bool parallel, Fn &&fn)
-{
-#ifdef _OPENMP
-    if (parallel && n_chunks * kLanes >= kParallelGrainAmps &&
-        omp_get_max_threads() > 1) {
-        const size_t nslices = std::min<size_t>(
-            static_cast<size_t>(omp_get_max_threads()) * 4, n_chunks);
-#pragma omp parallel for schedule(static)
-        for (int64_t s = 0; s < static_cast<int64_t>(nslices); ++s) {
-            const auto u = static_cast<size_t>(s);
-            fn(n_chunks * u / nslices, n_chunks * (u + 1) / nslices);
-        }
-        return;
-    }
-#else
-    (void)parallel;
-#endif
-    fn(0, n_chunks);
 }
 
 #if defined(EFTVQA_SIMD_VECTOR)
@@ -646,19 +605,17 @@ vfromArray(const cd *in)
 }
 
 // ---------------------------------------------------------------- //
-// Kernels, written once against the primitives. Each takes a chunk  //
-// (vector-register) index range so the try* wrappers can slice the  //
-// work across OpenMP threads without pragmas inside target-attri-   //
-// buted functions.                                                  //
+// Kernels, written once against the primitives. Each runs over      //
+// n_chunks whole vector registers of work.                          //
 // ---------------------------------------------------------------- //
 
 /** 2x2 unitary on pair stride >= kLanes: pair index t in chunks. */
 EFTVQA_SIMD_TARGET inline void
-kernApply1q(cd *data, size_t c0, size_t c1, size_t stride, const Mat2 &u)
+kernApply1q(cd *data, size_t n_chunks, size_t stride, const Mat2 &u)
 {
     const CVec u0 = vbroadcast(u[0]), u1 = vbroadcast(u[1]);
     const CVec u2 = vbroadcast(u[2]), u3 = vbroadcast(u[3]);
-    for (size_t c = c0; c < c1; ++c) {
+    for (size_t c = 0; c < n_chunks; ++c) {
         const size_t t = c * kLanes;
         const size_t i0 = ((t & ~(stride - 1)) << 1) | (t & (stride - 1));
         const CVec a = vload(data + i0);
@@ -671,11 +628,11 @@ kernApply1q(cd *data, size_t c0, size_t c1, size_t stride, const Mat2 &u)
 /** 2x2 unitary on stride-1 pairs: each vector holds kLanes/2 whole
  *  (i0, i1) pairs, resolved by in-register pair duplication. */
 EFTVQA_SIMD_TARGET inline void
-kernApply1qStride1(cd *data, size_t c0, size_t c1, const Mat2 &u)
+kernApply1qStride1(cd *data, size_t n_chunks, const Mat2 &u)
 {
     const CVec uc0 = vsetPattern2(u[0], u[2]);
     const CVec uc1 = vsetPattern2(u[1], u[3]);
-    for (size_t c = c0; c < c1; ++c) {
+    for (size_t c = 0; c < n_chunks; ++c) {
         const CVec v = vload(data + c * kLanes);
         vstore(data + c * kLanes, vadd(vcmul(uc0, vdupPairsEven(v)),
                                        vcmul(uc1, vdupPairsOdd(v))));
@@ -685,13 +642,13 @@ kernApply1qStride1(cd *data, size_t c0, size_t c1, const Mat2 &u)
 /** Fused 4x4 unitary, both strides >= kLanes: quarter index t in
  *  chunks. */
 EFTVQA_SIMD_TARGET inline void
-kernApply2q(cd *data, size_t c0, size_t c1, uint64_t plow,
-            uint64_t phigh, uint64_t ma, uint64_t mb, const Mat4 &u)
+kernApply2q(cd *data, size_t n_chunks, uint64_t plow, uint64_t phigh,
+            uint64_t ma, uint64_t mb, const Mat4 &u)
 {
     CVec uv[16];
     for (int k = 0; k < 16; ++k)
         uv[k] = vbroadcast(u[k]);
-    for (size_t c = c0; c < c1; ++c) {
+    for (size_t c = 0; c < n_chunks; ++c) {
         const uint64_t t = c * kLanes;
         const uint64_t i00 = insertZeroBit(insertZeroBit(t, plow), phigh);
         const uint64_t i01 = i00 | mb;
@@ -726,7 +683,7 @@ kernApply2q(cd *data, size_t c0, size_t c1, uint64_t plow,
  *  says bit 0 is the low bit of the 4x4 basis; the sums keep the
  *  scalar basis order. */
 EFTVQA_SIMD_TARGET inline void
-kernApply2qLowBit(cd *data, size_t c0, size_t c1, uint64_t phigh,
+kernApply2qLowBit(cd *data, size_t n_chunks, uint64_t phigh,
                   bool low_is_qb, const Mat4 &u)
 {
     // Basis indices held by the even / odd lanes of the vector with
@@ -742,7 +699,7 @@ kernApply2qLowBit(cd *data, size_t c0, size_t c1, uint64_t phigh,
                                u[lane_basis[3] * 4 + c]);
     }
     const uint64_t mh = uint64_t{1} << phigh;
-    for (size_t c = c0; c < c1; ++c) {
+    for (size_t c = 0; c < n_chunks; ++c) {
         const uint64_t i0 = insertZeroBit(c * kLanes, phigh);
         const CVec v0 = vload(data + i0);
         const CVec v1 = vload(data + (i0 | mh));
@@ -760,15 +717,13 @@ kernApply2qLowBit(cd *data, size_t c0, size_t c1, uint64_t phigh,
     }
 }
 
-/** Contiguous-mask diagonal table multiply; @p base is the absolute
- *  index of data[0] (block offset under blocked execution). */
+/** Contiguous-mask diagonal table multiply. */
 EFTVQA_SIMD_TARGET inline void
-kernDiagMask(cd *data, size_t c0, size_t c1, uint64_t base,
-             const cd *table, uint64_t mask)
+kernDiagMask(cd *data, size_t n_chunks, const cd *table, uint64_t mask)
 {
-    for (size_t c = c0; c < c1; ++c) {
+    for (size_t c = 0; c < n_chunks; ++c) {
         const size_t i = c * kLanes;
-        const CVec t = vload(table + ((base + i) & mask));
+        const CVec t = vload(table + (i & mask));
         vstore(data + i, vcmul(vload(data + i), t));
     }
 }
@@ -776,14 +731,14 @@ kernDiagMask(cd *data, size_t c0, size_t c1, uint64_t base,
 /** Scattered-qubit diagonal table multiply: scalar index gather into
  *  a lane buffer, vector complex multiply. */
 EFTVQA_SIMD_TARGET inline void
-kernDiagGather(cd *data, size_t c0, size_t c1, uint64_t base,
-               const cd *table, const uint32_t *qs, size_t nq)
+kernDiagGather(cd *data, size_t n_chunks, const cd *table,
+               const uint32_t *qs, size_t nq)
 {
     cd buf[kLanes];
-    for (size_t c = c0; c < c1; ++c) {
+    for (size_t c = 0; c < n_chunks; ++c) {
         const size_t i = c * kLanes;
         for (size_t l = 0; l < kLanes; ++l) {
-            const uint64_t a = base + i + l;
+            const uint64_t a = i + l;
             uint64_t idx = 0;
             for (size_t j = 0; j < nq; ++j)
                 idx |= ((a >> qs[j]) & 1) << j;
@@ -795,21 +750,19 @@ kernDiagGather(cd *data, size_t c0, size_t c1, uint64_t base,
 
 /** Xor-mask permutation with f < kLanes: every chunk self-permutes. */
 EFTVQA_SIMD_TARGET inline void
-kernXorMaskSelf(cd *data, size_t c0, size_t c1, unsigned f_lo)
+kernXorMaskSelf(cd *data, size_t n_chunks, unsigned f_lo)
 {
-    for (size_t c = c0; c < c1; ++c)
+    for (size_t c = 0; c < n_chunks; ++c)
         vstore(data + c * kLanes,
                vlanePermuteXor(vload(data + c * kLanes), f_lo));
 }
 
 /** Xor-mask permutation with high bits: swap chunk pairs, permuting
- *  lanes by the low bits. Visits each pair from its lower chunk, so
- *  parallel slices never write into one another's pairs. */
+ *  lanes by the low bits. Visits each pair from its lower chunk. */
 EFTVQA_SIMD_TARGET inline void
-kernXorMaskPairs(cd *data, size_t c0, size_t c1, uint64_t f_hi,
-                 unsigned f_lo)
+kernXorMaskPairs(cd *data, size_t n_chunks, uint64_t f_hi, unsigned f_lo)
 {
-    for (size_t c = c0; c < c1; ++c) {
+    for (size_t c = 0; c < n_chunks; ++c) {
         const uint64_t i = c * kLanes;
         const uint64_t j = i ^ f_hi;
         if (i >= j)
@@ -900,22 +853,21 @@ kernBandSv(const cd *data, uint64_t i0, size_t n, uint64_t xm, cd *out)
 /**
  * One scratch block of NS interleaved slice chains for one term. band
  * holds NS rows of @p steps registers, @p stride states apart; row r is
- * slice slice0 + r (of @p len states) from within-slice offset @p off.
+ * slice r (of @p len states) from within-slice offset @p off.
  * acc holds NS stored registers of running sums, zeroed first when
  * @p first. Each register lane adds its states in ascending order.
  */
 template <size_t NS>
 EFTVQA_SIMD_TARGET inline void
 kernSweepBlock(const cd *band, size_t stride, size_t steps, uint64_t off,
-               uint64_t slice0, uint64_t len, uint64_t z, cd *acc,
-               bool first)
+               uint64_t len, uint64_t z, cd *acc, bool first)
 {
     const SignVec pat = signsForMask(z);
     const SignVec flip = signsXor(pat, signsAll());
     SignVec sel[NS][2];
     CVec a[NS];
     for (size_t r = 0; r < NS; ++r) {
-        const bool ps = std::popcount(((slice0 + r) * len) & z) & 1;
+        const bool ps = std::popcount((r * len) & z) & 1;
         sel[r][0] = ps ? flip : pat;
         sel[r][1] = ps ? pat : flip;
         a[r] = first ? vzero() : vload(acc + r * kLanes);
@@ -945,27 +897,17 @@ kernSweepBlock(const cd *band, size_t stride, size_t steps, uint64_t off,
 
 /** 2x2 unitary over [data, data + span), pair stride 1 << q. */
 inline bool
-tryApply1q(cd *data, size_t span, size_t stride, const Mat2 &u,
-           bool parallel)
+tryApply1q(cd *data, size_t span, size_t stride, const Mat2 &u)
 {
 #if defined(EFTVQA_SIMD_VECTOR)
     if (!enabled() || span < 2 * kLanes)
         return false;
-    const size_t pairs = span / 2;
     if (stride >= kLanes) {
-        detail::forSlices(pairs / kLanes, parallel,
-                          [&](size_t c0, size_t c1) {
-                              detail::kernApply1q(data, c0, c1, stride,
-                                                  u);
-                          });
+        detail::kernApply1q(data, (span / 2) / kLanes, stride, u);
         return true;
     }
     if (stride == 1) {
-        detail::forSlices(span / kLanes, parallel,
-                          [&](size_t c0, size_t c1) {
-                              detail::kernApply1qStride1(data, c0, c1,
-                                                         u);
-                          });
+        detail::kernApply1qStride1(data, span / kLanes, u);
         return true;
     }
     return false; // 1 < stride < kLanes: scalar path
@@ -974,7 +916,6 @@ tryApply1q(cd *data, size_t span, size_t stride, const Mat2 &u,
     (void)span;
     (void)stride;
     (void)u;
-    (void)parallel;
     return false;
 #endif
 }
@@ -982,8 +923,7 @@ tryApply1q(cd *data, size_t span, size_t stride, const Mat2 &u,
 /** Fused 4x4 unitary over [data, data + span) on qubit bits qa, qb
  *  (qa the high bit of the 4x4 basis). */
 inline bool
-tryApply2q(cd *data, size_t span, size_t qa, size_t qb, const Mat4 &u,
-           bool parallel)
+tryApply2q(cd *data, size_t span, size_t qa, size_t qb, const Mat4 &u)
 {
 #if defined(EFTVQA_SIMD_VECTOR)
     const size_t plow = qa < qb ? qa : qb;
@@ -995,21 +935,13 @@ tryApply2q(cd *data, size_t span, size_t qa, size_t qb, const Mat4 &u,
         // still stride whole vectors.
         if (plow != 0 || (size_t{1} << phigh) < kLanes)
             return false;
-        detail::forSlices((span / 2) / kLanes, parallel,
-                          [&](size_t c0, size_t c1) {
-                              detail::kernApply2qLowBit(data, c0, c1,
-                                                        phigh, qb == 0,
-                                                        u);
-                          });
+        detail::kernApply2qLowBit(data, (span / 2) / kLanes, phigh,
+                                  qb == 0, u);
         return true;
     }
     const uint64_t ma = uint64_t{1} << qa;
     const uint64_t mb = uint64_t{1} << qb;
-    detail::forSlices((span / 4) / kLanes, parallel,
-                      [&](size_t c0, size_t c1) {
-                          detail::kernApply2q(data, c0, c1, plow, phigh,
-                                              ma, mb, u);
-                      });
+    detail::kernApply2q(data, (span / 4) / kLanes, plow, phigh, ma, mb, u);
     return true;
 #else
     (void)data;
@@ -1017,66 +949,52 @@ tryApply2q(cd *data, size_t span, size_t qa, size_t qb, const Mat4 &u,
     (void)qa;
     (void)qb;
     (void)u;
-    (void)parallel;
     return false;
 #endif
 }
 
-/** Contiguous-mask diagonal table multiply over [data, data + span);
- *  @p base is the absolute index of data[0]. */
+/** Contiguous-mask diagonal table multiply over [data, data + span):
+ *  data[i] *= table[i & mask]. */
 inline bool
-tryDiagMask(cd *data, size_t span, uint64_t base, const cd *table,
-            uint64_t mask, bool parallel)
+tryDiagMask(cd *data, size_t span, const cd *table, uint64_t mask)
 {
 #if defined(EFTVQA_SIMD_VECTOR)
     if (!enabled() || span < kLanes || mask + 1 < kLanes)
         return false;
-    detail::forSlices(span / kLanes, parallel,
-                      [&](size_t c0, size_t c1) {
-                          detail::kernDiagMask(data, c0, c1, base,
-                                               table, mask);
-                      });
+    detail::kernDiagMask(data, span / kLanes, table, mask);
     return true;
 #else
     (void)data;
     (void)span;
-    (void)base;
     (void)table;
     (void)mask;
-    (void)parallel;
     return false;
 #endif
 }
 
 /** Scattered-qubit diagonal table multiply over [data, data + span). */
 inline bool
-tryDiagGather(cd *data, size_t span, uint64_t base, const cd *table,
-              const uint32_t *qs, size_t nq, bool parallel)
+tryDiagGather(cd *data, size_t span, const cd *table, const uint32_t *qs,
+              size_t nq)
 {
 #if defined(EFTVQA_SIMD_VECTOR)
     if (!enabled() || span < kLanes)
         return false;
-    detail::forSlices(span / kLanes, parallel,
-                      [&](size_t c0, size_t c1) {
-                          detail::kernDiagGather(data, c0, c1, base,
-                                                 table, qs, nq);
-                      });
+    detail::kernDiagGather(data, span / kLanes, table, qs, nq);
     return true;
 #else
     (void)data;
     (void)span;
-    (void)base;
     (void)table;
     (void)qs;
     (void)nq;
-    (void)parallel;
     return false;
 #endif
 }
 
 /** Xor-mask basis permutation |i> -> |i ^ f> over [data, data+span). */
 inline bool
-tryXorMask(cd *data, size_t span, uint64_t f, bool parallel)
+tryXorMask(cd *data, size_t span, uint64_t f)
 {
 #if defined(EFTVQA_SIMD_VECTOR)
     if (!enabled() || span < kLanes || f == 0 || f >= span)
@@ -1084,23 +1002,14 @@ tryXorMask(cd *data, size_t span, uint64_t f, bool parallel)
     const uint64_t f_hi = f & ~uint64_t{kLanes - 1};
     const auto f_lo = static_cast<unsigned>(f & (kLanes - 1));
     if (f_hi == 0)
-        detail::forSlices(span / kLanes, parallel,
-                          [&](size_t c0, size_t c1) {
-                              detail::kernXorMaskSelf(data, c0, c1,
-                                                      f_lo);
-                          });
+        detail::kernXorMaskSelf(data, span / kLanes, f_lo);
     else
-        detail::forSlices(span / kLanes, parallel,
-                          [&](size_t c0, size_t c1) {
-                              detail::kernXorMaskPairs(data, c0, c1,
-                                                       f_hi, f_lo);
-                          });
+        detail::kernXorMaskPairs(data, span / kLanes, f_hi, f_lo);
     return true;
 #else
     (void)data;
     (void)span;
     (void)f;
-    (void)parallel;
     return false;
 #endif
 }

@@ -1,3 +1,11 @@
+/**
+ * @file
+ * Statevector gate kernels, the compiled-stream executor and the
+ * expectations. Every kernel runs on its caller's thread: the
+ * parallelism of a run lives above the simulator, in the cell workers
+ * and EstimationEngine::energies()' fan-out.
+ */
+
 #include "sim/statevector.hpp"
 
 #include <algorithm>
@@ -13,10 +21,6 @@
 namespace eftvqa {
 
 namespace {
-
-/** Minimum per-loop iteration count before an OpenMP fork pays off —
- *  the same grain applyMatrix1q has always used. */
-constexpr size_t kParallelGrain = size_t{1} << 14;
 
 /** Widest register the dense amplitude array supports. */
 constexpr size_t kMaxStatevectorQubits = 26;
@@ -42,183 +46,6 @@ checkedStatevectorDim(size_t n_qubits)
 }
 
 using Cd = std::complex<double>;
-
-// ------------------------------------------------------------------ //
-// Range kernels: each applies one compiled op to [data, data + span)  //
-// where `base` is the absolute amplitude index of data[0]. The full-  //
-// state entry points call them with base = 0, span = dim; the cache-  //
-// blocked executor calls them once per 2^kBlockQubits block with      //
-// parallel = false (the blocks themselves are the parallel axis).     //
-// Each tries the SIMD lane kernel first and falls back to the scalar  //
-// loop — the two are bit-identical (see sim/simd.hpp).                //
-// ------------------------------------------------------------------ //
-
-void
-svApply1q(Cd *data, size_t span, size_t stride, const Mat2 &u,
-          bool parallel)
-{
-    if (simd::tryApply1q(data, span, stride, u, parallel))
-        return;
-    const size_t half = span / 2;
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && half >= kParallelGrain)
-#endif
-    for (int64_t st = 0; st < static_cast<int64_t>(half); ++st) {
-        const auto t = static_cast<size_t>(st);
-        const size_t i0 = ((t & ~(stride - 1)) << 1) | (t & (stride - 1));
-        const size_t i1 = i0 + stride;
-        const Cd a = data[i0];
-        const Cd b = data[i1];
-        data[i0] = u[0] * a + u[1] * b;
-        data[i1] = u[2] * a + u[3] * b;
-    }
-}
-
-void
-svApply2q(Cd *data, size_t span, size_t qa, size_t qb, const Mat4 &u,
-          bool parallel)
-{
-    if (simd::tryApply2q(data, span, qa, qb, u, parallel))
-        return;
-    const uint64_t ma = uint64_t{1} << qa; // high bit of the 4x4 basis
-    const uint64_t mb = uint64_t{1} << qb;
-    const uint64_t plow = std::min(qa, qb);
-    const uint64_t phigh = std::max(qa, qb);
-    const size_t quarter = span / 4;
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && quarter >= kParallelGrain)
-#endif
-    for (int64_t st = 0; st < static_cast<int64_t>(quarter); ++st) {
-        const uint64_t i00 =
-            insertZeroBit(insertZeroBit(static_cast<uint64_t>(st), plow),
-                          phigh);
-        const uint64_t i01 = i00 | mb;
-        const uint64_t i10 = i00 | ma;
-        const uint64_t i11 = i00 | ma | mb;
-        const Cd v0 = data[i00];
-        const Cd v1 = data[i01];
-        const Cd v2 = data[i10];
-        const Cd v3 = data[i11];
-        data[i00] = u[0] * v0 + u[1] * v1 + u[2] * v2 + u[3] * v3;
-        data[i01] = u[4] * v0 + u[5] * v1 + u[6] * v2 + u[7] * v3;
-        data[i10] = u[8] * v0 + u[9] * v1 + u[10] * v2 + u[11] * v3;
-        data[i11] = u[12] * v0 + u[13] * v1 + u[14] * v2 + u[15] * v3;
-    }
-}
-
-void
-svApplyCXRange(Cd *data, size_t span, size_t control, size_t target,
-               bool parallel)
-{
-    const uint64_t cmask = uint64_t{1} << control;
-    const uint64_t tmask = uint64_t{1} << target;
-    const uint64_t plow = std::min(control, target);
-    const uint64_t phigh = std::max(control, target);
-    const size_t quarter = span / 4;
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && quarter >= kParallelGrain)
-#endif
-    for (int64_t st = 0; st < static_cast<int64_t>(quarter); ++st) {
-        const uint64_t i =
-            insertZeroBit(insertZeroBit(static_cast<uint64_t>(st), plow),
-                          phigh) |
-            cmask;
-        std::swap(data[i], data[i | tmask]);
-    }
-}
-
-void
-svApplySwapRange(Cd *data, size_t span, size_t a, size_t b,
-                 bool parallel)
-{
-    const uint64_t am = uint64_t{1} << a;
-    const uint64_t bm = uint64_t{1} << b;
-    const uint64_t plow = std::min(a, b);
-    const uint64_t phigh = std::max(a, b);
-    const size_t quarter = span / 4;
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && quarter >= kParallelGrain)
-#endif
-    for (int64_t st = 0; st < static_cast<int64_t>(quarter); ++st) {
-        const uint64_t i =
-            insertZeroBit(insertZeroBit(static_cast<uint64_t>(st), plow),
-                          phigh) |
-            am;
-        std::swap(data[i], data[i ^ am ^ bm]);
-    }
-}
-
-void
-svApplyDiagPhase(Cd *data, size_t span, uint64_t base,
-                 const DiagPhaseOp &d, bool parallel)
-{
-    if (d.hasTable()) {
-        const Cd *table = d.table.data();
-        if (d.contiguous) {
-            // Participating qubits are the low bits: the gather is a
-            // single mask over the absolute index.
-            const uint64_t mask = d.table.size() - 1;
-            if (simd::tryDiagMask(data, span, base, table, mask,
-                                  parallel))
-                return;
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && span >= kParallelGrain)
-#endif
-            for (int64_t si = 0; si < static_cast<int64_t>(span); ++si)
-                data[static_cast<size_t>(si)] *=
-                    table[(base + static_cast<uint64_t>(si)) & mask];
-            return;
-        }
-        const uint32_t *qs = d.qubits.data();
-        const size_t k = d.qubits.size();
-        if (simd::tryDiagGather(data, span, base, table, qs, k,
-                                parallel))
-            return;
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && span >= kParallelGrain)
-#endif
-        for (int64_t si = 0; si < static_cast<int64_t>(span); ++si) {
-            const uint64_t i = base + static_cast<uint64_t>(si);
-            uint64_t idx = 0;
-            for (size_t j = 0; j < k; ++j)
-                idx |= ((i >> qs[j]) & 1) << j;
-            data[static_cast<size_t>(si)] *= table[idx];
-        }
-        return;
-    }
-    // Too many participating qubits to table: per-qubit factor product.
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && span >= kParallelGrain)
-#endif
-    for (int64_t si = 0; si < static_cast<int64_t>(span); ++si) {
-        const uint64_t i = base + static_cast<uint64_t>(si);
-        Cd phase = d.global;
-        for (const auto &[q, r] : d.factors)
-            if ((i >> q) & 1)
-                phase *= r;
-        for (const uint64_t m : d.cz_masks)
-            if ((i & m) == m)
-                phase = -phase;
-        data[static_cast<size_t>(si)] *= phase;
-    }
-}
-
-/** |i> -> |i ^ f> with f < span (pairs stay inside the range). */
-void
-svApplyXorMask(Cd *data, size_t span, uint64_t f, bool parallel)
-{
-    if (simd::tryXorMask(data, span, f, parallel))
-        return;
-#ifdef _OPENMP
-#pragma omp parallel for if (parallel && span >= kParallelGrain)
-#endif
-    for (int64_t si = 0; si < static_cast<int64_t>(span); ++si) {
-        const auto i = static_cast<uint64_t>(si);
-        const uint64_t j = i ^ f;
-        if (i < j)
-            std::swap(data[i], data[j]);
-    }
-}
 
 } // namespace
 
@@ -247,12 +74,28 @@ Statevector::setZeroState()
     data_[0] = 1.0;
 }
 
+// Each gate kernel below tries the SIMD lane kernel first and falls
+// back to its scalar loop; the two are bit-identical (see
+// sim/simd.hpp).
+
 void
 Statevector::applyMatrix1q(const Mat2 &u, size_t q)
 {
-    // Flattened over the dim/2 amplitude pairs so the whole update is
-    // one parallelizable loop regardless of the target qubit's stride.
-    svApply1q(data_.data(), data_.size(), size_t{1} << q, u, true);
+    // Flattened over the dim/2 amplitude pairs, so the update is one
+    // loop regardless of the target qubit's stride.
+    Cd *data = data_.data();
+    const size_t stride = size_t{1} << q;
+    if (simd::tryApply1q(data, data_.size(), stride, u))
+        return;
+    const size_t half = data_.size() / 2;
+    for (size_t t = 0; t < half; ++t) {
+        const size_t i0 = ((t & ~(stride - 1)) << 1) | (t & (stride - 1));
+        const size_t i1 = i0 + stride;
+        const Cd a = data[i0];
+        const Cd b = data[i1];
+        data[i0] = u[0] * a + u[1] * b;
+        data[i1] = u[2] * a + u[3] * b;
+    }
 }
 
 void
@@ -260,7 +103,17 @@ Statevector::applyCX(size_t control, size_t target)
 {
     // Iterate only the dim/4 pairs with control = 1, target = 0
     // instead of branching over every basis state.
-    svApplyCXRange(data_.data(), data_.size(), control, target, true);
+    const uint64_t cmask = uint64_t{1} << control;
+    const uint64_t tmask = uint64_t{1} << target;
+    const uint64_t plow = std::min(control, target);
+    const uint64_t phigh = std::max(control, target);
+    const size_t quarter = data_.size() / 4;
+    Cd *data = data_.data();
+    for (uint64_t t = 0; t < quarter; ++t) {
+        const uint64_t i =
+            insertZeroBit(insertZeroBit(t, plow), phigh) | cmask;
+        std::swap(data[i], data[i | tmask]);
+    }
 }
 
 void
@@ -271,14 +124,9 @@ Statevector::applyCZ(size_t a, size_t b)
     const uint64_t plow = std::min(a, b);
     const uint64_t phigh = std::max(a, b);
     const size_t quarter = data_.size() / 4;
-#ifdef _OPENMP
-#pragma omp parallel for if (quarter >= kParallelGrain)
-#endif
-    for (int64_t st = 0; st < static_cast<int64_t>(quarter); ++st) {
+    for (uint64_t t = 0; t < quarter; ++t) {
         const uint64_t i =
-            insertZeroBit(insertZeroBit(static_cast<uint64_t>(st), plow),
-                          phigh) |
-            mask;
+            insertZeroBit(insertZeroBit(t, plow), phigh) | mask;
         data_[i] = -data_[i];
     }
 }
@@ -287,19 +135,86 @@ void
 Statevector::applySwap(size_t a, size_t b)
 {
     // Only the dim/4 (a=1, b=0) states exchange with their partner.
-    svApplySwapRange(data_.data(), data_.size(), a, b, true);
+    const uint64_t am = uint64_t{1} << a;
+    const uint64_t bm = uint64_t{1} << b;
+    const uint64_t plow = std::min(a, b);
+    const uint64_t phigh = std::max(a, b);
+    const size_t quarter = data_.size() / 4;
+    Cd *data = data_.data();
+    for (uint64_t t = 0; t < quarter; ++t) {
+        const uint64_t i =
+            insertZeroBit(insertZeroBit(t, plow), phigh) | am;
+        std::swap(data[i], data[i ^ am ^ bm]);
+    }
 }
 
 void
 Statevector::applyMatrix2q(const Mat4 &u, size_t qa, size_t qb)
 {
-    svApply2q(data_.data(), data_.size(), qa, qb, u, true);
+    Cd *data = data_.data();
+    if (simd::tryApply2q(data, data_.size(), qa, qb, u))
+        return;
+    const uint64_t ma = uint64_t{1} << qa; // high bit of the 4x4 basis
+    const uint64_t mb = uint64_t{1} << qb;
+    const uint64_t plow = std::min(qa, qb);
+    const uint64_t phigh = std::max(qa, qb);
+    const size_t quarter = data_.size() / 4;
+    for (uint64_t t = 0; t < quarter; ++t) {
+        const uint64_t i00 = insertZeroBit(insertZeroBit(t, plow), phigh);
+        const uint64_t i01 = i00 | mb;
+        const uint64_t i10 = i00 | ma;
+        const uint64_t i11 = i00 | ma | mb;
+        const Cd v0 = data[i00];
+        const Cd v1 = data[i01];
+        const Cd v2 = data[i10];
+        const Cd v3 = data[i11];
+        data[i00] = u[0] * v0 + u[1] * v1 + u[2] * v2 + u[3] * v3;
+        data[i01] = u[4] * v0 + u[5] * v1 + u[6] * v2 + u[7] * v3;
+        data[i10] = u[8] * v0 + u[9] * v1 + u[10] * v2 + u[11] * v3;
+        data[i11] = u[12] * v0 + u[13] * v1 + u[14] * v2 + u[15] * v3;
+    }
 }
 
 void
 Statevector::applyDiagPhase(const DiagPhaseOp &d)
 {
-    svApplyDiagPhase(data_.data(), data_.size(), 0, d, true);
+    Cd *data = data_.data();
+    const size_t dim = data_.size();
+    if (d.hasTable()) {
+        const Cd *table = d.table.data();
+        if (d.contiguous) {
+            // Participating qubits are the low bits: the gather is a
+            // single mask over the index.
+            const uint64_t mask = d.table.size() - 1;
+            if (simd::tryDiagMask(data, dim, table, mask))
+                return;
+            for (uint64_t i = 0; i < dim; ++i)
+                data[i] *= table[i & mask];
+            return;
+        }
+        const uint32_t *qs = d.qubits.data();
+        const size_t k = d.qubits.size();
+        if (simd::tryDiagGather(data, dim, table, qs, k))
+            return;
+        for (uint64_t i = 0; i < dim; ++i) {
+            uint64_t idx = 0;
+            for (size_t j = 0; j < k; ++j)
+                idx |= ((i >> qs[j]) & 1) << j;
+            data[i] *= table[idx];
+        }
+        return;
+    }
+    // Too many participating qubits to table: per-qubit factor product.
+    for (uint64_t i = 0; i < dim; ++i) {
+        Cd phase = d.global;
+        for (const auto &[q, r] : d.factors)
+            if ((i >> q) & 1)
+                phase *= r;
+        for (const uint64_t m : d.cz_masks)
+            if ((i & m) == m)
+                phase = -phase;
+        data[i] *= phase;
+    }
 }
 
 void
@@ -308,7 +223,14 @@ Statevector::applyGf2Perm(const Gf2PermOp &p)
     const size_t dim = data_.size();
     switch (p.cls) {
       case Gf2PermClass::XorMask:
-        svApplyXorMask(data_.data(), dim, p.flips, true);
+        // |i> -> |i ^ f> with f < dim.
+        if (simd::tryXorMask(data_.data(), dim, p.flips))
+            return;
+        for (uint64_t i = 0; i < dim; ++i) {
+            const uint64_t j = i ^ p.flips;
+            if (i < j)
+                std::swap(data_[i], data_[j]);
+        }
         return;
       case Gf2PermClass::SingleCX:
         applyCX(p.q0, p.q1);
@@ -322,9 +244,7 @@ Statevector::applyGf2Perm(const Gf2PermOp &p)
     // General affine map: gather through one scratch pass, then adopt
     // the scratch storage (no copy back). The scratch persists per
     // calling thread so repeated runs don't re-allocate a state-sized
-    // buffer; OpenMP workers write through the caller's buffer via the
-    // hoisted pointer (a thread_local reference inside the parallel
-    // region would name each worker's own, unsized instance).
+    // buffer.
     static thread_local simd::AmpVector scratch;
     scratch.resize(dim);
     std::complex<double> *out = scratch.data();
@@ -332,16 +252,13 @@ Statevector::applyGf2Perm(const Gf2PermOp &p)
     const uint64_t f = p.flips;
     const uint64_t *inv = p.inv_rows.data();
     const size_t nb = p.inv_rows.size();
-#ifdef _OPENMP
-#pragma omp parallel for if (dim >= kParallelGrain)
-#endif
-    for (int64_t sy = 0; sy < static_cast<int64_t>(dim); ++sy) {
-        const uint64_t z = static_cast<uint64_t>(sy) ^ f;
+    for (uint64_t y = 0; y < dim; ++y) {
+        const uint64_t z = y ^ f;
         uint64_t x = 0;
         for (size_t b = 0; b < nb; ++b)
             x |= static_cast<uint64_t>(std::popcount(z & inv[b]) & 1)
                  << b;
-        out[static_cast<size_t>(sy)] = in[x];
+        out[y] = in[x];
     }
     data_.swap(scratch);
 }
@@ -422,81 +339,27 @@ Statevector::runCompiled(const CompiledCircuit &compiled)
 {
     if (compiled.nQubits() != n_)
         throw std::invalid_argument("Statevector::run: width mismatch");
-    const auto &ops = compiled.ops();
-    const size_t dim = data_.size();
-    const size_t block = std::min(dim, size_t{1} << kBlockQubits);
-    const bool use_blocks =
-        compiledBlockMode() != 0 && dim > block;
-
-    // One op restricted to [data + base, data + base + span). Both
-    // modes route through here, so blocked and flat execution differ
-    // only in the traversal order of independent per-amplitude updates
-    // and stay bit-identical.
-    const auto execOp = [&](const CompiledOp &op, Cd *data, size_t span,
-                            uint64_t base, bool parallel) {
+    // Cooperative-deadline checkpoint: a cell whose soft deadline has
+    // passed stops here instead of running one more circuit.
+    cancelCheckpoint();
+    for (const CompiledOp &op : compiled.ops()) {
         switch (op.kind) {
           case CompiledOpKind::Unitary1q:
-            svApply1q(data, span, size_t{1} << op.q0, compiled.mat1(op),
-                      parallel);
+            applyMatrix1q(compiled.mat1(op), op.q0);
             break;
           case CompiledOpKind::Unitary2q:
-            svApply2q(data, span, op.q0, op.q1, compiled.mat2(op),
-                      parallel);
+            applyMatrix2q(compiled.mat2(op), op.q0, op.q1);
             break;
           case CompiledOpKind::DiagPhase:
-            svApplyDiagPhase(data, span, base, compiled.diag(op),
-                             parallel);
+            applyDiagPhase(compiled.diag(op));
             break;
-          case CompiledOpKind::Gf2Perm: {
-            const Gf2PermOp &p = compiled.perm(op);
-            switch (p.cls) {
-              case Gf2PermClass::XorMask:
-                svApplyXorMask(data, span, p.flips, parallel);
-                break;
-              case Gf2PermClass::SingleCX:
-                svApplyCXRange(data, span, p.q0, p.q1, parallel);
-                break;
-              case Gf2PermClass::SingleSwap:
-                svApplySwapRange(data, span, p.q0, p.q1, parallel);
-                break;
-              case Gf2PermClass::General:
-                // Scheduled as an unblocked barrier: full state only.
-                applyGf2Perm(p);
-                break;
-            }
+          case CompiledOpKind::Gf2Perm:
+            applyGf2Perm(compiled.perm(op));
             break;
-          }
           case CompiledOpKind::Measure:
           case CompiledOpKind::Reset:
             throw std::invalid_argument(
                 "Statevector::run: measure/reset need an RNG");
-        }
-    };
-
-    // Both modes follow the schedule's (possibly hoisted) op order so
-    // toggling blocking cannot change the result.
-    for (const BlockSegment &seg : compiled.blockSchedule()) {
-        // Cooperative-deadline checkpoint between blocked segments:
-        // serial code, so a TimeoutError unwinds cleanly without
-        // tearing an OpenMP team. A cell wedged inside one long
-        // compiled run now times out at the next segment boundary
-        // instead of only between engine calls.
-        cancelCheckpoint();
-        if (use_blocks && seg.blocked) {
-            const auto nblocks = static_cast<int64_t>(dim / block);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (nblocks > 1)
-#endif
-            for (int64_t b = 0; b < nblocks; ++b) {
-                const uint64_t base =
-                    static_cast<uint64_t>(b) * block;
-                for (const uint32_t oi : seg.op_indices)
-                    execOp(ops[oi], data_.data() + base, block, base,
-                           false);
-            }
-        } else {
-            for (const uint32_t oi : seg.op_indices)
-                execOp(ops[oi], data_.data(), dim, 0, true);
         }
     }
 }

@@ -47,8 +47,7 @@ class Statevector
     /**
      * Apply a 4x4 unitary to the pair (qa, qb), where qa indexes the
      * high bit of the 4x4 basis. Pair-indexed: iterates the dim/4
-     * relevant index groups (OpenMP-parallel above the same grain as
-     * applyMatrix1q).
+     * relevant index groups.
      */
     void applyMatrix2q(const Mat4 &u, size_t qa, size_t qb);
 
@@ -75,7 +74,8 @@ class Statevector
      */
     void run(const Circuit &circuit);
 
-    /** Execute a pre-compiled op stream (the hot path). */
+    /** Execute a pre-compiled op stream (the hot path), op by op in
+     *  stream order through the apply* kernels above. */
     void runCompiled(const CompiledCircuit &compiled);
 
     /** Measure qubit q in the Z basis; collapses the state. */
@@ -95,7 +95,7 @@ class Statevector
      * bucketed by X-mask and each bucket is evaluated in a single
      * traversal of the amplitudes: the per-basis-state complex product
      * conj(a_{i^x}) * a_i is computed once and reused by every term of
-     * the bucket (OpenMP-parallel over amplitudes). For Hamiltonians
+     * the bucket (sim/lane_sweep.hpp). For Hamiltonians
      * with many terms per bucket — any Z-diagonal family — this beats
      * per-term expectation() by the bucket size.
      */

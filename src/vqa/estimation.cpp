@@ -12,7 +12,6 @@
 #endif
 
 #include "pauli/term_groups.hpp"
-#include "sim/simd.hpp"
 
 namespace eftvqa {
 
@@ -231,11 +230,9 @@ EstimationEngine::compiledFor(const Circuit &bound_circuit)
 {
     if (!use_compiled_pipeline_)
         return nullptr;
-    // Keyed on circuit content AND the kernel ISA, so a cache shared
-    // across toggles of simd::setSimdMode cannot serve an op stream
-    // whose blocked schedule was tuned for another execution target.
-    const uint64_t key = detail::hashCombine(bound_circuit.contentHash(),
-                                             simd::kernelIsaTag());
+    // Keyed on circuit content alone: the op stream holds nothing
+    // that depends on the SIMD ISA or the host.
+    const uint64_t key = bound_circuit.contentHash();
     std::shared_ptr<SharedCompileCache> cache;
     {
         std::lock_guard<std::mutex> lock(compile_mutex_);
@@ -288,9 +285,6 @@ EstimationEngine::groupShotAllocation()
     const auto &groups = measurementGroups();
     if (config_.shots == 0) {
         group_shots_.clear();
-    } else if (!config_.weighted_shots) {
-        group_shots_.assign(groups.size(),
-                            static_cast<size_t>(config_.shots));
     } else {
         const auto &terms = ham_.terms();
         std::vector<double> weights(groups.size(), 0.0);
@@ -446,7 +440,7 @@ EstimationEngine::energies(std::span<const Circuit> bound_circuits)
         // Fan out only when there are enough distinct circuits to fill
         // the team: nested regions run single-threaded, so a small
         // batch is better served by each item's own inner parallelism
-        // (trajectory farm / amplitude sweeps) using all cores.
+        // (the trajectory farm) using all cores.
         const bool fan_out =
             omp_get_max_threads() > 1 &&
             work.size() >= static_cast<size_t>(omp_get_max_threads()) &&

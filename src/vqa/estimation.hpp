@@ -99,12 +99,11 @@ using SharedEnergyCache = LruCache<std::vector<double>>;
 /**
  * LRU memo of compiled circuits shared across estimation engines — the
  * server-resident counterpart of the per-engine compile memo. Keys are
- * the engine's composite (Circuit::contentHash combined with
- * simd::kernelIsaTag()), which is globally unique: compilation is a
- * pure function of the bound circuit and the active kernel ISA, so
- * entries are shareable across engines, regimes, sessions and (in the
- * vqad daemon) across client requests without any scope key. Engines
- * attach one via EstimationEngine::attachSharedCompileCache().
+ * Circuit::contentHash(): compilation is a pure function of the bound
+ * circuit, so entries are shareable across engines, regimes, sessions,
+ * SIMD modes and (in the vqad daemon) across client requests without
+ * any scope key. Engines attach one via
+ * EstimationEngine::attachSharedCompileCache().
  */
 using SharedCompileCache = LruCache<std::shared_ptr<const CompiledCircuit>>;
 
@@ -118,10 +117,14 @@ struct EstimationConfig
     std::optional<sim::NoiseModel> noise;
 
     /**
-     * Measurement shots per QWC group; 0 = exact expectations from the
-     * simulated state (the paper's default for all regime studies).
-     * Signed so that a negative value is a loud construction-time error
-     * (validate()) instead of a silent multi-exabyte sample request.
+     * Measurement shots per QWC group on average; 0 = exact
+     * expectations from the simulated state (the paper's default for
+     * all regime studies). The total budget shots * #groups is spread
+     * across the groups in proportion to each group's weight sum
+     * |c_k| (VarSaw-style variance reduction at fixed budget; see
+     * detail::allocateShotBudget). Signed so that a negative value is
+     * a loud construction-time error (validate()) instead of a silent
+     * multi-exabyte sample request.
      */
     long long shots = 0;
 
@@ -149,15 +152,6 @@ struct EstimationConfig
      * compiler supports (<= 64 qubits).
      */
     size_t compile_cache_capacity = 256;
-
-    /**
-     * Shot path: distribute the total shot budget
-     * (shots * #measurement-groups) across QWC groups proportionally
-     * to each group's weight sum |c_k| (VarSaw-style variance
-     * reduction at fixed budget) instead of uniformly. Default on;
-     * set false for the historical uniform shots-per-group split.
-     */
-    bool weighted_shots = true;
 
     /**
      * Throw std::invalid_argument naming the offending field for values
@@ -247,18 +241,19 @@ class EstimationEngine
 
     /**
      * Replace the compile memo with @p cache: compiledFor() lookups
-     * and inserts go to it under the engine's usual composite key
-     * (circuit content hash x kernel ISA tag — globally unique, so no
-     * scope key is needed). Whether the compiled pipeline applies at
-     * all is still decided per engine (substrate, register width,
-     * compile_cache_capacity). Null turns the memo off.
+     * and inserts go to it under the engine's usual key, the circuit
+     * content hash (globally unique, so no scope key is needed).
+     * Whether the compiled pipeline applies at all is still decided
+     * per engine (substrate, register width, compile_cache_capacity).
+     * Null turns the memo off.
      */
     void
     attachSharedCompileCache(std::shared_ptr<SharedCompileCache> cache);
 
     /**
-     * Shots per QWC measurement group under the configured allocation
-     * (aligned with measurementGroups()); empty when shots == 0.
+     * Shots per QWC measurement group, the weighted split of the shot
+     * budget (aligned with measurementGroups()); empty when
+     * shots == 0.
      */
     const std::vector<size_t> &groupShotAllocation();
 

@@ -292,7 +292,6 @@ ExperimentSession::slotFor(const RegimeSpec &regime)
     // the regime.
     config.cache_capacity = 0;
     config.compile_cache_capacity = spec_.compile_cache_capacity;
-    config.weighted_shots = spec_.weighted_shots;
 
     auto slot = std::make_unique<EngineSlot>();
     slot->engine =

@@ -180,9 +180,6 @@ struct ExperimentSpec
     /** Per-engine compiled-circuit memo capacity (0 disables). */
     size_t compile_cache_capacity = 256;
 
-    /** Weighted (VarSaw-style) shot allocation across QWC groups. */
-    bool weighted_shots = true;
-
     /** Session executor threads for submit(); 0 = pick a small default
      *  from the hardware concurrency; at most kMaxWorkers. */
     size_t executor_threads = 0;

@@ -385,7 +385,7 @@ hashString(uint64_t h, const std::string &s)
 /** The cell's resume identity: every knob that can change its rows. */
 uint64_t
 cellContentKey(const SweepPoint &point, const ExperimentSpec &experiment,
-               bool weighted_shots, uint64_t key_salt)
+               uint64_t key_salt)
 {
     uint64_t h = detail::hashCombine(0xCBF29CE484222325ull, key_salt);
     auto mix = [&h](uint64_t v) { h = detail::hashCombine(h, v); };
@@ -415,7 +415,9 @@ cellContentKey(const SweepPoint &point, const ExperimentSpec &experiment,
     mixd(experiment.genetic.crossover_rate);
     mix(experiment.genetic.elite);
     mix(experiment.genetic.seed);
-    mix(weighted_shots ? 1 : 0);
+    // Shot allocation was once switchable; its weighted setting, the
+    // only one left, keeps mixing 1 so that every stored key stays.
+    mix(1);
     // Caching on/off changes rows (off draws fresh trajectory samples
     // per evaluation), so it is keyed; any capacity > 0 gives identical
     // rows (frozen-parent discipline), so only the bit is. The tag is
@@ -502,7 +504,6 @@ SweepSpec::cells() const
         experiment.genetic = genetic;
         experiment.cache_capacity = cache_capacity;
         experiment.compile_cache_capacity = compile_cache_capacity;
-        experiment.weighted_shots = weighted_shots;
         experiment.executor_threads = executor_threads;
 
         if (customize)
@@ -515,9 +516,7 @@ SweepSpec::cells() const
                                         "': " + e.what());
         }
 
-        cell.content_key =
-            cellContentKey(cell.point, experiment,
-                           experiment.weighted_shots, key_salt);
+        cell.content_key = cellContentKey(cell.point, experiment, key_salt);
         cells.push_back(std::move(cell));
     }
     return cells;

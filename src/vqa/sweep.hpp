@@ -318,7 +318,6 @@ struct SweepSpec
      *  once per sweep. 0 runs every cell without a cache. */
     size_t cache_capacity = 4096;
     size_t compile_cache_capacity = 256;
-    bool weighted_shots = true;
     size_t executor_threads = 0; ///< per-session submit() executor
 
     /** Concurrent cells; 0 = a small hardware default, 1 = serial.

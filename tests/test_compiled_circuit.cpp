@@ -565,13 +565,6 @@ TEST(ShotAllocation, EngineAllocatesByGroupWeight)
     ASSERT_EQ(alloc.size(), 2u);
     EXPECT_EQ(alloc[0] + alloc[1], 200u);
     EXPECT_EQ(std::max(alloc[0], alloc[1]), 150u);
-
-    EstimationConfig uniform = weighted;
-    uniform.weighted_shots = false;
-    EstimationEngine uniform_engine(ham, uniform);
-    EXPECT_NEAR(uniform_engine.energy(bell), 4.0, 1e-12);
-    EXPECT_EQ(uniform_engine.groupShotAllocation(),
-              (std::vector<size_t>{100, 100}));
 }
 
 TEST(ShotAllocation, WeightedEstimateStaysAccurate)
@@ -589,8 +582,4 @@ TEST(ShotAllocation, WeightedEstimateStaysAccurate)
     shot_config.seed = 5;
     EstimationEngine weighted(ham, shot_config);
     EXPECT_NEAR(weighted.energy(c), reference, 0.15);
-
-    shot_config.weighted_shots = false;
-    EstimationEngine uniform(ham, shot_config);
-    EXPECT_NEAR(uniform.energy(c), reference, 0.15);
 }

@@ -1,11 +1,11 @@
 /**
  * @file
  * Determinism contract of the parallel execution layer: the OpenMP
- * trajectory farm, the group- and slice-sharded expectationBatch, the
- * single-term expectation and the clone-parallel
- * EstimationEngine::energies batch must all return at OpenMP team sizes
- * 2 and 4 the bits a team of one returns, and the LRU energy cache must
- * collapse duplicate genomes into lookups.
+ * trajectory farm and the clone-parallel EstimationEngine::energies
+ * batch, and the dense expectations that run inside them, must all
+ * return at OpenMP team sizes 2 and 4 the bits a team of one returns,
+ * and the LRU energy cache must collapse duplicate genomes into
+ * lookups.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "ham/molecule.hpp"
 #include "noise/noise_model.hpp"
 #include "sim/density_matrix.hpp"
-#include "sim/lane_sweep.hpp"
 #include "sim/statevector.hpp"
 #include "stabilizer/noisy_clifford.hpp"
 #include "vqa/clifford_vqe.hpp"
@@ -58,14 +57,6 @@ testSpec()
     return spec;
 }
 
-/** The axis a sweep of @p h over @p dim states takes at @p team. */
-detail::SweepAxis
-axisAt(const Hamiltonian &h, size_t dim, size_t team)
-{
-    const auto plan = detail::sweepPlan(h);
-    return detail::sweepAxis(plan->groups(), plan->z.size(), dim, team);
-}
-
 } // namespace
 
 TEST(ParallelDeterminism, EnergySamplesMatchSerialReference)
@@ -98,40 +89,31 @@ TEST(ParallelDeterminism, TrajectoryFarmThreadCountInvariant)
     });
 }
 
-TEST(ParallelDeterminism, ShardedStatevectorBatchMatchesSerial)
+TEST(ParallelDeterminism, StatevectorBatchMatchesSerial)
 {
-    // dim 2^12 is below the slice grain, so teams of 2 and 4 split the
-    // 12 X-mask groups across threads; a team of one sweeps them on
-    // the calling thread, the reference the group shards reproduce.
+    // The Heisenberg chain's 12 X-mask groups over 2^12 amplitudes.
     const int n = 12;
     Statevector psi(n);
     const auto ansatz = fcheAnsatz(n, 1);
     psi.run(ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.3)));
     const auto ham = heisenbergHamiltonian(n, 1.0);
-    ASSERT_EQ(axisAt(ham, psi.dim(), 1), detail::SweepAxis::serial);
-    ASSERT_EQ(axisAt(ham, psi.dim(), 2), detail::SweepAxis::groups);
-    ASSERT_EQ(axisAt(ham, psi.dim(), 4), detail::SweepAxis::groups);
     omp_team::expectSameBits([&] { return psi.expectationBatch(ham); });
 }
 
-TEST(ParallelDeterminism, ShardedDensityMatrixBatchMatchesSerial)
+TEST(ParallelDeterminism, DensityMatrixBatchMatchesSerial)
 {
-    // An 8-qubit molecule, as in the density-matrix figures: enough
-    // term-state visits for teams of 2 and 4 to shard its groups.
+    // An 8-qubit molecule, as in the density-matrix figures.
     const int n = 8;
     const auto ansatz = fcheAnsatz(n, 1);
     const DensityMatrix rho = dm_oracle::noiseless(
         ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.4)));
     const auto ham = moleculeHamiltonian({Molecule::H6, 1.0, 8});
-    ASSERT_EQ(axisAt(ham, rho.dim(), 2), detail::SweepAxis::groups);
-    ASSERT_EQ(axisAt(ham, rho.dim(), 4), detail::SweepAxis::groups);
     omp_team::expectSameBits([&] { return rho.expectationBatch(ham); });
 }
 
-TEST(ParallelDeterminism, ShardedBatchThreadCountInvariant)
+TEST(ParallelDeterminism, BatchThreadCountInvariant)
 {
-    // Three X-mask groups over 2^14 amplitudes: a team of 2 shards the
-    // groups, a team of 4 (more threads than groups) the slices.
+    // Three X-mask groups over 2^14 amplitudes.
     const int n = 14;
     Statevector psi(n);
     const auto ansatz = fcheAnsatz(n, 1);
@@ -148,8 +130,6 @@ TEST(ParallelDeterminism, ShardedBatchThreadCountInvariant)
             pp[q] = pp[q + 1] = p;
             ham.addTerm(0.75, pp);
         }
-    ASSERT_EQ(axisAt(ham, psi.dim(), 2), detail::SweepAxis::groups);
-    ASSERT_EQ(axisAt(ham, psi.dim(), 4), detail::SweepAxis::slices);
     omp_team::expectSameBits([&] { return psi.expectationBatch(ham); });
 }
 

@@ -5,10 +5,8 @@
  *  - SweepOrder: both dense expectationBatch kernels equal, bit for bit,
  *    a reference written here that follows the summation order that
  *    sim/lane_sweep.hpp documents — on the vector lanes and on the
- *    scalar path, at OpenMP team sizes 1, 2 and 4, which reach both
- *    shard axes — so a kernel that re-associates a lane, slice or
- *    thread sum fails, and detail::sweepAxis picks each axis from the
- *    team size and the work size;
+ *    scalar path, at OpenMP team sizes 1, 2 and 4 — so a kernel that
+ *    re-associates a lane or slice sum fails;
  *  - PauliSums: Hamiltonian::apply equals the per-basis-state product
  *    sum, groundStateEnergy() is pinned for the twelve 8-qubit
  *    Hamiltonians of the density-matrix figures, contentHash() is the
@@ -34,7 +32,6 @@
 #include "noise/noise_model.hpp"
 #include "sim/backend.hpp"
 #include "sim/density_matrix.hpp"
-#include "sim/lane_sweep.hpp"
 #include "sim/simd.hpp"
 #include "sim/statevector.hpp"
 
@@ -234,29 +231,10 @@ TEST(SweepOrder, ScalarPathMatchesDocumentedOrder)
                          big.expectationBatch(h14)));
 }
 
-TEST(SweepOrder, AxisFollowsTeamAndWorkSize)
-{
-    using detail::SweepAxis;
-    using detail::sweepAxis;
-    const size_t grain = simd::kParallelGrainAmps;
-    // A team of one, or too little work to pay for a region: serial.
-    EXPECT_EQ(sweepAxis(12, 33, grain, 1), SweepAxis::serial);
-    EXPECT_EQ(sweepAxis(12, 33, 256, 4), SweepAxis::serial);
-    // At least as many groups as threads: whole groups per thread.
-    EXPECT_EQ(sweepAxis(12, 33, 4096, 4), SweepAxis::groups);
-    EXPECT_EQ(sweepAxis(4, 33, grain, 4), SweepAxis::groups);
-    // Fewer groups than threads: slices at or above the grain ...
-    EXPECT_EQ(sweepAxis(1, 11, grain, 4), SweepAxis::slices);
-    EXPECT_EQ(sweepAxis(3, 17, grain, 4), SweepAxis::slices);
-    // ... and below it the groups, if there are two to split.
-    EXPECT_EQ(sweepAxis(2, 40, 1024, 4), SweepAxis::groups);
-    EXPECT_EQ(sweepAxis(1, 40, 1024, 4), SweepAxis::serial);
-}
-
 TEST(SweepOrder, LargeStatevectorAtEveryTeamAndAxis)
 {
-    // At 2^14 states, teams of 2 and 4 split the Heisenberg chain's 14
-    // X-mask groups across threads and the one-group ZZ chain's slices.
+    // At 2^14 states both lane widths run eight slices; the Heisenberg
+    // chain has 14 X-mask groups and the ZZ chain one.
     Statevector psi(14);
     psi.run(boundFche(14, 16));
     for (const Hamiltonian &h :
@@ -276,8 +254,8 @@ TEST(SweepOrder, LargeStatevectorAtEveryTeamAndAxis)
 
 TEST(SweepOrder, ScalarBatchThreadCountInvariant)
 {
-    // A single X-mask group (11 ZZ terms) over 2^14 amplitudes: fewer
-    // groups than threads, so the team splits the register itself.
+    // A single X-mask group (11 ZZ terms) over 2^14 amplitudes, twenty
+    // rounds at each team size.
     const int n = 14;
     Statevector psi(n);
     psi.run(boundFche(n, 17));
