@@ -72,6 +72,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -250,10 +251,10 @@ main(int argc, char **argv)
             population.push_back(
                 boundCliffordFche(cache_qubits, 100 + d));
 
-    EstimationConfig cache_config =
-        EstimationConfig::tableau(farm_spec, cache_traj, 33);
-    cache_config.cache_capacity = 2 * cache_distinct;
-    EstimationEngine engine(cache_ham, cache_config);
+    EstimationEngine engine(
+        cache_ham, EstimationConfig::tableau(farm_spec, cache_traj, 33));
+    engine.attachSharedCache(
+        std::make_shared<SharedEnergyCache>(2 * cache_distinct), 0);
 
     const auto cold_t0 = Clock::now();
     engine.energies(population);

@@ -262,10 +262,9 @@ BM_EnergyCacheWarm(benchmark::State &state)
     const int n = static_cast<int>(state.range(0));
     const auto ham = isingHamiltonian(n, 1.0);
     std::vector<Circuit> population(8, cliffordFche(n));
-    EstimationConfig config = EstimationConfig::tableau(
-        nisqCliffordSpec(NisqParams{}), 32, 9);
-    config.cache_capacity = 16;
-    EstimationEngine engine(ham, config);
+    EstimationEngine engine(
+        ham, EstimationConfig::tableau(nisqCliffordSpec(NisqParams{}), 32, 9));
+    engine.attachSharedCache(std::make_shared<SharedEnergyCache>(16), 0);
     engine.energies(population); // warm the cache
     for (auto _ : state)
         benchmark::DoNotOptimize(engine.energies(population));

@@ -1,13 +1,13 @@
 /**
  * @file
  * The one LRU cache of the stack: a thread-safe, capacity-bounded map
- * from 64-bit content keys to values. The energy cache
- * (SharedEnergyCache), the compiled-circuit memo (SharedCompileCache)
- * and the sweep group-plan memo (sim/lane_sweep.cpp) are all instances
- * of it. Every key is a content hash of whatever the value was computed
- * from, so a resident entry is always interchangeable with
- * recomputation — which is why a racing insert may keep the first
- * writer's value and why eviction never changes results.
+ * from 64-bit content keys to values. It has two instances: the
+ * energy cache (SharedEnergyCache, vqa/estimation.hpp) and the sweep
+ * group-plan memo (sim/lane_sweep.cpp). Every key is a content hash of
+ * whatever the value was computed from, so a resident entry is always
+ * interchangeable with recomputation — which is why a racing insert
+ * may keep the first writer's value and why eviction never changes
+ * results.
  */
 
 #ifndef EFTVQA_COMMON_LRU_HPP

@@ -99,6 +99,18 @@ makeErrFrame(long long id, const char *code, const char *category,
     return oss.str();
 }
 
+/** Throws std::invalid_argument naming @p field and the limit when
+ *  @p count exceeds kMaxAdmitted. */
+void
+checkAdmissionCount(const char *field, size_t count)
+{
+    if (count > kMaxAdmitted)
+        throw std::invalid_argument(
+            std::string(field) + ": must be <= " +
+            std::to_string(kMaxAdmitted) + " (got " +
+            std::to_string(count) + ")");
+}
+
 } // namespace
 
 void
@@ -121,12 +133,12 @@ ServeConfig::validate() const
     if (per_client_inflight == 0)
         throw std::invalid_argument(
             "ServeConfig.per_client_inflight: must be > 0");
+    checkAdmissionCount("ServeConfig.max_pending", max_pending);
+    checkAdmissionCount("ServeConfig.per_client_inflight",
+                        per_client_inflight);
     if (cache_capacity == 0)
         throw std::invalid_argument(
             "ServeConfig.cache_capacity: must be > 0");
-    if (compile_cache_capacity == 0)
-        throw std::invalid_argument(
-            "ServeConfig.compile_cache_capacity: must be > 0");
     if (cell_timeout_ms < 0.0)
         throw std::invalid_argument(
             "ServeConfig.cell_timeout_ms: must be >= 0");
@@ -138,8 +150,6 @@ Daemon::Daemon(ServeConfig config, WorkloadCatalog catalog)
     config_.validate();
     energy_cache_ =
         std::make_shared<SharedEnergyCache>(config_.cache_capacity);
-    compile_cache_ =
-        std::make_shared<SharedCompileCache>(config_.compile_cache_capacity);
     if (!config_.store_path.empty())
         // One shared server-resident store: every client's completed
         // cells funnel through its single group-commit writer, and
@@ -299,8 +309,6 @@ Daemon::stats() const
     s.rejected_draining = rejected_draining_.load();
     s.energy_cache_hits = energy_cache_->hits();
     s.energy_cache_misses = energy_cache_->misses();
-    s.compile_cache_hits = compile_cache_->hits();
-    s.compile_cache_misses = compile_cache_->misses();
     s.store_hits = store_hits_.load();
     if (store_) {
         const store::StoreStats st = store_->stats();
@@ -641,14 +649,13 @@ Daemon::executeJob(const std::shared_ptr<Job> &job)
 std::string
 Daemon::runJobInProcess(const Job &job)
 {
-    // Fresh session per job, attached to the server-resident caches —
+    // Fresh session per job, attached to the server-resident cache —
     // exactly the SweepRunner in-process recipe, so the row (and the
     // store line built from it) is byte-identical to a local run.
     ExperimentSession session(job.cell->experiment,
                               job.cell->experiment.cache_capacity > 0
                                   ? energy_cache_
                                   : nullptr);
-    session.attachCompileCache(compile_cache_);
     session.setCancelToken(job.token);
     CancelScope scope(job.token.get());
     const SweepRow row = job.fn(*job.cell, session);
@@ -797,8 +804,6 @@ Daemon::sendStats(Connection &conn, long long id)
     json.field("rejected_draining", s.rejected_draining);
     json.field("energy_cache_hits", s.energy_cache_hits);
     json.field("energy_cache_misses", s.energy_cache_misses);
-    json.field("compile_cache_hits", s.compile_cache_hits);
-    json.field("compile_cache_misses", s.compile_cache_misses);
     json.field("store_cells", s.store_cells);
     json.field("store_hits", s.store_hits);
     json.field("store_appends", s.store_appends);

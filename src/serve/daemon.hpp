@@ -30,13 +30,12 @@
  *    waiter on the in-flight job and both clients receive the
  *    identical checksummed store line.
  *
- *  - Server-resident caches: one SharedEnergyCache and one
- *    SharedCompileCache outlive every request; each job's fresh
- *    ExperimentSession attaches to both, so circuits compiled and
- *    energies evaluated for one client warm every later request.
- *    Both caches are pure (hits equal what re-evaluation would
- *    produce), which is what keeps the determinism contract: a cell's
- *    result bytes from the daemon are byte-identical to a local
+ *  - A server-resident cache: one SharedEnergyCache outlives every
+ *    request; each job's fresh ExperimentSession attaches it when the
+ *    cell caches, so energies evaluated for one client warm every
+ *    later request. The cache is pure (hits equal what re-evaluation
+ *    would produce), which is what keeps the determinism contract: a
+ *    cell's result bytes from the daemon are byte-identical to a local
  *    in-process run of the same spec.
  *
  *  - CancelToken as the client-disconnect seam: every job carries a
@@ -93,6 +92,14 @@
 namespace eftvqa {
 namespace serve {
 
+/**
+ * Most requests ServeConfig::max_pending and per_client_inflight may
+ * admit. Neither count allocates or starts anything up front, so the
+ * limit only turns a count mistyped by a few digits into a validation
+ * error; the defaults sit three orders of magnitude below it.
+ */
+inline constexpr size_t kMaxAdmitted = 65536;
+
 /** How a Daemon listens and admits work. */
 struct ServeConfig
 {
@@ -108,18 +115,15 @@ struct ServeConfig
     size_t workers = 0;
 
     /** Jobs admitted but not yet executing before new work is
-     *  rejected with code "busy". */
+     *  rejected with code "busy"; at most kMaxAdmitted. */
     size_t max_pending = 64;
 
     /** Outstanding requests one connection may have before new ones
-     *  are rejected with code "quota". */
+     *  are rejected with code "quota"; at most kMaxAdmitted. */
     size_t per_client_inflight = 8;
 
     /** Server-resident SharedEnergyCache capacity (entries). */
     size_t cache_capacity = 65536;
-
-    /** Server-resident SharedCompileCache capacity (entries). */
-    size_t compile_cache_capacity = 1024;
 
     /** Per-cell soft deadline in ms (0 = none), enforced via each
      *  job's CancelToken like SweepSpec::cell_timeout_ms. */
@@ -154,8 +158,6 @@ struct DaemonStats
     size_t rejected_draining = 0;
     size_t energy_cache_hits = 0;
     size_t energy_cache_misses = 0;
-    size_t compile_cache_hits = 0;
-    size_t compile_cache_misses = 0;
     // Server-resident SweepStore counters (all 0 when no --store).
     size_t store_cells = 0;      ///< distinct keys resident
     size_t store_hits = 0;       ///< requests answered from the store
@@ -265,7 +267,6 @@ class Daemon
     uint16_t tcp_port_ = 0;
 
     std::shared_ptr<SharedEnergyCache> energy_cache_;
-    std::shared_ptr<SharedCompileCache> compile_cache_;
     /** The shared server-resident store (null when store_path is
      *  empty). Lookups/appends happen on the serve thread only. */
     std::unique_ptr<store::SweepStore> store_;

@@ -105,11 +105,10 @@ class Backend
      * prepare() from a pre-compiled circuit (sim/compiled_circuit.hpp).
      * The statevector executes the fused op stream directly; the
      * density matrix compiles compiled.source() into its DmPass stream,
-     * and the tableau executes compiled.source() gate by gate. Callers
-     * that re-prepare the same statevector circuit (optimizer loops,
-     * shot loops) should compile once — EstimationEngine memoizes
-     * CompiledCircuits by content hash and routes through this entry
-     * point.
+     * and the tableau executes compiled.source() gate by gate. prepare()
+     * on the statevector compiles inline and runs the same stream, so
+     * this entry point only saves the compile for a caller that
+     * re-prepares one circuit and times the run on its own.
      */
     virtual void prepareCompiled(const CompiledCircuit &compiled);
 
@@ -156,7 +155,7 @@ BackendKind resolveBackendKind(BackendKind requested, const Circuit &circuit,
  * noiseless) can run some circuit on the density matrix: DensityMatrix
  * itself, or Auto with a noise model that is not noiseless (rule 3
  * above). RegimeSpec::key() folds kNoisyDmKernelVersion into exactly
- * these regimes, and EstimationEngine keeps no compile memo for them.
+ * these regimes.
  */
 bool canRunDensityMatrix(BackendKind requested, const NoiseModel *noise);
 

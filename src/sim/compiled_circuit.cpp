@@ -339,7 +339,7 @@ gateMatrix2q(const Gate &g, uint32_t qa, uint32_t qb)
 }
 
 CompiledCircuit::CompiledCircuit(const Circuit &circuit)
-    : source_(circuit), hash_(circuit.contentHash())
+    : source_(circuit)
 {
     const size_t n = circuit.nQubits();
     if (n > 64)

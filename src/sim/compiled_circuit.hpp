@@ -30,10 +30,11 @@
  * op one full-state sweep on the calling thread. The stream holds no
  * data that depends on the SIMD ISA or the host.
  *
- * Compile once, execute many: the op stream is immutable, so
- * EstimationEngine memoizes CompiledCircuits by Circuit::contentHash()
- * for its statevector engines and GA re-evaluations / shot loops skip
- * recompilation entirely.
+ * Statevector::run compiles its circuit inline on every call; the
+ * estimation stack keeps no memo of compiled circuits, since a circuit
+ * an optimizer proposes again is already an energy-cache hit. The op
+ * stream is immutable, so a caller that re-runs one circuit may
+ * compile it once and call runCompiled.
  */
 
 #ifndef EFTVQA_SIM_COMPILED_CIRCUIT_HPP
@@ -161,9 +162,6 @@ class CompiledCircuit
     const Circuit &source() const { return source_; }
     size_t nQubits() const { return source_.nQubits(); }
 
-    /** Circuit::contentHash() of the source, the memoization key. */
-    uint64_t sourceHash() const { return hash_; }
-
     const std::vector<CompiledOp> &ops() const { return ops_; }
     size_t nOps() const { return ops_.size(); }
     size_t nSourceGates() const { return source_.nGates(); }
@@ -184,7 +182,6 @@ class CompiledCircuit
 
   private:
     Circuit source_;
-    uint64_t hash_ = 0;
     std::vector<CompiledOp> ops_;
     std::vector<Mat2> mats1_;
     std::vector<Mat4> mats2_;

@@ -114,24 +114,6 @@ EstimationEngine::EstimationEngine(Hamiltonian ham, EstimationConfig config)
       batch_rng_(config.seed ^ 0xBA7C4EEDull)
 {
     config_.validate();
-    // The compiled pipeline serves the statevector alone: the tableau
-    // executes the source gate list either way, the compiler caps at
-    // 64 qubits (the 100+-qubit Clifford sweeps stay on the
-    // gate-by-gate path), and the density matrix, noisy or not,
-    // compiles the source circuit into its own DmPass stream at
-    // prepare() — compiling for those engines would just fill the memo
-    // with streams nothing executes.
-    use_compiled_pipeline_ =
-        config_.compile_cache_capacity > 0 &&
-        config_.backend != sim::BackendKind::Tableau &&
-        ham_.nQubits() <= 64 &&
-        !sim::canRunDensityMatrix(config_.backend,
-                                  config_.noise ? &*config_.noise : nullptr);
-    if (config_.cache_capacity > 0)
-        cache_ = std::make_shared<SharedEnergyCache>(config_.cache_capacity);
-    if (use_compiled_pipeline_)
-        compile_cache_ = std::make_shared<SharedCompileCache>(
-            config_.compile_cache_capacity);
 }
 
 const std::vector<std::vector<size_t>> &
@@ -217,66 +199,6 @@ EstimationEngine::cacheStore(uint64_t key, std::vector<double> vals)
                        std::move(vals));
 }
 
-void
-EstimationEngine::attachSharedCompileCache(
-    std::shared_ptr<SharedCompileCache> cache)
-{
-    std::lock_guard<std::mutex> lock(compile_mutex_);
-    compile_cache_ = std::move(cache);
-}
-
-std::shared_ptr<const CompiledCircuit>
-EstimationEngine::compiledFor(const Circuit &bound_circuit)
-{
-    if (!use_compiled_pipeline_)
-        return nullptr;
-    // Keyed on circuit content alone: the op stream holds nothing
-    // that depends on the SIMD ISA or the host.
-    const uint64_t key = bound_circuit.contentHash();
-    std::shared_ptr<SharedCompileCache> cache;
-    {
-        std::lock_guard<std::mutex> lock(compile_mutex_);
-        cache = compile_cache_;
-    }
-    if (!cache)
-        return nullptr;
-    auto compiled = cache->find(key);
-    {
-        std::lock_guard<std::mutex> lock(compile_mutex_);
-        ++(compiled ? compile_hits_ : compile_misses_);
-    }
-    if (compiled)
-        return *compiled;
-    // Compile outside any lock; a concurrent worker or engine compiling
-    // the same circuit just loses the insert race (first writer wins).
-    return cache->insert(
-        key, std::make_shared<const CompiledCircuit>(bound_circuit));
-}
-
-void
-EstimationEngine::prepareOn(const Circuit &bound_circuit,
-                            sim::Backend &backend)
-{
-    if (const auto compiled = compiledFor(bound_circuit))
-        backend.prepareCompiled(*compiled);
-    else
-        backend.prepare(bound_circuit);
-}
-
-size_t
-EstimationEngine::compileCacheHits() const
-{
-    std::lock_guard<std::mutex> lock(compile_mutex_);
-    return compile_hits_;
-}
-
-size_t
-EstimationEngine::compileCacheMisses() const
-{
-    std::lock_guard<std::mutex> lock(compile_mutex_);
-    return compile_misses_;
-}
-
 const std::vector<size_t> &
 EstimationEngine::groupShotAllocation()
 {
@@ -304,7 +226,7 @@ EstimationEngine::evaluateOn(const Circuit &bound_circuit,
 {
     if (config_.shots > 0)
         return shotEstimates(bound_circuit, backend, shot_rng);
-    prepareOn(bound_circuit, backend);
+    backend.prepare(bound_circuit);
     return backend.expectationBatch(ham_);
 }
 
@@ -590,7 +512,7 @@ EstimationEngine::shotEstimates(const Circuit &bound_circuit,
         scratch.truncateGates(base_gates);
         for (const Gate &g : group_rotations_[gi])
             scratch.add(g);
-        prepareOn(scratch, b);
+        b.prepare(scratch);
         Rng group_rng(detail::hashCombine(shot_base, gi + 1));
         const std::vector<uint64_t> shots =
             b.sample(group_shots[gi], group_rng);

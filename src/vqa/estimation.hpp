@@ -19,15 +19,17 @@
  * Two batch-scale features sit on top (the deterministic parallel
  * execution layer):
  *
- *  - an energy cache keyed by bound-circuit content hash: one
- *    LruCache (common/lru.hpp), the engine's own when
- *    config.cache_capacity > 0 or a session-level SharedEnergyCache
- *    attached via attachSharedCache() — vqa/experiment.hpp attaches one
- *    so hits carry across engines and regimes. GA populations
- *    re-evaluate duplicate angle vectors; the cache turns those into
- *    lookups, which also makes genome -> energy a pure function within
- *    an engine. The compile memo is the same pattern: one
- *    SharedCompileCache pointer, own or attached;
+ *  - an energy cache keyed by bound-circuit content hash: the one
+ *    cache an engine holds, a SharedEnergyCache (an LruCache,
+ *    common/lru.hpp) that its owner attaches via attachSharedCache() —
+ *    vqa/experiment.hpp attaches one so hits carry across engines and
+ *    regimes. GA populations re-evaluate duplicate angle vectors; the
+ *    cache turns those into lookups, which also makes genome -> energy
+ *    a pure function within an engine. An engine with no cache
+ *    attached evaluates every circuit. Nothing else is cached: a
+ *    statevector prepare compiles its circuit inline
+ *    (Statevector::run), since a repeated circuit is an energy-cache
+ *    hit;
  *  - energies(span<Circuit>): evaluates the distinct circuits of a
  *    population across Backend::clone()s in parallel. Clones replay
  *    the parent's RNG, and shot streams are seeded from the circuit's
@@ -47,7 +49,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 
@@ -56,7 +57,6 @@
 #include "common/rng.hpp"
 #include "pauli/hamiltonian.hpp"
 #include "sim/backend.hpp"
-#include "sim/compiled_circuit.hpp"
 #include "vqa/fault.hpp"
 
 namespace eftvqa {
@@ -96,17 +96,6 @@ hashCombine(uint64_t h, uint64_t v)
  */
 using SharedEnergyCache = LruCache<std::vector<double>>;
 
-/**
- * LRU memo of compiled circuits shared across estimation engines — the
- * server-resident counterpart of the per-engine compile memo. Keys are
- * Circuit::contentHash(): compilation is a pure function of the bound
- * circuit, so entries are shareable across engines, regimes, sessions,
- * SIMD modes and (in the vqad daemon) across client requests without
- * any scope key. Engines attach one via
- * EstimationEngine::attachSharedCompileCache().
- */
-using SharedCompileCache = LruCache<std::shared_ptr<const CompiledCircuit>>;
-
 /** How an EstimationEngine turns circuits into energies. */
 struct EstimationConfig
 {
@@ -130,28 +119,6 @@ struct EstimationConfig
 
     /** RNG seed for shot sampling. */
     uint64_t seed = 0xE571A7E5ull;
-
-    /**
-     * Capacity (entries) of the engine's own LRU cache of per-term
-     * expectations, keyed by Circuit::contentHash(). 0 builds none, so
-     * caching stays off until a cache is attached — preserving
-     * fresh-Monte-Carlo-sample semantics for repeated evaluations of
-     * the same circuit.
-     */
-    size_t cache_capacity = 0;
-
-    /**
-     * Capacity (entries) of the engine's own LRU memo of compiled
-     * circuits (sim/compiled_circuit.hpp), keyed by
-     * Circuit::contentHash(). Compilation is deterministic, so —
-     * unlike the energy cache — this memo never changes results and
-     * is on by default; GA re-evaluations and shot loops skip
-     * recompilation entirely. 0 disables the compiled pipeline (every
-     * prepare recompiles inside the backend). Only consulted for
-     * engines that run on the statevector alone, on registers the
-     * compiler supports (<= 64 qubits).
-     */
-    size_t compile_cache_capacity = 256;
 
     /**
      * Throw std::invalid_argument naming the offending field for values
@@ -220,8 +187,7 @@ class EstimationEngine
      * Replace the energy cache with @p cache: lookups and inserts go
      * to it under keys hashCombine(@p scope_key, circuit contentHash),
      * so hits carry across every engine attached with the same scope.
-     * Caching is on exactly when a cache is held, whatever
-     * config().cache_capacity says; null turns it off.
+     * Caching is on exactly when a cache is held; null turns it off.
      * vqa::ExperimentSession attaches every engine it builds, scoped by
      * (Hamiltonian hash, regime key).
      */
@@ -231,24 +197,6 @@ class EstimationEngine
     /** True when evaluations are memoized (an energy cache is held)
      *  — the genome -> energy pure-function regime. */
     bool cachingEnabled() const { return cache_ != nullptr; }
-
-    /** Compile-memo hits/misses since construction (0/0 when the
-     *  compiled pipeline is not in use for this engine). Counts this
-     *  engine's lookups only, even when the memo is attached and
-     *  shared. */
-    size_t compileCacheHits() const;
-    size_t compileCacheMisses() const;
-
-    /**
-     * Replace the compile memo with @p cache: compiledFor() lookups
-     * and inserts go to it under the engine's usual key, the circuit
-     * content hash (globally unique, so no scope key is needed).
-     * Whether the compiled pipeline applies at all is still decided
-     * per engine (substrate, register width, compile_cache_capacity).
-     * Null turns the memo off.
-     */
-    void
-    attachSharedCompileCache(std::shared_ptr<SharedCompileCache> cache);
 
     /**
      * Shots per QWC measurement group, the weighted split of the shot
@@ -302,29 +250,13 @@ class EstimationEngine
     // when caching is off (fresh Monte-Carlo samples per batch).
     Rng batch_rng_;
 
-    // Energy cache: the engine's own when config.cache_capacity > 0,
-    // replaced by attachSharedCache(); null means caching is off.
+    // Energy cache, attached by the owner via attachSharedCache(); null
+    // means caching is off.
     std::shared_ptr<SharedEnergyCache> cache_;
     uint64_t cache_scope_ = 0;
     size_t cache_hits_ = 0;
     size_t cache_misses_ = 0;
     std::shared_ptr<const CancelToken> cancel_;
-
-    // Compile memo: the engine's own when the compiled pipeline
-    // applies, replaced by attachSharedCompileCache(); null means off.
-    // Unlike the energy cache it is consulted from the energies()
-    // worker threads (shot-path measurement circuits are compiled per
-    // group), so the pointer and this engine's counters sit behind
-    // their own mutex; compilation itself runs outside every lock. The
-    // pipeline is off for tableau engines, registers over 64 qubits and
-    // every engine that can run on the density matrix
-    // (sim::canRunDensityMatrix), whose backend compiles its own DmPass
-    // stream.
-    bool use_compiled_pipeline_ = false;
-    mutable std::mutex compile_mutex_;
-    std::shared_ptr<SharedCompileCache> compile_cache_;
-    size_t compile_hits_ = 0;
-    size_t compile_misses_ = 0;
 
     // Per-group shot counts (weighted or uniform), computed once.
     std::vector<size_t> group_shots_;
@@ -345,20 +277,9 @@ class EstimationEngine
     std::optional<std::vector<double>> cacheLookup(uint64_t key);
     void cacheStore(uint64_t key, std::vector<double> vals);
 
-    /**
-     * Memoized compilation of a bound circuit (thread-safe). Returns
-     * null when the compiled pipeline is off for this engine (tableau
-     * substrate, density matrix, > 64 qubits, capacity 0, or a null
-     * memo attached).
-     */
-    std::shared_ptr<const CompiledCircuit>
-    compiledFor(const Circuit &bound_circuit);
-
-    /** prepare() via the compile memo when available. */
-    void prepareOn(const Circuit &bound_circuit, sim::Backend &backend);
-
     /** Uncached per-term estimate of one circuit on a given backend
-     *  (thread-safe: only the mutex-guarded compile memo is touched). */
+     *  (thread-safe: it writes no engine state once energies() has
+     *  built the shot tables). */
     std::vector<double> evaluateOn(const Circuit &bound_circuit,
                                    sim::Backend &backend, Rng &shot_rng);
 

@@ -286,21 +286,12 @@ ExperimentSession::slotFor(const RegimeSpec &regime)
     if (it != engines_.end())
         return *it->second;
 
-    EstimationConfig config = regime.estimationConfig();
-    // The engine builds no energy cache of its own: the session's (if
-    // any) is attached below. The other knobs come from the spec, not
-    // the regime.
-    config.cache_capacity = 0;
-    config.compile_cache_capacity = spec_.compile_cache_capacity;
-
     auto slot = std::make_unique<EngineSlot>();
-    slot->engine =
-        std::make_unique<EstimationEngine>(spec_.hamiltonian, config);
+    slot->engine = std::make_unique<EstimationEngine>(
+        spec_.hamiltonian, regime.estimationConfig());
     if (cache_)
         slot->engine->attachSharedCache(
             cache_, detail::hashCombine(ham_hash_, k));
-    if (compile_cache_)
-        slot->engine->attachSharedCompileCache(compile_cache_);
     if (cancel_)
         slot->engine->setCancelToken(cancel_);
     return *engines_.emplace(k, std::move(slot)).first->second;
@@ -313,21 +304,6 @@ ExperimentSession::setCancelToken(std::shared_ptr<const CancelToken> token)
     cancel_ = std::move(token);
     for (auto &[key, slot] : engines_)
         slot->engine->setCancelToken(cancel_);
-}
-
-void
-ExperimentSession::attachCompileCache(
-    std::shared_ptr<SharedCompileCache> cache)
-{
-    if (!cache)
-        throw std::invalid_argument(
-            "ExperimentSession::attachCompileCache: the cache must be "
-            "non-null (set compile_cache_capacity = 0 to run without a "
-            "memo)");
-    std::lock_guard<std::mutex> lock(engines_mutex_);
-    compile_cache_ = std::move(cache);
-    for (auto &[key, slot] : engines_)
-        slot->engine->attachSharedCompileCache(compile_cache_);
 }
 
 EstimationEngine &

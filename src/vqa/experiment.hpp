@@ -177,9 +177,6 @@ struct ExperimentSpec
      */
     size_t cache_capacity = 4096;
 
-    /** Per-engine compiled-circuit memo capacity (0 disables). */
-    size_t compile_cache_capacity = 256;
-
     /** Session executor threads for submit(); 0 = pick a small default
      *  from the hardware concurrency; at most kMaxWorkers. */
     size_t executor_threads = 0;
@@ -358,17 +355,6 @@ class ExperimentSession
         return cancel_;
     }
 
-    /**
-     * Replace the compile memo of every engine this session has built
-     * or will build with @p cache, which must be non-null (set
-     * spec.compile_cache_capacity = 0 to run without a memo). Unlike
-     * the energy cache this never changes results — compilation is
-     * pure — so it is independent of cache_capacity; the vqad daemon
-     * attaches one server-resident memo to every request session so
-     * compiled op streams outlive any one request.
-     */
-    void attachCompileCache(std::shared_ptr<SharedCompileCache> cache);
-
   private:
     struct EngineSlot
     {
@@ -385,8 +371,6 @@ class ExperimentSession
     uint64_t ham_hash_;
     std::shared_ptr<SharedEnergyCache> cache_;
     std::shared_ptr<const CancelToken> cancel_; ///< guarded by engines_mutex_
-    /// Shared compile memo for every engine; guarded by engines_mutex_.
-    std::shared_ptr<SharedCompileCache> compile_cache_;
 
     mutable std::mutex engines_mutex_;
     std::map<uint64_t, std::unique_ptr<EngineSlot>> engines_;

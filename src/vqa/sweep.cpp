@@ -503,7 +503,6 @@ SweepSpec::cells() const
         experiment.regimes = regimes;
         experiment.genetic = genetic;
         experiment.cache_capacity = cache_capacity;
-        experiment.compile_cache_capacity = compile_cache_capacity;
         experiment.executor_threads = executor_threads;
 
         if (customize)

@@ -317,7 +317,6 @@ struct SweepSpec
      *  the sweep: identical (Hamiltonian, regime, circuit) work is paid
      *  once per sweep. 0 runs every cell without a cache. */
     size_t cache_capacity = 4096;
-    size_t compile_cache_capacity = 256;
     size_t executor_threads = 0; ///< per-session submit() executor
 
     /** Concurrent cells; 0 = a small hardware default, 1 = serial.

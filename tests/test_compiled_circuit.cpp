@@ -444,73 +444,6 @@ TEST(CompiledCircuit, CompiledEnergiesAreBitIdenticalAcrossCalls)
     }
 }
 
-TEST(CompiledCircuit, EngineMemoizesCompiledCircuits)
-{
-    const auto ham = isingHamiltonian(4, 1.0);
-    const Circuit c = randomUnitaryCircuit(4, 20, 3);
-
-    EstimationConfig config;
-    config.backend = sim::BackendKind::Statevector;
-    EstimationEngine engine(ham, config);
-    engine.energy(c);
-    EXPECT_EQ(engine.compileCacheMisses(), 1u);
-    EXPECT_EQ(engine.compileCacheHits(), 0u);
-    engine.energy(c);
-    engine.energy(c);
-    EXPECT_EQ(engine.compileCacheMisses(), 1u);
-    EXPECT_EQ(engine.compileCacheHits(), 2u);
-
-    // Capacity 0 turns the memo off entirely.
-    config.compile_cache_capacity = 0;
-    EstimationEngine uncached(ham, config);
-    uncached.energy(c);
-    uncached.energy(c);
-    EXPECT_EQ(uncached.compileCacheMisses(), 0u);
-    EXPECT_EQ(uncached.compileCacheHits(), 0u);
-}
-
-TEST(CompiledCircuit, NoisyDensityMatrixEngineSkipsCompilation)
-{
-    // The density matrix, noisy or not, compiles its own DmPass stream
-    // from the source circuit; the engine must not fill the compile
-    // memo with ops nothing executes, nor even look it up.
-    const auto ham = isingHamiltonian(3, 1.0);
-    EstimationConfig noiseless;
-    noiseless.backend = sim::BackendKind::DensityMatrix;
-    for (const EstimationConfig &config :
-         {EstimationConfig::densityMatrix(sim::NoiseModel::nisq()),
-          noiseless}) {
-        EstimationEngine engine(ham, config);
-        engine.energy(randomUnitaryCircuit(3, 15, 42));
-        EXPECT_EQ(engine.compileCacheMisses(), 0u);
-        EXPECT_EQ(engine.compileCacheHits(), 0u);
-    }
-}
-
-TEST(CompiledCircuit, ShotLoopSkipsRecompilation)
-{
-    // Three QWC groups -> three measurement circuits per energy; the
-    // second energy call of the same circuit should be all memo hits.
-    Hamiltonian ham(2);
-    ham.addTerm(0.5, "XX");
-    ham.addTerm(0.5, "ZZ");
-    ham.addTerm(-0.25, "YY");
-    Circuit bell(2);
-    bell.h(0);
-    bell.cx(0, 1);
-
-    EstimationConfig config;
-    config.backend = sim::BackendKind::Statevector;
-    config.shots = 64;
-    EstimationEngine engine(ham, config);
-    engine.energy(bell);
-    const size_t misses_after_first = engine.compileCacheMisses();
-    EXPECT_EQ(misses_after_first, engine.measurementGroups().size());
-    engine.energy(bell);
-    EXPECT_EQ(engine.compileCacheMisses(), misses_after_first);
-    EXPECT_GE(engine.compileCacheHits(), misses_after_first);
-}
-
 TEST(ShotAllocation, ProportionalToWeightsAndConservesBudget)
 {
     const std::vector<double> weights = {3.0, 1.0, 0.5, 0.5};

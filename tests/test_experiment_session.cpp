@@ -289,10 +289,9 @@ TEST(ExperimentSession, SharedCacheMatchesPrivateCacheValues)
     for (uint64_t s = 0; s < 3; ++s)
         population.push_back(cliffordAnsatz(n, 40 + s));
 
-    EstimationConfig config =
-        EstimationConfig::tableau(testSpec(), 12, 77);
-    config.cache_capacity = 8;
-    EstimationEngine engine(ham, config);
+    EstimationEngine engine(ham,
+                            EstimationConfig::tableau(testSpec(), 12, 77));
+    engine.attachSharedCache(std::make_shared<SharedEnergyCache>(8), 0);
     const auto expected = engine.energies(population);
 
     ExperimentSpec spec;
@@ -349,16 +348,6 @@ TEST(ExperimentSession, CacheEntriesEqualReEvaluationAfterRebuild)
     session.resetEngines();
     session.cache()->clear();
     EXPECT_EQ(session.energy(mc_shots, bound), mcs_cached);
-}
-
-TEST(ExperimentSession, AttachCompileCacheRejectsNull)
-{
-    // Each engine holds one memo pointer, so a null memo would switch
-    // the memo off on engines already built while later engines kept
-    // their own; the session refuses it instead.
-    ExperimentSession session(smallSpec(3, {RegimeSpec::ideal()}));
-    session.engine("ideal");
-    EXPECT_THROW(session.attachCompileCache(nullptr), std::invalid_argument);
 }
 
 // --------------------------------------------------------------------
@@ -516,10 +505,11 @@ TEST(ExperimentSession, CliffordVqeMatchesPreSessionEnginePath)
     DiscreteResult legacy_opt;
     double legacy_ideal = 0.0;
     {
-        EstimationConfig ga_cfg = EstimationConfig::tableau(
-            testSpec(), trajectories, config.seed ^ 0xA5A5A5A5ull);
-        ga_cfg.cache_capacity = 4 * config.population;
-        EstimationEngine engine(ham, ga_cfg);
+        EstimationEngine engine(
+            ham, EstimationConfig::tableau(testSpec(), trajectories,
+                                           config.seed ^ 0xA5A5A5A5ull));
+        engine.attachSharedCache(
+            std::make_shared<SharedEnergyCache>(4 * config.population), 0);
         auto objective =
             [&engine, &ansatz](const std::vector<std::vector<int>> &pop) {
                 std::vector<Circuit> bound;

@@ -758,11 +758,16 @@ TEST(FaultMatrix, InjectedSweepQuarantinesRecoversAndMatchesByteForByte)
     // the timed-out attempt dies *inside* its first evaluation (the
     // tableau trajectory loops poll the deadline), so cell 0 attempt
     // 1 never reaches the dense allocation — only its clean second
-    // attempt crosses alloc.backend.
+    // attempt crosses alloc.backend. The deadline must never trip a
+    // clean attempt. On a 4-core host one takes a median of 0.1 ms
+    // idle and 12 ms with two figure drivers running, with tails up to
+    // about 45 ms while the trajectory farm's thread team waits for
+    // cores; the deadline sits above 20x that tail and the delay at 3x
+    // the deadline.
     FaultSpec delay;
     delay.point = "engine.energy";
     delay.kind = FaultKind::Delay;
-    delay.delay_ms = 120.0;
+    delay.delay_ms = 3000.0;
     delay.max_injections = 1;
     FaultSpec crash;
     crash.point = "cell.start";
@@ -781,7 +786,7 @@ TEST(FaultMatrix, InjectedSweepQuarantinesRecoversAndMatchesByteForByte)
     SweepSpec sweep = faultSweep({0.25, 0.5, 0.75, 1.0});
     sweep.fault_policy = FaultPolicy::isolate;
     sweep.cell_attempts = 2;
-    sweep.cell_timeout_ms = 50.0;
+    sweep.cell_timeout_ms = 1000.0;
     SweepReport report;
     {
         store::BinarySweepSink sink(path, "fault-sweep");

@@ -227,23 +227,25 @@ TEST(ParallelDeterminism, EnergiesBatchPropagatesBackendErrors)
 
 TEST(ParallelDeterminism, UncachedBatchesDrawFreshSamples)
 {
-    // cache_capacity == 0 promises fresh Monte-Carlo samples per
-    // evaluation: a circuit re-submitted in a later batch must see new
-    // trajectory noise, not a replay of the first batch's streams.
+    // An engine with no cache attached promises fresh Monte-Carlo
+    // samples per evaluation: a circuit re-submitted in a later batch
+    // must see new trajectory noise, not a replay of the first batch's
+    // streams.
     const int n = 10;
     const auto ham = heisenbergHamiltonian(n, 1.0);
     const std::vector<Circuit> batch = {cliffordAnsatz(n, 4)};
 
-    EstimationConfig config = EstimationConfig::tableau(testSpec(), 24, 8);
-    ASSERT_EQ(config.cache_capacity, 0u);
+    const EstimationConfig config =
+        EstimationConfig::tableau(testSpec(), 24, 8);
     EstimationEngine engine(ham, config);
+    ASSERT_FALSE(engine.cachingEnabled());
     const double first = engine.energies(batch)[0];
     const double second = engine.energies(batch)[0];
     EXPECT_NE(first, second);
 
     // With the cache on, the same re-submission is a pure lookup.
-    config.cache_capacity = 8;
     EstimationEngine cached(ham, config);
+    cached.attachSharedCache(std::make_shared<SharedEnergyCache>(8), 0);
     const double c1 = cached.energies(batch)[0];
     const double c2 = cached.energies(batch)[0];
     EXPECT_EQ(c1, c2);
@@ -256,9 +258,9 @@ TEST(ParallelDeterminism, EnergyCacheCollapsesDuplicates)
     const Circuit a = cliffordAnsatz(n, 1);
     const Circuit b = cliffordAnsatz(n, 2);
 
-    EstimationConfig config = EstimationConfig::tableau(testSpec(), 24, 9);
-    config.cache_capacity = 16;
-    EstimationEngine engine(ham, config);
+    EstimationEngine engine(ham,
+                            EstimationConfig::tableau(testSpec(), 24, 9));
+    engine.attachSharedCache(std::make_shared<SharedEnergyCache>(16), 0);
 
     // a appears 3x, b 2x: one evaluation each, rest collapsed.
     const std::vector<Circuit> population = {a, b, a, a, b};
@@ -283,9 +285,8 @@ TEST(ParallelDeterminism, CacheEvictsLeastRecentlyUsed)
 {
     const int n = 6;
     const auto ham = isingHamiltonian(n, 1.0);
-    EstimationConfig config = EstimationConfig::tableau(testSpec(), 8, 3);
-    config.cache_capacity = 2;
-    EstimationEngine engine(ham, config);
+    EstimationEngine engine(ham, EstimationConfig::tableau(testSpec(), 8, 3));
+    engine.attachSharedCache(std::make_shared<SharedEnergyCache>(2), 0);
 
     const Circuit a = cliffordAnsatz(n, 1);
     const Circuit b = cliffordAnsatz(n, 2);
@@ -314,9 +315,9 @@ TEST(ParallelDeterminism, GaPopulationWithDuplicateGenomesHitsCache)
     ansatz.cx(2, 3);
     ansatz.ryParam(3, 1);
 
-    EstimationConfig config = EstimationConfig::tableau(testSpec(), 16, 21);
-    config.cache_capacity = 64;
-    EstimationEngine engine(ham, config);
+    EstimationEngine engine(ham,
+                            EstimationConfig::tableau(testSpec(), 16, 21));
+    engine.attachSharedCache(std::make_shared<SharedEnergyCache>(64), 0);
 
     GeneticConfig ga;
     ga.population = 12;

@@ -1,13 +1,13 @@
 /**
  * @file
- * The experiment service daemon (src/serve/): the LruCache behind its
- * server-resident energy and compile caches, wire-level request
- * validation, request coalescing pinned to
- * exactly one evaluation, the determinism contract (daemon result
- * bytes == local in-process bytes), admission control (quota / busy /
- * draining), the client-disconnect cancellation seam, graceful drain —
- * and the PR's satellite probe points: the tableau trajectory loops
- * honoring CancelToken mid-evaluation.
+ * The experiment service daemon (src/serve/): the LruCache over its
+ * two instances (the server-resident energy cache and the sweep-plan
+ * memo), wire-level request validation, the stats frame's field names,
+ * request coalescing pinned to exactly one evaluation, the determinism
+ * contract (daemon result bytes == local in-process bytes), admission
+ * control (quota / busy / draining) and its limits, the
+ * client-disconnect cancellation seam, graceful drain — and the tableau
+ * trajectory loops honoring CancelToken mid-evaluation.
  *
  * Daemon tests run against a synthetic workload catalog (tiny cells,
  * a latch-blockable cell function) so coalescing and cancellation
@@ -33,6 +33,7 @@
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 #include "serve/workloads.hpp"
+#include "sim/lane_sweep.hpp"
 #include "store/sink.hpp"
 #include "vqa/fault.hpp"
 #include "vqa/storefmt.hpp"
@@ -149,8 +150,11 @@ localReferenceLine(const serve::Workload &wl, const SweepCell &cell)
 
 namespace {
 
+/** The sweep group-plan memo's instantiation (sim/lane_sweep.cpp). */
+using SweepPlanCache = LruCache<std::shared_ptr<const detail::SweepPlan>>;
+
 /** Distinct values per (key, writer) for each cache instantiation:
- *  energy vectors carry both in their contents, compiled circuits are
+ *  energy vectors carry both in their contents, sweep plans are
  *  distinct objects (the cache compares them by pointer). */
 template <typename Cache> struct LruValues;
 
@@ -162,14 +166,11 @@ template <> struct LruValues<SharedEnergyCache>
     }
 };
 
-template <> struct LruValues<SharedCompileCache>
+template <> struct LruValues<SweepPlanCache>
 {
-    static std::shared_ptr<const CompiledCircuit> make(int, int)
+    static std::shared_ptr<const detail::SweepPlan> make(int, int)
     {
-        const Circuit ansatz = fcheAnsatz(2, 1);
-        const Circuit bound =
-            ansatz.bind(std::vector<double>(ansatz.nParameters(), 0.0));
-        return std::make_shared<const CompiledCircuit>(bound);
+        return std::make_shared<const detail::SweepPlan>();
     }
 };
 
@@ -182,7 +183,7 @@ template <typename Cache> class LruCacheTest : public ::testing::Test
     }
 };
 
-using LruCacheTypes = ::testing::Types<SharedEnergyCache, SharedCompileCache>;
+using LruCacheTypes = ::testing::Types<SharedEnergyCache, SweepPlanCache>;
 
 struct LruCacheNames
 {
@@ -190,7 +191,7 @@ struct LruCacheNames
     {
         return std::is_same_v<Cache, SharedEnergyCache>
                    ? "SharedEnergyCache"
-                   : "SharedCompileCache";
+                   : "SweepPlanCache";
     }
 };
 
@@ -507,18 +508,35 @@ TEST(Daemon, ConfigValidationNamesTheField)
     config.cache_capacity = 0;
     EXPECT_THROW(config.validate(), std::invalid_argument);
     config.cache_capacity = 16;
-    // Validated only: no daemon or pool starts at these counts.
+
+    // Counts past their limits: the error names the field and the
+    // limit. Validated only: no daemon or pool starts at these counts.
+    const auto expectOverLimit = [](const serve::ServeConfig &over,
+                                    const std::string &field,
+                                    size_t limit) {
+        try {
+            over.validate();
+            ADD_FAILURE() << field << " past " << limit << " must throw";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(field + ": must be <= " +
+                                std::to_string(limit)),
+                      std::string::npos)
+                << what;
+        }
+    };
+    serve::ServeConfig over = config;
+    over.max_pending = serve::kMaxAdmitted + 1;
+    expectOverLimit(over, "ServeConfig.max_pending", serve::kMaxAdmitted);
+    over = config;
+    over.per_client_inflight = serve::kMaxAdmitted + 1;
+    expectOverLimit(over, "ServeConfig.per_client_inflight",
+                    serve::kMaxAdmitted);
+    over.max_pending = serve::kMaxAdmitted;
+    over.per_client_inflight = serve::kMaxAdmitted;
+    EXPECT_NO_THROW(over.validate());
     config.workers = kMaxWorkers + 1;
-    try {
-        config.validate();
-        FAIL() << "workers past kMaxWorkers must throw";
-    } catch (const std::invalid_argument &e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("ServeConfig.workers"), std::string::npos)
-            << what;
-        EXPECT_NE(what.find(std::to_string(kMaxWorkers)), std::string::npos)
-            << what;
-    }
+    expectOverLimit(config, "ServeConfig.workers", kMaxWorkers);
     config.workers = kMaxWorkers;
     EXPECT_NO_THROW(config.validate());
 }
@@ -630,6 +648,75 @@ TEST(Daemon, ResultBytesMatchLocalInProcessRuns)
     EXPECT_EQ(stats.cells_completed, 3u);
     EXPECT_EQ(stats.cells_failed, 0u);
     EXPECT_EQ(stats.requests_total, 3u);
+}
+
+TEST(Daemon, StatsFrameCarriesTheCountersItsReadersNameByField)
+{
+    // Readers of the wire stats frame (perfbench's serve_mixed
+    // workload) look counters up by field name and read a missing one
+    // as 0, so a renamed field would pass silently there. Pin the
+    // names, each value against the in-process snapshot, and the
+    // frame's whole field list.
+    resetSynthState(true);
+    serve::ServeConfig config = baseConfig("serve_stats.sock");
+    config.store_path = ::testing::TempDir() + "serve_stats.store";
+    std::remove(config.store_path.c_str());
+    {
+        serve::Daemon daemon(config, synthCatalog());
+        serve::DaemonClient client =
+            serve::DaemonClient::connectUnix(config.socket_path);
+        // One evaluated cell, then the same key again (a store hit).
+        const std::string key =
+            synthWorkload("default").spec.cells()[1].keyString();
+        for (const long long id : {1, 2}) {
+            ASSERT_TRUE(client.sendRun(id, "synth", "default", key));
+            serve::DaemonReply reply;
+            ASSERT_TRUE(client.readReply(reply));
+            ASSERT_EQ(reply.type, "ok") << reply.error;
+        }
+
+        const serve::DaemonReply frame = client.stats();
+        const serve::DaemonStats s = daemon.stats();
+        EXPECT_EQ(s.cells_completed, 1u);
+        EXPECT_EQ(s.store_hits, 1u);
+        const std::vector<std::pair<std::string, size_t>> read_by_name = {
+            {"cells_coalesced", s.cells_coalesced},
+            {"cells_completed", s.cells_completed},
+            {"energy_cache_hits", s.energy_cache_hits},
+            {"energy_cache_misses", s.energy_cache_misses},
+            {"rejected_busy", s.rejected_busy},
+            {"rejected_quota", s.rejected_quota},
+            {"rejected_draining", s.rejected_draining},
+            {"store_hits", s.store_hits},
+            {"store_appends", s.store_appends},
+            {"store_fsyncs", s.store_fsyncs},
+            {"store_max_commit_batch", s.store_max_commit_batch},
+        };
+        for (const auto &[name, value] : read_by_name) {
+            SCOPED_TRACE(name);
+            ASSERT_TRUE(frame.fields.has(name));
+            EXPECT_EQ(frame.fields.num(name), static_cast<double>(value));
+        }
+        // The whole frame, in order: nothing else rides along.
+        std::vector<std::string> names;
+        for (const auto &[name, value] : frame.fields.fields())
+            names.push_back(name);
+        EXPECT_EQ(names,
+                  (std::vector<std::string>{
+                      "type", "id", "connections_total", "connections_open",
+                      "requests_total", "cells_queued", "cells_active",
+                      "cells_completed", "cells_failed", "cells_coalesced",
+                      "cells_cancelled", "rejected_busy", "rejected_quota",
+                      "rejected_draining", "energy_cache_hits",
+                      "energy_cache_misses", "store_cells", "store_hits",
+                      "store_appends", "store_fsyncs",
+                      "store_max_commit_batch", "store_compactions",
+                      "store_index_rebuilds", "store_reader_opens"}));
+
+        daemon.beginDrain();
+        daemon.waitDrained();
+    }
+    std::remove(config.store_path.c_str());
 }
 
 TEST(Daemon, ServesMovedFigureCellsByteIdenticalToLocalRuns)

@@ -119,6 +119,22 @@ TEST(VqadArgs, RejectsBadNumbersForEveryNumericFlag)
         EXPECT_TRUE(contains(err, "usage: vqad")) << err;
     }
     EXPECT_TRUE(parseVqad({"--socket", "s.sock", "--workers", limit}));
+
+    // So do admission counts past serve::kMaxAdmitted.
+    const std::string admitted = std::to_string(serve::kMaxAdmitted);
+    const std::string over = std::to_string(serve::kMaxAdmitted + 1);
+    const std::vector<std::pair<std::string, std::string>> admission = {
+        {"--max-pending", "ServeConfig.max_pending"},
+        {"--quota", "ServeConfig.per_client_inflight"}};
+    for (const auto &[flag, field] : admission) {
+        SCOPED_TRACE(flag + " " + over);
+        EXPECT_FALSE(parseVqad({"--socket", "s.sock", flag, over}, &err));
+        EXPECT_TRUE(contains(err, "vqad: " + field + ": must be <= " +
+                                      admitted))
+            << err;
+        EXPECT_TRUE(contains(err, "usage: vqad")) << err;
+        EXPECT_TRUE(parseVqad({"--socket", "s.sock", flag, admitted}));
+    }
 }
 
 TEST(VqadArgs, RequiresASocketAndKnownFlags)

@@ -6,7 +6,8 @@
  * exits 2 with nothing started. Numbers go through nonNegative()
  * (common/cli.hpp), the parser the figure drivers use, and vqad's
  * parsed config through ServeConfig::validate(), so a --workers above
- * kMaxWorkers exits 2 too.
+ * kMaxWorkers, or a --max-pending or --quota above serve::kMaxAdmitted,
+ * exits 2 too.
  */
 
 #ifndef EFTVQA_TOOLS_TOOL_ARGS_HPP
@@ -55,8 +56,8 @@ parseVqadArgs(int argc, char **argv, std::ostream &err)
     if (problem.empty() && config.socket_path.empty())
         problem = "--socket <path> is required";
     if (problem.empty()) {
-        // The daemon's own checks, worker limit included, before any
-        // socket opens.
+        // The daemon's own checks, worker and admission limits
+        // included, before any socket opens.
         try {
             config.validate();
             return config;
