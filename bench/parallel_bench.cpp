@@ -48,7 +48,7 @@
  *    — the 8-qubit FCHE ansatz through the DensityMatrix backend under
  *    nisq and pqec — with the DmPass stream's pass count next to the
  *    source gate count. Gated on the pass count, which is
- *    deterministic and machine-independent: at most 3 per two-qubit
+ *    deterministic and machine-independent: at most one per two-qubit
  *    gate plus one per qubit.
  *
  * The `host` block records where the numbers came from: nproc, CPU
@@ -590,9 +590,9 @@ main(int argc, char **argv)
 
     // ---- 9. Noisy density-matrix stream (FCHE-8 prepare) ----------
     // Every one-qubit map folds into a pending superoperator per qubit
-    // that only a two-qubit gate (or the end) flushes, so a pair pass
-    // plus at most two flushes per two-qubit gate and one final flush
-    // per qubit bound the stream.
+    // that the next two-qubit gate's pair pass applies inside its
+    // groups, so one pass per two-qubit gate plus at most one final
+    // map per qubit bound the stream.
     const int dm_qubits = 8;
     const auto dm_ansatz = fcheAnsatz(dm_qubits, 1);
     const Circuit dm_circuit = dm_ansatz.bind(
@@ -600,7 +600,7 @@ main(int argc, char **argv)
     size_t dm_two_qubit = 0;
     for (const Gate &g : dm_circuit.gates())
         dm_two_qubit += g.isTwoQubit() ? 1 : 0;
-    const size_t dm_pass_bound = 3 * dm_two_qubit + dm_qubits;
+    const size_t dm_pass_bound = dm_two_qubit + dm_qubits;
     struct DmStreamRun
     {
         const char *regime;
@@ -769,6 +769,6 @@ main(int argc, char **argv)
     if (!store_ok)
         return 9; // binary store wrote >= 1/10th of the JSON rewrite bytes
     if (!dm_ok)
-        return 10; // noisy DM stream over 3 passes per 2q gate + n
+        return 10; // noisy DM stream over one pass per 2q gate + n
     return 0;
 }

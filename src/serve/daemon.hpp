@@ -40,9 +40,10 @@
  *
  *  - CancelToken as the client-disconnect seam: every job carries a
  *    token; when the last waiter's connection drops, the token is
- *    cancelled and the evaluation stops at the next PR 8 checkpoint
- *    (compiled-pipeline segment boundaries, engine entry points, and
- *    the tableau trajectory loops). Other clients' jobs are untouched.
+ *    cancelled and the evaluation stops at the next checkpoint
+ *    (engine entry points, each compiled statevector run, each
+ *    density-matrix pass, and the tableau trajectory loops). Other
+ *    clients' jobs are untouched.
  *
  *  - kstat-style counters: always-on relaxed atomics (connections,
  *    queued/active/coalesced/cancelled cells, rejections, cache

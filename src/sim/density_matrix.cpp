@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "pauli/term_groups.hpp"
 #include "sim/lane_sweep.hpp"
@@ -36,24 +37,19 @@ DmPassBuilder::DmPassBuilder(size_t n_qubits) : pending_(n_qubits) {}
 void
 DmPassBuilder::fold(size_t q, const Mat4 &superop, bool carries_gate)
 {
-    Pending &p = pending_.at(q);
-    p.superop = p.active ? matmul4(superop, p.superop) : superop;
-    p.active = true;
-    p.carries_gate = p.carries_gate || carries_gate;
+    DmMap &p = pending_.at(q);
+    const bool active = p.kind != DmMap::Kind::None;
+    p.superop = active ? matmul4(superop, p.superop) : superop;
+    if (carries_gate || p.kind == DmMap::Kind::Superop)
+        p.kind = DmMap::Kind::Superop;
+    else
+        p.kind = DmMap::Kind::Channel;
 }
 
-void
-DmPassBuilder::flush(size_t q)
+DmMap
+DmPassBuilder::take(size_t q)
 {
-    Pending &p = pending_.at(q);
-    if (!p.active)
-        return;
-    DmPass pass;
-    pass.kind = p.carries_gate ? DmPass::Kind::Superop : DmPass::Kind::Channel;
-    pass.q0 = static_cast<uint32_t>(q);
-    pass.superop = p.superop;
-    passes_.push_back(pass);
-    p = Pending{};
+    return std::exchange(pending_.at(q), DmMap{});
 }
 
 void
@@ -89,22 +85,28 @@ DmPassBuilder::gate2q(const Gate &g, double p)
         throw std::invalid_argument("DmPassBuilder: not a two-qubit gate");
     if (!(p >= 0.0 && p <= 1.0))
         throw std::invalid_argument("DmPassBuilder: bad depolarizing p");
-    flush(g.q0);
-    flush(g.q1);
     DmPass pass;
     pass.kind = DmPass::Kind::Pair;
     pass.gate = g.type;
     pass.q0 = g.q0;
     pass.q1 = g.q1;
     pass.lambda = 16.0 * p / 15.0;
+    pass.map[0] = take(g.q0);
+    pass.map[1] = take(g.q1);
     passes_.push_back(pass);
 }
 
 std::vector<DmPass>
 DmPassBuilder::finish()
 {
-    for (size_t q = 0; q < pending_.size(); ++q)
-        flush(q);
+    for (size_t q = 0; q < pending_.size(); ++q) {
+        if (pending_[q].kind == DmMap::Kind::None)
+            continue;
+        DmPass pass;
+        pass.q0 = static_cast<uint32_t>(q);
+        pass.map[0] = take(q);
+        passes_.push_back(pass);
+    }
     return std::move(passes_);
 }
 
@@ -208,20 +210,16 @@ DensityMatrix::runPassesFrom(size_t m, const std::vector<DmPass> &passes)
 {
     try {
         for (const DmPass &p : passes) {
+            // Between passes rho is whole: a cell past its deadline
+            // stops here, within one sweep.
+            cancelCheckpoint();
             const size_t width = dmLiveWidth(p, m, n_);
             growLive(m, width);
             m = width;
-            switch (p.kind) {
-              case DmPass::Kind::Superop:
-                applySuperop1q(p.superop, p.q0, m);
-                break;
-              case DmPass::Kind::Channel:
-                applyChannel1q(p.superop, p.q0, m);
-                break;
-              case DmPass::Kind::Pair:
-                applyPairPass(p.gate, p.q0, p.q1, p.lambda, m);
-                break;
-            }
+            if (p.kind == DmPass::Kind::Pair)
+                applyPairPass(p, m);
+            else
+                applyMap1q(p.map[0], p.q0, m);
         }
     } catch (...) {
         // The kernels reject a pass before touching rho, so the block
@@ -251,31 +249,40 @@ DensityMatrix::growLive(size_t m, size_t m2)
         std::fill(rho + i * d2 + d, rho + (i + 1) * d2, zero);
 }
 
+namespace {
+
+/** A gate-free channel's 8 block entries {aa, ad, da, dd, bb, bc, cb,
+ *  cc}: populations (A = rho[0,0], D = rho[1,1] of the qubit) and
+ *  coherences (B = rho[0,1], C = rho[1,0]) mix only within their own
+ *  block. */
 void
-DensityMatrix::applySuperop1q(const Mat4 &superop, size_t q, size_t width)
+channelEntries(const Mat4 &superop, double (&k)[8])
 {
-    if (q >= width)
-        throw std::out_of_range("DensityMatrix::applySuperop1q: qubit");
-    applyMat4AtBits(data_.data(), size_t{1} << (2 * width), superop,
-                    width + q, q);
+    const int at[8] = {0, 3, 12, 15, 5, 6, 9, 10};
+    for (int i = 0; i < 8; ++i)
+        k[i] = superop[at[i]].real();
 }
 
+} // namespace
+
 void
-DensityMatrix::applyChannel1q(const Mat4 &superop, size_t q, size_t width)
+DensityMatrix::applyMap1q(const DmMap &map, size_t q, size_t width)
 {
     if (q >= width)
-        throw std::out_of_range("DensityMatrix::applyChannel1q: qubit");
-    // Populations (A = rho[0,0], D = rho[1,1] of qubit q) and coherences
-    // (B = rho[0,1], C = rho[1,0]) mix only within their own block.
-    const double aa = superop[0].real(), ad = superop[3].real();
-    const double da = superop[12].real(), dd = superop[15].real();
-    const double bb = superop[5].real(), bc = superop[6].real();
-    const double cb = superop[9].real(), cc = superop[10].real();
+        throw std::out_of_range("DensityMatrix::applyMap1q: qubit");
     const size_t d = size_t{1} << width;
+    if (map.kind == DmMap::Kind::Superop) {
+        applyMat4AtBits(data_.data(), d * d, map.superop, width + q, q);
+        return;
+    }
+    if (map.kind != DmMap::Kind::Channel)
+        return;
+    double k[8];
+    channelEntries(map.superop, k);
     const size_t stride = size_t{1} << q;
-    const double k[8] = {aa, ad, da, dd, bb, bc, cb, cc};
     if (simd::tryChannel1q(data_.data(), d, stride, k))
         return;
+    const auto [aa, ad, da, dd, bb, bc, cb, cc] = k;
     for (size_t i = 0; i < d; ++i) {
         if (i & stride)
             continue;
@@ -298,54 +305,96 @@ DensityMatrix::applyChannel1q(const Mat4 &superop, size_t q, size_t width)
 
 namespace {
 
-/** Pair state s = (bit qa << 1) | bit qb under CX(qa, qb) / Swap; CZ
- *  keeps it. Every pair gate is an involution. */
-constexpr int
-pairPerm(GateType g, int s)
+using cd = std::complex<double>;
+
+/** The vector kernels' complex product (ar br - ai bi, ar bi + ai br):
+ *  std::complex's, without the NaN-recovery branch that keeps the
+ *  group loop from being scheduled as straight-line code. */
+inline cd
+cmul(cd a, cd b)
 {
-    if (g == GateType::CX)
-        return s >= 2 ? s ^ 1 : s;
-    if (g == GateType::Swap)
-        return s == 1 || s == 2 ? s ^ 3 : s;
-    return s;
+    return {a.real() * b.real() - a.imag() * b.imag(),
+            a.real() * b.imag() + a.imag() * b.real()};
+}
+
+/**
+ * One qubit's map of kind K (Superop or Channel) on a group v[s][s2]
+ * (ket pair state s, bra pair state s2), the qubit on pair-state bit
+ * Bit (2: qa, 1: qb): each quadruple differing only in its ket and bra
+ * bits takes applyMat4AtBits's arithmetic for a superoperator and
+ * applyMap1q's channel loop's for a channel. Always inlined, so the
+ * group stays in registers instead of crossing a call through memory.
+ */
+template <simd::MapKind K, int Bit>
+[[gnu::always_inline]] inline void
+groupMap(cd (&v)[4][4], const simd::GroupMap &map)
+{
+    constexpr int o = Bit ^ 3;
+    for (int x = 0; x <= o; x += o)
+        for (int y = 0; y <= o; y += o) {
+            cd &pa = v[x][y], &pb = v[x][y | Bit];
+            cd &pc = v[x | Bit][y], &pe = v[x | Bit][y | Bit];
+            const cd a = pa, b = pb, c = pc, e = pe;
+            if constexpr (K == simd::MapKind::Superop) {
+                const Mat4 &u = *map.superop;
+                pa = cmul(u[0], a) + cmul(u[1], b) + cmul(u[2], c) +
+                     cmul(u[3], e);
+                pb = cmul(u[4], a) + cmul(u[5], b) + cmul(u[6], c) +
+                     cmul(u[7], e);
+                pc = cmul(u[8], a) + cmul(u[9], b) + cmul(u[10], c) +
+                     cmul(u[11], e);
+                pe = cmul(u[12], a) + cmul(u[13], b) + cmul(u[14], c) +
+                     cmul(u[15], e);
+            } else {
+                const double *k = map.channel;
+                pa = k[0] * a + k[1] * e;
+                pe = k[2] * a + k[3] * e;
+                pb = k[4] * b + k[5] * c;
+                pc = k[6] * b + k[7] * c;
+            }
+        }
 }
 
 /**
  * One in-place pass over the pair's 16-element groups, rows (ket pair
- * states) outer and columns (bra pair states) inner: out[s][s2] =
- * +-in[perm s][perm s2] (CZ signs the elements where exactly one of s,
- * s2 is 11), then, with Mix, keep * out + mix * Tr_pair on the
- * diagonal s == s2. The relabel preserves that diagonal, so the trace
- * reads the pre-gate group.
+ * states) outer and columns (bra pair states) inner: qa's map, qb's
+ * map, then out[s][s2] = +-in[perm s][perm s2] (CZ signs the elements
+ * where exactly one of s, s2 is 11), then, with Mix, keep * out + mix *
+ * Tr_pair on the diagonal s == s2. The relabel preserves that
+ * diagonal, so the trace reads the pre-gate group.
  */
-template <GateType G, bool Mix>
+template <GateType G, bool Mix, simd::MapKind KA, simd::MapKind KB>
 void
-pairPass(std::complex<double> *data, size_t d, uint64_t lo, uint64_t hi,
-         const uint64_t (&sb)[4], double keep, double mix)
+pairPass(cd *data, size_t d, uint64_t lo, uint64_t hi,
+         const uint64_t (&sb)[4], const simd::GroupMap &ma,
+         const simd::GroupMap &mb, double keep, double mix)
 {
     const size_t quarter = d / 4;
     for (size_t ti = 0; ti < quarter; ++ti) {
         const uint64_t ib = insertZeroBit(insertZeroBit(ti, lo), hi);
-        std::complex<double> *r[4];
+        cd *r[4];
         for (int s = 0; s < 4; ++s)
             r[s] = data + (ib | sb[s]) * d;
         for (size_t tj = 0; tj < quarter; ++tj) {
             const uint64_t jb = insertZeroBit(insertZeroBit(tj, lo), hi);
-            std::complex<double> v[4][4];
+            cd v[4][4];
 #pragma GCC unroll 4
             for (int s = 0; s < 4; ++s)
 #pragma GCC unroll 4
                 for (int s2 = 0; s2 < 4; ++s2)
                     v[s][s2] = r[s][jb | sb[s2]];
-            std::complex<double> m;
+            if constexpr (KA != simd::MapKind::None)
+                groupMap<KA, 2>(v, ma);
+            if constexpr (KB != simd::MapKind::None)
+                groupMap<KB, 1>(v, mb);
+            cd m;
             if constexpr (Mix)
                 m = mix * (v[0][0] + v[1][1] + v[2][2] + v[3][3]);
 #pragma GCC unroll 4
             for (int s = 0; s < 4; ++s)
 #pragma GCC unroll 4
                 for (int s2 = 0; s2 < 4; ++s2) {
-                    std::complex<double> w =
-                        v[pairPerm(G, s)][pairPerm(G, s2)];
+                    cd w = v[simd::pairPerm(G, s)][simd::pairPerm(G, s2)];
                     if (G == GateType::CZ && (s == 3) != (s2 == 3))
                         w = -w;
                     if constexpr (Mix) {
@@ -359,43 +408,59 @@ pairPass(std::complex<double> *data, size_t d, uint64_t lo, uint64_t hi,
     }
 }
 
-template <GateType G>
-void
-pairPass(std::complex<double> *data, size_t d, uint64_t lo, uint64_t hi,
-         const uint64_t (&sb)[4], double lambda)
+/** The kernels' view of @p map; a channel's entries land in @p k. */
+simd::GroupMap
+groupMapOf(const DmMap &map, double (&k)[8])
 {
-    if (lambda == 0.0)
-        pairPass<G, false>(data, d, lo, hi, sb, 1.0, 0.0);
-    else
-        pairPass<G, true>(data, d, lo, hi, sb, 1.0 - lambda, 0.25 * lambda);
+    if (map.kind == DmMap::Kind::Superop)
+        return {&map.superop, nullptr};
+    if (map.kind == DmMap::Kind::None)
+        return {};
+    channelEntries(map.superop, k);
+    return {nullptr, k};
 }
 
 } // namespace
 
 void
-DensityMatrix::applyPairPass(GateType gate, size_t qa, size_t qb,
-                             double lambda, size_t width)
+DensityMatrix::applyPairPass(const DmPass &p, size_t width)
 {
+    const size_t qa = p.q0, qb = p.q1;
     if (qa >= width || qb >= width || qa == qb)
         throw std::invalid_argument(
             "DensityMatrix: two-qubit pass needs two distinct qubits");
+    if (p.gate != GateType::CX && p.gate != GateType::CZ &&
+        p.gate != GateType::Swap)
+        throw std::invalid_argument(
+            "DensityMatrix: pair pass takes CX, CZ or Swap");
+    double ka[8], kb[8];
+    simd::GroupMap ma = groupMapOf(p.map[0], ka);
+    simd::GroupMap mb = groupMapOf(p.map[1], kb);
+    cd *data = data_.data();
+    const size_t d = size_t{1} << width;
+    if (simd::tryPairPass(data, d, p.gate, qa, qb, p.lambda, ma, mb))
+        return;
+    if (simd::enabled()) {
+        // A shape the vector pair kernel does not take (an AVX-512 pair
+        // on qubit 1, a block narrower than four registers): the maps'
+        // own vector passes, then the bare scalar pair, give the same
+        // bits faster than the scalar group loop carrying them.
+        applyMap1q(p.map[0], qa, width);
+        applyMap1q(p.map[1], qb, width);
+        ma = mb = simd::GroupMap{};
+    }
     const uint64_t bit_a = uint64_t{1} << qa;
     const uint64_t bit_b = uint64_t{1} << qb;
     const uint64_t sb[4] = {0, bit_b, bit_a, bit_a | bit_b};
     const uint64_t lo = std::min(qa, qb), hi = std::max(qa, qb);
-    std::complex<double> *data = data_.data();
-    const size_t d = size_t{1} << width;
-    switch (gate) {
-      case GateType::CX:
-        return pairPass<GateType::CX>(data, d, lo, hi, sb, lambda);
-      case GateType::Swap:
-        return pairPass<GateType::Swap>(data, d, lo, hi, sb, lambda);
-      case GateType::CZ:
-        return pairPass<GateType::CZ>(data, d, lo, hi, sb, lambda);
-      default:
-        throw std::invalid_argument(
-            "DensityMatrix: pair pass takes CX, CZ or Swap");
-    }
+    const double lambda = p.lambda;
+    simd::dispatchPairPass(
+        p.gate, lambda, ma, mb,
+        [&]<GateType G, bool Mix, simd::MapKind KA, simd::MapKind KB>() {
+            pairPass<G, Mix, KA, KB>(data, d, lo, hi, sb, ma, mb,
+                                     Mix ? 1.0 - lambda : 1.0,
+                                     Mix ? 0.25 * lambda : 0.0);
+        });
 }
 
 double

@@ -10,10 +10,12 @@
  * viewed as a vector over 2n index bits (ket bit q at position n + q,
  * bra bit q at q), so every one-qubit map — gate, channel, Measure or
  * Reset — is a 4x4 superoperator on bits (n + q, q), a qubit's maps
- * between two-qubit gates fold into one pass (DmPassBuilder), and
- * CX/CZ/Swap relabel 16-element groups in place. Run from |0..0>, the
- * stream keeps a live prefix (dmLiveWidth): qubits no pass has named
- * yet are exact |0><0| factors and are not swept.
+ * between two-qubit gates fold into one map (DmPassBuilder), and
+ * CX/CZ/Swap relabel 16-element groups in place after applying their
+ * qubits' folded maps inside each group: one sweep of rho per
+ * two-qubit gate. Run from |0..0>, the stream keeps a live prefix
+ * (dmLiveWidth): qubits no pass has named yet are exact |0><0| factors
+ * and are not swept.
  */
 
 #ifndef EFTVQA_SIM_DENSITY_MATRIX_HPP
@@ -39,32 +41,47 @@ namespace eftvqa {
  */
 inline constexpr uint64_t kNoisyDmKernelVersion = 2;
 
+/** A qubit's folded one-qubit maps, as a DmPass carries them. */
+struct DmMap
+{
+    enum class Kind : uint8_t
+    {
+        None,    ///< nothing folded
+        Superop, ///< complex 4x4 superoperator carrying a gate
+        Channel, ///< gate-free channel: real, block-sparse superoperator
+    };
+
+    Kind kind = Kind::None;
+    Mat4 superop{}; ///< (ket << 1) | bra
+};
+
 /** One pass of a density-matrix stream (see DmPassBuilder). */
 struct DmPass
 {
     enum class Kind : uint8_t
     {
-        Superop, ///< complex 4x4 superoperator carrying a gate
-        Channel, ///< gate-free channel: real, block-sparse superoperator
-        Pair,    ///< CX/CZ/Swap fused with 2q depolarizing (lambda >= 0)
+        Map,  ///< map[0] on q0 alone: a map still pending at the end
+        Pair, ///< map[0] on q0, map[1] on q1, then CX/CZ/Swap fused with
+              ///< 2q depolarizing (lambda >= 0), inside each group
     };
 
-    Kind kind = Kind::Superop;
+    Kind kind = Kind::Map;
     GateType gate = GateType::I; ///< Pair: the two-qubit gate
     uint32_t q0 = 0;
     uint32_t q1 = 0;             ///< Pair: second qubit (CX target)
     double lambda = 0.0;         ///< Pair: depolarizing weight 16p/15
-    Mat4 superop{};              ///< Superop/Channel, (ket << 1) | bra
+    DmMap map[2];                ///< map[0] on q0; Pair: map[1] on q1
 };
 
 /**
  * Compiles gates and channels into a DmPass stream. Every one-qubit map
  * (1q gate, Measure, Reset, channel) folds into a pending superoperator
- * of its qubit — later maps multiply on the left — and the pending map
- * is flushed as one pass only when a two-qubit gate touches the qubit
- * or the stream finishes. Maps on different qubits commute, so the
- * fold is exact; a noisy stream makes at most 3 passes per two-qubit
- * gate plus one per qubit.
+ * of its qubit — later maps multiply on the left. A two-qubit gate's
+ * Pair pass takes its qubits' pending maps and applies them, q0's
+ * first, inside each of its 16-element groups before the gate; a map
+ * still pending when the stream finishes becomes a Map pass of its
+ * own. Maps on different qubits commute, so the fold is exact; a
+ * stream makes one pass per two-qubit gate plus at most one per qubit.
  */
 class DmPassBuilder
 {
@@ -78,26 +95,21 @@ class DmPassBuilder
     void channel(size_t q, const Mat4 &superop);
 
     /**
-     * Flush the pair's pending maps, then append CX/CZ/Swap @p g fused
-     * with a two-qubit depolarizing channel of probability @p p.
+     * Append CX/CZ/Swap @p g fused with a two-qubit depolarizing
+     * channel of probability @p p, carrying the pair's pending maps.
      */
     void gate2q(const Gate &g, double p);
 
-    /** Flush every pending map and hand over the stream. */
+    /** Append every pending map as a Map pass and hand over the stream. */
     std::vector<DmPass> finish();
 
   private:
-    struct Pending
-    {
-        Mat4 superop{};
-        bool active = false;
-        bool carries_gate = false;
-    };
-
     void fold(size_t q, const Mat4 &superop, bool carries_gate);
-    void flush(size_t q);
 
-    std::vector<Pending> pending_;
+    /** Qubit q's pending map, leaving none. */
+    DmMap take(size_t q);
+
+    std::vector<DmMap> pending_;
     std::vector<DmPass> passes_;
 };
 
@@ -140,7 +152,10 @@ class DensityMatrix
 
     /**
      * Execute a DmPass stream (see DmPassBuilder) on the current state,
-     * whatever it is: every pass sweeps the full matrix.
+     * whatever it is: every pass sweeps the full matrix. Before each
+     * pass the calling thread's cancel token is checked
+     * (cancelCheckpoint()): a tripped one throws between passes and
+     * leaves a valid n-qubit matrix.
      */
     void runPasses(const std::vector<DmPass> &passes);
 
@@ -152,8 +167,8 @@ class DensityMatrix
      * entry is bit-identical to that path; an exact zero that a
      * full-width pass writes as -0 (a CZ sign flip on an entry the
      * prefix has not reached yet) reads +0, which no expectation can
-     * tell apart. A pass the kernels reject throws as runPasses() would
-     * and leaves a valid n-qubit matrix.
+     * tell apart. A pass the kernels reject, or a tripped cancel
+     * token, throws as in runPasses() and leaves a valid n-qubit matrix.
      */
     void runPassesFromZero(const std::vector<DmPass> &passes);
 
@@ -194,28 +209,28 @@ class DensityMatrix
     /*
      * The stream kernels below act on the 2^width x 2^width block
      * stored row-major at the start of data_ (width n_: the whole
-     * matrix) and reject a qubit >= width.
+     * matrix) and reject a qubit >= width before touching it.
      */
-
-    /** Apply a 4x4 superoperator (sim/channels.hpp basis) to qubit q. */
-    void applySuperop1q(const Mat4 &superop, size_t q, size_t width);
 
     /**
-     * Apply a gate-free channel superoperator — real and block-sparse on
-     * the populations / coherences, so only its 8 block entries are
-     * read — to qubit q in one in-place pass (every Channel pass).
+     * Apply a one-qubit map to qubit q in one in-place pass: a
+     * superoperator as a 4x4 matrix on the qubit's (ket, bra) bits, a
+     * gate-free channel — real and block-sparse on the populations /
+     * coherences — through its 8 block entries only.
      */
-    void applyChannel1q(const Mat4 &superop, size_t q, size_t width);
+    void applyMap1q(const DmMap &map, size_t q, size_t width);
 
     /**
-     * One in-place pass over the 16-element groups of the pair (qa, qb):
-     * relabel/sign each group by CX(qa, qb), CZ or Swap, then mix it
-     * toward its pair-maximally-mixed part with weight @p lambda (the
-     * 2q depolarizing channel, which commutes with any unitary on the
-     * pair).
+     * One in-place pass over the 16-element groups of the pair (q0, q1)
+     * of Pair pass @p p: apply map[0] to q0 and map[1] to q1 inside the
+     * group, each entry with the arithmetic applyMap1q gives it, then
+     * relabel/sign the group by CX(q0, q1), CZ or Swap and mix it toward
+     * its pair-maximally-mixed part with weight lambda (the 2q
+     * depolarizing channel, which commutes with any unitary on the
+     * pair). Bit-identical to applyMap1q on q0, then on q1, then the
+     * bare pair pass.
      */
-    void applyPairPass(GateType gate, size_t qa, size_t qb, double lambda,
-                       size_t width);
+    void applyPairPass(const DmPass &p, size_t width);
 
     /** The pass loop of both stream entry points, from live width m. */
     void runPassesFrom(size_t m, const std::vector<DmPass> &passes);

@@ -14,7 +14,8 @@
  * Determinism contract
  * --------------------
  * Every elementwise kernel here (1q/2q unitaries, diagonal phase
- * sweeps, xor-mask permutations, density-matrix channels)
+ * sweeps, xor-mask permutations, density-matrix channels and the
+ * density-matrix pair pass with the one-qubit maps it carries)
  * performs per-amplitude arithmetic in exactly the scalar operation
  * order — complex multiplies are expanded to the same
  * (ar*br - ai*bi, ar*bi + ai*br) form std::complex uses, sums keep the
@@ -203,6 +204,94 @@ struct AlignedAllocator
 /** Amplitude storage of the dense simulators. */
 using AmpVector = std::vector<cd, AlignedAllocator<cd>>;
 
+/**
+ * A one-qubit map the density-matrix pair pass applies inside its
+ * 16-element groups before the gate (DensityMatrix::applyPairPass): a
+ * dense 4x4 superoperator, (ket << 1) | bra, or a gate-free channel
+ * read as its 8 real block entries {aa, ad, da, dd, bb, bc, cb, cc}
+ * (tryChannel1q's k), or neither.
+ */
+struct GroupMap
+{
+    const Mat4 *superop = nullptr;
+    const double *channel = nullptr;
+};
+
+/** Pair state s = (bit qa << 1) | bit qb under CX(qa, qb) / Swap; CZ
+ *  keeps it. Every pair gate is an involution. */
+constexpr int
+pairPerm(GateType g, int s)
+{
+    if (g == GateType::CX)
+        return s >= 2 ? s ^ 1 : s;
+    if (g == GateType::Swap)
+        return s == 1 || s == 2 ? s ^ 3 : s;
+    return s;
+}
+
+/** A GroupMap's kind, a template argument of the pair-pass kernels. */
+enum class MapKind
+{
+    None,
+    Channel,
+    Superop,
+};
+
+inline MapKind
+mapKind(const GroupMap &map)
+{
+    return map.superop    ? MapKind::Superop
+           : map.channel ? MapKind::Channel
+                         : MapKind::None;
+}
+
+/**
+ * Calls f.template operator()<G, Mix, KA, KB>() with the pair pass's
+ * gate @p g (CX, CZ or Swap, which the caller has checked), whether it
+ * mixes (@p lambda != 0) and the kinds of @p ma and @p mb as template
+ * arguments, so every kernel instantiation is straight-line code.
+ */
+template <class F>
+inline void
+dispatchPairPass(GateType g, double lambda, const GroupMap &ma,
+                 const GroupMap &mb, F &&f)
+{
+    const auto kb = [&]<GateType G, bool Mix, MapKind KA>() {
+        switch (mapKind(mb)) {
+          case MapKind::None:
+            return f.template operator()<G, Mix, KA, MapKind::None>();
+          case MapKind::Channel:
+            return f.template operator()<G, Mix, KA, MapKind::Channel>();
+          case MapKind::Superop:
+            return f.template operator()<G, Mix, KA, MapKind::Superop>();
+        }
+    };
+    const auto ka = [&]<GateType G, bool Mix>() {
+        switch (mapKind(ma)) {
+          case MapKind::None:
+            return kb.template operator()<G, Mix, MapKind::None>();
+          case MapKind::Channel:
+            return kb.template operator()<G, Mix, MapKind::Channel>();
+          case MapKind::Superop:
+            return kb.template operator()<G, Mix, MapKind::Superop>();
+        }
+    };
+    const auto mix = [&]<GateType G>() {
+        if (lambda == 0.0)
+            ka.template operator()<G, false>();
+        else
+            ka.template operator()<G, true>();
+    };
+    switch (g) {
+      case GateType::CX:
+        return mix.template operator()<GateType::CX>();
+      case GateType::Swap:
+        return mix.template operator()<GateType::Swap>();
+      default:
+        return mix.template operator()<GateType::CZ>();
+    }
+}
+
 namespace detail {
 
 /** Insert a zero bit at position p (bits at and above p shift up). */
@@ -354,6 +443,26 @@ vsignApply(CVec v, SignVec s)
 {
     return _mm512_xor_pd(v, s);
 }
+/** Split two registers by complex lane parity: @p even takes the even
+ *  lanes of a then of b, @p odd the odd ones ([a0,a2,b0,b2] and
+ *  [a1,a3,b1,b3]). */
+EFTVQA_SIMD_TARGET inline void
+vunzip(CVec a, CVec b, CVec &even, CVec &odd)
+{
+    even = _mm512_permutex2var_pd(
+        a, _mm512_set_epi64(13, 12, 9, 8, 5, 4, 1, 0), b);
+    odd = _mm512_permutex2var_pd(
+        a, _mm512_set_epi64(15, 14, 11, 10, 7, 6, 3, 2), b);
+}
+/** Inverse of vunzip. */
+EFTVQA_SIMD_TARGET inline void
+vzip(CVec even, CVec odd, CVec &a, CVec &b)
+{
+    a = _mm512_permutex2var_pd(
+        even, _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0), odd);
+    b = _mm512_permutex2var_pd(
+        even, _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4), odd);
+}
 
 #elif defined(EFTVQA_SIMD_ISA_AVX2)
 
@@ -460,6 +569,18 @@ EFTVQA_SIMD_TARGET inline CVec
 vsignApply(CVec v, SignVec s)
 {
     return _mm256_xor_pd(v, s);
+}
+EFTVQA_SIMD_TARGET inline void
+vunzip(CVec a, CVec b, CVec &even, CVec &odd)
+{
+    even = _mm256_permute2f128_pd(a, b, 0x20);
+    odd = _mm256_permute2f128_pd(a, b, 0x31);
+}
+EFTVQA_SIMD_TARGET inline void
+vzip(CVec even, CVec odd, CVec &a, CVec &b)
+{
+    a = _mm256_permute2f128_pd(even, odd, 0x20);
+    b = _mm256_permute2f128_pd(even, odd, 0x31);
 }
 
 #else // EFTVQA_SIMD_GENERIC_ACTIVE
@@ -593,6 +714,36 @@ inline CVec
 vsignApply(CVec v, SignVec s)
 {
     return {v.re * s, v.im * s};
+}
+inline void
+vunzip(CVec a, CVec b, CVec &even, CVec &odd)
+{
+    constexpr int h = int(kLanes / 2);
+    for (int j = 0; j < h; ++j) {
+        even.re[j] = a.re[2 * j];
+        even.im[j] = a.im[2 * j];
+        even.re[j + h] = b.re[2 * j];
+        even.im[j + h] = b.im[2 * j];
+        odd.re[j] = a.re[2 * j + 1];
+        odd.im[j] = a.im[2 * j + 1];
+        odd.re[j + h] = b.re[2 * j + 1];
+        odd.im[j + h] = b.im[2 * j + 1];
+    }
+}
+inline void
+vzip(CVec even, CVec odd, CVec &a, CVec &b)
+{
+    constexpr int h = int(kLanes / 2);
+    for (int j = 0; j < h; ++j) {
+        a.re[2 * j] = even.re[j];
+        a.im[2 * j] = even.im[j];
+        a.re[2 * j + 1] = odd.re[j];
+        a.im[2 * j + 1] = odd.im[j];
+        b.re[2 * j] = even.re[j + h];
+        b.im[2 * j] = even.im[j + h];
+        b.re[2 * j + 1] = odd.re[j + h];
+        b.im[2 * j + 1] = odd.im[j + h];
+    }
 }
 
 #endif // per-ISA primitives
@@ -817,6 +968,194 @@ kernChannel1q(cd *data, size_t d, size_t stride, const double *k)
                 vstore(row0 + j + stride, vlinear(b, k[4], c, k[5]));
                 vstore(row1 + j, vlinear(b, k[6], c, k[7]));
             }
+        }
+    }
+}
+
+/** A GroupMap copied next to the kernel: the superoperator broadcast
+ *  to registers, the channel entries by value. */
+struct VGroupMap
+{
+    CVec u[16];
+    double k[8];
+};
+
+EFTVQA_SIMD_TARGET inline void
+vgroupMapInit(VGroupMap &out, const GroupMap &map)
+{
+    if (map.superop)
+        for (int k = 0; k < 16; ++k)
+            out.u[k] = vbroadcast((*map.superop)[k]);
+    if (map.channel)
+        for (int k = 0; k < 8; ++k)
+            out.k[k] = map.channel[k];
+}
+
+/**
+ * One qubit's map of kind K on kLanes groups, v[s][s2] = (ket pair
+ * state s, bra pair state s2), the qubit on pair-state bit Bit (2: qa,
+ * 1: qb).
+ * Each quadruple differing only in that qubit's ket and bra bits takes
+ * the arithmetic of the standalone kernels: kernApply2q's for a
+ * superoperator, kernChannel1q's for a channel.
+ */
+template <MapKind K, int Bit>
+EFTVQA_SIMD_TARGET inline void
+vgroupMap(CVec (&v)[4][4], const VGroupMap &map)
+{
+    constexpr int o = Bit ^ 3;
+    if constexpr (K == MapKind::Superop) {
+        const CVec *u = map.u;
+#pragma GCC unroll 2
+        for (int x = 0; x <= o; x += o)
+#pragma GCC unroll 2
+            for (int y = 0; y <= o; y += o) {
+                CVec *e[4] = {&v[x][y], &v[x][y | Bit], &v[x | Bit][y],
+                              &v[x | Bit][y | Bit]};
+                const CVec in[4] = {*e[0], *e[1], *e[2], *e[3]};
+#pragma GCC unroll 4
+                for (int r = 0; r < 4; ++r)
+                    *e[r] = vadd(vadd(vadd(vcmul(u[4 * r], in[0]),
+                                           vcmul(u[4 * r + 1], in[1])),
+                                      vcmul(u[4 * r + 2], in[2])),
+                                 vcmul(u[4 * r + 3], in[3]));
+            }
+    } else if constexpr (K == MapKind::Channel) {
+        const double *k = map.k;
+#pragma GCC unroll 2
+        for (int x = 0; x <= o; x += o)
+#pragma GCC unroll 2
+            for (int y = 0; y <= o; y += o) {
+                const CVec a = v[x][y], b = v[x][y | Bit];
+                const CVec c = v[x | Bit][y], e = v[x | Bit][y | Bit];
+                v[x][y] = vlinear(a, k[0], e, k[1]);
+                v[x | Bit][y | Bit] = vlinear(a, k[2], e, k[3]);
+                v[x][y | Bit] = vlinear(b, k[4], c, k[5]);
+                v[x | Bit][y] = vlinear(b, k[6], c, k[7]);
+            }
+    }
+}
+
+/**
+ * The pair pass on kLanes groups (see DensityMatrix::applyPairPass),
+ * first half: qa's map, then qb's map, on v in place; returns mix *
+ * (the group's trace), the depolarizing mix's diagonal term (zero
+ * without Mix).
+ */
+template <bool Mix, MapKind KA, MapKind KB>
+EFTVQA_SIMD_TARGET inline CVec
+vpairMaps(CVec (&v)[4][4], const VGroupMap &ma, const VGroupMap &mb,
+          double mix)
+{
+    vgroupMap<KA, 2>(v, ma);
+    vgroupMap<KB, 1>(v, mb);
+    if constexpr (!Mix)
+        return vzero();
+    CVec m =
+        vscale(vadd(vadd(vadd(v[0][0], v[1][1]), v[2][2]), v[3][3]), mix);
+    vopaque(m);
+    return m;
+}
+
+/**
+ * Second half: output entry (s, s2) of the mapped group v,
+ * +-v[perm s][perm s2] (CZ signs the entries where exactly one of s, s2
+ * is 11), then with Mix keep * that, plus m on the diagonal — each
+ * entry with the scalar loop's arithmetic in its order.
+ */
+template <GateType G, bool Mix>
+EFTVQA_SIMD_TARGET inline CVec
+vpairOut(const CVec (&v)[4][4], int s, int s2, CVec m, double keep)
+{
+    CVec x = v[pairPerm(G, s)][pairPerm(G, s2)];
+    if (G == GateType::CZ && (s == 3) != (s2 == 3))
+        x = vsignApply(x, signsAll());
+    if constexpr (Mix) {
+        x = vscale(x, keep);
+        if (s == s2) {
+            vopaque(x);
+            x = vadd(x, m);
+        }
+    }
+    return x;
+}
+
+/**
+ * The pair pass over a d x d matrix on qubits qa != qb, both < log2 d.
+ * With the low qubit at stride >= kLanes each register holds one entry
+ * of kLanes adjacent column groups. With the low qubit on bit 0 (and
+ * the other at stride >= kLanes) a register holds kLanes/2 groups'
+ * bit-0 pairs; vunzip turns two such registers into one register per
+ * bit-0 value with one group per lane, and vzip turns them back.
+ * The caller checks those shapes and d >= 4 * kLanes.
+ */
+template <GateType G, bool Mix, MapKind KA, MapKind KB>
+EFTVQA_SIMD_TARGET inline void
+kernPairPass(cd *data, size_t d, size_t qa, size_t qb, const GroupMap &ga,
+             const GroupMap &gb, double keep, double mix)
+{
+    VGroupMap ma, mb;
+    vgroupMapInit(ma, ga);
+    vgroupMapInit(mb, gb);
+    const uint64_t lo = qa < qb ? qa : qb;
+    const uint64_t hi = qa < qb ? qb : qa;
+    const uint64_t sb[4] = {0, uint64_t{1} << qb, uint64_t{1} << qa,
+                            (uint64_t{1} << qa) | (uint64_t{1} << qb)};
+    // Bit-0 pairs: pair-state bits of the bit-0 qubit (l) and the
+    // other (h), and the column offset of the other's bra bit.
+    const int l = qb == 0 ? 1 : 2;
+    const int h = l ^ 3;
+    const uint64_t mh = uint64_t{1} << hi;
+    const size_t quarter = d / 4;
+    for (size_t ti = 0; ti < quarter; ++ti) {
+        const uint64_t ib = insertZeroBit(insertZeroBit(ti, lo), hi);
+        cd *r[4];
+        for (int s = 0; s < 4; ++s)
+            r[s] = data + (ib | sb[s]) * d;
+        CVec v[4][4];
+        if (lo != 0) {
+            for (size_t tj = 0; tj < quarter; tj += kLanes) {
+                const uint64_t jb =
+                    insertZeroBit(insertZeroBit(tj, lo), hi);
+#pragma GCC unroll 4
+                for (int s = 0; s < 4; ++s)
+#pragma GCC unroll 4
+                    for (int s2 = 0; s2 < 4; ++s2)
+                        v[s][s2] = vload(r[s] + (jb | sb[s2]));
+                const CVec m = vpairMaps<Mix, KA, KB>(v, ma, mb, mix);
+#pragma GCC unroll 4
+                for (int s = 0; s < 4; ++s)
+#pragma GCC unroll 4
+                    for (int s2 = 0; s2 < 4; ++s2)
+                        vstore(r[s] + (jb | sb[s2]),
+                               vpairOut<G, Mix>(v, s, s2, m, keep));
+            }
+            continue;
+        }
+        for (size_t c = 0; c < quarter / kLanes; ++c) {
+            const uint64_t ja = insertZeroBit(2 * c * kLanes, hi);
+            const uint64_t jb = insertZeroBit((2 * c + 1) * kLanes, hi);
+#pragma GCC unroll 4
+            for (int s = 0; s < 4; ++s)
+#pragma GCC unroll 2
+                for (int x = 0; x < 2; ++x) {
+                    const uint64_t off = x ? mh : 0;
+                    vunzip(vload(r[s] + (ja | off)),
+                           vload(r[s] + (jb | off)), v[s][x * h],
+                           v[s][x * h | l]);
+                }
+            const CVec m = vpairMaps<Mix, KA, KB>(v, ma, mb, mix);
+#pragma GCC unroll 4
+            for (int s = 0; s < 4; ++s)
+#pragma GCC unroll 2
+                for (int x = 0; x < 2; ++x) {
+                    const uint64_t off = x ? mh : 0;
+                    CVec a, b;
+                    vzip(vpairOut<G, Mix>(v, s, x * h, m, keep),
+                         vpairOut<G, Mix>(v, s, x * h | l, m, keep), a, b);
+                    vstore(r[s] + (ja | off), a);
+                    vstore(r[s] + (jb | off), b);
+                }
         }
     }
 }
@@ -1054,6 +1393,45 @@ tryChannel1q(cd *data, size_t d, size_t stride, const double *k)
     (void)d;
     (void)stride;
     (void)k;
+    return false;
+#endif
+}
+
+/**
+ * The density-matrix pair pass over a d x d matrix (see
+ * DensityMatrix::applyPairPass): @p ma on qa, @p mb on qb, then CX(qa,
+ * qb), CZ or Swap @p g mixed with weight @p lambda. Runs when the pair's
+ * low qubit has stride >= kLanes, or sits on bit 0 with the other at
+ * stride >= kLanes; the caller has checked the qubits and the gate.
+ */
+inline bool
+tryPairPass(cd *data, size_t d, GateType g, size_t qa, size_t qb,
+            double lambda, const GroupMap &ma, const GroupMap &mb)
+{
+#if defined(EFTVQA_SIMD_VECTOR)
+    const size_t lo = qa < qb ? qa : qb;
+    const size_t hi = qa < qb ? qb : qa;
+    if (!enabled() || d < 4 * kLanes ||
+        ((size_t{1} << lo) < kLanes &&
+         (lo != 0 || (size_t{1} << hi) < kLanes)))
+        return false;
+    dispatchPairPass(
+        g, lambda, ma, mb,
+        [&]<GateType G, bool Mix, MapKind KA, MapKind KB>() {
+            detail::kernPairPass<G, Mix, KA, KB>(
+                data, d, qa, qb, ma, mb, Mix ? 1.0 - lambda : 1.0,
+                Mix ? 0.25 * lambda : 0.0);
+        });
+    return true;
+#else
+    (void)data;
+    (void)d;
+    (void)g;
+    (void)qa;
+    (void)qb;
+    (void)lambda;
+    (void)ma;
+    (void)mb;
     return false;
 #endif
 }

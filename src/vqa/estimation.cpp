@@ -239,9 +239,10 @@ EstimationEngine::termExpectations(const Circuit &bound_circuit)
     // Serial-entry fault hooks: the cooperative deadline checkpoint and
     // the injection probe both sit outside any parallel region, so a
     // throw here unwinds cleanly to the owning cell. The scope also
-    // publishes the token thread-locally so the compiled pipeline's
-    // segment boundaries (sim layer, below any engine call) observe
-    // the same deadline mid-evaluation.
+    // publishes the token thread-locally so the simulators below any
+    // engine call observe the same deadline mid-evaluation: the
+    // statevector before each compiled run, the density matrix before
+    // each pass of its stream, the tableau trajectory loops.
     if (cancel_)
         cancel_->checkpoint();
     CancelScope cancel_scope(cancel_.get());
@@ -290,7 +291,8 @@ EstimationEngine::energies(std::span<const Circuit> bound_circuits)
                 "EstimationEngine: circuit/Hamiltonian width mismatch");
     // One checkpoint + probe per batch (GA generations land here), in
     // serial code ahead of the parallel fan-out; the scope extends the
-    // deadline to compiled-pipeline segment boundaries underneath.
+    // deadline to the simulators' checkpoints underneath (each item's
+    // throw is caught inside the fan-out and rethrown after it).
     if (cancel_)
         cancel_->checkpoint();
     CancelScope cancel_scope(cancel_.get());

@@ -17,9 +17,9 @@
  *    estimation engine calls `checkpoint()` at its serial entry
  *    points, so a runaway cell times out cleanly at the next
  *    checkpoint instead of being killed mid-thread. `CancelScope`
- *    additionally publishes the token thread-locally so compiled-
- *    pipeline segment boundaries deep inside the sim layer can honor
- *    the same deadline via `cancelCheckpoint()`.
+ *    additionally publishes the token thread-locally so the sim layer
+ *    can honor the same deadline via `cancelCheckpoint()`: before each
+ *    compiled statevector run and before each density-matrix pass.
  *
  *  - A seeded `FaultInjector` singleton with named probe points
  *    compiled into the stack (`cell.start`, `engine.energy`,
@@ -289,8 +289,8 @@ activeCancelSlot()
 
 /**
  * RAII: publish @p token as the calling thread's active cancel token
- * so deep compute loops that never see a session — the segment
- * boundaries of Statevector::runCompiled, outside any OpenMP region —
+ * so deep compute loops that never see a session — the entry of
+ * Statevector::runCompiled and each pass of a density-matrix stream —
  * can observe soft deadlines via cancelCheckpoint() without plumbing
  * a token through the sim layer. Scopes nest; the previous token is
  * restored on destruction. The token must outlive the scope.

@@ -956,7 +956,7 @@ TEST(FaultInjectorAbort, FiresAsRealSigabrtInOptedInChildProcess)
 }
 
 // --------------------------------------------------------------------
-// CancelScope: ambient deadlines inside compiled pipelines
+// CancelScope: ambient deadlines inside the simulators
 // --------------------------------------------------------------------
 
 TEST(FaultCancelScope, PublishesThreadLocallyAndRestoresOnExit)
@@ -992,9 +992,9 @@ TEST(FaultCancelScope, PublishesThreadLocallyAndRestoresOnExit)
 
 TEST(FaultCancelScope, CompiledSegmentsHonorTheAmbientDeadline)
 {
-    // An expired ambient deadline stops a compiled-pipeline run at
-    // the next blocked-segment boundary — the cooperative complement
-    // of the supervisor's hard-deadline SIGKILL.
+    // An expired ambient deadline stops a compiled statevector run at
+    // its entry checkpoint, before the first op — the cooperative
+    // complement of the supervisor's hard-deadline SIGKILL.
     CancelToken token;
     token.setDeadline(0.01);
     while (!token.expired())
@@ -1010,4 +1010,30 @@ TEST(FaultCancelScope, CompiledSegmentsHonorTheAmbientDeadline)
     // Without the scope the same run completes untouched.
     Statevector fresh(4);
     EXPECT_NO_THROW(fresh.runCompiled(compiled));
+}
+
+TEST(FaultCancelScope, DensityMatrixStreamStopsBetweenPasses)
+{
+    // The density-matrix stream checks the ambient token before every
+    // pass, so a past-deadline cell stops a noisy prepare within one
+    // sweep of rho, and rho is still a whole n-qubit matrix.
+    CancelToken token;
+    token.setDeadline(0.01);
+    while (!token.expired())
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+    const size_t n = 5;
+    const std::vector<DmPass> passes = compileNoisyDmStream(
+        boundClifford(fcheAnsatz(n, 1), 11), nisqDmSpec(NisqParams{}));
+    DensityMatrix rho(n);
+    {
+        CancelScope scope(&token);
+        EXPECT_THROW(rho.runPassesFromZero(passes), TimeoutError);
+    }
+    EXPECT_EQ(rho.nQubits(), n);
+    EXPECT_EQ(rho.data().size(), size_t{1} << (2 * n));
+    EXPECT_NEAR(rho.trace(), 1.0, 1e-12);
+    // Without the scope the same prepare completes.
+    EXPECT_NO_THROW(rho.runPassesFromZero(passes));
+    EXPECT_NEAR(rho.trace(), 1.0, 1e-12);
 }

@@ -8,7 +8,8 @@
  * Pauli conjugations. Plus the stream's pass-count bound, the live
  * prefix of runPassesFromZero() against runPasses() on a fresh matrix
  * (memcmp, or up to the sign of an exact zero), the pair pass on every
- * gate and DmNoiseSpec::validate().
+ * gate, the fused stream (pair passes carrying their qubits' pending
+ * maps) against its unfused form by memcmp, and DmNoiseSpec::validate().
  */
 
 #include <gtest/gtest.h>
@@ -152,6 +153,59 @@ sameBytes(const DensityMatrix &a, const DensityMatrix &b)
 }
 
 /**
+ * The unfused form of a stream: each Pair pass becomes a Map pass per
+ * map it carries (q0's, then q1's) plus the bare pair pass. A fused
+ * stream must equal it byte for byte.
+ */
+std::vector<DmPass>
+defuse(const std::vector<DmPass> &passes)
+{
+    std::vector<DmPass> out;
+    for (const DmPass &p : passes) {
+        if (p.kind != DmPass::Kind::Pair) {
+            out.push_back(p);
+            continue;
+        }
+        DmPass bare = p;
+        for (int k = 0; k < 2; ++k) {
+            bare.map[k] = DmMap{};
+            if (p.map[k].kind == DmMap::Kind::None)
+                continue;
+            DmPass flush;
+            flush.q0 = k == 0 ? p.q0 : p.q1;
+            flush.map[0] = p.map[k];
+            out.push_back(flush);
+        }
+        out.push_back(bare);
+    }
+    return out;
+}
+
+/**
+ * @p passes against defuse(@p passes) through runPasses() from the same
+ * mixed state, in both SIMD modes, and the two modes against each
+ * other: memcmp over rho's storage.
+ */
+void
+expectFusedBytes(size_t n, const std::vector<DmPass> &passes,
+                 const std::string &what)
+{
+    const std::vector<DmPass> unfused = defuse(passes);
+    std::vector<DensityMatrix> by_mode;
+    for (const int mode : {-1, 0}) {
+        SimdModeGuard guard(mode);
+        DensityMatrix fused(n), ref(n);
+        mixedStart(fused, n + passes.size());
+        mixedStart(ref, n + passes.size());
+        fused.runPasses(passes);
+        ref.runPasses(unfused);
+        EXPECT_TRUE(sameBytes(fused, ref)) << what << " simd " << mode;
+        by_mode.push_back(std::move(fused));
+    }
+    EXPECT_TRUE(sameBytes(by_mode[0], by_mode[1])) << what << " simd/scalar";
+}
+
+/**
  * runPassesFromZero() on a matrix holding a stale mixed state (as a
  * reused backend's does) against runPasses() on a fresh |0..0> matrix,
  * in both SIMD modes: memcmp over rho's storage.
@@ -248,8 +302,8 @@ TEST(NoisyDmStream, BackendEnergyIsTheOracleTrace)
 
 TEST(NoisyDmStream, Fche8PassCountIsBounded)
 {
-    // One pair pass per two-qubit gate, at most one flush per qubit of
-    // the pair before it, and one final flush per qubit.
+    // One pair pass per two-qubit gate, carrying its qubits' pending
+    // maps, and at most one final Map pass per qubit.
     const size_t n = 8;
     const Circuit c = fche8Circuit();
     size_t two_qubit = 0;
@@ -260,7 +314,7 @@ TEST(NoisyDmStream, Fche8PassCountIsBounded)
     for (const DmNoiseSpec &spec :
          {nisqDmSpec(NisqParams{}), pqecDmSpec(PqecParams{})}) {
         const std::vector<DmPass> passes = compileNoisyDmStream(c, spec);
-        EXPECT_LE(passes.size(), 3 * two_qubit + n);
+        EXPECT_LE(passes.size(), two_qubit + n);
         size_t pairs = 0;
         for (const DmPass &p : passes)
             pairs += p.kind == DmPass::Kind::Pair ? 1 : 0;
@@ -373,11 +427,13 @@ TEST(NoisyDmStream, LivePrefixRejectsBadPassesAndStaysAWholeMatrix)
     DensityMatrix expected(n);
     expected.runPasses(valid);
 
-    DmPass superop = valid.front();
-    superop.kind = DmPass::Kind::Superop;
+    DmPass superop; // a Map pass
     superop.q0 = n;
+    superop.map[0].kind = DmMap::Kind::Superop;
+    superop.map[0].superop = unitarySuperop(gateMatrix1q(GateType::H));
     DmPass channel = superop;
-    channel.kind = DmPass::Kind::Channel;
+    channel.map[0].kind = DmMap::Kind::Channel;
+    channel.map[0].superop = amplitudeDampingSuperop(0.1);
     DmPass pair;
     pair.kind = DmPass::Kind::Pair;
     pair.gate = GateType::CX;
@@ -421,8 +477,8 @@ TEST(NoisyDmStream, LivePrefixEngagesOnFche8)
         size_t passes, full_width;
         double visit_share;
     } cases[] = {
-        {"nisq", nisqDmSpec(NisqParams{}), 92, 55, 0.630},
-        {"pqec", pqecDmSpec(PqecParams{}), 48, 27, 0.591},
+        {"nisq", nisqDmSpec(NisqParams{}), 36, 24, 0.694},
+        {"pqec", pqecDmSpec(PqecParams{}), 34, 22, 0.676},
     };
     for (const auto &cs : cases) {
         const std::vector<DmPass> passes = compileNoisyDmStream(c, cs.spec);
@@ -466,6 +522,111 @@ TEST(NoisyDmStream, PairPassMatchesMatrixConjugationForEveryGate)
             }
         }
     }
+}
+
+TEST(NoisyDmStream, FusedStreamIsBitIdenticalToTheUnfusedStream)
+{
+    // Each pair pass applies its qubits' pending maps inside its groups
+    // with the standalone kernels' arithmetic in their order, so rho is
+    // byte for byte the stream of separate passes.
+    auto specs = streamSpecs();
+    specs.emplace_back("noiseless", DmNoiseSpec{});
+    std::set<GateType> seen;
+    size_t carried = 0;
+    for (uint64_t seed = 0; seed < 60; ++seed) {
+        const size_t n = 1 + seed % 6;
+        const Circuit c = randomCircuit(n, seed, seen);
+        for (const auto &[name, spec] : specs) {
+            const std::vector<DmPass> passes = compileNoisyDmStream(c, spec);
+            carried += defuse(passes).size() - passes.size();
+            expectFusedBytes(n, passes,
+                             "seed " + std::to_string(seed) + " " + name);
+        }
+    }
+    EXPECT_GT(carried, 0u);
+    const Circuit fche = fche8Circuit();
+    for (const auto &[name, spec] : specs)
+        expectFusedBytes(8, compileNoisyDmStream(fche, spec),
+                         "fche8 " + name);
+}
+
+TEST(NoisyDmStream, FusedPairPassShapeSweep)
+{
+    // One pair pass on every ordered pair of a 5-qubit register (bits 0
+    // and 1 included, so the bit-0 and sub-register shapes run), every
+    // gate, every pending kind on each qubit, with and without
+    // depolarizing: at full width byte for byte against the unfused
+    // passes, and from |0..0> through the live prefix entry by entry
+    // (== treats the sign of an exact zero as equal) and by every
+    // Pauli expectation byte for byte.
+    const size_t n = 5;
+    enum class Pending
+    {
+        None,
+        Channel,
+        Superop
+    };
+    const Pending kinds[] = {Pending::None, Pending::Channel,
+                             Pending::Superop};
+    const auto pend = [](DmPassBuilder &b, uint32_t q, Pending k) {
+        if (k == Pending::None)
+            return;
+        if (k == Pending::Superop)
+            b.gate1q(Gate::rotation(GateType::Ry, q, 0.7 + 0.3 * q));
+        b.channel(q, amplitudeDampingSuperop(0.13));
+        b.channel(q, phaseDampingSuperop(0.05 + 0.01 * q));
+    };
+    Hamiltonian every(n);
+    for (size_t k = 0; k < (size_t{1} << (2 * n)); ++k) {
+        std::string label;
+        for (size_t q = 0; q < n; ++q)
+            label += "IXYZ"[(k >> (2 * q)) & 3];
+        every.addTerm(1.0, label);
+    }
+    for (const GateType t : {GateType::CX, GateType::CZ, GateType::Swap})
+        for (uint32_t a = 0; a < n; ++a)
+            for (uint32_t b = 0; b < n; ++b) {
+                if (a == b)
+                    continue;
+                for (const Pending ka : kinds)
+                    for (const Pending kb : kinds)
+                        for (const double p : {0.0, 0.047}) {
+                            DmPassBuilder stream(n);
+                            pend(stream, a, ka);
+                            pend(stream, b, kb);
+                            stream.gate2q(Gate(t, a, b), p);
+                            const std::vector<DmPass> passes =
+                                stream.finish();
+                            ASSERT_EQ(passes.size(), 1u);
+                            const std::string what =
+                                gateName(t) + " " + std::to_string(a) +
+                                " " + std::to_string(b) + " kinds " +
+                                std::to_string(int(ka)) +
+                                std::to_string(int(kb)) + " p " +
+                                std::to_string(p);
+                            expectFusedBytes(n, passes, what);
+                            for (const int mode : {-1, 0}) {
+                                SimdModeGuard guard(mode);
+                                DensityMatrix fused(n), ref(n);
+                                fused.runPassesFromZero(passes);
+                                ref.runPassesFromZero(defuse(passes));
+                                for (size_t i = 0; i < ref.data().size();
+                                     ++i)
+                                    ASSERT_EQ(fused.data()[i],
+                                              ref.data()[i])
+                                        << what << " entry " << i;
+                                const std::vector<double> ea =
+                                    fused.expectationBatch(every);
+                                const std::vector<double> eb =
+                                    ref.expectationBatch(every);
+                                EXPECT_EQ(std::memcmp(ea.data(), eb.data(),
+                                                      ea.size() *
+                                                          sizeof(double)),
+                                          0)
+                                    << what << " simd " << mode;
+                            }
+                        }
+            }
 }
 
 TEST(NoisyDmStream, ThermalRelaxationRejectsT2AboveTwiceT1LikeKraus)
