@@ -13,6 +13,7 @@
 
 #include <array>
 #include <complex>
+#include <cstdint>
 
 #include "circuit/gate.hpp"
 
@@ -78,6 +79,37 @@ Mat4 phaseDampingSuperop(double lambda);
  * unless T1, T2 > 0, t >= 0 and T2 <= 2 T1.
  */
 Mat4 thermalRelaxationSuperop(double t1, double t2, double t);
+
+/**
+ * A qubit's folded one-qubit maps (DmPassBuilder), as a DmPass carries
+ * them to the density-matrix kernels.
+ */
+struct DmMap
+{
+    enum class Kind : uint8_t
+    {
+        None,    ///< nothing folded
+        Superop, ///< complex 4x4 superoperator carrying a gate
+        Channel, ///< gate-free channel: real, block-sparse superoperator
+    };
+
+    Kind kind = Kind::None;
+    Mat4 superop{}; ///< (ket << 1) | bra
+};
+
+/**
+ * A gate-free channel's 8 block entries {aa, ad, da, dd, bb, bc, cb,
+ * cc}: populations (A = rho[0,0], D = rho[1,1] of the qubit) and
+ * coherences (B = rho[0,1], C = rho[1,0]) mix only within their own
+ * block.
+ */
+inline void
+channelEntries(const Mat4 &superop, double (&k)[8])
+{
+    constexpr int at[8] = {0, 3, 12, 15, 5, 6, 9, 10};
+    for (int i = 0; i < 8; ++i)
+        k[i] = superop[at[i]].real();
+}
 
 } // namespace eftvqa
 

@@ -249,22 +249,6 @@ DensityMatrix::growLive(size_t m, size_t m2)
         std::fill(rho + i * d2 + d, rho + (i + 1) * d2, zero);
 }
 
-namespace {
-
-/** A gate-free channel's 8 block entries {aa, ad, da, dd, bb, bc, cb,
- *  cc}: populations (A = rho[0,0], D = rho[1,1] of the qubit) and
- *  coherences (B = rho[0,1], C = rho[1,0]) mix only within their own
- *  block. */
-void
-channelEntries(const Mat4 &superop, double (&k)[8])
-{
-    const int at[8] = {0, 3, 12, 15, 5, 6, 9, 10};
-    for (int i = 0; i < 8; ++i)
-        k[i] = superop[at[i]].real();
-}
-
-} // namespace
-
 void
 DensityMatrix::applyMap1q(const DmMap &map, size_t q, size_t width)
 {
@@ -305,96 +289,42 @@ DensityMatrix::applyMap1q(const DmMap &map, size_t q, size_t width)
 
 namespace {
 
-using cd = std::complex<double>;
-
-/** The vector kernels' complex product (ar br - ai bi, ar bi + ai br):
- *  std::complex's, without the NaN-recovery branch that keeps the
- *  group loop from being scheduled as straight-line code. */
-inline cd
-cmul(cd a, cd b)
-{
-    return {a.real() * b.real() - a.imag() * b.imag(),
-            a.real() * b.imag() + a.imag() * b.real()};
-}
-
-/**
- * One qubit's map of kind K (Superop or Channel) on a group v[s][s2]
- * (ket pair state s, bra pair state s2), the qubit on pair-state bit
- * Bit (2: qa, 1: qb): each quadruple differing only in its ket and bra
- * bits takes applyMat4AtBits's arithmetic for a superoperator and
- * applyMap1q's channel loop's for a channel. Always inlined, so the
- * group stays in registers instead of crossing a call through memory.
- */
-template <simd::MapKind K, int Bit>
-[[gnu::always_inline]] inline void
-groupMap(cd (&v)[4][4], const simd::GroupMap &map)
-{
-    constexpr int o = Bit ^ 3;
-    for (int x = 0; x <= o; x += o)
-        for (int y = 0; y <= o; y += o) {
-            cd &pa = v[x][y], &pb = v[x][y | Bit];
-            cd &pc = v[x | Bit][y], &pe = v[x | Bit][y | Bit];
-            const cd a = pa, b = pb, c = pc, e = pe;
-            if constexpr (K == simd::MapKind::Superop) {
-                const Mat4 &u = *map.superop;
-                pa = cmul(u[0], a) + cmul(u[1], b) + cmul(u[2], c) +
-                     cmul(u[3], e);
-                pb = cmul(u[4], a) + cmul(u[5], b) + cmul(u[6], c) +
-                     cmul(u[7], e);
-                pc = cmul(u[8], a) + cmul(u[9], b) + cmul(u[10], c) +
-                     cmul(u[11], e);
-                pe = cmul(u[12], a) + cmul(u[13], b) + cmul(u[14], c) +
-                     cmul(u[15], e);
-            } else {
-                const double *k = map.channel;
-                pa = k[0] * a + k[1] * e;
-                pe = k[2] * a + k[3] * e;
-                pb = k[4] * b + k[5] * c;
-                pc = k[6] * b + k[7] * c;
-            }
-        }
-}
-
 /**
  * One in-place pass over the pair's 16-element groups, rows (ket pair
- * states) outer and columns (bra pair states) inner: qa's map, qb's
- * map, then out[s][s2] = +-in[perm s][perm s2] (CZ signs the elements
- * where exactly one of s, s2 is 11), then, with Mix, keep * out + mix *
- * Tr_pair on the diagonal s == s2. The relabel preserves that
- * diagonal, so the trace reads the pre-gate group.
+ * states) outer and columns (bra pair states) inner: out[s][s2] =
+ * +-in[perm s][perm s2] (CZ signs the elements where exactly one of s,
+ * s2 is 11), then, with Mix, keep * out + mix * Tr_pair on the
+ * diagonal s == s2. The relabel preserves that diagonal, so the trace
+ * reads the pre-gate group.
  */
-template <GateType G, bool Mix, simd::MapKind KA, simd::MapKind KB>
+template <GateType G, bool Mix>
 void
-pairPass(cd *data, size_t d, uint64_t lo, uint64_t hi,
-         const uint64_t (&sb)[4], const simd::GroupMap &ma,
-         const simd::GroupMap &mb, double keep, double mix)
+pairPass(std::complex<double> *data, size_t d, uint64_t lo, uint64_t hi,
+         const uint64_t (&sb)[4], double keep, double mix)
 {
     const size_t quarter = d / 4;
     for (size_t ti = 0; ti < quarter; ++ti) {
         const uint64_t ib = insertZeroBit(insertZeroBit(ti, lo), hi);
-        cd *r[4];
+        std::complex<double> *r[4];
         for (int s = 0; s < 4; ++s)
             r[s] = data + (ib | sb[s]) * d;
         for (size_t tj = 0; tj < quarter; ++tj) {
             const uint64_t jb = insertZeroBit(insertZeroBit(tj, lo), hi);
-            cd v[4][4];
+            std::complex<double> v[4][4];
 #pragma GCC unroll 4
             for (int s = 0; s < 4; ++s)
 #pragma GCC unroll 4
                 for (int s2 = 0; s2 < 4; ++s2)
                     v[s][s2] = r[s][jb | sb[s2]];
-            if constexpr (KA != simd::MapKind::None)
-                groupMap<KA, 2>(v, ma);
-            if constexpr (KB != simd::MapKind::None)
-                groupMap<KB, 1>(v, mb);
-            cd m;
+            std::complex<double> m;
             if constexpr (Mix)
                 m = mix * (v[0][0] + v[1][1] + v[2][2] + v[3][3]);
 #pragma GCC unroll 4
             for (int s = 0; s < 4; ++s)
 #pragma GCC unroll 4
                 for (int s2 = 0; s2 < 4; ++s2) {
-                    cd w = v[simd::pairPerm(G, s)][simd::pairPerm(G, s2)];
+                    std::complex<double> w =
+                        v[simd::pairPerm(G, s)][simd::pairPerm(G, s2)];
                     if (G == GateType::CZ && (s == 3) != (s2 == 3))
                         w = -w;
                     if constexpr (Mix) {
@@ -408,16 +338,15 @@ pairPass(cd *data, size_t d, uint64_t lo, uint64_t hi,
     }
 }
 
-/** The kernels' view of @p map; a channel's entries land in @p k. */
-simd::GroupMap
-groupMapOf(const DmMap &map, double (&k)[8])
+template <GateType G>
+void
+pairPass(std::complex<double> *data, size_t d, uint64_t lo, uint64_t hi,
+         const uint64_t (&sb)[4], double lambda)
 {
-    if (map.kind == DmMap::Kind::Superop)
-        return {&map.superop, nullptr};
-    if (map.kind == DmMap::Kind::None)
-        return {};
-    channelEntries(map.superop, k);
-    return {nullptr, k};
+    if (lambda == 0.0)
+        pairPass<G, false>(data, d, lo, hi, sb, 1.0, 0.0);
+    else
+        pairPass<G, true>(data, d, lo, hi, sb, 1.0 - lambda, 0.25 * lambda);
 }
 
 } // namespace
@@ -433,34 +362,25 @@ DensityMatrix::applyPairPass(const DmPass &p, size_t width)
         p.gate != GateType::Swap)
         throw std::invalid_argument(
             "DensityMatrix: pair pass takes CX, CZ or Swap");
-    double ka[8], kb[8];
-    simd::GroupMap ma = groupMapOf(p.map[0], ka);
-    simd::GroupMap mb = groupMapOf(p.map[1], kb);
-    cd *data = data_.data();
+    std::complex<double> *data = data_.data();
     const size_t d = size_t{1} << width;
-    if (simd::tryPairPass(data, d, p.gate, qa, qb, p.lambda, ma, mb))
+    if (simd::tryPairPass(data, d, p.gate, qa, qb, p.lambda, p.map[0],
+                          p.map[1]))
         return;
-    if (simd::enabled()) {
-        // A shape the vector pair kernel does not take (an AVX-512 pair
-        // on qubit 1, a block narrower than four registers): the maps'
-        // own vector passes, then the bare scalar pair, give the same
-        // bits faster than the scalar group loop carrying them.
-        applyMap1q(p.map[0], qa, width);
-        applyMap1q(p.map[1], qb, width);
-        ma = mb = simd::GroupMap{};
-    }
+    applyMap1q(p.map[0], qa, width);
+    applyMap1q(p.map[1], qb, width);
     const uint64_t bit_a = uint64_t{1} << qa;
     const uint64_t bit_b = uint64_t{1} << qb;
     const uint64_t sb[4] = {0, bit_b, bit_a, bit_a | bit_b};
     const uint64_t lo = std::min(qa, qb), hi = std::max(qa, qb);
-    const double lambda = p.lambda;
-    simd::dispatchPairPass(
-        p.gate, lambda, ma, mb,
-        [&]<GateType G, bool Mix, simd::MapKind KA, simd::MapKind KB>() {
-            pairPass<G, Mix, KA, KB>(data, d, lo, hi, sb, ma, mb,
-                                     Mix ? 1.0 - lambda : 1.0,
-                                     Mix ? 0.25 * lambda : 0.0);
-        });
+    switch (p.gate) {
+      case GateType::CX:
+        return pairPass<GateType::CX>(data, d, lo, hi, sb, p.lambda);
+      case GateType::Swap:
+        return pairPass<GateType::Swap>(data, d, lo, hi, sb, p.lambda);
+      default:
+        return pairPass<GateType::CZ>(data, d, lo, hi, sb, p.lambda);
+    }
 }
 
 double

@@ -12,8 +12,9 @@
  * Reset — is a 4x4 superoperator on bits (n + q, q), a qubit's maps
  * between two-qubit gates fold into one map (DmPassBuilder), and
  * CX/CZ/Swap relabel 16-element groups in place after applying their
- * qubits' folded maps inside each group: one sweep of rho per
- * two-qubit gate. Run from |0..0>, the stream keeps a live prefix
+ * qubits' folded maps inside each group: on the vector kernels, one
+ * sweep of rho per two-qubit gate (the scalar path sweeps each map on
+ * its own first). Run from |0..0>, the stream keeps a live prefix
  * (dmLiveWidth): qubits no pass has named yet are exact |0><0| factors
  * and are not swept.
  */
@@ -41,20 +42,6 @@ namespace eftvqa {
  */
 inline constexpr uint64_t kNoisyDmKernelVersion = 2;
 
-/** A qubit's folded one-qubit maps, as a DmPass carries them. */
-struct DmMap
-{
-    enum class Kind : uint8_t
-    {
-        None,    ///< nothing folded
-        Superop, ///< complex 4x4 superoperator carrying a gate
-        Channel, ///< gate-free channel: real, block-sparse superoperator
-    };
-
-    Kind kind = Kind::None;
-    Mat4 superop{}; ///< (ket << 1) | bra
-};
-
 /** One pass of a density-matrix stream (see DmPassBuilder). */
 struct DmPass
 {
@@ -62,7 +49,7 @@ struct DmPass
     {
         Map,  ///< map[0] on q0 alone: a map still pending at the end
         Pair, ///< map[0] on q0, map[1] on q1, then CX/CZ/Swap fused with
-              ///< 2q depolarizing (lambda >= 0), inside each group
+              ///< 2q depolarizing (lambda >= 0)
     };
 
     Kind kind = Kind::Map;
@@ -77,8 +64,8 @@ struct DmPass
  * Compiles gates and channels into a DmPass stream. Every one-qubit map
  * (1q gate, Measure, Reset, channel) folds into a pending superoperator
  * of its qubit — later maps multiply on the left. A two-qubit gate's
- * Pair pass takes its qubits' pending maps and applies them, q0's
- * first, inside each of its 16-element groups before the gate; a map
+ * Pair pass takes its qubits' pending maps, which run q0's first and
+ * before the gate (see DensityMatrix::applyPairPass); a map
  * still pending when the stream finishes becomes a Map pass of its
  * own. Maps on different qubits commute, so the fold is exact; a
  * stream makes one pass per two-qubit gate plus at most one per qubit.
@@ -221,14 +208,15 @@ class DensityMatrix
     void applyMap1q(const DmMap &map, size_t q, size_t width);
 
     /**
-     * One in-place pass over the 16-element groups of the pair (q0, q1)
-     * of Pair pass @p p: apply map[0] to q0 and map[1] to q1 inside the
-     * group, each entry with the arithmetic applyMap1q gives it, then
-     * relabel/sign the group by CX(q0, q1), CZ or Swap and mix it toward
-     * its pair-maximally-mixed part with weight lambda (the 2q
-     * depolarizing channel, which commutes with any unitary on the
-     * pair). Bit-identical to applyMap1q on q0, then on q1, then the
-     * bare pair pass.
+     * Pair pass @p p: map[0] on q0, map[1] on q1, then each 16-element
+     * group of the pair relabeled/signed by CX(q0, q1), CZ or Swap and
+     * mixed toward its pair-maximally-mixed part with weight lambda
+     * (the 2q depolarizing channel, which commutes with any unitary on
+     * the pair). The vector kernel (simd::tryPairPass) does it all in
+     * one sweep, applying the maps inside each group with applyMap1q's
+     * arithmetic; any other shape, and the scalar build, run
+     * applyMap1q on q0, then on q1, then the bare pair sweep — the
+     * same bits.
      */
     void applyPairPass(const DmPass &p, size_t width);
 

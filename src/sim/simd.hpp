@@ -204,19 +204,6 @@ struct AlignedAllocator
 /** Amplitude storage of the dense simulators. */
 using AmpVector = std::vector<cd, AlignedAllocator<cd>>;
 
-/**
- * A one-qubit map the density-matrix pair pass applies inside its
- * 16-element groups before the gate (DensityMatrix::applyPairPass): a
- * dense 4x4 superoperator, (ket << 1) | bra, or a gate-free channel
- * read as its 8 real block entries {aa, ad, da, dd, bb, bc, cb, cc}
- * (tryChannel1q's k), or neither.
- */
-struct GroupMap
-{
-    const Mat4 *superop = nullptr;
-    const double *channel = nullptr;
-};
-
 /** Pair state s = (bit qa << 1) | bit qb under CX(qa, qb) / Swap; CZ
  *  keeps it. Every pair gate is an involution. */
 constexpr int
@@ -227,69 +214,6 @@ pairPerm(GateType g, int s)
     if (g == GateType::Swap)
         return s == 1 || s == 2 ? s ^ 3 : s;
     return s;
-}
-
-/** A GroupMap's kind, a template argument of the pair-pass kernels. */
-enum class MapKind
-{
-    None,
-    Channel,
-    Superop,
-};
-
-inline MapKind
-mapKind(const GroupMap &map)
-{
-    return map.superop    ? MapKind::Superop
-           : map.channel ? MapKind::Channel
-                         : MapKind::None;
-}
-
-/**
- * Calls f.template operator()<G, Mix, KA, KB>() with the pair pass's
- * gate @p g (CX, CZ or Swap, which the caller has checked), whether it
- * mixes (@p lambda != 0) and the kinds of @p ma and @p mb as template
- * arguments, so every kernel instantiation is straight-line code.
- */
-template <class F>
-inline void
-dispatchPairPass(GateType g, double lambda, const GroupMap &ma,
-                 const GroupMap &mb, F &&f)
-{
-    const auto kb = [&]<GateType G, bool Mix, MapKind KA>() {
-        switch (mapKind(mb)) {
-          case MapKind::None:
-            return f.template operator()<G, Mix, KA, MapKind::None>();
-          case MapKind::Channel:
-            return f.template operator()<G, Mix, KA, MapKind::Channel>();
-          case MapKind::Superop:
-            return f.template operator()<G, Mix, KA, MapKind::Superop>();
-        }
-    };
-    const auto ka = [&]<GateType G, bool Mix>() {
-        switch (mapKind(ma)) {
-          case MapKind::None:
-            return kb.template operator()<G, Mix, MapKind::None>();
-          case MapKind::Channel:
-            return kb.template operator()<G, Mix, MapKind::Channel>();
-          case MapKind::Superop:
-            return kb.template operator()<G, Mix, MapKind::Superop>();
-        }
-    };
-    const auto mix = [&]<GateType G>() {
-        if (lambda == 0.0)
-            ka.template operator()<G, false>();
-        else
-            ka.template operator()<G, true>();
-    };
-    switch (g) {
-      case GateType::CX:
-        return mix.template operator()<GateType::CX>();
-      case GateType::Swap:
-        return mix.template operator()<GateType::Swap>();
-      default:
-        return mix.template operator()<GateType::CZ>();
-    }
 }
 
 namespace detail {
@@ -972,23 +896,22 @@ kernChannel1q(cd *data, size_t d, size_t stride, const double *k)
     }
 }
 
-/** A GroupMap copied next to the kernel: the superoperator broadcast
- *  to registers, the channel entries by value. */
-struct VGroupMap
+/** A DmMap copied next to the kernel: a superoperator broadcast to
+ *  registers, a channel's 8 block entries by value. */
+struct VDmMap
 {
     CVec u[16];
     double k[8];
 };
 
 EFTVQA_SIMD_TARGET inline void
-vgroupMapInit(VGroupMap &out, const GroupMap &map)
+vdmMapInit(VDmMap &out, const DmMap &map)
 {
-    if (map.superop)
+    if (map.kind == DmMap::Kind::Superop)
         for (int k = 0; k < 16; ++k)
-            out.u[k] = vbroadcast((*map.superop)[k]);
-    if (map.channel)
-        for (int k = 0; k < 8; ++k)
-            out.k[k] = map.channel[k];
+            out.u[k] = vbroadcast(map.superop[k]);
+    else if (map.kind == DmMap::Kind::Channel)
+        channelEntries(map.superop, out.k);
 }
 
 /**
@@ -999,12 +922,12 @@ vgroupMapInit(VGroupMap &out, const GroupMap &map)
  * the arithmetic of the standalone kernels: kernApply2q's for a
  * superoperator, kernChannel1q's for a channel.
  */
-template <MapKind K, int Bit>
+template <DmMap::Kind K, int Bit>
 EFTVQA_SIMD_TARGET inline void
-vgroupMap(CVec (&v)[4][4], const VGroupMap &map)
+vgroupMap(CVec (&v)[4][4], const VDmMap &map)
 {
     constexpr int o = Bit ^ 3;
-    if constexpr (K == MapKind::Superop) {
+    if constexpr (K == DmMap::Kind::Superop) {
         const CVec *u = map.u;
 #pragma GCC unroll 2
         for (int x = 0; x <= o; x += o)
@@ -1020,7 +943,7 @@ vgroupMap(CVec (&v)[4][4], const VGroupMap &map)
                                       vcmul(u[4 * r + 2], in[2])),
                                  vcmul(u[4 * r + 3], in[3]));
             }
-    } else if constexpr (K == MapKind::Channel) {
+    } else if constexpr (K == DmMap::Kind::Channel) {
         const double *k = map.k;
 #pragma GCC unroll 2
         for (int x = 0; x <= o; x += o)
@@ -1042,10 +965,9 @@ vgroupMap(CVec (&v)[4][4], const VGroupMap &map)
  * (the group's trace), the depolarizing mix's diagonal term (zero
  * without Mix).
  */
-template <bool Mix, MapKind KA, MapKind KB>
+template <bool Mix, DmMap::Kind KA, DmMap::Kind KB>
 EFTVQA_SIMD_TARGET inline CVec
-vpairMaps(CVec (&v)[4][4], const VGroupMap &ma, const VGroupMap &mb,
-          double mix)
+vpairMaps(CVec (&v)[4][4], const VDmMap &ma, const VDmMap &mb, double mix)
 {
     vgroupMap<KA, 2>(v, ma);
     vgroupMap<KB, 1>(v, mb);
@@ -1089,14 +1011,14 @@ vpairOut(const CVec (&v)[4][4], int s, int s2, CVec m, double keep)
  * bit-0 value with one group per lane, and vzip turns them back.
  * The caller checks those shapes and d >= 4 * kLanes.
  */
-template <GateType G, bool Mix, MapKind KA, MapKind KB>
+template <GateType G, bool Mix, DmMap::Kind KA, DmMap::Kind KB>
 EFTVQA_SIMD_TARGET inline void
-kernPairPass(cd *data, size_t d, size_t qa, size_t qb, const GroupMap &ga,
-             const GroupMap &gb, double keep, double mix)
+kernPairPass(cd *data, size_t d, size_t qa, size_t qb, const DmMap &ga,
+             const DmMap &gb, double keep, double mix)
 {
-    VGroupMap ma, mb;
-    vgroupMapInit(ma, ga);
-    vgroupMapInit(mb, gb);
+    VDmMap ma, mb;
+    vdmMapInit(ma, ga);
+    vdmMapInit(mb, gb);
     const uint64_t lo = qa < qb ? qa : qb;
     const uint64_t hi = qa < qb ? qb : qa;
     const uint64_t sb[4] = {0, uint64_t{1} << qb, uint64_t{1} << qa,
@@ -1398,6 +1320,54 @@ tryChannel1q(cd *data, size_t d, size_t stride, const double *k)
 }
 
 /**
+ * Calls f.template operator()<G, Mix, KA, KB>() with the pair pass's
+ * gate @p g (CX, CZ or Swap, which the caller has checked), whether it
+ * mixes (@p lambda != 0) and the kinds of @p ma and @p mb as template
+ * arguments, so every kernel instantiation is straight-line code.
+ */
+template <class F>
+inline void
+dispatchPairPass(GateType g, double lambda, const DmMap &ma,
+                 const DmMap &mb, F &&f)
+{
+    using K = DmMap::Kind;
+    const auto kb = [&]<GateType G, bool Mix, K KA>() {
+        switch (mb.kind) {
+          case K::None:
+            return f.template operator()<G, Mix, KA, K::None>();
+          case K::Channel:
+            return f.template operator()<G, Mix, KA, K::Channel>();
+          case K::Superop:
+            return f.template operator()<G, Mix, KA, K::Superop>();
+        }
+    };
+    const auto ka = [&]<GateType G, bool Mix>() {
+        switch (ma.kind) {
+          case K::None:
+            return kb.template operator()<G, Mix, K::None>();
+          case K::Channel:
+            return kb.template operator()<G, Mix, K::Channel>();
+          case K::Superop:
+            return kb.template operator()<G, Mix, K::Superop>();
+        }
+    };
+    const auto mix = [&]<GateType G>() {
+        if (lambda == 0.0)
+            ka.template operator()<G, false>();
+        else
+            ka.template operator()<G, true>();
+    };
+    switch (g) {
+      case GateType::CX:
+        return mix.template operator()<GateType::CX>();
+      case GateType::Swap:
+        return mix.template operator()<GateType::Swap>();
+      default:
+        return mix.template operator()<GateType::CZ>();
+    }
+}
+
+/**
  * The density-matrix pair pass over a d x d matrix (see
  * DensityMatrix::applyPairPass): @p ma on qa, @p mb on qb, then CX(qa,
  * qb), CZ or Swap @p g mixed with weight @p lambda. Runs when the pair's
@@ -1406,7 +1376,7 @@ tryChannel1q(cd *data, size_t d, size_t stride, const double *k)
  */
 inline bool
 tryPairPass(cd *data, size_t d, GateType g, size_t qa, size_t qb,
-            double lambda, const GroupMap &ma, const GroupMap &mb)
+            double lambda, const DmMap &ma, const DmMap &mb)
 {
 #if defined(EFTVQA_SIMD_VECTOR)
     const size_t lo = qa < qb ? qa : qb;
@@ -1417,7 +1387,7 @@ tryPairPass(cd *data, size_t d, GateType g, size_t qa, size_t qb,
         return false;
     dispatchPairPass(
         g, lambda, ma, mb,
-        [&]<GateType G, bool Mix, MapKind KA, MapKind KB>() {
+        [&]<GateType G, bool Mix, DmMap::Kind KA, DmMap::Kind KB>() {
             detail::kernPairPass<G, Mix, KA, KB>(
                 data, d, qa, qb, ma, mb, Mix ? 1.0 - lambda : 1.0,
                 Mix ? 0.25 * lambda : 0.0);
