@@ -99,16 +99,21 @@ Gate::isClifford(double tol) const
 std::string
 Gate::toString() const
 {
+    // Appends only: GCC 12 flags `"(" + std::to_string(...)` with a
+    // false -Wrestrict.
     std::string s = gateName(type);
     if (isRotationType(type)) {
-        if (isParameterized())
-            s += "(p" + std::to_string(param) + ")";
-        else
-            s += "(" + std::to_string(angle) + ")";
+        s += isParameterized() ? "(p" : "(";
+        s += isParameterized() ? std::to_string(param)
+                               : std::to_string(angle);
+        s += ')';
     }
-    s += " " + std::to_string(q0);
-    if (isTwoQubit())
-        s += " " + std::to_string(q1);
+    s += ' ';
+    s += std::to_string(q0);
+    if (isTwoQubit()) {
+        s += ' ';
+        s += std::to_string(q1);
+    }
     return s;
 }
 

@@ -424,7 +424,7 @@ DensityMatrix::expectationBatch(const Hamiltonian &h) const
         // that survives the final real projection (Hermitian Z-type
         // terms have +/-1 phase).
         [data, d](uint64_t xm, uint64_t i0, size_t n,
-                  std::complex<double> *out, bool) {
+                  std::complex<double> *out) {
             if (xm == 0) {
                 for (size_t j = 0; j < n; ++j) {
                     const uint64_t i = i0 + j;

@@ -11,16 +11,17 @@
  * accumulation sum_i (-1)^{parity(i & z)} w_i over it.
  *
  * Summation order (the determinism contract). A sweep of dim basis
- * states runs W lanes (simd::kLanes on the vector path, 1 on the scalar
- * one) and S fixed slices of len = dim / S states each: S = 8 when the
- * vector path has dim >= 16 W, or the scalar path dim >=
- * kParallelGrainAmps, and S = 1 otherwise. Lane j of slice s sums the
- * states s len + j, s len + j + W, ... in ascending order from +0.0;
- * a slice's lanes are then added in ascending lane order, and the
- * slices are added in ascending slice order onto +0.0. The partition
- * depends only on dim and the lane width, never on the scratch
- * blocking, so a value is the same whichever thread computes it. Below
- * the grain the scalar path is one ascending chain per term.
+ * states runs S fixed slices of len = dim / S states each, S =
+ * simd::kSweepSlices (8) from 32 states and S = 1 below, and two lane
+ * chains per slice (simd::kSweepLanes, AVX2's register width). Chain j
+ * of slice s sums the states s len + j, s len + j + 2, ... in
+ * ascending order from +0.0; a slice adds chain 1 to chain 0, and the
+ * slices are added in ascending slice order onto +0.0. The order
+ * depends only on dim: not on the lane width of the build, the SIMD
+ * mode, the scratch blocking or the thread, so every build returns the
+ * same bits. AVX2 runs a chain pair as one register, AVX-512 adds each
+ * register's two lane pairs into one (simd::detail::vaccAdd), and the
+ * scalar path keeps the pair in plain doubles.
  */
 
 #ifndef EFTVQA_SIM_LANE_SWEEP_HPP
@@ -87,16 +88,15 @@ struct SweepShape
 };
 
 inline SweepShape
-sweepShape(size_t dim, bool vec)
+sweepShape(size_t dim)
 {
+    // From 32 states every slice holds whole registers of any lane
+    // width (4 states on AVX-512).
+    static_assert((32 / simd::kSweepSlices) % simd::kLanes == 0);
     SweepShape s;
-    const bool sliced = vec ? dim >= simd::kSweepSlices * simd::kLanes * 2
-                            : dim >= simd::kParallelGrainAmps;
-    s.slices = sliced ? simd::kSweepSlices : 1;
+    s.slices = dim >= 32 ? simd::kSweepSlices : 1;
     s.len = dim / s.slices;
-    // Registers above the grain fill their band block by block, so the
-    // scratch stays at kParallelGrainAmps states per thread.
-    s.block = std::min(s.len, simd::kParallelGrainAmps / s.slices);
+    s.block = std::min(s.len, simd::kSweepBlockStates / s.slices);
     return s;
 }
 
@@ -108,122 +108,121 @@ negateIf(double x, uint64_t neg)
     return std::bit_cast<double>(std::bit_cast<uint64_t>(x) ^ (neg << 63));
 }
 
-/** Scalar lanes (W = 1): the reference the vector lanes mirror. */
+/*
+ * Lanes::block<NS>(band, stride, n, off, len, z, acc, first) runs one
+ * block of NS interleaved slices for one term. band holds NS rows of
+ * @p n states, @p stride apart; row r is slice r (of @p len states),
+ * starting at within-slice offset @p off. acc holds the NS chain pairs
+ * of running sums (zeroed first when @p first).
+ */
+
+/** Scalar lanes: each chain pair in plain doubles. */
 struct ScalarLanes
 {
-    static constexpr size_t kWidth = 1;
-
-    /** One block of NS interleaved slice chains for one term. band
-     *  holds NS rows of @p steps states, @p stride apart; row r is
-     *  slice r, starting at within-slice offset @p off. acc holds the
-     *  NS running sums (zeroed first when @p first). */
     template <size_t NS>
     static void
-    block(const cd *band, size_t stride, size_t steps, uint64_t off,
+    block(const cd *band, size_t stride, size_t n, uint64_t off,
           uint64_t len, uint64_t z, cd *acc, bool first)
     {
-        double re[NS], im[NS];
+        static_assert(simd::kSweepLanes == 2);
+        double re[NS][2], im[NS][2];
         uint64_t ps[NS];
         for (size_t r = 0; r < NS; ++r) {
             ps[r] = std::popcount((r * len) & z) & 1;
-            re[r] = first ? 0.0 : acc[r].real();
-            im[r] = first ? 0.0 : acc[r].imag();
-        }
-        for (size_t k = 0; k < steps; ++k) {
-            const uint64_t pk = std::popcount((off + k) & z) & 1;
-            for (size_t r = 0; r < NS; ++r) {
-                const cd w = band[r * stride + k];
-                re[r] += negateIf(w.real(), ps[r] ^ pk);
-                im[r] += negateIf(w.imag(), ps[r] ^ pk);
+            for (size_t c = 0; c < 2; ++c) {
+                re[r][c] = first ? 0.0 : acc[2 * r + c].real();
+                im[r][c] = first ? 0.0 : acc[2 * r + c].imag();
             }
         }
+        // One popcount per pair: state 2k + 1 takes the sign of state
+        // 2k, flipped by bit 0 of z.
+        const uint64_t z0 = z & 1;
+        for (size_t k = 0; k < n / 2; ++k) {
+            const uint64_t pk = std::popcount((off + 2 * k) & z) & 1;
+            for (size_t r = 0; r < NS; ++r) {
+                const cd *w = band + r * stride + 2 * k;
+                const uint64_t s = ps[r] ^ pk;
+                re[r][0] += negateIf(w[0].real(), s);
+                im[r][0] += negateIf(w[0].imag(), s);
+                re[r][1] += negateIf(w[1].real(), s ^ z0);
+                im[r][1] += negateIf(w[1].imag(), s ^ z0);
+            }
+        }
+        if (n & 1) { // a one-state register (no qubits): state 0, sign +
+            re[0][0] += band[0].real();
+            im[0][0] += band[0].imag();
+        }
         for (size_t r = 0; r < NS; ++r)
-            acc[r] = cd{re[r], im[r]};
-    }
-
-    static cd
-    laneSum(const cd *acc)
-    {
-        return acc[0];
+            for (size_t c = 0; c < 2; ++c)
+                acc[2 * r + c] = cd{re[r][c], im[r][c]};
     }
 };
 
 #if defined(EFTVQA_SIMD_VECTOR)
-/** Vector lanes (W = simd::kLanes). */
+/** Vector lanes: one register of simd::kLanes states per step. */
 struct VectorLanes
 {
-    static constexpr size_t kWidth = simd::kLanes;
-
     template <size_t NS>
     static void
-    block(const cd *band, size_t stride, size_t steps, uint64_t off,
+    block(const cd *band, size_t stride, size_t n, uint64_t off,
           uint64_t len, uint64_t z, cd *acc, bool first)
     {
-        simd::detail::kernSweepBlock<NS>(band, stride, steps, off, len, z,
-                                         acc, first);
-    }
-
-    static cd
-    laneSum(const cd *acc)
-    {
-        double re = acc[0].real();
-        double im = acc[0].imag();
-        for (size_t j = 1; j < kWidth; ++j) {
-            re += acc[j].real();
-            im += acc[j].imag();
-        }
-        return cd{re, im};
+        simd::detail::kernSweepBlock<NS>(band, stride, n / simd::kLanes,
+                                         off, len, z, acc, first);
     }
 };
 #endif
 
 /**
  * Every slice of group g: fill the band block by block, run every
- * term's chains, and write the lane-reduced sum of slice s for the
- * group's k-th term to sums[k * slices + s].
+ * term's chains, and write slice s's sum for the group's k-th term
+ * (chain 0 plus chain 1) to sums[k * slices + s].
  */
 template <class Lanes, class Fill>
 void
 sweepGroup(const SweepPlan &plan, size_t g, const SweepShape &shape,
            Fill &fill, cd *sums)
 {
-    constexpr size_t W = Lanes::kWidth;
+    constexpr size_t P = simd::kSweepLanes;
     const size_t rows = shape.slices;
     const size_t p0 = plan.begin[g];
     const size_t m = plan.begin[g + 1] - p0;
     SweepScratch &scratch = sweepScratch();
     if (scratch.band.size() < rows * shape.block)
         scratch.band.resize(rows * shape.block);
-    if (scratch.acc.size() < plan.max_group * rows * W)
-        scratch.acc.resize(plan.max_group * rows * W);
+    if (scratch.acc.size() < plan.max_group * rows * P)
+        scratch.acc.resize(plan.max_group * rows * P);
     cd *band = scratch.band.data();
     cd *acc = scratch.acc.data();
     const uint64_t xm = plan.x[g];
     for (size_t off = 0; off < shape.len; off += shape.block) {
         if (shape.block == shape.len) // one block: the rows are adjacent
-            fill(xm, 0, rows * shape.len, band, W > 1);
+            fill(xm, 0, rows * shape.len, band);
         else
             for (size_t r = 0; r < rows; ++r)
                 fill(xm, r * shape.len + off, shape.block,
-                     band + r * shape.block, W > 1);
+                     band + r * shape.block);
         // The row count is a template argument, so the chains stay in
         // registers.
         for (size_t k = 0; k < m; ++k) {
-            cd *chains = acc + k * rows * W;
+            cd *chains = acc + k * rows * P;
             const uint64_t z = plan.z[p0 + k];
             if (rows == 1)
-                Lanes::template block<1>(band, shape.block,
-                                         shape.block / W, off, shape.len,
-                                         z, chains, off == 0);
+                Lanes::template block<1>(band, shape.block, shape.block,
+                                         off, shape.len, z, chains,
+                                         off == 0);
             else
                 Lanes::template block<simd::kSweepSlices>(
-                    band, shape.block, shape.block / W, off, shape.len, z,
+                    band, shape.block, shape.block, off, shape.len, z,
                     chains, off == 0);
         }
     }
     for (size_t k = 0; k < m; ++k)
-        for (size_t r = 0; r < rows; ++r)
-            sums[k * rows + r] = Lanes::laneSum(acc + (k * rows + r) * W);
+        for (size_t r = 0; r < rows; ++r) {
+            const cd *pair = acc + (k * rows + r) * P;
+            sums[k * rows + r] = cd{pair[0].real() + pair[1].real(),
+                                    pair[0].imag() + pair[1].imag()};
+        }
 }
 
 /** Slice sums onto +0.0 in ascending slice order, projected through the
@@ -245,7 +244,7 @@ sweepWithLanes(const SweepPlan &plan, size_t n_terms, size_t dim,
                Fill &fill)
 {
     std::vector<double> out(n_terms, 0.0);
-    const SweepShape shape = sweepShape(dim, Lanes::kWidth > 1);
+    const SweepShape shape = sweepShape(dim);
     const size_t S = shape.slices;
     std::vector<cd> &sums = sweepScratch().sums;
     if (sums.size() < plan.max_group * S)
@@ -263,10 +262,8 @@ sweepWithLanes(const SweepPlan &plan, size_t n_terms, size_t dim,
 /**
  * Shared expectationBatch entry point of the dense simulators.
  *
- * @p fill (uint64_t xm, uint64_t i0, size_t n, cd *out, bool vec) writes
- *         the band of X-mask xm for basis states [i0, i0 + n) into out;
- *         vec selects the vector-lane form (the sweep took the vector
- *         path: simd::enabled() and dim >= simd::kLanes).
+ * @p fill (uint64_t xm, uint64_t i0, size_t n, cd *out) writes the band
+ *         of X-mask xm for basis states [i0, i0 + n) into out.
  */
 template <class Fill>
 std::vector<double>

@@ -4,34 +4,31 @@
  *
  * A thin abstraction over interleaved complex<double> amplitudes:
  * AVX2 (2 complex lanes) or AVX-512 (4 complex lanes) intrinsics when
- * the CMake option EFTVQA_SIMD selects them, a std::experimental::simd
- * portable path otherwise, and a scalar build when vector lanes are
- * off. The ISA is chosen at compile time; a runtime CPUID sanity check
- * (__builtin_cpu_supports) keeps the vector kernels unreachable on
- * hosts that compiled for an ISA they don't have, so the scalar
- * fallbacks in the simulators always remain valid.
+ * the CMake option EFTVQA_SIMD selects them, and a scalar build when
+ * vector lanes are off. The ISA is chosen at compile time; a runtime
+ * CPUID sanity check (__builtin_cpu_supports) keeps the vector kernels
+ * unreachable on hosts that compiled for an ISA they don't have, so
+ * the scalar fallbacks in the simulators always remain valid.
  *
  * Determinism contract
  * --------------------
- * Every elementwise kernel here (1q/2q unitaries, diagonal phase
- * sweeps, xor-mask permutations, density-matrix channels and the
- * density-matrix pair pass with the one-qubit maps it carries)
+ * Every kernel here (1q/2q unitaries, diagonal phase sweeps, xor-mask
+ * permutations, density-matrix channels, the density-matrix pair pass
+ * with the one-qubit maps it carries, and the expectation sweep)
  * performs per-amplitude arithmetic in exactly the scalar operation
  * order — complex multiplies are expanded to the same
  * (ar*br - ai*bi, ar*bi + ai*br) form std::complex uses, sums keep the
  * scalar association, and no FMA contraction is emitted (the kernels
- * use explicit mul/add intrinsics) — so the vector run() path is
- * bit-identical to the scalar one. The expectation sweep is the one
- * exception: its sums run in kLanes lane chains per slice, which
- * reorders them relative to the scalar path (one chain per slice), so
- * SIMD on/off agree to a tested <= 1e-12. Each path is bit-exact to
- * its own written-down order (sim/lane_sweep.hpp): 8 fixed slices of
- * dim / 8 states (one slice below 16 kLanes states; the scalar path
- * slices only from kParallelGrainAmps), each lane adding its states in
- * ascending order, lanes then slices added in ascending order. The
- * partition depends only on dim and the lane width, and
- * tests/test_pauli_sums.cpp checks both paths by memcmp against a
- * reference that follows it.
+ * use explicit mul/add intrinsics) — so the vector paths are
+ * bit-identical to the scalar ones. The expectation sweep's sums follow
+ * one written-down order on every build and in both modes
+ * (sim/lane_sweep.hpp): 8 fixed slices of dim / 8 states (one slice
+ * below 32 states), two lane chains per slice, each chain adding its
+ * states in ascending order, chains then slices added in ascending
+ * order. AVX2 holds a slice's chain pair in one register; AVX-512 adds
+ * each register's low lane pair, then its high pair, into a two-lane
+ * accumulator (vaccAdd). tests/test_pauli_sums.cpp checks both modes by
+ * memcmp against a reference that follows the order.
  *
  * Every kernel runs on its caller's thread over the whole range it is
  * given; none opens a thread team.
@@ -56,10 +53,6 @@
 #if defined(EFTVQA_SIMD_ISA_AVX512) || defined(EFTVQA_SIMD_ISA_AVX2)
 #include <immintrin.h>
 #define EFTVQA_SIMD_VECTOR 1
-#elif defined(EFTVQA_SIMD_ISA_GENERIC) && __has_include(<experimental/simd>)
-#include <experimental/simd>
-#define EFTVQA_SIMD_VECTOR 1
-#define EFTVQA_SIMD_GENERIC_ACTIVE 1
 #endif
 
 #if defined(EFTVQA_SIMD_ISA_AVX512)
@@ -81,24 +74,24 @@ inline constexpr const char *kCompiledIsa = "avx512";
 #elif defined(EFTVQA_SIMD_ISA_AVX2)
 inline constexpr size_t kLanes = 2;
 inline constexpr const char *kCompiledIsa = "avx2";
-#elif defined(EFTVQA_SIMD_GENERIC_ACTIVE)
-inline constexpr size_t kLanes = 2;
-inline constexpr const char *kCompiledIsa = "generic";
 #else
 inline constexpr size_t kLanes = 1;
 inline constexpr const char *kCompiledIsa = "scalar";
 #endif
 
-/** States from which the expectation sweep's scalar path runs
- *  kSweepSlices slices instead of one chain, and the size of its band
- *  scratch in states (sim/lane_sweep.hpp). Part of the written-down
- *  summation order: changing it moves scalar-path expectation bits. */
-inline constexpr size_t kParallelGrainAmps = size_t{1} << 14;
-
 /** Fixed slice count of the expectation sweep (sim/lane_sweep.hpp):
  *  slice sums are added in ascending slice order, part of its
  *  written-down summation order. */
 inline constexpr size_t kSweepSlices = 8;
+
+/** Lane chains per slice of the expectation sweep, AVX2's register
+ *  width on every build: part of its written-down summation order. */
+inline constexpr size_t kSweepLanes = 2;
+
+/** States per slice and thread that the expectation sweep's band
+ *  scratch holds; larger registers fill their band block by block.
+ *  Not part of the summation order. */
+inline constexpr size_t kSweepBlockStates = size_t{1} << 14;
 
 /** Runtime sanity check: does this host implement the compiled ISA?
  *  Vector kernels are never entered when it fails, so a binary built
@@ -113,8 +106,6 @@ runtimeSupported()
 #elif defined(EFTVQA_SIMD_ISA_AVX2)
     static const bool ok = __builtin_cpu_supports("avx2");
     return ok;
-#elif defined(EFTVQA_SIMD_GENERIC_ACTIVE)
-    return true;
 #else
     return false;
 #endif
@@ -240,6 +231,12 @@ insertZeroBit(uint64_t x, uint64_t p)
 using CVec = __m512d;
 using SignVec = __m512d; ///< +-0.0 per double slot, applied by xor
 
+/** Every slot. GCC 12's unmasked permutes and extracts merge into
+ *  _mm512_undefined_pd(), whose self-initialisation trips
+ *  -Wmaybe-uninitialized at each use; their zero-masking forms with
+ *  every slot selected compile to the same instructions. */
+inline constexpr __mmask8 kAllSlots = 0xFF;
+
 EFTVQA_SIMD_TARGET inline CVec
 vload(const cd *p)
 {
@@ -288,10 +285,11 @@ vcmul(CVec a, CVec b)
     // (ar*br - ai*bi, ar*bi + ai*br): mul/mul, negate the even slots
     // of the second product, add. a-b == a+(-b) exactly in IEEE-754,
     // so this matches _mm256_addsub_pd and the scalar expansion.
-    CVec t0 = _mm512_mul_pd(_mm512_movedup_pd(a), b);
+    CVec t0 = _mm512_mul_pd(_mm512_maskz_movedup_pd(kAllSlots, a), b);
     vopaque(t0);
-    const CVec t1 = _mm512_mul_pd(_mm512_permute_pd(a, 0xFF),
-                                  _mm512_permute_pd(b, 0x55));
+    const CVec t1 =
+        _mm512_mul_pd(_mm512_maskz_permute_pd(kAllSlots, a, 0xFF),
+                      _mm512_maskz_permute_pd(kAllSlots, b, 0x55));
     const CVec neg_even = _mm512_set_pd(0.0, -0.0, 0.0, -0.0, 0.0,
                                         -0.0, 0.0, -0.0);
     return _mm512_add_pd(t0, _mm512_xor_pd(t1, neg_even));
@@ -313,7 +311,7 @@ vnormPairs(CVec v)
 {
     CVec sq = _mm512_mul_pd(v, v);
     vopaque(sq);
-    return _mm512_add_pd(sq, _mm512_permute_pd(sq, 0x55));
+    return _mm512_add_pd(sq, _mm512_maskz_permute_pd(kAllSlots, sq, 0x55));
 }
 /** Complex lane j <- lane (j ^ lo), lo in [0, kLanes). */
 EFTVQA_SIMD_TARGET inline CVec
@@ -323,21 +321,21 @@ vlanePermuteXor(CVec v, unsigned lo)
     const __m512i idx = _mm512_set_epi64(
         (6 ^ l) + 1, 6 ^ l, (4 ^ l) + 1, 4 ^ l, (2 ^ l) + 1, 2 ^ l,
         (0 ^ l) + 1, 0 ^ l);
-    return _mm512_permutexvar_pd(idx, v);
+    return _mm512_maskz_permutexvar_pd(kAllSlots, idx, v);
 }
 /** Duplicate each even complex lane over its pair: [a,a,c,c]. */
 EFTVQA_SIMD_TARGET inline CVec
 vdupPairsEven(CVec v)
 {
     const __m512i idx = _mm512_set_epi64(5, 4, 5, 4, 1, 0, 1, 0);
-    return _mm512_permutexvar_pd(idx, v);
+    return _mm512_maskz_permutexvar_pd(kAllSlots, idx, v);
 }
 /** Duplicate each odd complex lane over its pair: [b,b,d,d]. */
 EFTVQA_SIMD_TARGET inline CVec
 vdupPairsOdd(CVec v)
 {
     const __m512i idx = _mm512_set_epi64(7, 6, 7, 6, 3, 2, 3, 2);
-    return _mm512_permutexvar_pd(idx, v);
+    return _mm512_maskz_permutexvar_pd(kAllSlots, idx, v);
 }
 EFTVQA_SIMD_TARGET inline SignVec
 signsAll()
@@ -386,6 +384,16 @@ vzip(CVec even, CVec odd, CVec &a, CVec &b)
         even, _mm512_set_epi64(11, 10, 3, 2, 9, 8, 1, 0), odd);
     b = _mm512_permutex2var_pd(
         even, _mm512_set_epi64(15, 14, 7, 6, 13, 12, 5, 4), odd);
+}
+/** The expectation sweep's chain pair: two complex lanes. */
+using AccVec = __m256d;
+/** acc plus v's low lane pair, then plus its high pair, so each chain
+ *  adds its two states in ascending order. */
+EFTVQA_SIMD_TARGET inline AccVec
+vaccAdd(AccVec acc, CVec v)
+{
+    acc = _mm256_add_pd(acc, _mm512_maskz_extractf64x4_pd(kAllSlots, v, 0));
+    return _mm256_add_pd(acc, _mm512_maskz_extractf64x4_pd(kAllSlots, v, 1));
 }
 
 #elif defined(EFTVQA_SIMD_ISA_AVX2)
@@ -506,168 +514,12 @@ vzip(CVec even, CVec odd, CVec &a, CVec &b)
     a = _mm256_permute2f128_pd(even, odd, 0x20);
     b = _mm256_permute2f128_pd(even, odd, 0x31);
 }
-
-#else // EFTVQA_SIMD_GENERIC_ACTIVE
-
-namespace stdx = std::experimental;
-using dvec = stdx::fixed_size_simd<double, int(kLanes)>;
-
-/** Portable lane pack: split real/imag planes so the complex multiply
- *  is elementwise (std::experimental::simd has no pair shuffles). */
-struct CVec
+/** The expectation sweep's chain pair: one register. */
+using AccVec = CVec;
+EFTVQA_SIMD_TARGET inline AccVec
+vaccAdd(AccVec acc, CVec v)
 {
-    dvec re, im;
-};
-using SignVec = dvec; ///< +-1.0 factors (exact sign application)
-
-inline CVec
-vload(const cd *p)
-{
-    CVec v;
-    for (size_t j = 0; j < kLanes; ++j) {
-        v.re[int(j)] = p[j].real();
-        v.im[int(j)] = p[j].imag();
-    }
-    return v;
-}
-inline void
-vstore(cd *p, CVec v)
-{
-    for (size_t j = 0; j < kLanes; ++j)
-        p[j] = cd{v.re[int(j)], v.im[int(j)]};
-}
-inline CVec
-vzero()
-{
-    return {dvec(0.0), dvec(0.0)};
-}
-inline CVec
-vadd(CVec a, CVec b)
-{
-    return {a.re + b.re, a.im + b.im};
-}
-inline CVec
-vbroadcast(cd c)
-{
-    return {dvec(c.real()), dvec(c.imag())};
-}
-inline CVec
-vsetPattern2(cd x, cd y)
-{
-    CVec v;
-    for (size_t j = 0; j < kLanes; ++j) {
-        const cd &c = (j & 1) ? y : x;
-        v.re[int(j)] = c.real();
-        v.im[int(j)] = c.imag();
-    }
-    return v;
-}
-inline CVec
-vcmul(CVec a, CVec b)
-{
-    return {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
-}
-inline CVec
-vconj(CVec v)
-{
-    return {v.re, -v.im};
-}
-inline CVec
-vscale(CVec v, double s)
-{
-    return {v.re * s, v.im * s};
-}
-inline void
-vopaque(CVec &)
-{
-}
-inline CVec
-vnormPairs(CVec v)
-{
-    return {v.re * v.re + v.im * v.im, dvec(0.0)};
-}
-inline CVec
-vlanePermuteXor(CVec v, unsigned lo)
-{
-    CVec out;
-    for (size_t j = 0; j < kLanes; ++j) {
-        out.re[int(j)] = v.re[int(j ^ lo)];
-        out.im[int(j)] = v.im[int(j ^ lo)];
-    }
-    return out;
-}
-inline CVec
-vdupPairsEven(CVec v)
-{
-    CVec out;
-    for (size_t j = 0; j < kLanes; ++j) {
-        out.re[int(j)] = v.re[int(j & ~size_t{1})];
-        out.im[int(j)] = v.im[int(j & ~size_t{1})];
-    }
-    return out;
-}
-inline CVec
-vdupPairsOdd(CVec v)
-{
-    CVec out;
-    for (size_t j = 0; j < kLanes; ++j) {
-        out.re[int(j)] = v.re[int(j | 1)];
-        out.im[int(j)] = v.im[int(j | 1)];
-    }
-    return out;
-}
-inline SignVec
-signsAll()
-{
-    return dvec(-1.0);
-}
-inline SignVec
-signsForMask(uint64_t z)
-{
-    SignVec s;
-    for (size_t j = 0; j < kLanes; ++j)
-        s[int(j)] = (std::popcount(j & z) & 1) ? -1.0 : 1.0;
-    return s;
-}
-inline SignVec
-signsXor(SignVec a, SignVec b)
-{
-    return a * b;
-}
-inline CVec
-vsignApply(CVec v, SignVec s)
-{
-    return {v.re * s, v.im * s};
-}
-inline void
-vunzip(CVec a, CVec b, CVec &even, CVec &odd)
-{
-    constexpr int h = int(kLanes / 2);
-    for (int j = 0; j < h; ++j) {
-        even.re[j] = a.re[2 * j];
-        even.im[j] = a.im[2 * j];
-        even.re[j + h] = b.re[2 * j];
-        even.im[j + h] = b.im[2 * j];
-        odd.re[j] = a.re[2 * j + 1];
-        odd.im[j] = a.im[2 * j + 1];
-        odd.re[j + h] = b.re[2 * j + 1];
-        odd.im[j + h] = b.im[2 * j + 1];
-    }
-}
-inline void
-vzip(CVec even, CVec odd, CVec &a, CVec &b)
-{
-    constexpr int h = int(kLanes / 2);
-    for (int j = 0; j < h; ++j) {
-        a.re[2 * j] = even.re[j];
-        a.im[2 * j] = even.im[j];
-        a.re[2 * j + 1] = odd.re[j];
-        a.im[2 * j + 1] = odd.im[j];
-        b.re[2 * j] = even.re[j + h];
-        b.im[2 * j] = even.im[j + h];
-        b.re[2 * j + 1] = odd.re[j + h];
-        b.im[2 * j + 1] = odd.im[j + h];
-    }
+    return vadd(acc, v);
 }
 
 #endif // per-ISA primitives
@@ -1111,38 +963,53 @@ kernBandSv(const cd *data, uint64_t i0, size_t n, uint64_t xm, cd *out)
     }
 }
 
+/** A chain pair from its kSweepLanes scratch slots, and back (AccVec
+ *  is one AVX register on both ISAs). */
+EFTVQA_SIMD_TARGET inline AccVec
+vaccLoad(const cd *p)
+{
+    return _mm256_loadu_pd(reinterpret_cast<const double *>(p));
+}
+EFTVQA_SIMD_TARGET inline void
+vaccStore(cd *p, AccVec a)
+{
+    _mm256_storeu_pd(reinterpret_cast<double *>(p), a);
+}
+
 /**
- * One scratch block of NS interleaved slice chains for one term. band
- * holds NS rows of @p steps registers, @p stride states apart; row r is
- * slice r (of @p len states) from within-slice offset @p off.
- * acc holds NS stored registers of running sums, zeroed first when
- * @p first. Each register lane adds its states in ascending order.
+ * One scratch block of NS interleaved slices for one term. band holds
+ * NS rows of @p steps registers, @p stride states apart; row r is slice
+ * r (of @p len states) from within-slice offset @p off. acc holds the
+ * NS chain pairs of running sums (kSweepLanes states each), zeroed
+ * first when @p first. vaccAdd adds each register's states to its
+ * row's pair in ascending order, so chain j adds states j, j + 2, ...
  */
 template <size_t NS>
 EFTVQA_SIMD_TARGET inline void
 kernSweepBlock(const cd *band, size_t stride, size_t steps, uint64_t off,
                uint64_t len, uint64_t z, cd *acc, bool first)
 {
+    static_assert(sizeof(AccVec) == kSweepLanes * sizeof(cd));
     const SignVec pat = signsForMask(z);
     const SignVec flip = signsXor(pat, signsAll());
     SignVec sel[NS][2];
-    CVec a[NS];
+    AccVec a[NS];
     for (size_t r = 0; r < NS; ++r) {
         const bool ps = std::popcount((r * len) & z) & 1;
         sel[r][0] = ps ? flip : pat;
         sel[r][1] = ps ? pat : flip;
-        a[r] = first ? vzero() : vload(acc + r * kLanes);
+        a[r] = first ? AccVec{} : vaccLoad(acc + r * kSweepLanes);
     }
     for (size_t k = 0; k < steps; ++k) {
         const size_t pk =
             std::popcount((off + k * kLanes) & z) & 1;
         for (size_t r = 0; r < NS; ++r)
-            a[r] = vadd(a[r], vsignApply(vload(band + r * stride +
-                                               k * kLanes),
-                                         sel[r][pk]));
+            a[r] = vaccAdd(a[r], vsignApply(vload(band + r * stride +
+                                                  k * kLanes),
+                                            sel[r][pk]));
     }
     for (size_t r = 0; r < NS; ++r)
-        vstore(acc + r * kLanes, a[r]);
+        vaccStore(acc + r * kSweepLanes, a[r]);
 }
 
 #endif // EFTVQA_SIMD_VECTOR
@@ -1408,25 +1275,24 @@ tryPairPass(cd *data, size_t d, GateType g, size_t qa, size_t qb,
 
 /**
  * Statevector expectation band over [i0, i0 + n) for X-mask @p xm (see
- * sim/lane_sweep.hpp): the vector form when @p vec (the sweep took
- * vector lanes, so n is a multiple of kLanes), else the scalar
- * reference conj(a_{i^xm}) a_i, or (|a_i|^2, 0) when xm = 0.
+ * sim/lane_sweep.hpp): conj(a_{i^xm}) a_i, or |a_i|^2 in both slots
+ * when xm = 0. The vector form runs when the lanes are on and the range
+ * is whole registers; both forms write the same bits.
  */
 inline void
-bandSv(const cd *data, uint64_t i0, size_t n, uint64_t xm, bool vec,
-       cd *out)
+bandSv(const cd *data, uint64_t i0, size_t n, uint64_t xm, cd *out)
 {
 #if defined(EFTVQA_SIMD_VECTOR)
-    if (vec) {
+    if (enabled() && (i0 | n) % kLanes == 0) {
         detail::kernBandSv(data, i0, n, xm, out);
         return;
     }
-#else
-    (void)vec;
 #endif
     if (xm == 0) {
-        for (size_t j = 0; j < n; ++j)
-            out[j] = cd{std::norm(data[i0 + j]), 0.0};
+        for (size_t j = 0; j < n; ++j) {
+            const double p = std::norm(data[i0 + j]);
+            out[j] = cd{p, p};
+        }
         return;
     }
     for (size_t j = 0; j < n; ++j) {

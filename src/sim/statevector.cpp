@@ -441,8 +441,10 @@ Statevector::expectationBatch(const Hamiltonian &h) const
     const std::complex<double> *data = data_.data();
     return detail::expectationBatchSweep(
         h, data_.size(),
-        [data](uint64_t xm, uint64_t i0, size_t n, std::complex<double> *out,
-               bool vec) { simd::bandSv(data, i0, n, xm, vec, out); });
+        [data](uint64_t xm, uint64_t i0, size_t n,
+               std::complex<double> *out) {
+            simd::bandSv(data, i0, n, xm, out);
+        });
 }
 
 std::vector<double>

@@ -3,10 +3,11 @@
  * Bit-level contracts of the Pauli-sum kernels at molecule scale:
  *
  *  - SweepOrder: both dense expectationBatch kernels equal, bit for bit,
- *    a reference written here that follows the summation order that
- *    sim/lane_sweep.hpp documents — on the vector lanes and on the
- *    scalar path, at OpenMP team sizes 1, 2 and 4 — so a kernel that
- *    re-associates a lane or slice sum fails;
+ *    a reference written here that follows the one summation order
+ *    that sim/lane_sweep.hpp documents — on the vector lanes and on the
+ *    scalar path, at every register size from no qubits, and at OpenMP
+ *    team sizes 1, 2 and 4 — so a kernel that re-associates a chain or
+ *    slice sum fails on any build;
  *  - PauliSums: Hamiltonian::apply equals the per-basis-state product
  *    sum, groundStateEnergy() is pinned for the twelve 8-qubit
  *    Hamiltonians of the density-matrix figures, contentHash() is the
@@ -21,7 +22,6 @@
 #include <complex>
 #include <cstring>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "ansatz/ansatz.hpp"
@@ -61,11 +61,29 @@ boundFche(int n, uint64_t seed)
     return ansatz.bind(params);
 }
 
+/** Seeded Ry, Rz on every qubit, a CX chain, then Ry again: complex
+ *  amplitudes on any register from one qubit. */
+Circuit
+spread(int n, uint64_t seed)
+{
+    Rng rng(seed);
+    Circuit c(n);
+    for (int q = 0; q < n; ++q) {
+        c.add(Gate::rotation(GateType::Ry, q, rng.uniform(-M_PI, M_PI)));
+        c.add(Gate::rotation(GateType::Rz, q, rng.uniform(-M_PI, M_PI)));
+    }
+    for (int q = 0; q + 1 < n; ++q)
+        c.cx(q, q + 1);
+    for (int q = 0; q < n; ++q)
+        c.add(Gate::rotation(GateType::Ry, q, rng.uniform(-M_PI, M_PI)));
+    return c;
+}
+
 /** A mixed state with complex off-diagonals. */
 DensityMatrix
 dampedRho(int n, uint64_t seed)
 {
-    DensityMatrix rho = dm_oracle::noiseless(boundFche(n, seed));
+    DensityMatrix rho = dm_oracle::noiseless(spread(n, seed));
     DmPassBuilder damping(static_cast<size_t>(n));
     for (int q = 0; q < n; ++q)
         damping.channel(static_cast<size_t>(q),
@@ -75,76 +93,65 @@ dampedRho(int n, uint64_t seed)
 }
 
 /**
- * The documented order (sim/lane_sweep.hpp): a sweep of dim states on
- * W lanes and S slices of len = dim / S. Lane j of slice s adds the
- * signed band values of states s len + j, s len + j + W, ... onto +0.0
- * in ascending order; each slice adds its lanes in ascending order; the
- * slices are added in ascending order onto +0.0; the term is the real
- * part of phase times that sum. Vector lanes (W = kLanes) take S = 8
- * when dim >= 16 W; the scalar path (W = 1) takes S = 8 when dim >=
- * 2^14; otherwise S = 1.
+ * The documented order (sim/lane_sweep.hpp), one on every build and in
+ * both SIMD modes: a sweep of dim states runs S slices of len = dim / S
+ * states, S = 8 from 32 states and 1 below, and two chains per slice.
+ * Chain j of slice s adds the signed band values of states s len + j,
+ * s len + j + 2, ... onto +0.0 in ascending order; a slice adds chain 1
+ * to chain 0; the slices are added in ascending order onto +0.0; the
+ * term is the real part of phase times that sum.
  */
 template <class Band>
 double
-referenceTerm(size_t dim, bool vec, const PauliString &op, Band &&band)
+referenceTerm(size_t dim, const PauliString &op, Band &&band)
 {
-    const size_t W = vec ? simd::kLanes : 1;
-    const size_t S =
-        (vec ? dim >= 16 * W : dim >= (size_t{1} << 14)) ? 8 : 1;
-    const uint64_t x = op.xWords()[0];
-    const uint64_t z = op.zWords()[0];
+    const size_t S = dim >= 32 ? 8 : 1;
+    const uint64_t x = op.xWords().empty() ? 0 : op.xWords()[0];
+    const uint64_t z = op.zWords().empty() ? 0 : op.zWords()[0];
     const size_t len = dim / S;
     double re = 0.0, im = 0.0;
     for (size_t s = 0; s < S; ++s) {
-        std::vector<double> lre(W, 0.0), lim(W, 0.0);
-        for (size_t i = s * len; i < (s + 1) * len; i += W)
-            for (size_t j = 0; j < W; ++j) {
-                const cd w = band(i + j, x);
-                const bool neg = std::popcount((i + j) & z) & 1;
-                lre[j] += neg ? -w.real() : w.real();
-                lim[j] += neg ? -w.imag() : w.imag();
-            }
-        double sre = lre[0], sim = lim[0];
-        for (size_t j = 1; j < W; ++j) {
-            sre += lre[j];
-            sim += lim[j];
+        double cre[2] = {0.0, 0.0}, cim[2] = {0.0, 0.0};
+        for (size_t i = s * len; i < (s + 1) * len; ++i) {
+            const cd w = band(i, x);
+            const bool neg = std::popcount(i & z) & 1;
+            cre[i & 1] += neg ? -w.real() : w.real();
+            cim[i & 1] += neg ? -w.imag() : w.imag();
         }
-        re += sre;
-        im += sim;
+        re += cre[0] + cre[1];
+        im += cim[0] + cim[1];
     }
     return (op.phase() * cd{re, im}).real();
 }
 
-/** Statevector band: conj(a_{i^x}) a_i; for x = 0, |a_i|^2, which the
- *  avx2/avx512 lanes also carry in the imaginary slot. */
+/** Statevector band: conj(a_{i^x}) a_i; for x = 0, |a_i|^2 in both
+ *  slots. */
 std::vector<double>
-referenceSv(const Statevector &psi, const Hamiltonian &h, bool vec)
+referenceSv(const Statevector &psi, const Hamiltonian &h)
 {
     const auto &a = psi.amplitudes();
-    const bool norm_in_both =
-        vec && std::string_view(simd::kCompiledIsa) != "generic";
     std::vector<double> out;
     for (const auto &t : h.terms())
         out.push_back(referenceTerm(
-            psi.dim(), vec, t.op, [&](uint64_t i, uint64_t x) -> cd {
+            psi.dim(), t.op, [&](uint64_t i, uint64_t x) -> cd {
                 if (x != 0)
                     return std::conj(a[i ^ x]) * a[i];
                 const double n2 = std::norm(a[i]);
-                return {n2, norm_in_both ? n2 : 0.0};
+                return {n2, n2};
             }));
     return out;
 }
 
 /** Density-matrix band: rho[i, i^x]; for x = 0, (Re rho_ii, 0). */
 std::vector<double>
-referenceDm(const DensityMatrix &rho, const Hamiltonian &h, bool vec)
+referenceDm(const DensityMatrix &rho, const Hamiltonian &h)
 {
     const size_t d = rho.dim();
     const auto &data = rho.data();
     std::vector<double> out;
     for (const auto &t : h.terms())
         out.push_back(referenceTerm(
-            d, vec, t.op, [&](uint64_t i, uint64_t x) -> cd {
+            d, t.op, [&](uint64_t i, uint64_t x) -> cd {
                 if (x == 0)
                     return {data[i * d + i].real(), 0.0};
                 return data[i * d + (i ^ x)];
@@ -173,6 +180,70 @@ moleculeScaleHamiltonians()
             heisenbergHamiltonian(8, 0.75)};
 }
 
+/** Every one-qubit Pauli on n qubits, the identity and 24 seeded random
+ *  strings: X-masks inside and across vector registers, Z-masks with
+ *  and without bit 0. */
+Hamiltonian
+randomPauliSum(int n, uint64_t seed)
+{
+    Hamiltonian h(n);
+    Rng rng(seed);
+    h.addTerm(0.5, std::string(n, 'I'));
+    for (int q = 0; q < n; ++q)
+        for (const char p : {'X', 'Y', 'Z'}) {
+            std::string label(n, 'I');
+            label[q] = p;
+            h.addTerm(rng.uniform(-1.0, 1.0), label);
+        }
+    for (int k = 0; k < 24; ++k) {
+        std::string label(n, 'I');
+        for (auto &c : label)
+            c = "IXYZ"[rng.uniformInt(4)];
+        h.addTerm(rng.uniform(-1.0, 1.0), label);
+    }
+    return h;
+}
+
+/** Register sizes of the order tests, from no qubits (one state, an
+ *  empty second chain): 2 states (scalar on AVX-512), 16 to 32 (where
+ *  eight slices start) and, on the statevector, 2^15 (two scratch
+ *  blocks per slice). A 14-qubit density matrix would hold 4 GiB, so
+ *  it stops at 10 qubits. */
+constexpr int kMaxSvQubits = 15;
+constexpr int kMaxDmQubits = 10;
+
+/** Every statevector size in the current SIMD mode, bit for bit. */
+void
+expectStatevectorOrder()
+{
+    for (int n = 0; n <= kMaxSvQubits; ++n) {
+        Statevector psi(n);
+        psi.run(spread(n, 100 + n));
+        const Hamiltonian h = randomPauliSum(n, 200 + n);
+        EXPECT_TRUE(sameBits(referenceSv(psi, h), psi.expectationBatch(h)))
+            << n << " qubits, " << simd::activeIsa();
+    }
+    Statevector psi(8);
+    psi.run(boundFche(8, 11));
+    for (const auto &h : moleculeScaleHamiltonians())
+        EXPECT_TRUE(sameBits(referenceSv(psi, h), psi.expectationBatch(h)));
+}
+
+/** Every density-matrix size in the current SIMD mode, bit for bit. */
+void
+expectDensityMatrixOrder()
+{
+    for (int n = 0; n <= kMaxDmQubits; ++n) {
+        const DensityMatrix rho = dampedRho(n, 300 + n);
+        const Hamiltonian h = randomPauliSum(n, 400 + n);
+        EXPECT_TRUE(sameBits(referenceDm(rho, h), rho.expectationBatch(h)))
+            << n << " qubits, " << simd::activeIsa();
+    }
+    const DensityMatrix rho = dampedRho(8, 12);
+    for (const auto &h : moleculeScaleHamiltonians())
+        EXPECT_TRUE(sameBits(referenceDm(rho, h), rho.expectationBatch(h)));
+}
+
 /** One X-mask group: ZZ on the first @p terms neighbour pairs. */
 Hamiltonian
 zzChain(int n, int terms)
@@ -190,58 +261,33 @@ zzChain(int n, int terms)
 
 TEST(SweepOrder, StatevectorMatchesDocumentedOrder)
 {
-    if (!simd::enabled())
-        GTEST_SKIP() << "vector lanes not active (" << simd::kCompiledIsa
-                     << " build)";
-    Statevector psi(8);
-    psi.run(boundFche(8, 11));
-    for (const auto &h : moleculeScaleHamiltonians())
-        EXPECT_TRUE(sameBits(referenceSv(psi, h, true),
-                             psi.expectationBatch(h)));
+    // The vector lanes where the build has them, else the scalar path.
+    expectStatevectorOrder();
 }
 
 TEST(SweepOrder, DensityMatrixMatchesDocumentedOrder)
 {
-    if (!simd::enabled())
-        GTEST_SKIP() << "vector lanes not active (" << simd::kCompiledIsa
-                     << " build)";
-    const DensityMatrix rho = dampedRho(8, 12);
-    for (const auto &h : moleculeScaleHamiltonians())
-        EXPECT_TRUE(sameBits(referenceDm(rho, h, true),
-                             rho.expectationBatch(h)));
+    expectDensityMatrixOrder();
 }
 
 TEST(SweepOrder, ScalarPathMatchesDocumentedOrder)
 {
     SimdModeGuard scalar(0);
-    Statevector psi(8);
-    psi.run(boundFche(8, 13));
-    const DensityMatrix rho = dampedRho(8, 14);
-    for (const auto &h : moleculeScaleHamiltonians()) {
-        EXPECT_TRUE(sameBits(referenceSv(psi, h, false),
-                             psi.expectationBatch(h)));
-        EXPECT_TRUE(sameBits(referenceDm(rho, h, false),
-                             rho.expectationBatch(h)));
-    }
-    // At the grain the scalar path switches to eight slices.
-    Statevector big(14);
-    big.run(boundFche(14, 15));
-    const auto h14 = heisenbergHamiltonian(14, 1.0);
-    EXPECT_TRUE(sameBits(referenceSv(big, h14, false),
-                         big.expectationBatch(h14)));
+    expectStatevectorOrder();
+    expectDensityMatrixOrder();
 }
 
 TEST(SweepOrder, LargeStatevectorAtEveryTeamAndAxis)
 {
-    // At 2^14 states both lane widths run eight slices; the Heisenberg
-    // chain has 14 X-mask groups and the ZZ chain one.
+    // At 2^14 states every path runs eight slices; the Heisenberg chain
+    // has 14 X-mask groups and the ZZ chain one.
     Statevector psi(14);
     psi.run(boundFche(14, 16));
     for (const Hamiltonian &h :
          {heisenbergHamiltonian(14, 1.0), zzChain(14, 11)}) {
+        const auto want = referenceSv(psi, h);
         for (const int mode : {-1, 0}) {
             SimdModeGuard pin(mode);
-            const auto want = referenceSv(psi, h, simd::enabled());
             for (const int threads : omp_team::sizes()) {
                 omp_team::Guard team(threads);
                 EXPECT_TRUE(sameBits(want, psi.expectationBatch(h)))

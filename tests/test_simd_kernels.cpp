@@ -4,12 +4,14 @@
  * (sim/simd.hpp):
  *
  *  - every vector kernel (1q, fused 4x4, diagonal phase, xor-mask
- *    permutation, measure/reset) must agree with its scalar reference
- *    sweep to <= 1e-12 on randomized states, across strides, small
- *    dims below the lane width, and tail regions;
- *  - expectationBatch must agree between modes on both dense backends;
+ *    permutation, measure/reset, density-matrix channels and pair
+ *    pass) must equal its scalar reference sweep bit for bit on
+ *    randomized states, across strides, small dims below the lane
+ *    width, and tail regions;
+ *  - expectationBatch must be bit-identical between modes on both
+ *    dense backends;
  *  - a 16-qubit compiled run must match the gate-by-gate loop in both
- *    modes;
+ *    modes to <= 1e-12 (fusion reorders the arithmetic);
  *  - EstimationEngine::energies must be bit-identical across OpenMP
  *    thread counts in both SIMD modes;
  *  - the X-mask group-plan memo must be looked up once per
@@ -21,6 +23,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <vector>
 
 #include "ansatz/ansatz.hpp"
@@ -41,6 +44,8 @@ using cd = std::complex<double>;
 
 namespace {
 
+/** Fused ops against the gate-by-gate loop: the one comparison that is
+ *  not between the two SIMD modes of one computation. */
 constexpr double kTol = 1e-12;
 
 /** Pin the SIMD dispatch mode for a scope; restores auto on exit. */
@@ -90,6 +95,21 @@ randomU4(uint64_t seed)
     return matmul4(cz, kron2q(randomU2(seed), randomU2(seed + 101)));
 }
 
+/** memcmp equality of two equally sized buffers. */
+template <class V>
+::testing::AssertionResult
+sameBits(const V &a, const V &b)
+{
+    if (a.size() != b.size())
+        return ::testing::AssertionFailure()
+               << "size " << b.size() << " != " << a.size();
+    for (size_t i = 0; i < a.size(); ++i)
+        if (std::memcmp(&a[i], &b[i], sizeof(a[i])) != 0)
+            return ::testing::AssertionFailure()
+                   << "element " << i << ": " << b[i] << " != " << a[i];
+    return ::testing::AssertionSuccess();
+}
+
 double
 maxAbsDiff(const simd::AmpVector &a, const simd::AmpVector &b)
 {
@@ -124,8 +144,7 @@ TEST(SimdKernels, Apply1qParityAllQubitsAndDims)
                 ref.applyMatrix1q(u, q);
             }
             vec.applyMatrix1q(u, q);
-            EXPECT_LE(maxAbsDiff(ref.amplitudes(), vec.amplitudes()),
-                      kTol)
+            EXPECT_TRUE(sameBits(ref.amplitudes(), vec.amplitudes()))
                 << "n=" << n << " q=" << q;
         }
     }
@@ -146,9 +165,7 @@ TEST(SimdKernels, Apply2qParityAllPairs)
                     ref.applyMatrix2q(u, qa, qb);
                 }
                 vec.applyMatrix2q(u, qa, qb);
-                EXPECT_LE(
-                    maxAbsDiff(ref.amplitudes(), vec.amplitudes()),
-                    kTol)
+                EXPECT_TRUE(sameBits(ref.amplitudes(), vec.amplitudes()))
                     << "n=" << n << " qa=" << qa << " qb=" << qb;
             }
         }
@@ -180,7 +197,7 @@ TEST(SimdKernels, DiagPhaseParityMaskAndGatherPaths)
             ref.runCompiled(compiled);
         }
         vec.runCompiled(compiled);
-        EXPECT_LE(maxAbsDiff(ref.amplitudes(), vec.amplitudes()), kTol)
+        EXPECT_TRUE(sameBits(ref.amplitudes(), vec.amplitudes()))
             << "n=" << n;
     }
 }
@@ -207,7 +224,7 @@ TEST(SimdKernels, Gf2PermParity)
             ref.runCompiled(compiled);
         }
         vec.runCompiled(compiled);
-        EXPECT_LE(maxAbsDiff(ref.amplitudes(), vec.amplitudes()), kTol)
+        EXPECT_TRUE(sameBits(ref.amplitudes(), vec.amplitudes()))
             << "n=" << n;
     }
 }
@@ -230,7 +247,7 @@ TEST(SimdKernels, MeasureResetParity)
         vec.reset(7, rng);
     }
     EXPECT_EQ(out_ref, out_vec);
-    EXPECT_LE(maxAbsDiff(ref.amplitudes(), vec.amplitudes()), kTol);
+    EXPECT_TRUE(sameBits(ref.amplitudes(), vec.amplitudes()));
 }
 
 TEST(SimdKernels, ExpectationBatchParityStatevector)
@@ -245,10 +262,7 @@ TEST(SimdKernels, ExpectationBatchParityStatevector)
             SimdModeGuard off(0);
             ref = psi.expectationBatch(ham);
         }
-        const std::vector<double> vec = psi.expectationBatch(ham);
-        ASSERT_EQ(ref.size(), vec.size());
-        for (size_t t = 0; t < ref.size(); ++t)
-            EXPECT_NEAR(ref[t], vec[t], kTol) << "term " << t;
+        EXPECT_TRUE(sameBits(ref, psi.expectationBatch(ham)));
     }
 }
 
@@ -278,7 +292,7 @@ TEST(SimdKernels, DensityMatrixChannelAndBatchParity)
         apply(ref);
     }
     apply(vec);
-    EXPECT_LE(maxAbsDiff(ref.data(), vec.data()), kTol);
+    EXPECT_TRUE(sameBits(ref.data(), vec.data()));
 
     const auto ham = heisenbergHamiltonian(n, 1.0);
     std::vector<double> tref;
@@ -286,10 +300,7 @@ TEST(SimdKernels, DensityMatrixChannelAndBatchParity)
         SimdModeGuard off(0);
         tref = ref.expectationBatch(ham);
     }
-    const std::vector<double> tvec = vec.expectationBatch(ham);
-    ASSERT_EQ(tref.size(), tvec.size());
-    for (size_t t = 0; t < tref.size(); ++t)
-        EXPECT_NEAR(tref[t], tvec[t], kTol) << "term " << t;
+    EXPECT_TRUE(sameBits(tref, vec.expectationBatch(ham)));
 
     // Tiny density matrices (rows shorter than a vector register) must
     // stay correct through the scalar fallbacks.
@@ -309,7 +320,7 @@ TEST(SimdKernels, DensityMatrixChannelAndBatchParity)
         }
         b.runPasses(superop);
         b.runPasses(channel);
-        EXPECT_LE(maxAbsDiff(a.data(), b.data()), kTol);
+        EXPECT_TRUE(sameBits(a.data(), b.data()));
     }
 }
 
@@ -390,9 +401,7 @@ TEST(SimdKernels, EnergiesBitIdenticalAcrossThreadsAndSimdModes)
             return engine.energies(population);
         });
     }
-    ASSERT_EQ(modes[0].size(), modes[1].size());
-    for (size_t k = 0; k < modes[0].size(); ++k)
-        EXPECT_NEAR(modes[0][k], modes[1][k], kTol) << "genome " << k;
+    EXPECT_TRUE(sameBits(modes[0], modes[1]));
 }
 
 TEST(SimdKernels, SweepPlanMemoHitsOnRepeatHamiltonian)
